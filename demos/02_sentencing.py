@@ -10,6 +10,7 @@ one token vector per feature: token_j = x_j * embed_j + bias_j + pos_j.
 import numpy as np
 
 from flowids import dataio, sentencing
+from flowids import tensor as T
 from flowids.tensor import Tensor
 
 rng = np.random.default_rng(3)
@@ -56,20 +57,28 @@ params = sentencing.SentencingParams(
     bias=Tensor(rng.normal(size=(schema.width, dim)), requires_grad=True),
     position=Tensor(rng.normal(size=(schema.width, dim)), requires_grad=True),
 )
-tokens = sentencing.sentence_record(x, params).tokens
+
+
+def lift(vec):
+    """Sentencing for one encoded record, outside any gradient tape."""
+    with T.no_grad():
+        return sentencing.sentence(Tensor(vec), params).data
+
+
+tokens = lift(x)
 print("token matrix shape:", tokens.shape, "(features x embedding dim)")
 print("first token:", np.round(tokens[0], 4))
 
 # with the scalar zeroed, the token collapses to bias + position
 x_zero = x.copy()
 x_zero[0] = 0.0
-t0 = sentencing.sentence_record(x_zero, params).tokens[0]
+t0 = lift(x_zero)[0]
 expected = params.bias.data[0] + params.position.data[0]
 print("zeroed scalar leaves bias + position:", np.allclose(t0, expected))
 
 # each feature only touches its own token row
 x_bump = x.copy()
 x_bump[4] += 0.25
-moved = sentencing.sentence_record(x_bump, params).tokens - tokens
+moved = lift(x_bump) - tokens
 print("bumping feature 4 changes row 4 only:",
       bool(np.all(moved[4] != 0) and np.all(moved[np.arange(len(x)) != 4] == 0)))

@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from . import dataio, metrics
+from . import model as M
 from .errors import (
     ConfigError,
     DataError,
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="synthetic", help="column profile of the CSV")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model", choices=("transformer", "fnn"))
+    p.add_argument("--model", choices=tuple(M.KINDS))
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")

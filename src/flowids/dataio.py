@@ -346,31 +346,7 @@ class Checkpoint:
         return self.params.kind
 
 
-def _hyper_dict(params) -> dict:
-    if params.kind == "transformer":
-        cfg = params.config
-        return {
-            "kind": "transformer",
-            "dim": cfg.dim,
-            "heads": cfg.heads,
-            "blocks": cfg.blocks,
-            "mlp_dim": cfg.resolved_mlp_dim(),
-            "tokens": params.tokens,
-        }
-    return {
-        "kind": "fnn",
-        "features": params.w1.data.shape[0],
-        "hidden": [params.w1.data.shape[1], params.w2.data.shape[1]],
-    }
-
-
-def _skeleton(hyper: dict):
-    if hyper["kind"] == "transformer":
-        cfg = M.EncoderConfig(
-            dim=hyper["dim"], heads=hyper["heads"], blocks=hyper["blocks"], mlp_dim=hyper["mlp_dim"]
-        )
-        return M.init_params(cfg, tokens=hyper["tokens"], seed=0)
-    return M.init_fnn(hyper["features"], hidden=tuple(hyper["hidden"]), seed=0)
+_HEADER_KEYS = ("model_kind", "hyper", "schema", "train_config", "metrics", "arrays")
 
 
 def save_checkpoint(params, schema: Schema, config: dict, path, metrics: dict | None = None) -> None:
@@ -378,7 +354,7 @@ def save_checkpoint(params, schema: Schema, config: dict, path, metrics: dict | 
     named = params.named_parameters()
     header = {
         "model_kind": params.kind,
-        "hyper": _hyper_dict(params),
+        "hyper": params.hyper(),
         "schema": schema.to_dict(),
         "train_config": config,
         "metrics": metrics,
@@ -421,10 +397,34 @@ def load_checkpoint(path) -> Checkpoint:
     offset += 8
     if offset + header_len > len(body):
         raise IntegrityError(f"{path}: truncated header")
-    header = json.loads(body[offset : offset + header_len].decode("utf-8"))
+    try:
+        header = json.loads(body[offset : offset + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: header is not valid JSON ({exc})")
     offset += header_len
-
-    params = _skeleton(header["hyper"])
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{path}: header is not a JSON object")
+    for key in _HEADER_KEYS:
+        if key not in header:
+            raise IntegrityError(f"{path}: header field {key!r} is missing")
+    hyper = header["hyper"]
+    kind = hyper.get("kind") if isinstance(hyper, dict) else None
+    if not isinstance(kind, str) or kind not in M.KINDS:
+        raise IntegrityError(
+            f"{path}: header field hyper.kind is {kind!r}, expected one of {sorted(M.KINDS)}"
+        )
+    if header["model_kind"] != kind:
+        raise IntegrityError(
+            f"{path}: header field model_kind is {header['model_kind']!r} but hyper.kind is {kind!r}"
+        )
+    try:
+        params = M.KINDS[kind].from_hyper(hyper)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
+    try:
+        schema = Schema.from_dict(header["schema"])
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"{path}: header field schema is malformed ({exc!r})")
     named = params.named_parameters()
     manifest = header["arrays"]
     if [m["name"] for m in manifest] != [n for n, _ in named]:
@@ -448,7 +448,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: {len(body) - offset} trailing bytes")
     return Checkpoint(
         params=params,
-        schema=Schema.from_dict(header["schema"]),
+        schema=schema,
         config=header["train_config"],
         metrics=header["metrics"],
         version=version,

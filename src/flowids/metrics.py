@@ -113,12 +113,16 @@ def roc_curve(scores, truths) -> list[tuple[float, float]]:
     return points
 
 
-def roc_auc(scores, truths) -> float:
-    """Trapezoid area under the ROC polyline."""
-    points = roc_curve(scores, truths)
+def _area(points: list[tuple[float, float]]) -> float:
+    """Trapezoid area under an (FPR, TPR) polyline."""
     fpr = np.array([p[0] for p in points])
     tpr = np.array([p[1] for p in points])
     return float(np.trapezoid(tpr, fpr))
+
+
+def roc_auc(scores, truths) -> float:
+    """Trapezoid area under the ROC polyline."""
+    return _area(roc_curve(scores, truths))
 
 
 @dataclass
@@ -185,13 +189,11 @@ def report(scores, truths, threshold: float = 0.5) -> MetricsReport:
     scores, truths = _check_scores_truths(scores, truths)
     counts = confusion(scores, truths, threshold)
     points = roc_curve(scores, truths)  # raises if single-class
-    fpr = np.array([p[0] for p in points])
-    tpr = np.array([p[1] for p in points])
     return MetricsReport(
         n=scores.size,
         threshold=threshold,
         counts=counts,
         metrics=scalar_metrics(counts),
-        auc=float(np.trapezoid(tpr, fpr)),
+        auc=_area(points),
         roc=points,
     )

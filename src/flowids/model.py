@@ -10,12 +10,15 @@ two class logits.
 The causal mask restricts position i to attend to positions <= i. It is not
 needed for whole-record classification, but it is part of the architecture
 being reproduced; pass mask=False to ablate it.
+
+Each model kind is one parameter class owning ``logits``, ``hyper`` and
+``from_hyper``; ``KINDS`` is the only map from a kind name to its class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,10 +116,6 @@ class ModelParams:
 
     kind = "transformer"
 
-    @property
-    def tokens(self) -> int:
-        return self.sentencing.width
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = self.sentencing.named()
         for i, block in enumerate(self.blocks):
@@ -124,6 +123,25 @@ class ModelParams:
         out.append(("head.w", self.head_w))
         out.append(("head.b", self.head_b))
         return out
+
+    def logits(self, x: np.ndarray | Tensor, mask: bool = True) -> Tensor:
+        return forward(x, self, mask=mask)
+
+    def hyper(self) -> dict:
+        cfg = self.config
+        return {
+            "kind": self.kind,
+            "dim": cfg.dim,
+            "heads": cfg.heads,
+            "blocks": cfg.blocks,
+            "mlp_dim": cfg.resolved_mlp_dim(),
+            "tokens": self.sentencing.width,
+        }
+
+    @staticmethod
+    def from_hyper(h: dict) -> "ModelParams":
+        cfg = EncoderConfig(dim=h["dim"], heads=h["heads"], blocks=h["blocks"], mlp_dim=h["mlp_dim"])
+        return init_params(cfg, tokens=h["tokens"], seed=0)
 
 
 @dataclass
@@ -139,13 +157,23 @@ class FnnParams:
 
     kind = "fnn"
 
-    @property
-    def tokens(self) -> int:
-        # feature count of the first layer; named "tokens" for interface parity
-        return self.w1.data.shape[0]
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, getattr(self, n)) for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
+
+    def logits(self, x: np.ndarray | Tensor, mask: bool = True) -> Tensor:
+        """The MLP has no attention, so ``mask`` is accepted and ignored."""
+        return fnn_forward(x, self)
+
+    def hyper(self) -> dict:
+        return {
+            "kind": self.kind,
+            "features": self.w1.data.shape[0],
+            "hidden": [self.w1.data.shape[1], self.w2.data.shape[1]],
+        }
+
+    @staticmethod
+    def from_hyper(h: dict) -> "FnnParams":
+        return init_fnn(h["features"], hidden=tuple(h["hidden"]), seed=0)
 
 
 def attention(z: Tensor, params: AttentionParams, mask: bool = True) -> Tensor:
@@ -183,10 +211,10 @@ def forward(x: np.ndarray | Tensor, params: ModelParams, mask: bool = True) -> T
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 2:
         raise IncompatibilityError(f"forward expects a (batch, features) matrix, got {x.shape}")
-    if x.data.shape[1] != params.tokens:
+    if x.data.shape[1] != params.sentencing.width:
         raise IncompatibilityError(
             f"input has {x.data.shape[1]} features but the model was built for "
-            f"{params.tokens}"
+            f"{params.sentencing.width}"
         )
     z = sentence(x, params.sentencing)
     for block in params.blocks:
@@ -286,6 +314,9 @@ def init_fnn(features: int, hidden: tuple[int, int] = (64, 64), seed: int = 0) -
         w3=weight(h2, 2),
         b3=Tensor(np.zeros(2), requires_grad=True),
     )
+
+
+KINDS: dict[str, type] = {"transformer": ModelParams, "fnn": FnnParams}
 
 
 def parameter_count(params) -> int:

@@ -13,7 +13,7 @@ training-split records only and never mutated afterwards.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -185,14 +185,6 @@ class Schema:
         )
 
 
-@dataclass
-class TokenSequence:
-    """A record after sentencing: one embedded token per feature."""
-
-    tokens: np.ndarray  # (width, dim)
-    record_id: int | str | None = None
-
-
 def profile_columns(profile: str) -> dict:
     try:
         return PROFILES[profile]
@@ -266,10 +258,6 @@ class SentencingParams:
     def width(self) -> int:
         return self.embed.data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.embed.data.shape[1]
-
     def named(self, prefix: str = "sentencing") -> list[tuple[str, Tensor]]:
         return [
             (f"{prefix}.embed", self.embed),
@@ -283,10 +271,3 @@ def sentence(x: Tensor, params: SentencingParams) -> Tensor:
     expanded = T.reshape(x, x.shape + (1,))
     scaled = T.mul(expanded, params.embed)  # broadcasts embed over the batch
     return T.add(T.add(scaled, params.bias), params.position)
-
-
-def sentence_record(vec: np.ndarray, params: SentencingParams, record_id=None) -> TokenSequence:
-    """Sentencing for a single encoded record, outside any gradient tape."""
-    with T.no_grad():
-        tokens = sentence(Tensor(vec), params)
-    return TokenSequence(tokens=tokens.data, record_id=record_id)

@@ -246,20 +246,19 @@ def _batched_logits(params, x: np.ndarray, mask: bool = True, batch_size: int = 
     parts = []
     with T.no_grad():
         for i in range(0, x.shape[0], batch_size):
-            chunk = x[i : i + batch_size]
-            if params.kind == "transformer":
-                parts.append(M.forward(chunk, params, mask=mask).data)
-            else:
-                parts.append(M.fnn_forward(chunk, params).data)
+            parts.append(params.logits(x[i : i + batch_size], mask=mask).data)
     return np.concatenate(parts, axis=0)
+
+
+def _scores(logits: np.ndarray) -> np.ndarray:
+    """Softmax weight of class 1 for each row of raw (batch, 2) logits."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e[:, 1] / e.sum(axis=1)
 
 
 def predict_scores(params, x: np.ndarray, mask: bool = True) -> np.ndarray:
     """P(attack) per row, i.e. the softmax weight of class 1."""
-    logits = _batched_logits(params, x, mask=mask)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e[:, 1] / e.sum(axis=1)
+    return _scores(_batched_logits(params, x, mask=mask))
 
 
 def evaluate(params, x: np.ndarray, y: np.ndarray, mask: bool = True) -> tuple[float, float]:
@@ -267,10 +266,7 @@ def evaluate(params, x: np.ndarray, y: np.ndarray, mask: bool = True) -> tuple[f
     logits = _batched_logits(params, x, mask=mask)
     with T.no_grad():
         loss = cross_entropy(Tensor(logits), y).item()
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    scores = e[:, 1] / e.sum(axis=1)
-    acc = float(np.mean((scores >= 0.5).astype(np.int64) == y))
+    acc = float(np.mean((_scores(logits) >= 0.5).astype(np.int64) == y))
     return loss, acc
 
 
@@ -293,16 +289,8 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
     if config.model == "transformer":
         enc = M.EncoderConfig(config.dim, config.heads, config.blocks, config.mlp_dim)
         params = M.init_params(enc, tokens=schema.width, seed=config.seed)
-
-        def logits_for(batch):
-            return M.forward(batch, params, mask=config.mask)
-
     else:
         params = M.init_fnn(schema.width, hidden=config.fnn_hidden, seed=config.seed)
-
-        def logits_for(batch):
-            return M.fnn_forward(batch, params)
-
     opt = AdamW(
         params.named_parameters(),
         lr=config.lr,
@@ -321,7 +309,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
             idx = order[start : start + config.batch_size]
             T.clear_tape()
             opt.zero_grad()
-            loss = cross_entropy(logits_for(x_train[idx]), y_train[idx])
+            loss = cross_entropy(params.logits(x_train[idx], mask=config.mask), y_train[idx])
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")

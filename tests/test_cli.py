@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from checkpoints import HEADER_DEFECTS, rewrite_header
+
 CMD = [sys.executable, "-m", "flowids"]
 
 
@@ -158,6 +160,15 @@ class TestEval:
         r = run("eval", "--model", bad, "--data", workdir / "flows.csv")
         assert r.returncode == 3
         assert "checksum" in r.stderr
+
+    @pytest.mark.parametrize("edit, field", HEADER_DEFECTS)
+    def test_malformed_header_is_data_error(self, workdir, tmp_path, edit, field):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(workdir / "enc.ckpt", bad, edit)
+        r = run("eval", "--model", bad, "--data", workdir / "flows.csv")
+        assert r.returncode == 3
+        assert field in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_future_version_is_incompatibility(self, workdir, tmp_path):
         body = bytearray((workdir / "enc.ckpt").read_bytes()[:-32])

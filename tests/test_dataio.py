@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from checkpoints import HEADER_DEFECTS, rewrite_header
 from flowids import dataio
 from flowids.dataio import (
     SEPARABLE_THRESHOLD,
@@ -287,6 +288,16 @@ class TestCheckpoint:
         body[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
         with pytest.raises(VersionError, match="99"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, field", HEADER_DEFECTS)
+    def test_malformed_header_detected(self, tmp_path, edit, field):
+        """A validly signed file whose header is malformed names the bad field."""
+        _, schema = _fitted()
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(init_fnn(schema.width, hidden=(8, 8), seed=1), schema, {"model": "fnn"}, path)
+        rewrite_header(path, path, edit)
+        with pytest.raises(IntegrityError, match=field):
             load_checkpoint(path)
 
     def test_garbage_file_detected(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 import flowids.tensor as T
 from flowids.errors import ConfigError, IncompatibilityError
 from flowids.model import (
+    KINDS,
     EncoderConfig,
     attention,
     encoder_block,
@@ -259,6 +260,27 @@ class TestFnn:
         numeric = central_diff(loss_fn, tensors)
         for a, n in zip(analytic, numeric):
             assert max_rel_error(a, n, floor=1e-6) < 1e-4
+
+
+class TestKindInterface:
+    @pytest.mark.parametrize(
+        "params, oracle",
+        [
+            (_small_params(tokens=5, seed=8), np_model_logits),
+            (init_fnn(5, hidden=(8, 6), seed=8), np_fnn_logits),
+        ],
+        ids=["transformer", "fnn"],
+    )
+    def test_hyper_round_trip_and_logits(self, params, oracle):
+        """from_hyper(hyper()) rebuilds the same layout; logits() is the forward pass."""
+        skeleton = KINDS[params.kind].from_hyper(params.hyper())
+        assert type(skeleton) is type(params)
+        assert skeleton.hyper() == params.hyper()
+        assert [(n, t.data.shape) for n, t in skeleton.named_parameters()] == [
+            (n, t.data.shape) for n, t in params.named_parameters()
+        ]
+        x = np.random.default_rng(9).uniform(size=(4, 5))
+        np.testing.assert_allclose(params.logits(x).data, oracle(x, params), rtol=1e-12, atol=1e-12)
 
 
 class TestEncoderGradient:

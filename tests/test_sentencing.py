@@ -20,7 +20,6 @@ from flowids.sentencing import (
     parse_timestamp,
     profile_columns,
     sentence,
-    sentence_record,
 )
 from flowids.tensor import Tensor
 
@@ -262,10 +261,3 @@ class TestSentence:
         for _, t in p.named():
             assert t.grad is not None
             assert np.all(np.isfinite(t.grad))
-
-    def test_sentence_record_leaves_tape_empty(self):
-        p = _params(width=13, dim=8)
-        seq = sentence_record(np.linspace(0, 1, 13), p, record_id="r7")
-        assert seq.tokens.shape == (13, 8)
-        assert seq.record_id == "r7"
-        assert len(T.active_tape().records()) == 0

@@ -290,9 +290,10 @@ class TestTrainLoop:
             with pytest.raises(ConfigError, match="empty"):
                 train(ds, cfg)
 
-    def test_scores_are_probabilities(self):
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_scores_are_probabilities(self, kind):
         ds = dataio.synth(80, seed=3, difficulty="separable")
-        res = train(ds, _tiny_cfg(dim=4, epochs=1))
+        res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=1))
         from flowids.sentencing import encode_batch
 
         x, y = encode_batch(res.test.records, res.schema)
@@ -300,9 +301,10 @@ class TestTrainLoop:
         assert scores.shape == (len(y),)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
-    def test_evaluate_accuracy_definition(self):
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_evaluate_accuracy_definition(self, kind):
         ds = dataio.synth(80, seed=3, difficulty="separable")
-        res = train(ds, _tiny_cfg(dim=4, epochs=1))
+        res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=1))
         from flowids.sentencing import encode_batch
 
         x, y = encode_batch(res.test.records, res.schema)
