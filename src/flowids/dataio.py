@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import statistics
 import struct
 import warnings
@@ -92,8 +93,9 @@ def _parse_label(cell: str) -> int:
 def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     """Read a header-first CSV, keeping the profile's columns.
 
-    Rows whose cells do not parse for their declared kind are rejected and
-    counted in the summary; loading never mutates the file.
+    Rows whose cells do not parse for their declared kind, or parse to nan
+    or an infinity, are rejected and counted in the summary; loading never
+    mutates the file.
     """
     layout = profile_columns(profile)
     feature_kinds = layout["features"]
@@ -112,8 +114,8 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
             try:
                 label = _parse_label(row[label_col])
                 for name, kind in feature_kinds:
-                    if kind != NOMINAL:
-                        parse_cell(row[name], kind)
+                    if kind != NOMINAL and not math.isfinite(parse_cell(row[name], kind)):
+                        raise DataError(f"column {name!r}: non-finite value {row[name]!r}")
             except DataError as exc:
                 summary.note(line, str(exc))
                 continue
@@ -427,22 +429,35 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: header field schema is malformed ({exc!r})")
     named = params.named_parameters()
     manifest = header["arrays"]
+    if not isinstance(manifest, list):
+        raise IntegrityError(f"{path}: header field arrays is not a list")
+    for i, meta in enumerate(manifest):
+        if not isinstance(meta, dict):
+            raise IntegrityError(f"{path}: header field arrays[{i}] is not an object")
+        for key in ("name", "shape"):
+            if key not in meta:
+                raise IntegrityError(f"{path}: header field arrays[{i}].{key} is missing")
     if [m["name"] for m in manifest] != [n for n, _ in named]:
         raise IntegrityError(f"{path}: parameter manifest does not match the declared model")
     for meta, (name, t) in zip(manifest, named):
-        (nbytes,) = struct.unpack("<Q", body[offset : offset + 8])
+        if offset + 8 > len(body):
+            raise IntegrityError(f"{path}: truncated length prefix of array {name!r}")
+        (nbytes,) = struct.unpack_from("<Q", body, offset)
         offset += 8
         if offset + nbytes > len(body):
             raise IntegrityError(f"{path}: truncated array {name!r}")
-        shape = tuple(meta["shape"])
-        if shape != t.data.shape:
+        if nbytes % 8:
             raise IntegrityError(
-                f"{path}: array {name!r} has shape {shape}, model needs {t.data.shape}"
+                f"{path}: array {name!r} has {nbytes} bytes, not a multiple of 8"
+            )
+        if meta["shape"] != list(t.data.shape):
+            raise IntegrityError(
+                f"{path}: array {name!r} has shape {meta['shape']!r}, model needs {list(t.data.shape)}"
             )
         array = np.frombuffer(body[offset : offset + nbytes], dtype="<f8")
-        if array.size != int(np.prod(shape)):
+        if array.size != t.data.size:
             raise IntegrityError(f"{path}: array {name!r} has wrong length")
-        t.data = array.reshape(shape).astype(np.float64)
+        t.data = array.reshape(t.data.shape).astype(np.float64)
         offset += nbytes
     if offset != len(body):
         raise IntegrityError(f"{path}: {len(body) - offset} trailing bytes")

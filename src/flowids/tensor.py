@@ -5,11 +5,19 @@ recording is enabled. ``backward(loss)`` replays the tape in reverse and
 accumulates gradients into ``Tensor.grad`` for every tensor that requires
 them. The tape persists until ``clear_tape()`` (the training loop clears it
 once per step), so calling ``backward`` twice doubles the accumulated grads.
+
+Outputs of ``reshape`` and ``transpose`` are views of their input, and
+backward rules keep references to the arrays they were recorded with. That
+is safe because no op writes into an input or output array: every op and
+every backward rule builds new arrays. The one writer of parameter storage
+is ``training.AdamW``, which owns it and updates it in place after the
+backward pass has finished with the tape.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,9 +99,12 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     primitives outside this module (e.g. the fused cross-entropy) use this
     entry point directly.
     """
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _TAPE.append(out, inputs, backward)
+    if _GRAD_ENABLED:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _TAPE.append(out, inputs, backward)
+                break
     return out
 
 
@@ -133,6 +144,8 @@ def _as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -191,6 +204,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not align")
 
     def back(g):
+        if b.data.ndim == 2:
+            # a 2-D weight: fold a's batch axes into rows, one GEMM per grad
+            d, k = b.data.shape
+            g2 = g.reshape(-1, k)
+            return (g2 @ b.data.T).reshape(a.data.shape), a.data.reshape(-1, d).T @ g2
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
@@ -215,13 +233,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise DimensionError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True))
+    y = e / np.add.reduce(e, axis=axis, keepdims=True)
     out = Tensor(y)
 
     def back(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
+        dot = np.add.reduce(g * y, axis=axis, keepdims=True)
         return (y * (g - dot),)
 
     return record(out, (a,), back)
@@ -236,10 +253,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match last dimension {dim}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    # np.add.reduce(..) / dim is what .mean computes, without its overhead
+    centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / dim
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / dim
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = Tensor(gamma.data * xhat + beta.data)
 
     def back(g):
@@ -249,8 +267,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / dim
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / dim)
         )
         return dx, dgamma, dbeta
 
@@ -258,17 +276,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
-    """Swap two axes (copies, so round-trips are bit-exact and alias-free)."""
+    """Swap two axes; the output is a view of the input (see module docstring)."""
     a = _as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, axis0, axis1).copy())
+    out = Tensor(np.swapaxes(a.data, axis0, axis1))
     return record(out, (a,), lambda g: (np.swapaxes(g, axis0, axis1),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    """Reshape; the output is a view of the input where numpy allows one."""
     a = _as_tensor(a)
     shape = tuple(shape)
     try:
-        out = Tensor(a.data.reshape(shape).copy())
+        out = Tensor(a.data.reshape(shape))
     except ValueError:
         raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
     return record(out, (a,), lambda g: (g.reshape(a.data.shape),))
@@ -308,6 +327,14 @@ def sum_all(a: Tensor) -> Tensor:
     return record(out, (a,), lambda g: (np.full(a.data.shape, float(g)),))
 
 
+@lru_cache(maxsize=16)
+def _lower_triangle(n: int) -> np.ndarray:
+    """Read-only (n, n) boolean mask of the diagonal and below, shared per size."""
+    keep = np.tril(np.ones((n, n), dtype=bool))
+    keep.flags.writeable = False
+    return keep
+
+
 def causal_mask(scores: Tensor) -> Tensor:
     """Set entries above the diagonal of the last two axes to -inf.
 
@@ -318,6 +345,6 @@ def causal_mask(scores: Tensor) -> Tensor:
     rows, cols = scores.data.shape[-2], scores.data.shape[-1]
     if rows != cols:
         raise DimensionError(f"causal_mask: last two axes must be square, got {scores.shape}")
-    keep = np.tril(np.ones((rows, cols), dtype=bool))
+    keep = _lower_triangle(rows)
     out = Tensor(np.where(keep, scores.data, -np.inf))
     return record(out, (scores,), lambda g: (g * keep,))

@@ -78,7 +78,15 @@ def adamw_step(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_de
 
 
 class AdamW:
-    """AdamW over a list of (name, Tensor) pairs; state keyed by name."""
+    """AdamW over a list of (name, Tensor) pairs; state keyed by name.
+
+    Construction moves every parameter into one flat float64 buffer and
+    rebinds each ``Tensor.data`` to a view of its slice, so a step is one
+    elementwise ``adamw_step`` over the whole buffer, written back in place.
+    The optimizer owns that storage from then on: a parameter whose ``data``
+    is later rebound is no longer updated. ``state[name]`` is the
+    parameter's ``(m, v)`` pair, as views of the flat moment buffers.
+    """
 
     def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
         if lr < 0:
@@ -93,7 +101,18 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.state = {n: (np.zeros_like(t.data), np.zeros_like(t.data)) for n, t in self.params}
+        self._w = np.concatenate([t.data.reshape(-1) for _, t in self.params])
+        self._m = np.zeros_like(self._w)
+        self._v = np.zeros_like(self._w)
+        self._slices = []
+        self.state = {}
+        start = 0
+        for name, t in self.params:
+            sl = slice(start, start + t.data.size)
+            start = sl.stop
+            self._slices.append(sl)
+            t.data = self._w[sl].reshape(t.data.shape)
+            self.state[name] = (self._m[sl].reshape(t.data.shape), self._v[sl].reshape(t.data.shape))
 
     def zero_grad(self) -> None:
         for _, t in self.params:
@@ -102,23 +121,29 @@ class AdamW:
     def step(self) -> None:
         """Update every parameter that received a gradient this round."""
         self.step_count += 1
-        for name, t in self.params:
-            if t.grad is None:
-                continue
-            m, v = self.state[name]
-            t.data, m, v = adamw_step(
-                t.data,
-                t.grad,
-                m,
-                v,
-                self.step_count,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
-            )
-            self.state[name] = (m, v)
+        missing = [t.grad is None for _, t in self.params]
+        g = np.concatenate(
+            [np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1) for _, t in self.params]
+        )
+        w, m, v = adamw_step(
+            self._w,
+            g,
+            self._m,
+            self._v,
+            self.step_count,
+            self.lr,
+            self.beta1,
+            self.beta2,
+            self.eps,
+            self.weight_decay,
+        )
+        if not any(missing):
+            self._w[...], self._m[...], self._v[...] = w, m, v
+            return
+        # a parameter without a grad keeps its weight and its moments
+        for sl, skip in zip(self._slices, missing):
+            if not skip:
+                self._w[sl], self._m[sl], self._v[sl] = w[sl], m[sl], v[sl]
 
 
 @dataclass
@@ -241,12 +266,20 @@ class TrainResult:
     test: dataio.Dataset
 
 
-def _batched_logits(params, x: np.ndarray, mask: bool = True, batch_size: int = 512) -> np.ndarray:
+# Rows per inference chunk. At the default encoder (13 tokens, MLP width
+# 128) a 512-row chunk's float64 activations reach 6.8 MB, more than a
+# core's 2 MiB L2, and such large temporaries go back to the OS and are
+# page-faulted in again on every chunk (22-33k minor faults per 4,096 rows).
+# Chunks of 64-256 rows stay warm and fault-free; 128 measured fastest.
+INFERENCE_CHUNK_ROWS = 128
+
+
+def _batched_logits(params, x: np.ndarray, mask: bool = True) -> np.ndarray:
     """Raw logits for a whole matrix, computed off-tape in chunks."""
     parts = []
     with T.no_grad():
-        for i in range(0, x.shape[0], batch_size):
-            parts.append(params.logits(x[i : i + batch_size], mask=mask).data)
+        for i in range(0, x.shape[0], INFERENCE_CHUNK_ROWS):
+            parts.append(params.logits(x[i : i + INFERENCE_CHUNK_ROWS], mask=mask).data)
     return np.concatenate(parts, axis=0)
 
 

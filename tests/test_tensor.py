@@ -46,14 +46,18 @@ class TestMatmul:
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_batched_broadcast(self):
+        """Batch axes of `a`, one or two of them, against a 2-D weight."""
         rng = np.random.default_rng(2)
-        a = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-        out = T.matmul(a, b)
-        assert out.shape == (4, 3, 2)
-        T.backward(T.sum_all(out))
-        numeric = central_diff(lambda: np.matmul(a.data, b.data).sum(), [a, b])
-        assert max_rel_error([a.grad, b.grad], numeric) < 1e-6
+        for lead in ((4,), (2, 3)):
+            T.clear_tape()
+            a = Tensor(rng.normal(size=lead + (3, 5)), requires_grad=True)
+            b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+            upstream = rng.normal(size=lead + (3, 2))
+            out = T.matmul(a, b)
+            assert out.shape == lead + (3, 2)
+            T.backward(T.sum_all(T.mul(out, Tensor(upstream))))
+            numeric = central_diff(lambda: (np.matmul(a.data, b.data) * upstream).sum(), [a, b])
+            assert max_rel_error([a.grad, b.grad], numeric) < 1e-6
 
 
 class TestSoftmax:

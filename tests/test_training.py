@@ -6,8 +6,10 @@ import pytest
 import flowids.tensor as T
 from flowids import dataio
 from flowids.errors import ConfigError, DataError, NumericError
+from flowids.model import EncoderConfig, init_fnn, init_params
 from flowids.tensor import Tensor
 from flowids.training import (
+    INFERENCE_CHUNK_ROWS,
     MODEL_DEFAULTS,
     AdamW,
     TrainConfig,
@@ -18,6 +20,7 @@ from flowids.training import (
     train,
 )
 from fd import central_diff, max_rel_error
+from oracles import np_fnn_logits, np_model_logits, np_softmax
 
 
 @pytest.fixture(autouse=True)
@@ -174,6 +177,30 @@ class TestAdamWClass:
         with pytest.raises(ConfigError):
             AdamW([("a", a)], lr=-0.1)
 
+    def test_flat_buffer_matches_per_parameter_loop(self):
+        """Three steps over mixed shapes equal adamw_step looped per parameter,
+        bit for bit; the parameter that never gets a grad keeps its weight and
+        zero moments."""
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 4), "b": (4,), "s": (), "idle": (2, 2), "t": (2, 1, 3)}
+        start = {n: rng.normal(size=s) for n, s in shapes.items()}
+        grads = [{n: rng.normal(size=s) for n, s in shapes.items() if n != "idle"} for _ in range(3)]
+        params = {n: Tensor(start[n].copy(), requires_grad=True) for n in shapes}
+        opt = AdamW(list(params.items()), lr=0.05, weight_decay=0.1)
+        want = {n: (start[n].copy(), np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
+        for step, round_grads in enumerate(grads, start=1):
+            for n, t in params.items():
+                t.grad = round_grads.get(n)
+            opt.step()
+            for n, g in round_grads.items():
+                w, m, v = want[n]
+                want[n] = adamw_step(w, g, m, v, step=step, lr=0.05, weight_decay=0.1)
+        for n, t in params.items():
+            np.testing.assert_array_equal(t.data, want[n][0])
+            np.testing.assert_array_equal(opt.state[n][0], want[n][1])
+            np.testing.assert_array_equal(opt.state[n][1], want[n][2])
+        np.testing.assert_array_equal(params["idle"].data, start["idle"])
+
 
 class TestTrainConfig:
     def test_transformer_defaults(self):
@@ -312,3 +339,28 @@ class TestTrainLoop:
         scores = predict_scores(res.params, x)
         np.testing.assert_allclose(acc, np.mean((scores >= 0.5).astype(int) == y))
         assert np.isfinite(loss)
+
+
+class TestInference:
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_chunked_scores_match_oracle(self, kind):
+        """Two full inference chunks plus a 3-row tail score as one softmax
+        over the straight-line transcription of the model."""
+        x = np.random.default_rng(6).uniform(size=(2 * INFERENCE_CHUNK_ROWS + 3, 5))
+        if kind == "transformer":
+            params = init_params(EncoderConfig(dim=8, heads=2, blocks=2), tokens=5, seed=1)
+            logits = np_model_logits(x, params)
+        else:
+            params = init_fnn(5, hidden=(8, 8), seed=1)
+            logits = np_fnn_logits(x, params)
+        want = np_softmax(logits, axis=1)[:, 1]
+        np.testing.assert_allclose(predict_scores(params, x), want, rtol=0, atol=1e-12)
+
+    def test_default_training_step_records_103_ops(self):
+        """The op graph of one default-encoder step at batch 16: forward plus
+        the loss put exactly 103 records on the tape."""
+        params = init_params(EncoderConfig(dim=32, heads=4, blocks=2), tokens=13, seed=0)
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(size=(16, 13)), rng.integers(0, 2, size=16)
+        cross_entropy(params.logits(x), y)
+        assert len(T.active_tape()) == 103
