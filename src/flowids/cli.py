@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -87,12 +88,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_TRAIN_FLAG_FIELDS = (
-    "model", "lr", "epochs", "batch_size", "seed", "dim", "heads", "blocks",
-    "mlp_dim", "weight_decay",
-)
-
-
 def _build_train_config(args) -> TrainConfig:
     """Defaults < config file < explicit flags, field by field."""
     merged: dict = {}
@@ -104,10 +99,10 @@ def _build_train_config(args) -> TrainConfig:
             raise ConfigError(f"{args.config}: not valid JSON ({exc})")
         if not isinstance(merged, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
-    for name in _TRAIN_FLAG_FIELDS:
-        value = getattr(args, name)
+    for f in fields(TrainConfig):  # a train flag's dest is its field's name
+        value = getattr(args, f.name, None)
         if value is not None:
-            merged[name] = value
+            merged[f.name] = value
     if args.no_mask:
         merged["mask"] = False
     return TrainConfig.from_dict(merged)
@@ -153,8 +148,7 @@ def cmd_train(args) -> int:
 def _scores_for(checkpoint: dataio.Checkpoint, data_path) -> tuple[np.ndarray, np.ndarray, dataio.Dataset]:
     dataset = _load_dataset(data_path, checkpoint.schema.profile)
     x, y = encode_batch(dataset.records, checkpoint.schema)
-    mask = bool(checkpoint.config.get("mask", True))
-    return predict_scores(checkpoint.params, x, mask=mask), y, dataset
+    return predict_scores(checkpoint.params, x), y, dataset
 
 
 def cmd_eval(args) -> int:

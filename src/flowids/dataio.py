@@ -30,7 +30,6 @@ from .errors import (
     VersionError,
 )
 from .sentencing import (
-    BOOLEAN,
     NOMINAL,
     Schema,
     parse_cell,
@@ -114,7 +113,13 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
             try:
                 label = _parse_label(row[label_col])
                 for name, kind in feature_kinds:
-                    if kind != NOMINAL and not math.isfinite(parse_cell(row[name], kind)):
+                    if kind == NOMINAL:
+                        continue
+                    try:
+                        value = parse_cell(row[name], kind)
+                    except DataError as exc:
+                        raise DataError(f"column {name!r}: {exc}") from None
+                    if not math.isfinite(value):
                         raise DataError(f"column {name!r}: non-finite value {row[name]!r}")
             except DataError as exc:
                 summary.note(line, str(exc))
@@ -419,8 +424,16 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(
             f"{path}: header field model_kind is {header['model_kind']!r} but hyper.kind is {kind!r}"
         )
+    config = header["train_config"]
+    if not isinstance(config, dict):
+        raise IntegrityError(f"{path}: header field train_config is not a JSON object")
+    # files written before the mask moved into hyper hold it only in
+    # train_config, where the CLI read it with bool()
+    mask = hyper.get("mask", bool(config.get("mask", True)))
+    if not isinstance(mask, bool):
+        raise IntegrityError(f"{path}: header field hyper.mask is {mask!r}, not true or false")
     try:
-        params = M.KINDS[kind].from_hyper(hyper)
+        params = M.KINDS[kind].from_hyper({**hyper, "mask": mask})
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
     try:
@@ -464,7 +477,7 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         params=params,
         schema=schema,
-        config=header["train_config"],
+        config=config,
         metrics=header["metrics"],
         version=version,
     )

@@ -9,7 +9,9 @@ two class logits.
 
 The causal mask restricts position i to attend to positions <= i. It is not
 needed for whole-record classification, but it is part of the architecture
-being reproduced; pass mask=False to ablate it.
+being reproduced. It is a field of the architecture, ``EncoderConfig.mask``,
+so a model always scores the way it was trained; build with mask=False to
+ablate it.
 
 Each model kind is one parameter class owning ``logits``, ``hyper`` and
 ``from_hyper``; ``KINDS`` is the only map from a kind name to its class.
@@ -18,7 +20,7 @@ Each model kind is one parameter class owning ``logits``, ``hyper`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,12 +32,13 @@ from .tensor import Tensor
 
 @dataclass
 class EncoderConfig:
-    """Shape of the encoder: token dim, head count, block count, MLP width."""
+    """Shape of the encoder: token dim, head count, block count, MLP width, mask."""
 
     dim: int = 32
     heads: int = 4
     blocks: int = 2
     mlp_dim: int | None = None  # defaults to 4 * dim
+    mask: bool = True  # causal attention mask on or off
 
     def resolved_mlp_dim(self) -> int:
         return 4 * self.dim if self.mlp_dim is None else self.mlp_dim
@@ -47,6 +50,8 @@ class EncoderConfig:
             raise ConfigError(
                 f"head count {self.heads} does not divide token dim {self.dim}"
             )
+        if not isinstance(self.mask, bool):
+            raise ConfigError(f"mask must be true or false, got {self.mask!r}")
 
 
 @dataclass
@@ -88,19 +93,8 @@ class EncoderBlockParams:
 
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = self.attn.named(f"{prefix}.attn")
-        for name in (
-            "mlp_w1",
-            "mlp_b1",
-            "mlp_w2",
-            "mlp_b2",
-            "ln1_gamma",
-            "ln1_beta",
-            "ln2_gamma",
-            "ln2_beta",
-            "ln3_gamma",
-            "ln3_beta",
-        ):
-            out.append((f"{prefix}.{name}", getattr(self, name)))
+        for f in fields(self)[1:]:  # every field after attn is one tensor
+            out.append((f"{prefix}.{f.name}", getattr(self, f.name)))
         return out
 
 
@@ -124,8 +118,8 @@ class ModelParams:
         out.append(("head.b", self.head_b))
         return out
 
-    def logits(self, x: np.ndarray | Tensor, mask: bool = True) -> Tensor:
-        return forward(x, self, mask=mask)
+    def logits(self, x: np.ndarray | Tensor) -> Tensor:
+        return forward(x, self)
 
     def hyper(self) -> dict:
         cfg = self.config
@@ -136,11 +130,12 @@ class ModelParams:
             "blocks": cfg.blocks,
             "mlp_dim": cfg.resolved_mlp_dim(),
             "tokens": self.sentencing.width,
+            "mask": cfg.mask,
         }
 
     @staticmethod
     def from_hyper(h: dict) -> "ModelParams":
-        cfg = EncoderConfig(dim=h["dim"], heads=h["heads"], blocks=h["blocks"], mlp_dim=h["mlp_dim"])
+        cfg = EncoderConfig(h["dim"], h["heads"], h["blocks"], h["mlp_dim"], h["mask"])
         return init_params(cfg, tokens=h["tokens"], seed=0)
 
 
@@ -158,10 +153,9 @@ class FnnParams:
     kind = "fnn"
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(n, getattr(self, n)) for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
-    def logits(self, x: np.ndarray | Tensor, mask: bool = True) -> Tensor:
-        """The MLP has no attention, so ``mask`` is accepted and ignored."""
+    def logits(self, x: np.ndarray | Tensor) -> Tensor:
         return fnn_forward(x, self)
 
     def hyper(self) -> dict:
@@ -202,8 +196,8 @@ def encoder_block(z: Tensor, params: EncoderBlockParams, mask: bool = True) -> T
     return T.layer_norm(z, params.ln3_gamma, params.ln3_beta)
 
 
-def forward(x: np.ndarray | Tensor, params: ModelParams, mask: bool = True) -> Tensor:
-    """Encoded batch (batch, features) -> raw logits (batch, 2).
+def forward(x: np.ndarray | Tensor, params: ModelParams) -> Tensor:
+    """Encoded batch (batch, features) -> raw logits (batch, 2), masked per params.config.
 
     Softmax is applied only inside the loss and the score computation,
     never here.
@@ -218,7 +212,7 @@ def forward(x: np.ndarray | Tensor, params: ModelParams, mask: bool = True) -> T
         )
     z = sentence(x, params.sentencing)
     for block in params.blocks:
-        z = encoder_block(z, block, mask)
+        z = encoder_block(z, block, params.config.mask)
     flat = T.reshape(z, (z.shape[0], z.shape[1] * z.shape[2]))
     return T.add(T.matmul(flat, params.head_w), params.head_b)
 

@@ -12,9 +12,10 @@ training-split records only and never mutated afterwards.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
-from datetime import datetime
+from dataclasses import asdict, dataclass
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -80,15 +81,20 @@ def parse_number(cell: str) -> float:
         raise DataError(f"cannot parse numeric cell {cell!r}")
 
 
+def _utc_seconds(parsed: datetime) -> float:
+    """Epoch seconds; a date-time without a UTC offset is read as UTC."""
+    return parsed.replace(tzinfo=parsed.tzinfo or timezone.utc).timestamp()
+
+
 def parse_timestamp(cell: str) -> float:
-    """Convert a timestamp cell to epoch seconds (or seconds within a day)."""
+    """Convert a timestamp cell to epoch seconds (or seconds within a day); no offset means UTC."""
     try:
         return float(cell)
     except (TypeError, ValueError):
         pass
     text = str(cell).strip()
     try:
-        return datetime.fromisoformat(text).timestamp()
+        return _utc_seconds(datetime.fromisoformat(text))
     except ValueError:
         pass
     for fmt in ("%H:%M:%S", "%d-%b-%y", "%d/%m/%Y"):
@@ -96,7 +102,7 @@ def parse_timestamp(cell: str) -> float:
             parsed = datetime.strptime(text, fmt)
             if fmt == "%H:%M:%S":
                 return float(parsed.hour * 3600 + parsed.minute * 60 + parsed.second)
-            return parsed.timestamp()
+            return _utc_seconds(parsed)
         except ValueError:
             continue
     raise DataError(f"cannot parse timestamp cell {cell!r}")
@@ -140,17 +146,10 @@ class FeatureSpec:
         value = parse_cell(cell, self.kind)
         if self.hi == self.lo:
             return 0.5  # constant feature in training: center it
-        scaled = (value - self.lo) / (self.hi - self.lo)
-        return min(max(scaled, 0.0), 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "vocab": self.vocab,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
+        lo, hi = self.lo, self.hi
+        if hi - lo == math.inf:  # the range overflows a float: halve every term
+            value, lo, hi = 0.5 * value, 0.5 * lo, 0.5 * hi
+        return min(max((value - lo) / (hi - lo), 0.0), 1.0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
@@ -170,11 +169,7 @@ class Schema:
         return len(self.features)
 
     def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "features": [f.to_dict() for f in self.features],
-            "label": self.label,
-        }
+        return asdict(self)  # the feature specs become dicts of their fields
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":

@@ -9,7 +9,7 @@ part of the moment estimates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -191,28 +191,15 @@ class TrainConfig:
         if len(cfg.split_fractions) != 3:
             raise ConfigError(f"split_fractions needs 3 entries, got {cfg.split_fractions}")
         if cfg.model == "transformer":
-            M.EncoderConfig(cfg.dim, cfg.heads, cfg.blocks, cfg.mlp_dim).validate()
+            cfg.encoder().validate()
         return cfg
 
+    def encoder(self) -> M.EncoderConfig:
+        return M.EncoderConfig(self.dim, self.heads, self.blocks, self.mlp_dim, self.mask)
+
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "dim": self.dim,
-            "heads": self.heads,
-            "blocks": self.blocks,
-            "mlp_dim": self.mlp_dim,
-            "fnn_hidden": list(self.fnn_hidden),
-            "split_fractions": list(self.split_fractions),
-            "mask": self.mask,
-        }
+        """Every field by name, in field order; tuples become JSON lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -274,12 +261,12 @@ class TrainResult:
 INFERENCE_CHUNK_ROWS = 128
 
 
-def _batched_logits(params, x: np.ndarray, mask: bool = True) -> np.ndarray:
+def _batched_logits(params, x: np.ndarray) -> np.ndarray:
     """Raw logits for a whole matrix, computed off-tape in chunks."""
     parts = []
     with T.no_grad():
         for i in range(0, x.shape[0], INFERENCE_CHUNK_ROWS):
-            parts.append(params.logits(x[i : i + INFERENCE_CHUNK_ROWS], mask=mask).data)
+            parts.append(params.logits(x[i : i + INFERENCE_CHUNK_ROWS]).data)
     return np.concatenate(parts, axis=0)
 
 
@@ -289,14 +276,20 @@ def _scores(logits: np.ndarray) -> np.ndarray:
     return e[:, 1] / e.sum(axis=1)
 
 
-def predict_scores(params, x: np.ndarray, mask: bool = True) -> np.ndarray:
-    """P(attack) per row, i.e. the softmax weight of class 1."""
-    return _scores(_batched_logits(params, x, mask=mask))
+def predict_scores(params, x: np.ndarray, *, mask: bool | None = None) -> np.ndarray:
+    """P(attack) per row, i.e. the softmax weight of class 1, masked as the model was built.
+
+    ``mask`` only keeps callers of the older signature working: it must agree
+    with a transformer's ``config.mask``; the FNN has no attention and ignores it.
+    """
+    if mask is not None and isinstance(params, M.ModelParams) and mask != params.config.mask:
+        raise ContractError(f"mask={mask} asked of a model built with mask={params.config.mask}")
+    return _scores(_batched_logits(params, x))
 
 
-def evaluate(params, x: np.ndarray, y: np.ndarray, mask: bool = True) -> tuple[float, float]:
+def evaluate(params, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(mean cross-entropy, accuracy at threshold 0.5) on held-out data."""
-    logits = _batched_logits(params, x, mask=mask)
+    logits = _batched_logits(params, x)
     with T.no_grad():
         loss = cross_entropy(Tensor(logits), y).item()
     acc = float(np.mean((_scores(logits) >= 0.5).astype(np.int64) == y))
@@ -320,8 +313,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
     )
 
     if config.model == "transformer":
-        enc = M.EncoderConfig(config.dim, config.heads, config.blocks, config.mlp_dim)
-        params = M.init_params(enc, tokens=schema.width, seed=config.seed)
+        params = M.init_params(config.encoder(), tokens=schema.width, seed=config.seed)
     else:
         params = M.init_fnn(schema.width, hidden=config.fnn_hidden, seed=config.seed)
     opt = AdamW(
@@ -342,7 +334,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
             idx = order[start : start + config.batch_size]
             T.clear_tape()
             opt.zero_grad()
-            loss = cross_entropy(params.logits(x_train[idx], mask=config.mask), y_train[idx])
+            loss = cross_entropy(params.logits(x_train[idx]), y_train[idx])
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
@@ -353,9 +345,9 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
         # train_loss is the running average over the epoch's steps, so it
         # reflects the parameters as they moved, not a second full pass.
         train_loss = total / n
-        _, train_acc = evaluate(params, x_train, y_train, mask=config.mask)
+        _, train_acc = evaluate(params, x_train, y_train)
         if y_val.size:
-            val_loss, val_acc = evaluate(params, x_val, y_val, mask=config.mask)
+            val_loss, val_acc = evaluate(params, x_val, y_val)
         else:
             val_loss, val_acc = float("nan"), float("nan")
         log.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))

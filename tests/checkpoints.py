@@ -51,6 +51,14 @@ HEADER_DEFECTS = [
     ),
     pytest.param(_header(lambda h: _dump({**h, "schema": {}})), "schema", id="schema-empty"),
     pytest.param(
+        _header(lambda h: _dump({**h, "train_config": [1]})), "train_config", id="train-config-not-object"
+    ),
+    pytest.param(
+        _header(lambda h: _dump({**h, "hyper": {**h["hyper"], "mask": "false"}})),
+        "hyper.mask",
+        id="hyper-mask-not-bool",
+    ),
+    pytest.param(
         _header(lambda h: _arrays(h, lambda a: {"name": a["name"]})), "arrays[0].shape", id="arrays-no-shape"
     ),
     pytest.param(

@@ -115,6 +115,14 @@ class TestTrain:
                 "--config", cfg_path)
         assert r.returncode == 2
 
+    def test_non_bool_mask_in_config_is_usage_error(self, workdir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mask": "false"}))
+        r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt",
+                "--config", cfg_path)
+        assert r.returncode == 2
+        assert "mask" in r.stderr
+
     def test_missing_data_flag(self, tmp_path):
         r = run("train", "--out", tmp_path / "m.ckpt")
         assert r.returncode == 2

@@ -1,6 +1,7 @@
 """CSV loading, synthetic generation, splitting, checkpoint container."""
 
 import hashlib
+import json
 import pathlib
 import re
 import struct
@@ -42,6 +43,7 @@ class TestLoadCsv:
         rows = dict(summary.rejects)
         assert set(rows) == {7, 10}
         assert "fast" in rows[7]
+        assert "'Sload'" in rows[7]
         assert "label" in rows[10]
 
     def test_extra_columns_ignored(self):
@@ -239,6 +241,11 @@ def _fitted(n=30, seed=0):
     return ds, schema
 
 
+def _without_hyper_mask(header, arrays):
+    hyper = {k: v for k, v in header["hyper"].items() if k != "mask"}
+    return json.dumps({**header, "hyper": hyper}, sort_keys=True).encode("utf-8"), arrays
+
+
 class TestCheckpoint:
     def test_transformer_round_trip(self, tmp_path):
         _, schema = _fitted()
@@ -309,6 +316,21 @@ class TestCheckpoint:
         path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
         with pytest.raises(VersionError, match="99"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "train_config, mask",
+        [({"mask": False}, False), ({}, True), ({"mask": True}, True), ({"mask": "false"}, True)],
+        ids=["config-false", "config-absent", "config-true", "config-string"],
+    )
+    def test_header_without_mask_reads_train_config(self, tmp_path, train_config, mask):
+        """Files written before hyper held the mask take it from train_config
+        as the CLI read it then (bool(), default true)."""
+        _, schema = _fitted()
+        params = init_params(EncoderConfig(dim=4, heads=2, blocks=1), schema.width, seed=3)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(params, schema, train_config, path)
+        rewrite_header(path, path, _without_hyper_mask)
+        assert load_checkpoint(path).params.config.mask is mask
 
     @pytest.mark.parametrize("edit, field", HEADER_DEFECTS)
     def test_malformed_header_detected(self, tmp_path, edit, field):

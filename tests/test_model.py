@@ -43,6 +43,11 @@ class TestEncoderConfig:
         assert EncoderConfig(dim=32).resolved_mlp_dim() == 128
         assert EncoderConfig(dim=32, mlp_dim=48).resolved_mlp_dim() == 48
 
+    @pytest.mark.parametrize("mask", ["false", 0, None])
+    def test_non_bool_mask_rejected(self, mask):
+        with pytest.raises(ConfigError, match="mask"):
+            EncoderConfig(mask=mask).validate()
+
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError, match="divide"):
             EncoderConfig(dim=10, heads=4).validate()
@@ -208,10 +213,13 @@ class TestForward:
             forward(np.zeros(3), p)
 
     def test_mask_changes_logits(self):
+        """The same weights built with mask=False give other logits: forward
+        takes the mask from the model's config."""
         p = _small_params(tokens=6, dim=4, heads=2, blocks=1)
+        unmasked = init_params(EncoderConfig(dim=4, heads=2, blocks=1, mask=False), 6, seed=3)
         x = np.random.default_rng(5).uniform(size=(2, 6))
-        masked = forward(x, p, mask=True).data
-        free = forward(x, p, mask=False).data
+        masked = forward(x, p).data
+        free = forward(x, unmasked).data
         assert np.any(masked != free)
 
     def test_stack_causality_rows(self):
@@ -268,8 +276,12 @@ class TestKindInterface:
         [
             (_small_params(tokens=5, seed=8), np_model_logits),
             (init_fnn(5, hidden=(8, 6), seed=8), np_fnn_logits),
+            (
+                init_params(EncoderConfig(dim=4, heads=2, blocks=2, mask=False), 5, seed=8),
+                lambda x, p: np_model_logits(x, p, mask=False),
+            ),
         ],
-        ids=["transformer", "fnn"],
+        ids=["transformer", "fnn", "transformer-unmasked"],
     )
     def test_hyper_round_trip_and_logits(self, params, oracle):
         """from_hyper(hyper()) rebuilds the same layout; logits() is the forward pass."""

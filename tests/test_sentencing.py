@@ -1,5 +1,10 @@
 """Record encoding and sentencing behavior."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +27,8 @@ from flowids.sentencing import (
     sentence,
 )
 from flowids.tensor import Tensor
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +91,20 @@ class TestParsing:
         """Calendar formats map to epoch seconds, so later dates compare larger."""
         assert parse_timestamp("02-Jan-15") > parse_timestamp("01-Jan-15")
         assert parse_timestamp("26/04/2019") > parse_timestamp("25/04/2019")
+
+    @pytest.mark.parametrize("tz, offset", [("UTC0", 0), ("JST-9", -32400), ("EST+5", 18000)])
+    def test_timestamps_parse_alike_in_every_time_zone(self, tz, offset):
+        """Values without an offset are UTC; one with an offset keeps it.
+        Each zone runs in its own interpreter with only TZ changed."""
+        cells = ["2019-04-25 10:00:00", "2019-04-25T19:00:00+09:00", "26-Apr-19", "26/04/2019"]
+        code = (
+            "import json, sys, time; from flowids.sentencing import parse_timestamp as p; "
+            "print(json.dumps([time.timezone] + [p(c) for c in sys.argv[1:]]))"
+        )
+        env = {**os.environ, "TZ": tz, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        r = subprocess.run([sys.executable, "-c", code, *cells], env=env, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [offset, 1556186400.0, 1556186400.0, 1556236800.0, 1556236800.0]
 
     def test_timestamp_rejects_garbage(self):
         with pytest.raises(DataError):
@@ -168,6 +189,13 @@ class TestEncode:
         spec = FeatureSpec(name="Sload", kind="numeric", lo=0.0, hi=10.0)
         assert spec.encode("-5") == 0.0
         assert spec.encode("25") == 1.0
+
+    def test_range_wider_than_a_float_stays_in_unit_interval(self):
+        """hi - lo overflows to inf here; the encoding must not turn into nan."""
+        spec = FeatureSpec("Sload", "numeric", lo=-1e308, hi=1e308)
+        assert spec.encode("1e308") == 1.0
+        assert spec.encode("0") == 0.5
+        assert spec.encode("-1e308") == 0.0
 
     def test_constant_feature_centers(self):
         spec = FeatureSpec(name="sttl", kind="numeric", lo=64.0, hi=64.0)

@@ -1,12 +1,15 @@
 """Loss, optimizer, and training-loop behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import flowids.tensor as T
 from flowids import dataio
-from flowids.errors import ConfigError, DataError, NumericError
+from flowids.errors import ConfigError, ContractError, DataError, NumericError
 from flowids.model import EncoderConfig, init_fnn, init_params
+from flowids.sentencing import encode_batch
 from flowids.tensor import Tensor
 from flowids.training import (
     INFERENCE_CHUNK_ROWS,
@@ -229,6 +232,22 @@ class TestTrainConfig:
         clone = TrainConfig.from_dict(cfg.to_dict())
         assert clone == cfg
 
+    def test_to_dict_names_every_field_in_order(self):
+        """Field order, tuples as lists: the train_config that checkpoints hold."""
+        d = TrainConfig().resolved().to_dict()
+        assert d == {
+            "model": "transformer", "epochs": 10, "lr": 2e-5, "batch_size": 16, "beta1": 0.9,
+            "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.01, "seed": 0, "dim": 32, "heads": 4,
+            "blocks": 2, "mlp_dim": None, "fnn_hidden": [64, 64], "split_fractions": [0.6, 0.2, 0.2],
+            "mask": True,
+        }
+        assert list(d) == [f.name for f in dataclasses.fields(TrainConfig)]
+
+    def test_non_bool_mask_rejected(self):
+        """A JSON config's "mask": "false" would otherwise mask silently."""
+        with pytest.raises(ConfigError, match="mask"):
+            TrainConfig(mask="false").resolved()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"model": "fnn", "momentum": 0.9})
@@ -321,8 +340,6 @@ class TestTrainLoop:
     def test_scores_are_probabilities(self, kind):
         ds = dataio.synth(80, seed=3, difficulty="separable")
         res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=1))
-        from flowids.sentencing import encode_batch
-
         x, y = encode_batch(res.test.records, res.schema)
         scores = predict_scores(res.params, x)
         assert scores.shape == (len(y),)
@@ -332,8 +349,6 @@ class TestTrainLoop:
     def test_evaluate_accuracy_definition(self, kind):
         ds = dataio.synth(80, seed=3, difficulty="separable")
         res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=1))
-        from flowids.sentencing import encode_batch
-
         x, y = encode_batch(res.test.records, res.schema)
         loss, acc = evaluate(res.params, x, y)
         scores = predict_scores(res.params, x)
@@ -355,6 +370,28 @@ class TestInference:
             logits = np_fnn_logits(x, params)
         want = np_softmax(logits, axis=1)[:, 1]
         np.testing.assert_allclose(predict_scores(params, x), want, rtol=0, atol=1e-12)
+
+    def test_unmasked_model_scores_unmasked(self, tmp_path):
+        """A model trained with mask=False scores without the mask, in memory
+        and after a checkpoint round trip, with no per-call argument."""
+        ds = dataio.synth(80, seed=3, difficulty="separable")
+        res = train(ds, _tiny_cfg(dim=4, epochs=1, mask=False))
+        path = tmp_path / "unmasked.ckpt"
+        dataio.save_checkpoint(res.params, res.schema, res.config.to_dict(), path)
+        x, _ = encode_batch(res.test.records, res.schema)
+        want = np_softmax(np_model_logits(x, res.params, mask=False), axis=1)[:, 1]
+        np.testing.assert_allclose(predict_scores(res.params, x), want, rtol=0, atol=1e-12)
+        loaded = dataio.load_checkpoint(path).params
+        np.testing.assert_allclose(predict_scores(loaded, x), want, rtol=0, atol=1e-12)
+
+    def test_legacy_mask_argument_must_agree_with_the_model(self):
+        x = np.random.default_rng(2).uniform(size=(4, 5))
+        params = init_params(EncoderConfig(dim=4, heads=2, blocks=1, mask=False), tokens=5, seed=1)
+        np.testing.assert_array_equal(predict_scores(params, x, mask=False), predict_scores(params, x))
+        with pytest.raises(ContractError, match="mask"):
+            predict_scores(params, x, mask=True)
+        fnn = init_fnn(5, hidden=(8, 8), seed=1)
+        np.testing.assert_array_equal(predict_scores(fnn, x, mask=False), predict_scores(fnn, x))
 
     def test_default_training_step_records_103_ops(self):
         """The op graph of one default-encoder step at batch 16: forward plus
