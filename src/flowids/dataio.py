@@ -33,6 +33,7 @@ from .sentencing import (
     NOMINAL,
     Schema,
     parse_cell,
+    parse_column,
     profile_columns,
 )
 
@@ -92,45 +93,48 @@ def _parse_label(cell: str) -> int:
 def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     """Read a header-first CSV, keeping the profile's columns.
 
-    Rows whose cells do not parse for their declared kind, or parse to nan
-    or an infinity, are rejected and counted in the summary; loading never
-    mutates the file.
-    """
+    Rows read as with csv.DictReader: blank rows are skipped and not numbered, missing cells
+    are None, extra cells are ignored, a repeated header name takes its last column. A row
+    with a bad label, or a cell that does not parse for its kind or is nan or infinite, is
+    rejected with the first reason (label, then columns in profile order) in the summary.
+    Each column is checked whole; only a failing one is scanned cell by cell."""
     layout = profile_columns(profile)
-    feature_kinds = layout["features"]
-    label_col = layout["label"]
-    summary = LoadSummary()
-    records: list[FlowRecord] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for name, _ in feature_kinds:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        for name in [name for name, _ in layout["features"]] + [layout["label"]]:
             if name not in header:
                 raise SchemaError(f"{path}: missing required column {name!r}")
-        if label_col not in header:
-            raise SchemaError(f"{path}: missing required column {label_col!r}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                label = _parse_label(row[label_col])
-                for name, kind in feature_kinds:
-                    if kind == NOMINAL:
-                        continue
-                    try:
-                        value = parse_cell(row[name], kind)
-                    except DataError as exc:
-                        raise DataError(f"column {name!r}: {exc}") from None
-                    if not math.isfinite(value):
-                        raise DataError(f"column {name!r}: non-finite value {row[name]!r}")
-            except DataError as exc:
-                summary.note(line, str(exc))
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: the last one wins
+        width = len(header)
+        rows = [row if len(row) >= width else row + [None] * (width - len(row)) for row in reader if row]
+    reasons: dict[int, str] = {}  # row index -> first failing column
+    for name, kind in layout["features"]:
+        if kind == NOMINAL:
+            continue
+        cells = [row[at[name]] for row in rows]
+        try:
+            if np.isfinite(parse_column(cells, kind)).all():
                 continue
-            records.append(
-                FlowRecord(
-                    values={name: row[name] for name, _ in feature_kinds},
-                    label=label,
-                    row=line,
-                )
-            )
+        except DataError:
+            pass
+        for i, cell in enumerate(cells):
+            try:
+                if i not in reasons and not math.isfinite(parse_cell(cell, kind)):
+                    reasons[i] = f"column {name!r}: non-finite value {cell!r}"
+            except DataError as exc:
+                reasons[i] = f"column {name!r}: {exc}"
+    columns, label_at = [(name, at[name]) for name, _ in layout["features"]], at[layout["label"]]
+    summary, records = LoadSummary(), []
+    for i, row in enumerate(rows):
+        try:
+            label = _parse_label(row[label_at])
+            if i in reasons:
+                raise DataError(reasons[i])
+        except DataError as exc:
+            summary.note(i + 2, str(exc))
+            continue
+        records.append(FlowRecord(values={name: row[j] for name, j in columns}, label=label, row=i + 2))
     summary.rows_loaded = len(records)
     if not records:
         raise DataError(f"{path}: no valid rows")
@@ -438,7 +442,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
     try:
         schema = Schema.from_dict(header["schema"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"{path}: header field schema is malformed ({exc!r})")
     named = params.named_parameters()
     manifest = header["arrays"]

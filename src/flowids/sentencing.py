@@ -13,6 +13,7 @@ training-split records only and never mutated afterwards.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -128,6 +129,17 @@ def parse_cell(cell: str, kind: str) -> float:
     raise ValueError(f"parse_cell does not handle kind {kind!r}")
 
 
+def parse_column(cells, kind: str) -> list[float]:
+    """parse_cell over a column, trying one float() pass first unless boolean;
+    the first bad cell raises parse_cell's error."""
+    if kind != BOOLEAN:
+        try:
+            return [float(cell) for cell in cells]
+        except (TypeError, ValueError):
+            pass
+    return [parse_cell(cell, kind) for cell in cells]
+
+
 @dataclass
 class FeatureSpec:
     """One feature column plus its fitted encoder state."""
@@ -140,20 +152,38 @@ class FeatureSpec:
 
     def encode(self, cell: str) -> float:
         """Map a raw cell into [0, 1] using the fitted state."""
+        return float(self.encode_column([cell])[0])
+
+    def encode_column(self, cells) -> np.ndarray:
+        """Map a column of raw cells into [0, 1] using the fitted state."""
         if self.kind == NOMINAL:
-            index = self.vocab.get(str(cell), 0)  # 0 = unseen
-            return index / len(self.vocab) if self.vocab else 0.0
-        value = parse_cell(cell, self.kind)
+            index = np.array([self.vocab.get(str(cell), 0) for cell in cells], dtype=np.float64)
+            return index / len(self.vocab) if self.vocab else index  # 0 = unseen
+        values = np.array(parse_column(cells, self.kind), dtype=np.float64)
         if self.hi == self.lo:
-            return 0.5  # constant feature in training: center it
+            return np.full(values.shape, 0.5)  # constant feature in training: center it
         lo, hi = self.lo, self.hi
         if hi - lo == math.inf:  # the range overflows a float: halve every term
-            value, lo, hi = 0.5 * value, 0.5 * lo, 0.5 * hi
-        return min(max((value - lo) / (hi - lo), 0.0), 1.0)
+            values, lo, hi = 0.5 * values, 0.5 * lo, 0.5 * hi
+        with np.errstate(all="ignore"):  # overflow to inf is clamped, as with Python floats
+            scaled = (values - lo) / (hi - lo)
+        # clamp as min(max(v, 0.0), 1.0) does: -0.0 and nan stay (np.maximum makes -0.0 0.0)
+        return np.where(scaled < 0.0, 0.0, np.where(scaled > 1.0, 1.0, scaled))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(name=d["name"], kind=d["kind"], vocab=d["vocab"], lo=d["lo"], hi=d["hi"])
+    def from_dict(cls, d: dict, where: str = "feature") -> "FeatureSpec":
+        """Inverse of asdict; a ValueError names (after `where`) a field the encoder cannot use."""
+        spec = cls(name=d["name"], kind=d["kind"], vocab=d["vocab"], lo=d["lo"], hi=d["hi"])
+        if spec.kind not in (NOMINAL, NUMERIC, TIMESTAMP, BOOLEAN):
+            raise ValueError(f"{where}.kind is {spec.kind!r}, not a feature kind")
+        vocab = spec.vocab if spec.kind == NOMINAL else {}
+        if not isinstance(vocab, dict) or not all(type(k) is str and type(v) is int for k, v in vocab.items()):
+            raise ValueError(f"{where}.vocab is {spec.vocab!r}, not an object of strings to integers")
+        for key in ("lo", "hi") if spec.kind != NOMINAL else ():
+            v = getattr(spec, key)  # an int beyond the float range fails abs(v) <= max too
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+                raise ValueError(f"{where}.{key} is {v!r}, not a finite number")
+        return spec
 
 
 @dataclass
@@ -173,11 +203,8 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        return cls(
-            profile=d["profile"],
-            features=[FeatureSpec.from_dict(f) for f in d["features"]],
-            label=d["label"],
-        )
+        features = [FeatureSpec.from_dict(f, f"schema.features[{i}]") for i, f in enumerate(d["features"])]
+        return cls(profile=d["profile"], features=features, label=d["label"])
 
 
 def profile_columns(profile: str) -> dict:
@@ -198,18 +225,17 @@ def fit_schema(records, profile: str) -> Schema:
         raise SchemaError("cannot fit a schema on an empty record set")
     specs = []
     for name, kind in layout["features"]:
-        for rec in records:
-            if name not in rec.values:
-                raise SchemaError(f"record {rec.row} is missing column {name!r}")
+        try:
+            cells = [rec.values[name] for rec in records]
+        except KeyError:
+            missing = next(rec for rec in records if name not in rec.values)
+            raise SchemaError(f"record {missing.row} is missing column {name!r}") from None
         if kind == NOMINAL:
-            vocab: dict[str, int] = {}
-            for rec in records:
-                cell = str(rec.values[name])
-                if cell not in vocab:
-                    vocab[cell] = len(vocab) + 1
+            # dict keys keep first appearance order
+            vocab = {cell: i for i, cell in enumerate(dict.fromkeys(map(str, cells)), start=1)}
             specs.append(FeatureSpec(name=name, kind=kind, vocab=vocab))
         else:
-            values = [parse_cell(rec.values[name], kind) for rec in records]
+            values = parse_column(cells, kind)
             lo, hi = min(values), max(values)
             if lo == hi:
                 warnings.warn(f"feature {name!r} is constant in the training split")
@@ -231,10 +257,18 @@ def encode(record, schema: Schema) -> np.ndarray:
 
 
 def encode_batch(records, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
-    """Encode records into an (n, width) matrix plus the label vector."""
-    x = np.stack([encode(r, schema) for r in records])
-    y = np.array([r.label for r in records], dtype=np.int64)
-    return x, y
+    """Encode records into an (n, width) matrix, one column at a time, plus the label vector.
+
+    A failing column hands over to encode() record by record, so the error is the first bad record's."""
+    x = np.empty((len(records), schema.width), dtype=np.float64)
+    for j, spec in enumerate(schema.features):
+        try:
+            x[:, j] = spec.encode_column([rec.values[spec.name] for rec in records])
+        except (KeyError, DataError):
+            for rec in records:
+                encode(rec, schema)
+            raise
+    return x, np.array([rec.label for rec in records], dtype=np.int64)
 
 
 @dataclass

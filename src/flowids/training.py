@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -146,6 +147,11 @@ class AdamW:
                 self._w[sl], self._m[sl], self._v[sl] = w[sl], m[sl], v[sl]
 
 
+# Numeric TrainConfig fields (each entry, for the tuples) by type; bools are neither.
+_INTEGER_FIELDS = ("epochs", "batch_size", "seed", "dim", "heads", "blocks", "mlp_dim", "fnn_hidden")
+_REAL_FIELDS = ("lr", "beta1", "beta2", "eps", "weight_decay", "split_fractions")
+
+
 @dataclass
 class TrainConfig:
     """Everything that determines a training run, seeds included.
@@ -172,16 +178,26 @@ class TrainConfig:
     mask: bool = True
 
     def resolved(self) -> "TrainConfig":
-        if self.model not in MODEL_DEFAULTS:
+        if not isinstance(self.model, str) or self.model not in MODEL_DEFAULTS:
             raise ConfigError(f"model must be one of {sorted(MODEL_DEFAULTS)}, got {self.model!r}")
         defaults = MODEL_DEFAULTS[self.model]
         cfg = replace(
             self,
             epochs=defaults["epochs"] if self.epochs is None else self.epochs,
             lr=defaults["lr"] if self.lr is None else self.lr,
-            fnn_hidden=tuple(self.fnn_hidden),
-            split_fractions=tuple(self.split_fractions),
         )
+        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+            value, kind = getattr(cfg, name), Integral if name in _INTEGER_FIELDS else Real
+            many = name in ("fnn_hidden", "split_fractions")
+            if many and not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            for at, item in enumerate(value) if many else [("", value)]:
+                if (isinstance(item, bool) or not isinstance(item, kind)) and (name, item) != ("mlp_dim", None):
+                    wanted = "an integer" if kind is Integral else "a number"
+                    raise ConfigError(f"{name}{f'[{at}]' if many else ''} must be {wanted}, got {item!r}")
+        cfg = replace(cfg, fnn_hidden=tuple(cfg.fnn_hidden), split_fractions=tuple(cfg.split_fractions))
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         if cfg.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
         if cfg.lr <= 0:
@@ -190,6 +206,8 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {cfg.batch_size}")
         if len(cfg.split_fractions) != 3:
             raise ConfigError(f"split_fractions needs 3 entries, got {cfg.split_fractions}")
+        if len(cfg.fnn_hidden) != 2:
+            raise ConfigError(f"fnn_hidden needs 2 entries, got {cfg.fnn_hidden}")
         if cfg.model == "transformer":
             cfg.encoder().validate()
         return cfg
@@ -308,9 +326,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
         raise ConfigError("training split is empty; dataset too small for the fractions")
     schema = fit_schema(train_ds.records, dataset.profile)
     x_train, y_train = encode_batch(train_ds.records, schema)
-    x_val, y_val = (
-        encode_batch(val_ds.records, schema) if val_ds.records else (np.zeros((0, schema.width)), np.zeros(0, dtype=np.int64))
-    )
+    x_val, y_val = encode_batch(val_ds.records, schema)
 
     if config.model == "transformer":
         params = M.init_params(config.encoder(), tokens=schema.width, seed=config.seed)
@@ -333,13 +349,13 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             T.clear_tape()
-            opt.zero_grad()
             loss = cross_entropy(params.logits(x_train[idx]), y_train[idx])
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
             T.backward(loss)
             opt.step()
+            opt.zero_grad()  # so no step's gradients outlive it, nor sit in the returned params
             total += value * len(idx)
         T.clear_tape()
         # train_loss is the running average over the epoch's steps, so it

@@ -25,6 +25,12 @@ def _header(edit):
     return lambda h, arrays: (edit(h), arrays)
 
 
+def _feature(h: dict, j: int, **fields) -> bytes:
+    """The header with `fields` set in feature `j` of its schema."""
+    features = [dict(f, **fields) if i == j else f for i, f in enumerate(h["schema"]["features"])]
+    return _dump({**h, "schema": {**h["schema"], "features": features}})
+
+
 def _arrays(h: dict, edit) -> bytes:
     """The header with `edit` applied to each entry of its array manifest."""
     return _dump({**h, "arrays": [edit(a) for a in h["arrays"]]})
@@ -52,6 +58,14 @@ HEADER_DEFECTS = [
     pytest.param(_header(lambda h: _dump({**h, "schema": {}})), "schema", id="schema-empty"),
     pytest.param(
         _header(lambda h: _dump({**h, "train_config": [1]})), "train_config", id="train-config-not-object"
+    ),
+    # features[0] is srcip (nominal) and features[3] is Sload (numeric)
+    pytest.param(_header(lambda h: _feature(h, 3, lo="x")), "schema.features[3].lo", id="feature-lo-not-number"),
+    pytest.param(
+        _header(lambda h: _feature(h, 3, kind="weird")), "schema.features[3].kind", id="feature-unknown-kind"
+    ),
+    pytest.param(
+        _header(lambda h: _feature(h, 0, vocab=[1, 2])), "schema.features[0].vocab", id="feature-vocab-not-object"
     ),
     pytest.param(
         _header(lambda h: _dump({**h, "hyper": {**h["hyper"], "mask": "false"}})),

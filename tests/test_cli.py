@@ -123,6 +123,20 @@ class TestTrain:
         assert r.returncode == 2
         assert "mask" in r.stderr
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [({"epochs": "3", "model": "fnn"}, "epochs"), ({"lr": "0.1"}, "lr"), ({"batch_size": True}, "batch_size")],
+        ids=["epochs-string", "lr-string", "batch-size-bool"],
+    )
+    def test_non_numeric_config_value_is_usage_error(self, workdir, tmp_path, config, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt",
+                "--config", cfg_path)
+        assert r.returncode == 2
+        assert field in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_missing_data_flag(self, tmp_path):
         r = run("train", "--out", tmp_path / "m.ckpt")
         assert r.returncode == 2

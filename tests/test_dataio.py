@@ -112,6 +112,83 @@ class TestLoadCsv:
         assert "rejected 2" in text and "row" in text
 
 
+NUMERIC_FIRST = ["label", "Sload", "Dload", "Stime", "Ltime", "Spkts", "srcport", "dstport",
+                 "Dpkts", "dur", "sttl", "srcip", "dstip", "proto"]  # nominal columns last
+CELLS = {"label": "0", "Sload": "1200.5", "Dload": "300.0", "Stime": "1421927414",
+         "Ltime": "1421927418", "Spkts": "12", "srcport": "33661", "dstport": "80", "Dpkts": "10",
+         "dur": "3.9", "sttl": "62", "srcip": "10.0.0.1", "dstip": "192.168.1.5", "proto": "tcp"}
+
+
+def _row(header=NUMERIC_FIRST, **cells) -> str:
+    """One CSV line with a valid cell in each column of `header`, `cells` overriding."""
+    return ",".join({**CELLS, **cells}.get(name, "") for name in header)
+
+
+def _load_lines(tmp_path, lines, profile="unsw"):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return load_csv(path, profile)
+
+
+class TestLoadCsvReadsLikeDictReader:
+    """The reader is positional; each case reads as csv.DictReader read it."""
+
+    def test_blank_rows_are_skipped_and_not_numbered(self, tmp_path):
+        header = ",".join(NUMERIC_FIRST)
+        ds, summary = _load_lines(tmp_path, [header, _row(), "", _row(label="2"), "", "", _row(dur="4.0")])
+        assert [(r.row, r.values["dur"]) for r in ds.records] == [(2, "3.9"), (4, "4.0")]
+        assert summary.rejects == [(3, "label '2' is not 0 or 1")]
+
+    def test_short_row_reads_missing_cells_as_none(self, tmp_path):
+        header = ",".join(NUMERIC_FIRST)
+        short = _row().rsplit(",", 2)[0]  # no dstip, no proto
+        too_short = ",".join(_row().split(",")[:5])  # ends after Ltime
+        ds, summary = _load_lines(tmp_path, [header, short, too_short])
+        assert ds.records[0].values["dstip"] is None and ds.records[0].values["proto"] is None
+        assert ds.records[0].values["srcip"] == "10.0.0.1"
+        assert summary.rejects == [(3, "column 'Spkts': cannot parse numeric cell None")]
+
+    def test_extra_cells_are_ignored(self, tmp_path):
+        header = ",".join(NUMERIC_FIRST)
+        ds, summary = _load_lines(tmp_path, [header, _row() + ",x,y,9", _row()])
+        assert summary.rows_rejected == 0
+        assert ds.records[0].values == ds.records[1].values
+
+    def test_repeated_header_name_takes_the_last_column(self, tmp_path):
+        header = ",".join(NUMERIC_FIRST + ["Sload", "Dload"])
+        # the second row ends before the last Dload column
+        ds, summary = _load_lines(tmp_path, [header, _row() + ",7.5,8.5", _row() + ",7.5"])
+        assert (ds.records[0].values["Sload"], ds.records[0].values["Dload"]) == ("7.5", "8.5")
+        assert summary.rejects == [(3, "column 'Dload': cannot parse numeric cell None")]
+
+    def test_quoted_newline_stays_in_its_cell(self, tmp_path):
+        header = ",".join(NUMERIC_FIRST)
+        ds, summary = _load_lines(tmp_path, [header, _row(proto='"tcp\nv2"'), _row(label="x"), _row()])
+        assert ds.records[0].values["proto"] == "tcp\nv2"
+        assert summary.rejects == [(3, "label 'x' does not parse")]
+        assert [r.row for r in ds.records] == [2, 4]
+
+    def test_more_than_twenty_rejects_are_counted_not_listed(self, tmp_path):
+        header = ",".join(NUMERIC_FIRST)
+        _, summary = _load_lines(tmp_path, [header] + [_row(label="x")] * 25 + [_row(), _row()])
+        lines = ["loaded 2 rows, rejected 25"]
+        lines += [f"  row {n}: label 'x' does not parse" for n in range(2, 22)]
+        lines += ["  ... and 5 more"]
+        assert summary.describe() == "\n".join(lines)
+
+    def test_first_reason_is_the_label_then_profile_order(self, tmp_path):
+        """The label's reason wins; among bad cells the first column of the
+        profile wins, whatever the header order (Dload comes before Sload here)."""
+        header = ["label", "Dload", "Sload"] + [n for n in NUMERIC_FIRST if n not in ("label", "Dload", "Sload")]
+        lines = [",".join(header), _row(header, label="2", Sload="fast"), _row(header, Dload="nan", Sload="fast"),
+                 _row(header)]
+        _, summary = _load_lines(tmp_path, lines)
+        assert summary.rejects == [
+            (2, "label '2' is not 0 or 1"),
+            (3, "column 'Sload': cannot parse numeric cell 'fast'"),
+        ]
+
+
 class TestSynth:
     def test_deterministic(self):
         a = synth(60, seed=5)

@@ -230,6 +230,31 @@ class TestEncode:
         with pytest.raises(DataError, match=r"record 41.*Sload"):
             encode(bad, schema)
 
+    def test_encode_batch_names_the_first_bad_record(self):
+        """Two bad records in different columns: the error is the first
+        record's, naming its first bad column, as the per-record encode says."""
+        schema = fit_schema(_records(), "unsw")
+        recs = _records() + [_rec(41, Dload="slow"), _rec(42, Sload="fast", Dload="nan?")]
+        message = "record 41, column 'Dload': cannot parse numeric cell 'slow'"
+        with pytest.raises(DataError) as batch:
+            encode_batch(recs, schema)
+        assert str(batch.value) == message
+        with pytest.raises(DataError, match="record 42, column 'Sload'"):
+            encode_batch(recs[-1:], schema)
+
+    def test_encode_batch_missing_column_before_later_bad_cell(self):
+        schema = fit_schema(_records(), "unsw")
+        gap = _rec(5)
+        del gap.values["sttl"]
+        with pytest.raises(SchemaError, match="record 5 is missing column 'sttl'"):
+            encode_batch([gap, _rec(6, Sload="fast")], schema)
+
+    def test_encode_batch_of_no_records(self):
+        """Zero records give an empty (0, width) matrix and no labels."""
+        x, y = encode_batch([], fit_schema(_records(), "unsw"))
+        assert x.shape == (0, 13) and x.dtype == np.float64
+        assert y.shape == (0,) and y.dtype == np.int64
+
     def test_encode_batch_shapes(self):
         recs = _records()
         schema = fit_schema(recs, "unsw")

@@ -1,6 +1,7 @@
 """Loss, optimizer, and training-loop behavior."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,31 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="mask"):
             TrainConfig(mask="false").resolved()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            pytest.param({"epochs": "3"}, "epochs", id="epochs"),
+            pytest.param({"lr": "1e-3"}, "lr", id="lr"),
+            pytest.param({"batch_size": 16.0}, "batch_size", id="batch_size"),
+            pytest.param({"seed": True}, "seed", id="seed"),
+            pytest.param({"dim": "32"}, "dim", id="dim"),
+            pytest.param({"mlp_dim": 1.5}, "mlp_dim", id="mlp_dim"),
+            pytest.param({"fnn_hidden": 64}, "fnn_hidden", id="fnn_hidden"),
+            pytest.param({"fnn_hidden": [64, "64"]}, "fnn_hidden[1]", id="fnn_hidden[1]"),
+            pytest.param({"split_fractions": [0.6, 0.2, None]}, "split_fractions[2]", id="split_fractions[2]"),
+            pytest.param({"weight_decay": False}, "weight_decay", id="weight_decay"),
+        ],
+    )
+    def test_non_numeric_value_rejected(self, overrides, field):
+        """JSON configs reach resolved() unchecked; a string or a bool must
+        fail there with the field's name, not deep inside training."""
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            TrainConfig(**{"model": "fnn", **overrides}).resolved()
+
+    def test_numpy_numbers_accepted(self):
+        cfg = TrainConfig(model="fnn", seed=np.int64(3), lr=np.float64(0.01)).resolved()
+        assert cfg.seed == 3 and cfg.lr == 0.01
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"model": "fnn", "momentum": 0.9})
@@ -307,6 +333,13 @@ class TestTrainLoop:
         train_values = {r.values["srcip"] for r in res.train.records}
         vocab = next(f for f in res.schema.features if f.name == "srcip").vocab
         assert set(vocab) == train_values
+
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_returned_params_hold_no_gradients(self, kind):
+        """The last step's gradients are dropped, not carried in the result."""
+        ds = dataio.synth(60, seed=5, difficulty="separable")
+        res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=2))
+        assert [name for name, t in res.params.named_parameters() if t.grad is not None] == []
 
     def test_log_has_one_row_per_epoch(self):
         ds = dataio.synth(60, seed=5, difficulty="separable")
