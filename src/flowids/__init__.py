@@ -8,10 +8,10 @@ runs on numpy float64; no deep-learning framework involved.
 
 The usual round trip:
 
-    from flowids import dataio, training, metrics
-    ds = dataio.synth(2000, seed=7)
-    result = training.train(ds, training.TrainConfig(model="transformer", lr=1e-3))
-    x, y = flowids.sentencing.encode_batch(result.test.records, result.schema)
+    from flowids import dataio, metrics, sentencing, training
+    ds = dataio.synth(400, seed=7)
+    result = training.train(ds, training.TrainConfig(model="transformer", lr=1e-3, epochs=2))
+    x, y = sentencing.encode_batch(result.test.records, result.schema)
     rep = metrics.report(training.predict_scores(result.params, x), y)
     print(rep.table("encoder"))
 """

@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -228,6 +229,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@cache  # one parser per process: each one holds reference cycles until a full gc
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowids",

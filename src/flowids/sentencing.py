@@ -179,6 +179,8 @@ class FeatureSpec:
         vocab = spec.vocab if spec.kind == NOMINAL else {}
         if not isinstance(vocab, dict) or not all(type(k) is str and type(v) is int for k, v in vocab.items()):
             raise ValueError(f"{where}.vocab is {spec.vocab!r}, not an object of strings to integers")
+        if sorted(vocab.values()) != list(range(1, len(vocab) + 1)):  # 0 is the unseen-value index
+            raise ValueError(f"{where}.vocab indices are not 1..{len(vocab)}, each used once")
         for key in ("lo", "hi") if spec.kind != NOMINAL else ():
             v = getattr(spec, key)  # an int beyond the float range fails abs(v) <= max too
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:

@@ -2,9 +2,9 @@
 
 Every operation records a backward rule onto the active tape while grad
 recording is enabled. ``backward(loss)`` replays the tape in reverse and
-accumulates gradients into ``Tensor.grad`` for every tensor that requires
-them. The tape persists until ``clear_tape()`` (the training loop clears it
-once per step), so calling ``backward`` twice doubles the accumulated grads.
+accumulates gradients into ``Tensor.grad`` for every leaf. The tape persists
+until ``clear_tape()`` (the training loop clears it once per step), so
+calling ``backward`` twice doubles the accumulated grads.
 
 Outputs of ``reshape`` and ``transpose`` are views of their input, and
 backward rules keep references to the arrays they were recorded with. That
@@ -48,30 +48,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class Tape:
-    """Ordered record of operations; reverse replay drives backprop."""
-
-    def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
-
-    def append(self, out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
-        self._records.append((out, inputs, backward))
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def records(self):
-        return self._records
-
-
-_TAPE = Tape()
+_TAPE: list[tuple[Tensor, tuple[Tensor, ...], object]] = []  # (out, inputs, backward rule)
 _GRAD_ENABLED = True
 
 
-def active_tape() -> Tape:
+def active_tape() -> list:
     return _TAPE
 
 
@@ -103,38 +84,28 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                _TAPE.append(out, inputs, backward)
+                _TAPE.append((out, inputs, backward))
                 break
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``grad`` on every leaf reachable from loss.
 
-    Gradients accumulate across calls; the caller zeroes them between
-    optimization steps.
+    A leaf is a requires_grad tensor, or the loss, that no tape record
+    produced. Gradients accumulate across calls; the caller zeroes them
+    between optimization steps.
     """
     if loss.data.size != 1:
-        raise ContractError(
-            f"backward expects a scalar loss, got shape {loss.data.shape}"
-        )
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for out, inputs, back in reversed(_TAPE.records()):
-        g = grads.get(id(out))
-        if g is None:
-            continue
-        for t, ig in zip(inputs, back(g)):
-            if ig is None or not t.requires_grad:
-                continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + ig
-            else:
-                grads[key] = ig
-                holders[key] = t
-    for key, t in holders.items():
-        g = grads[key].reshape(t.data.shape)
+        raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    grads = {id(loss): (loss, np.ones_like(loss.data))}  # id -> (tensor, gradient so far)
+    for out, inputs, back in reversed(_TAPE):
+        if id(out) in grads:  # a record's output leaves the map as its record replays
+            for t, ig in zip(inputs, back(grads.pop(id(out))[1])):
+                if ig is not None and t.requires_grad:
+                    key = id(t)
+                    grads[key] = (t, grads[key][1] + ig if key in grads else ig)
+    for t, g in grads.values():
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 

@@ -31,6 +31,12 @@ def _feature(h: dict, j: int, **fields) -> bytes:
     return _dump({**h, "schema": {**h["schema"], "features": features}})
 
 
+def _vocab(h: dict, j: int, edit) -> bytes:
+    """The header with the vocab indices of feature `j` replaced by `edit(indices)`."""
+    vocab = h["schema"]["features"][j]["vocab"]
+    return _feature(h, j, vocab=dict(zip(vocab, edit(list(vocab.values())))))
+
+
 def _arrays(h: dict, edit) -> bytes:
     """The header with `edit` applied to each entry of its array manifest."""
     return _dump({**h, "arrays": [edit(a) for a in h["arrays"]]})
@@ -66,6 +72,19 @@ HEADER_DEFECTS = [
     ),
     pytest.param(
         _header(lambda h: _feature(h, 0, vocab=[1, 2])), "schema.features[0].vocab", id="feature-vocab-not-object"
+    ),
+    pytest.param(
+        _header(lambda h: _vocab(h, 0, lambda ix: ix[:-1] + [len(ix) + 1])),
+        "schema.features[0].vocab",
+        id="feature-vocab-index-out-of-range",
+    ),
+    pytest.param(
+        _header(lambda h: _vocab(h, 0, lambda ix: [0] + ix[1:])), "schema.features[0].vocab", id="feature-vocab-index-zero"
+    ),
+    pytest.param(
+        _header(lambda h: _vocab(h, 0, lambda ix: [ix[1]] + ix[1:])),
+        "schema.features[0].vocab",
+        id="feature-vocab-index-repeated",
     ),
     pytest.param(
         _header(lambda h: _dump({**h, "hyper": {**h["hyper"], "mask": "false"}})),

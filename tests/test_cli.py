@@ -1,5 +1,6 @@
-"""End-to-end command-line behavior via subprocesses."""
+"""End-to-end command-line behavior, via subprocesses unless in-process state is the point."""
 
+import argparse
 import hashlib
 import json
 import struct
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from checkpoints import HEADER_DEFECTS, rewrite_header
+from flowids import cli
 
 CMD = [sys.executable, "-m", "flowids"]
 
@@ -191,6 +193,18 @@ class TestEval:
         assert r.returncode == 3
         assert field in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_in_process_calls_build_no_further_parser(self, workdir, monkeypatch, capsys):
+        argv = ["eval", "--model", str(workdir / "fnn.ckpt"), "--data", str(workdir / "flows.csv")]
+        assert cli.main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k)
+        )
+        for _ in range(3):
+            assert cli.main(argv) == 0
+        assert built == []
 
     def test_future_version_is_incompatibility(self, workdir, tmp_path):
         body = bytearray((workdir / "enc.ckpt").read_bytes()[:-32])
