@@ -1,12 +1,12 @@
 """Command-line entry point: synth, train, eval, predict, report.
 
-Exit codes: 0 success, 2 usage or configuration problems, 3 bad data,
-4 model/data incompatibility (including unsupported checkpoint versions),
-5 numeric failure during training, 6 file I/O failure.
-
-Every command that writes a primary output also writes a run manifest next
-to it (<output>.manifest.json): the resolved configuration, seeds, SHA-256
-checksums of inputs and outputs, and wall-clock duration.
+Each command returns a Run: its configuration, seed and the files it read and
+wrote. `main` times the run, writes the one run manifest next to the first
+output (<output>.manifest.json: command, configuration, seed, SHA-256
+checksums of inputs and outputs, duration), and maps errors to exit codes
+through EXIT_CODES: 2 usage or configuration, 3 bad data, 4 model/data
+incompatibility (including checkpoint versions), 5 numeric failure in
+training, 6 file I/O. An eval or report that writes no file writes no manifest.
 """
 
 from __future__ import annotations
@@ -15,31 +15,40 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from functools import cache
 
 import numpy as np
 
 from . import dataio, metrics
 from . import model as M
-from .errors import (
-    ConfigError,
-    DataError,
-    IncompatibilityError,
-    IntegrityError,
-    NumericError,
-    SchemaError,
-)
+from .errors import ConfigError, DataError, IncompatibilityError, IntegrityError, NumericError, SchemaError
 from .sentencing import encode_batch
 from .training import TrainConfig, predict_scores, train
 
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_INCOMPATIBLE = 4
-EXIT_NUMERIC = 5
-EXIT_IO = 6
+# Exit code per error class; no class here subclasses another entry, so order does not matter.
+EXIT_CODES = {
+    ConfigError: 2,
+    DataError: 3,
+    SchemaError: 3,
+    IntegrityError: 3,
+    IncompatibilityError: 4,  # includes VersionError
+    NumericError: 5,
+    OSError: 6,
+}
+
+
+@dataclass
+class Run:
+    """What a command ran with, read and wrote; `main` turns it into the manifest."""
+
+    config: dict
+    seed: int | None
+    inputs: list
+    outputs: list
 
 
 def _sha256(path) -> str:
@@ -50,18 +59,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path, command: str, config: dict, seed, inputs, outputs, started: float) -> None:
+def _write_manifest(command: str, run: Run, started: float) -> None:
     manifest = {
         "command": command,
-        "config": config,
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "config": run.config,
+        "seed": run.seed,
+        "inputs": {str(p): _sha256(p) for p in run.inputs},
+        "outputs": {str(p): _sha256(p) for p in run.outputs},
         "duration_seconds": round(time.time() - started, 3),
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(f"{run.outputs[0]}.manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -72,21 +80,12 @@ def _load_dataset(path, profile: str) -> dataio.Dataset:
     return dataset
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args) -> Run:
     ds = dataio.synth(args.n, seed=args.seed, difficulty=args.difficulty, bayes_error=args.bayes_error)
     dataio.write_csv(ds, args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
-    _write_manifest(
-        args.out,
-        "synth",
-        {"n": args.n, "difficulty": args.difficulty, "bayes_error": args.bayes_error},
-        args.seed,
-        inputs=[],
-        outputs=[args.out],
-        started=started,
-    )
-    return 0
+    config = {"n": args.n, "difficulty": args.difficulty, "bayes_error": args.bayes_error}
+    return Run(config, args.seed, inputs=[], outputs=[args.out])
 
 
 def _build_train_config(args) -> TrainConfig:
@@ -109,8 +108,7 @@ def _build_train_config(args) -> TrainConfig:
     return TrainConfig.from_dict(merged)
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> Run:
     config = _build_train_config(args)
     dataset = _load_dataset(args.data, args.profile)
     result = train(dataset, config)
@@ -134,16 +132,7 @@ def cmd_train(args) -> int:
         outputs.append(args.log)
     print(f"saved checkpoint to {args.out}")
     print(f"final validation accuracy: {final.val_acc:.4f}")
-    _write_manifest(
-        args.out,
-        "train",
-        result.config.to_dict(),
-        result.config.seed,
-        inputs=[args.data],
-        outputs=outputs,
-        started=started,
-    )
-    return 0
+    return Run(result.config.to_dict(), result.config.seed, inputs=[args.data], outputs=outputs)
 
 
 def _scores_for(checkpoint: dataio.Checkpoint, data_path) -> tuple[np.ndarray, np.ndarray, dataio.Dataset]:
@@ -152,8 +141,7 @@ def _scores_for(checkpoint: dataio.Checkpoint, data_path) -> tuple[np.ndarray, n
     return predict_scores(checkpoint.params, x), y, dataset
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def cmd_eval(args) -> Run:
     checkpoint = dataio.load_checkpoint(args.model)
     scores, truths, _ = _scores_for(checkpoint, args.data)
     rep = metrics.report(scores, truths, threshold=args.threshold)
@@ -170,21 +158,11 @@ def cmd_eval(args) -> int:
     if args.roc:
         rep.roc_csv(args.roc)
         outputs.append(args.roc)
-    if outputs:
-        _write_manifest(
-            outputs[0],
-            "eval",
-            {"threshold": args.threshold, "model_kind": checkpoint.kind},
-            checkpoint.config.get("seed"),
-            inputs=[args.model, args.data],
-            outputs=outputs,
-            started=started,
-        )
-    return 0
+    config = {"threshold": args.threshold, "model_kind": checkpoint.kind}
+    return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=outputs)
 
 
-def cmd_predict(args) -> int:
-    started = time.time()
+def cmd_predict(args) -> Run:
     checkpoint = dataio.load_checkpoint(args.model)
     scores, _, dataset = _scores_for(checkpoint, args.data)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -192,20 +170,11 @@ def cmd_predict(args) -> int:
         for rec, score in zip(dataset.records, scores):
             handle.write(f"{rec.row},{score:.9f},{int(score >= args.threshold)}\n")
     print(f"wrote {len(scores)} predictions to {args.out}")
-    _write_manifest(
-        args.out,
-        "predict",
-        {"threshold": args.threshold, "model_kind": checkpoint.kind},
-        checkpoint.config.get("seed"),
-        inputs=[args.model, args.data],
-        outputs=[args.out],
-        started=started,
-    )
-    return 0
+    config = {"threshold": args.threshold, "model_kind": checkpoint.kind}
+    return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=[args.out])
 
 
-def cmd_report(args) -> int:
-    started = time.time()
+def cmd_report(args) -> Run:
     rows = []
     for model_path in args.models:
         checkpoint = dataio.load_checkpoint(model_path)
@@ -217,16 +186,15 @@ def cmd_report(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        _write_manifest(
-            args.out,
-            "report",
-            {"threshold": args.threshold, "models": [str(m) for m in args.models]},
-            None,
-            inputs=list(args.models) + [args.data],
-            outputs=[args.out],
-            started=started,
-        )
-    return 0
+    config = {"threshold": args.threshold, "models": [str(m) for m in args.models]}
+    return Run(config, None, inputs=list(args.models) + [args.data], outputs=[args.out] if args.out else [])
+
+
+def threshold(text: str) -> float:
+    """A finite score cut-off; nan would compare false and call every row normal."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 @cache  # one parser per process: each one holds reference cycles until a full gc
@@ -269,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a CSV with a checkpoint and print metrics")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="CSV to evaluate")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=threshold, default=0.5)
     p.add_argument("--label", help="row label in the printed table")
     p.add_argument("--out", help="also write the metrics as JSON here")
     p.add_argument("--roc", help="also write the ROC points as CSV here")
@@ -278,39 +246,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="write per-row attack scores")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=threshold, default=0.5)
     p.add_argument("--out", required=True, help="output CSV: row,score,predicted")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="compare several checkpoints on one CSV")
     p.add_argument("--models", nargs="+", required=True, help="checkpoint paths")
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=threshold, default=0.5)
     p.add_argument("--out", help="also write the table here")
     p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        run = args.func(args)
+        if run.outputs:
+            _write_manifest(args.command, run, started)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (IncompatibilityError,) as exc:  # includes VersionError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except (DataError, SchemaError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import statistics
 import struct
 import warnings
@@ -32,8 +31,7 @@ from .errors import (
 from .sentencing import (
     NOMINAL,
     Schema,
-    parse_cell,
-    parse_column,
+    parse_checked_column,
     profile_columns,
 )
 
@@ -112,18 +110,8 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     for name, kind in layout["features"]:
         if kind == NOMINAL:
             continue
-        cells = [row[at[name]] for row in rows]
-        try:
-            if np.isfinite(parse_column(cells, kind)).all():
-                continue
-        except DataError:
-            pass
-        for i, cell in enumerate(cells):
-            try:
-                if i not in reasons and not math.isfinite(parse_cell(cell, kind)):
-                    reasons[i] = f"column {name!r}: non-finite value {cell!r}"
-            except DataError as exc:
-                reasons[i] = f"column {name!r}: {exc}"
+        for i, reason in parse_checked_column([row[at[name]] for row in rows], kind)[1].items():
+            reasons.setdefault(i, f"column {name!r}: {reason}")
     columns, label_at = [(name, at[name]) for name, _ in layout["features"]], at[layout["label"]]
     summary, records = LoadSummary(), []
     for i, row in enumerate(rows):
@@ -305,7 +293,7 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
     """Stratified, seeded partition; disjoint and exhaustive by construction."""
     fractions = tuple(float(f) for f in fractions)
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    if any(not f > 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must be positive and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
     buckets: list[list[FlowRecord]] = [[] for _ in fractions]

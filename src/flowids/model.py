@@ -44,7 +44,7 @@ class EncoderConfig:
         return 4 * self.dim if self.mlp_dim is None else self.mlp_dim
 
     def validate(self) -> None:
-        if self.dim < 1 or self.heads < 1 or self.blocks < 1:
+        if self.dim < 1 or self.heads < 1 or self.blocks < 1 or self.resolved_mlp_dim() < 1:
             raise ConfigError(f"encoder sizes must be positive: {self}")
         if self.dim % self.heads != 0:
             raise ConfigError(

@@ -140,6 +140,26 @@ def parse_column(cells, kind: str) -> list[float]:
     return [parse_cell(cell, kind) for cell in cells]
 
 
+def parse_checked_column(cells, kind: str) -> tuple[list[float], dict[int, str]]:
+    """parse_column, plus why each cell that does not parse or is nan or infinite fails, by index.
+
+    Only a column that fails whole is scanned cell by cell, and then no values are returned."""
+    try:
+        values = parse_column(cells, kind)
+        if np.isfinite(values).all():
+            return values, {}
+    except DataError:
+        pass
+    reasons = {}
+    for i, cell in enumerate(cells):
+        try:
+            if not math.isfinite(parse_cell(cell, kind)):
+                reasons[i] = f"non-finite value {cell!r}"
+        except DataError as exc:
+            reasons[i] = str(exc)
+    return [], reasons
+
+
 @dataclass
 class FeatureSpec:
     """One feature column plus its fitted encoder state."""
@@ -237,7 +257,10 @@ def fit_schema(records, profile: str) -> Schema:
             vocab = {cell: i for i, cell in enumerate(dict.fromkeys(map(str, cells)), start=1)}
             specs.append(FeatureSpec(name=name, kind=kind, vocab=vocab))
         else:
-            values = parse_column(cells, kind)
+            values, reasons = parse_checked_column(cells, kind)
+            if reasons:
+                i = min(reasons)
+                raise DataError(f"record {records[i].row}, column {name!r}: {reasons[i]}")
             lo, hi = min(values), max(values)
             if lo == hi:
                 warnings.warn(f"feature {name!r} is constant in the training split")

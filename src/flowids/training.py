@@ -9,6 +9,7 @@ part of the moment estimates.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
 
@@ -200,8 +201,15 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         if cfg.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
-        if cfg.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {cfg.lr}")
+        for name, ok, wanted in (  # nan fails every comparison, so it fails here too
+            ("lr", 0 < cfg.lr < math.inf, "finite and > 0"),
+            ("beta1", 0 <= cfg.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= cfg.beta2 < 1, "in [0, 1)"),
+            ("eps", 0 < cfg.eps < math.inf, "finite and > 0"),
+            ("weight_decay", 0 <= cfg.weight_decay < math.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {wanted}, got {getattr(cfg, name)!r}")
         if cfg.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {cfg.batch_size}")
         if len(cfg.split_fractions) != 3:
@@ -226,10 +234,9 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        if "fnn_hidden" in kwargs:
-            kwargs["fnn_hidden"] = tuple(kwargs["fnn_hidden"])
-        if "split_fractions" in kwargs:
-            kwargs["split_fractions"] = tuple(kwargs["split_fractions"])
+        for name in ("fnn_hidden", "split_fractions"):
+            if isinstance(kwargs.get(name), list):  # anything else is left for resolved() to reject
+                kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
 

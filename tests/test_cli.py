@@ -3,6 +3,8 @@
 import argparse
 import hashlib
 import json
+import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -13,12 +15,23 @@ from checkpoints import HEADER_DEFECTS, rewrite_header
 from flowids import cli
 
 CMD = [sys.executable, "-m", "flowids"]
+NAN = float("nan")  # json.dumps writes it as NaN, which json.load reads back
 
 
 def run(*argv, cwd=None):
     return subprocess.run(
         CMD + [str(a) for a in argv], capture_output=True, text=True, cwd=cwd
     )
+
+
+def check_manifest(first_output, command, config, seed, inputs, outputs):
+    """The manifest beside the first output names the run and digests every file it read and wrote."""
+    manifest = json.loads(pathlib.Path(f"{first_output}.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["config"] == config
+    assert manifest["seed"] == seed
+    for key, paths in (("inputs", inputs), ("outputs", outputs)):
+        assert manifest[key] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
 @pytest.fixture(scope="module")
@@ -127,10 +140,24 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "config, field",
-        [({"epochs": "3", "model": "fnn"}, "epochs"), ({"lr": "0.1"}, "lr"), ({"batch_size": True}, "batch_size")],
-        ids=["epochs-string", "lr-string", "batch-size-bool"],
+        [
+            pytest.param({"epochs": "3", "model": "fnn"}, "epochs", id="epochs-string"),
+            pytest.param({"lr": "0.1"}, "lr", id="lr-string"),
+            pytest.param({"batch_size": True}, "batch_size", id="batch-size-bool"),
+            pytest.param({"fnn_hidden": 5}, "fnn_hidden", id="fnn-hidden-scalar"),
+            pytest.param({"split_fractions": 0.5}, "split_fractions", id="split-fractions-scalar"),
+            pytest.param({"split_fractions": [NAN, 0.5, 0.5]}, "split fractions", id="split-fractions-nan"),
+            pytest.param({"mlp_dim": 0}, "mlp_dim", id="mlp-dim-zero"),
+            pytest.param({"model": "fnn", "lr": NAN}, "lr", id="lr-nan"),
+            pytest.param({"model": "fnn", "weight_decay": NAN}, "weight_decay", id="weight-decay-nan"),
+            pytest.param({"model": "fnn", "eps": 0}, "eps", id="eps-zero"),
+            pytest.param({"model": "fnn", "eps": NAN}, "eps", id="eps-nan"),
+            pytest.param({"model": "fnn", "beta1": 1.0}, "beta1", id="beta1-one"),
+        ],
     )
     def test_non_numeric_config_value_is_usage_error(self, workdir, tmp_path, config, field):
+        """Also the numbers a JSON config can hold that training cannot use: these
+        used to end in a TypeError or ValueError (exit 1) or a non-finite loss (exit 5)."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt",
@@ -138,6 +165,19 @@ class TestTrain:
         assert r.returncode == 2
         assert field in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_negative_mlp_dim_flag_is_usage_error(self, workdir, tmp_path):
+        r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt", "--mlp-dim", -3)
+        assert r.returncode == 2
+        assert "mlp_dim=-3" in r.stderr
+
+    def test_diverging_training_is_numeric_error(self, workdir, tmp_path):
+        """A finite but absurd learning rate passes the config checks and overflows the weights."""
+        r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt",
+                "--model", "fnn", "--lr", 1e308)
+        assert r.returncode == 5
+        assert "non-finite" in r.stderr
+        assert not (tmp_path / "m.ckpt.manifest.json").exists()
 
     def test_missing_data_flag(self, tmp_path):
         r = run("train", "--out", tmp_path / "m.ckpt")
@@ -175,6 +215,27 @@ class TestEval:
                 "--roc", roc)
         assert r.returncode == 0
         assert roc.read_text().splitlines()[0] == "fpr,tpr"
+
+    def test_manifest_beside_first_output(self, workdir, tmp_path):
+        out, roc = tmp_path / "m.json", tmp_path / "roc.csv"
+        inputs = [workdir / "enc.ckpt", workdir / "flows.csv"]
+        config = {"threshold": 0.25, "model_kind": "transformer"}
+        r = run("eval", "--model", inputs[0], "--data", inputs[1], "--threshold", 0.25, "--out", out, "--roc", roc)
+        assert r.returncode == 0, r.stderr
+        check_manifest(out, "eval", config, 0, inputs, [out, roc])
+        assert not (tmp_path / "roc.csv.manifest.json").exists()
+        r = run("eval", "--model", inputs[0], "--data", inputs[1], "--threshold", 0.25, "--roc", roc)
+        assert r.returncode == 0, r.stderr
+        check_manifest(roc, "eval", config, 0, inputs, [roc])
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_no_file_output_writes_no_manifest(self, workdir, tmp_path, monkeypatch, capsys, command):
+        before = {p: p.stat().st_mtime_ns for p in workdir.glob("*.manifest.json")}
+        monkeypatch.chdir(tmp_path)
+        model = "--models" if command == "report" else "--model"
+        assert cli.main([command, model, str(workdir / "fnn.ckpt"), "--data", str(workdir / "flows.csv")]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert {p: p.stat().st_mtime_ns for p in workdir.glob("*.manifest.json")} == before
 
     def test_corrupt_checkpoint_is_data_error(self, workdir, tmp_path):
         blob = bytearray((workdir / "enc.ckpt").read_bytes())
@@ -236,6 +297,13 @@ class TestPredict:
         assert 0.0 <= float(score) <= 1.0
         assert predicted in ("0", "1")
 
+    def test_manifest(self, workdir, tmp_path):
+        out = tmp_path / "scores.csv"
+        inputs = [workdir / "fnn.ckpt", workdir / "flows.csv"]
+        r = run("predict", "--model", inputs[0], "--data", inputs[1], "--out", out)
+        assert r.returncode == 0, r.stderr
+        check_manifest(out, "predict", {"threshold": 0.5, "model_kind": "fnn"}, 0, inputs, [out])
+
     def test_deterministic(self, workdir, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -256,6 +324,14 @@ class TestReport:
         assert any(l.startswith("transformer:") for l in lines)
         assert any(l.startswith("fnn:") for l in lines)
 
+    def test_manifest(self, workdir, tmp_path):
+        out = tmp_path / "table.txt"
+        models = [workdir / "enc.ckpt", workdir / "fnn.ckpt"]
+        r = run("report", "--models", *models, "--data", workdir / "flows.csv", "--out", out)
+        assert r.returncode == 0, r.stderr
+        config = {"threshold": 0.5, "models": [str(m) for m in models]}
+        check_manifest(out, "report", config, None, models + [workdir / "flows.csv"], [out])
+
     def test_single_class_data_is_data_error(self, workdir, tmp_path):
         import csv as csv_mod
 
@@ -268,3 +344,21 @@ class TestReport:
         r = run("report", "--models", workdir / "enc.ckpt", "--data", csv_path)
         assert r.returncode == 3
         assert "both classes" in r.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["eval", "predict", "report"])
+def test_non_finite_threshold_is_usage_error(workdir, tmp_path, command, value):
+    """A nan threshold compares false against every score and would call every row normal."""
+    model = "--models" if command == "report" else "--model"
+    out = ["--out", tmp_path / "scores.csv"] if command == "predict" else []
+    r = run(command, model, workdir / "enc.ckpt", "--data", workdir / "flows.csv", "--threshold", value, *out)
+    assert r.returncode == 2
+    assert "--threshold" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_code_table_matches_readme():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    documented = {int(code) for code in re.findall(r"^\| (\d+) \|", readme, re.M)}
+    assert documented == set(cli.EXIT_CODES.values()) == {2, 3, 4, 5, 6}

@@ -304,6 +304,8 @@ class TestSplit:
             split(ds, (0.5, 0.2, 0.2), seed=0)
         with pytest.raises(ConfigError):
             split(ds, (0.8, -0.2, 0.4), seed=0)
+        with pytest.raises(ConfigError):  # nan passes `f <= 0` and makes the sum nan
+            split(ds, (float("nan"), 0.5, 0.5), seed=0)
 
     def test_empty_class_warns(self):
         ds = synth(60, seed=7)

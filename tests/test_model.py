@@ -57,6 +57,9 @@ class TestEncoderConfig:
             EncoderConfig(dim=0).validate()
         with pytest.raises(ConfigError):
             EncoderConfig(blocks=-1).validate()
+        for mlp_dim in (0, -3):
+            with pytest.raises(ConfigError, match="mlp_dim"):
+                EncoderConfig(mlp_dim=mlp_dim).validate()
 
 
 class TestInit:

@@ -165,6 +165,17 @@ class TestFitSchema:
         with pytest.raises(SchemaError, match="sttl"):
             fit_schema([_rec(0), bad], "unsw")
 
+    @pytest.mark.parametrize(
+        "cell, reason",
+        [("fast", "cannot parse"), ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite")],
+    )
+    def test_bad_numeric_cell_names_record_and_column(self, cell, reason):
+        """load_csv's rule: a cell that does not parse or is not finite never reaches a range."""
+        recs = _records()
+        recs[2].values["Sload"] = cell
+        with pytest.raises(DataError, match=f"record 2, column 'Sload': {reason}"):
+            fit_schema(recs, "unsw")
+
     def test_roundtrip_through_dict(self):
         schema = fit_schema(_records(), "unsw")
         clone = Schema.from_dict(schema.to_dict())

@@ -269,14 +269,34 @@ class TestTrainConfig:
             pytest.param({"fnn_hidden": 64}, "fnn_hidden", id="fnn_hidden"),
             pytest.param({"fnn_hidden": [64, "64"]}, "fnn_hidden[1]", id="fnn_hidden[1]"),
             pytest.param({"split_fractions": [0.6, 0.2, None]}, "split_fractions[2]", id="split_fractions[2]"),
+            pytest.param({"split_fractions": 0.5}, "split_fractions", id="split_fractions"),
             pytest.param({"weight_decay": False}, "weight_decay", id="weight_decay"),
         ],
     )
     def test_non_numeric_value_rejected(self, overrides, field):
-        """JSON configs reach resolved() unchecked; a string or a bool must
-        fail there with the field's name, not deep inside training."""
+        """JSON configs reach resolved() through from_dict unchecked; a string,
+        a bool or a scalar for a list must fail there with the field's name,
+        not deep inside training."""
         with pytest.raises(ConfigError, match=re.escape(field)):
-            TrainConfig(**{"model": "fnn", **overrides}).resolved()
+            TrainConfig.from_dict({"model": "fnn", **overrides}).resolved()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+            ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")), ("beta2", 1.0),
+            ("eps", 0.0), ("eps", float("nan")), ("eps", float("inf")),
+            ("weight_decay", -0.01), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ],
+    )
+    def test_out_of_range_optimizer_value_rejected(self, field, value):
+        """Each of these would surface only as a non-finite loss (exit 5) or a silent no-op."""
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(model="fnn", **{field: value}).resolved()
+
+    def test_optimizer_range_edges_accepted(self):
+        cfg = TrainConfig(model="fnn", lr=1e308, beta1=0.0, beta2=0.0, eps=5e-324, weight_decay=0.0).resolved()
+        assert (cfg.beta1, cfg.beta2, cfg.weight_decay) == (0.0, 0.0, 0.0)
 
     def test_numpy_numbers_accepted(self):
         cfg = TrainConfig(model="fnn", seed=np.int64(3), lr=np.float64(0.01)).resolved()
