@@ -28,7 +28,7 @@ for name, cfg in configs.items():
     for row in result.log.rows:
         print(
             f"epoch {row.epoch:3d}  train loss {row.train_loss:.4f}  "
-            f"train acc {row.train_acc:.4f}  val acc {row.val_acc:.4f}"
+            f"running train acc {row.train_acc:.4f}  val acc {row.val_acc:.4f}"
         )
     results[name] = result
 

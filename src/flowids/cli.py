@@ -26,7 +26,7 @@ import numpy as np
 from . import dataio, metrics
 from . import model as M
 from .errors import ConfigError, DataError, IncompatibilityError, IntegrityError, NumericError, SchemaError
-from .sentencing import encode_batch
+from .sentencing import PROFILES, encode_batch
 from .training import TrainConfig, predict_scores, train
 
 # Exit code per error class; no class here subclasses another entry, so order does not matter.
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and save a checkpoint")
     p.add_argument("--data", required=True, help="training CSV")
-    p.add_argument("--profile", default="synthetic", help="column profile of the CSV")
+    p.add_argument("--profile", choices=tuple(PROFILES), default="synthetic", help="column profile of the CSV")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--model", choices=tuple(M.KINDS))

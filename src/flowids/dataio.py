@@ -241,6 +241,8 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
     """
     if n < 10:
         raise ConfigError(f"synthetic datasets need n >= 10, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if difficulty not in SYNTH_DISTS:
         raise ConfigError(f"difficulty must be one of {sorted(SYNTH_DISTS)}, got {difficulty!r}")
     rng = np.random.default_rng(seed)

@@ -242,6 +242,14 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    """One training-log row.
+
+    train_loss and train_acc are running figures over the epoch's steps:
+    each training row counts with the logits of the step that trained on
+    it, computed before that step's update. val_loss and val_acc come from
+    one pass over the validation split with the end-of-epoch parameters.
+    """
+
     epoch: int
     train_loss: float
     train_acc: float
@@ -301,6 +309,11 @@ def _scores(logits: np.ndarray) -> np.ndarray:
     return e[:, 1] / e.sum(axis=1)
 
 
+def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
+    """Share of rows whose class-1 score at threshold 0.5 matches the label."""
+    return float(np.mean((_scores(logits) >= 0.5).astype(np.int64) == y))
+
+
 def predict_scores(params, x: np.ndarray, *, mask: bool | None = None) -> np.ndarray:
     """P(attack) per row, i.e. the softmax weight of class 1, masked as the model was built.
 
@@ -317,8 +330,7 @@ def evaluate(params, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     logits = _batched_logits(params, x)
     with T.no_grad():
         loss = cross_entropy(Tensor(logits), y).item()
-    acc = float(np.mean((_scores(logits) >= 0.5).astype(np.int64) == y))
-    return loss, acc
+    return loss, _accuracy(logits, y)
 
 
 def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainResult:
@@ -350,13 +362,16 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
     rng = np.random.default_rng(config.seed + 1)
     log = TrainLog()
     n = len(y_train)
+    train_logits = np.empty((n, 2))
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         total = 0.0
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             T.clear_tape()
-            loss = cross_entropy(params.logits(x_train[idx]), y_train[idx])
+            logits = params.logits(x_train[idx])
+            train_logits[idx] = logits.data
+            loss = cross_entropy(logits, y_train[idx])
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
@@ -365,10 +380,10 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
             opt.zero_grad()  # so no step's gradients outlive it, nor sit in the returned params
             total += value * len(idx)
         T.clear_tape()
-        # train_loss is the running average over the epoch's steps, so it
-        # reflects the parameters as they moved, not a second full pass.
+        # running figures over the epoch's steps (see EpochStats), so the
+        # training split gets no second forward pass
         train_loss = total / n
-        _, train_acc = evaluate(params, x_train, y_train)
+        train_acc = _accuracy(train_logits, y_train)
         if y_val.size:
             val_loss, val_acc = evaluate(params, x_val, y_val)
         else:

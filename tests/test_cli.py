@@ -82,6 +82,13 @@ class TestSynth:
         r = run("synth", "--out", tmp_path / "x.csv")
         assert r.returncode == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        r = run("synth", "--n", 100, "--seed", -1, "--out", tmp_path / "x.csv")
+        assert r.returncode == 2
+        assert "seed must be >= 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestTrain:
     def test_reports_final_accuracy(self, workdir):
@@ -178,6 +185,12 @@ class TestTrain:
         assert r.returncode == 5
         assert "non-finite" in r.stderr
         assert not (tmp_path / "m.ckpt.manifest.json").exists()
+
+    def test_unknown_profile_is_usage_error(self, workdir, tmp_path):
+        r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt", "--profile", "nosuch")
+        assert r.returncode == 2
+        assert "--profile" in r.stderr and "nosuch" in r.stderr
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_data_flag(self, tmp_path):
         r = run("train", "--out", tmp_path / "m.ckpt")

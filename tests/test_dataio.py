@@ -59,8 +59,16 @@ class TestLoadCsv:
         ds, summary = load_csv(FIXTURES / "ton_tiny.csv", "ton")
         assert summary.rows_loaded == 8
         assert summary.rows_rejected == 1
-        schema = fit_schema(ds.records, "ton")
+        with pytest.warns(UserWarning) as caught:
+            schema = fit_schema(ds.records, "ton")
         assert schema.width == 11
+        assert [str(w.message) for w in caught] == [
+            f"feature {name!r} is constant in the training split" for name in ("date", "latitude", "longitude")
+        ]
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(SchemaError, match="unknown profile 'nosuch'"):
+            load_csv(FIXTURES / "ton_tiny.csv", "nosuch")
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -250,6 +258,10 @@ class TestSynth:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError, match=">= 10"):
             synth(5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            synth(100, seed=-1)
 
     def test_unknown_difficulty_rejected(self):
         with pytest.raises(ConfigError, match="difficulty"):

@@ -162,8 +162,13 @@ class TestFitSchema:
     def test_missing_column_names_it(self):
         bad = _rec(7)
         del bad.values["sttl"]
-        with pytest.raises(SchemaError, match="sttl"):
+        with pytest.warns(UserWarning) as caught, pytest.raises(SchemaError, match="sttl"):
             fit_schema([_rec(0), bad], "unsw")
+        # two identical records: every numeric column fitted before sttl is constant
+        constant = ("Sload", "Dload", "Stime", "Ltime", "Spkts", "srcport", "dstport", "Dpkts", "dur")
+        assert [str(w.message) for w in caught] == [
+            f"feature {name!r} is constant in the training split" for name in constant
+        ]
 
     @pytest.mark.parametrize(
         "cell, reason",

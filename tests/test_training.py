@@ -10,7 +10,7 @@ import pytest
 import flowids.tensor as T
 from flowids import dataio
 from flowids.errors import ConfigError, ContractError, DataError, NumericError
-from flowids.model import EncoderConfig, init_fnn, init_params
+from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
 from flowids.sentencing import encode_batch
 from flowids.tensor import Tensor
 from flowids.training import (
@@ -368,6 +368,41 @@ class TestTrainLoop:
         ds = dataio.synth(60, seed=5, difficulty="separable")
         res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=2))
         assert [name for name, t in res.params.named_parameters() if t.grad is not None] == []
+
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_one_step_train_acc_is_accuracy_before_the_update(self, kind):
+        """With one epoch of one batch, every training row is scored by the
+        freshly initialised parameters, so train_acc is evaluate's accuracy of
+        those parameters on the training split, not of the updated ones."""
+        ds = dataio.synth(120, seed=3, difficulty="separable")
+        res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=1, lr=1e-2, seed=1, batch_size=1000))
+        x, y = encode_batch(res.train.records, res.schema)
+        cfg = res.config
+        if kind == "transformer":
+            fresh = init_params(cfg.encoder(), tokens=res.schema.width, seed=cfg.seed)
+        else:
+            fresh = init_fnn(res.schema.width, hidden=cfg.fnn_hidden, seed=cfg.seed)
+        _, before = evaluate(fresh, x, y)
+        _, after = evaluate(res.params, x, y)
+        assert before != after  # the one step moved the accuracy, so the two readings differ
+        assert res.log.rows[0].train_acc == before
+
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_each_row_passes_the_model_once_per_epoch(self, kind, monkeypatch):
+        """Training rows go through the model only in their step, validation
+        rows once at each epoch's end: no second pass over the training split."""
+        seen = []
+        cls = KINDS[kind]
+        forward = cls.logits
+
+        def counting(self, x):
+            seen.append(len(x))
+            return forward(self, x)
+
+        monkeypatch.setattr(cls, "logits", counting)
+        ds = dataio.synth(80, seed=3, difficulty="separable")
+        res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=3))
+        assert sum(seen) == 3 * (len(res.train) + len(res.validation))
 
     def test_log_has_one_row_per_epoch(self):
         ds = dataio.synth(60, seed=5, difficulty="separable")
