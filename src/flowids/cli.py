@@ -95,8 +95,8 @@ def _build_train_config(args) -> TrainConfig:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 merged = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: not valid JSON ({exc})")
+        except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8, or too deep
+            raise ConfigError(f"{args.config}: not valid UTF-8 JSON ({exc})")
         if not isinstance(merged, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
     for f in fields(TrainConfig):  # a train flag's dest is its field's name

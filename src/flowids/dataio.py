@@ -99,13 +99,18 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     layout = profile_columns(profile)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        for name in [name for name, _ in layout["features"]] + [layout["label"]]:
-            if name not in header:
-                raise SchemaError(f"{path}: missing required column {name!r}")
-        at = {name: i for i, name in enumerate(header)}  # a repeated name: the last one wins
-        width = len(header)
-        rows = [row if len(row) >= width else row + [None] * (width - len(row)) for row in reader if row]
+        try:
+            header = next(reader, [])
+            for name in [name for name, _ in layout["features"]] + [layout["label"]]:
+                if name not in header:
+                    raise SchemaError(f"{path}: missing required column {name!r}")
+            at = {name: i for i, name in enumerate(header)}  # a repeated name: the last one wins
+            width = len(header)
+            rows = [row if len(row) >= width else row + [None] * (width - len(row)) for row in reader if row]
+        except UnicodeDecodeError:  # text decodes a block at a time, so the bad byte follows line_num
+            raise DataError(f"{path}: not UTF-8 text at or after line {reader.line_num + 1}") from None
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), which stays as it is
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     reasons: dict[int, str] = {}  # row index -> first failing column
     for name, kind in layout["features"]:
         if kind == NOMINAL:
@@ -245,6 +250,7 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if difficulty not in SYNTH_DISTS:
         raise ConfigError(f"difficulty must be one of {sorted(SYNTH_DISTS)}, got {difficulty!r}")
+    noisy_sload = noisy_sload_dists(bayes_error)  # checks bayes_error whatever the difficulty
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
     labels[: n // 2] = 1
@@ -253,7 +259,7 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
 
     dists = dict(SYNTH_DISTS[difficulty])
     if difficulty == "noisy":
-        dists["Sload"] = noisy_sload_dists(bayes_error)
+        dists["Sload"] = noisy_sload
 
     numeric: dict[str, np.ndarray] = {}
     for name, by_class in dists.items():

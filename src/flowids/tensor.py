@@ -11,7 +11,8 @@ backward rules keep references to the arrays they were recorded with. That
 is safe because no op writes into an input or output array: every op and
 every backward rule builds new arrays. The one writer of parameter storage
 is ``training.AdamW``, which owns it and updates it in place after the
-backward pass has finished with the tape.
+backward pass has finished with the tape; it also writes its flat gradient
+and scratch buffers in place, and no tensor views those.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     """Register ``backward`` for ``out`` if any input participates in grads.
 
     ``backward(g)`` receives the upstream gradient for ``out`` and must
-    return one gradient array (or None) per input, in order. Custom
+    return one gradient array (or None) per input, in order. A rule may
+    return None for an input that does not require grad, so it need not
+    compute a gradient that nothing reads. Custom
     primitives outside this module (e.g. the fused cross-entropy) use this
     entry point directly.
     """
@@ -119,10 +122,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -151,8 +154,8 @@ def mul(a: Tensor, b) -> Tensor:
         out,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         ),
     )
 
@@ -175,14 +178,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not align")
 
     def back(g):
+        ga = gb = None  # an input that does not require grad gets no gradient
         if b.data.ndim == 2:
             # a 2-D weight: fold a's batch axes into rows, one GEMM per grad
             d, k = b.data.shape
             g2 = g.reshape(-1, k)
-            return (g2 @ b.data.T).reshape(a.data.shape), a.data.reshape(-1, d).T @ g2
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+            if a.requires_grad:
+                ga = (g2 @ b.data.T).reshape(a.data.shape)
+            if b.requires_grad:
+                gb = a.data.reshape(-1, d).T @ g2
+        else:
+            if a.requires_grad:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return ga, gb
 
     return record(out, (a, b), back)
 
@@ -233,8 +243,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def back(g):
         axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
+        dgamma = np.add.reduce(g * xhat, axis=axes)
+        dbeta = np.add.reduce(g, axis=axes)
         dxhat = g * gamma.data
         dx = inv * (
             dxhat

@@ -50,11 +50,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         i = int(bad[0])
         raise DataError(f"label at row {i} is {labels[i]}, outside 0..{k - 1}")
 
-    m = z.max(axis=1, keepdims=True)
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    out = Tensor(np.asarray(-logp[np.arange(n), labels].mean()))
+    # the reduce ufuncs are what .max/.sum/.mean compute, without their overhead
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    out = Tensor(np.asarray(-(np.add.reduce(logp[np.arange(n), labels]) / n)))
     probs = np.exp(logp)
 
     def backward(g):
@@ -65,17 +64,41 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return T.record(out, (logits,), backward)
 
 
+def _adamw_update(w, g, m, v, a, b, step, lr, beta1, beta2, eps, weight_decay) -> None:
+    """One AdamW update of w, m and v in place, with a and b as scratch.
+
+    adamw_step and AdamW.step both run this. Each line is one IEEE
+    operation, in the order that this expression evaluates them:
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        w = w - lr * (m / (1 - beta1**step) / (sqrt(v / (1 - beta2**step)) + eps) + weight_decay * w)
+    """
+    np.multiply(m, beta1, out=m)
+    np.multiply(g, 1.0 - beta1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(g, 1.0 - beta2, out=a)
+    np.multiply(a, g, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, 1.0 - beta1**step, out=a)
+    np.divide(v, 1.0 - beta2**step, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, eps, out=b)
+    np.divide(a, b, out=a)
+    np.multiply(w, weight_decay, out=b)
+    np.add(a, b, out=a)
+    np.multiply(a, lr, out=a)
+    np.subtract(w, a, out=w)
+
+
 def adamw_step(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
     """One AdamW update; pure function, returns new (w, m, v) arrays.
 
     step is the 1-based update count used for bias correction. Weight decay
     is decoupled: it scales the incoming weight, not the gradient.
     """
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    w = w - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
+    w, m, v = (np.array(x, dtype=np.float64) for x in (w, m, v))
+    _adamw_update(w, g, m, v, np.empty_like(w), np.empty_like(w), step, lr, beta1, beta2, eps, weight_decay)
     return w, m, v
 
 
@@ -84,7 +107,9 @@ class AdamW:
 
     Construction moves every parameter into one flat float64 buffer and
     rebinds each ``Tensor.data`` to a view of its slice, so a step is one
-    elementwise ``adamw_step`` over the whole buffer, written back in place.
+    elementwise update over the whole buffer, in place. It gathers the
+    gradients into a preallocated flat vector and works in two preallocated
+    scratch vectors, so a step allocates no array the size of the parameters.
     The optimizer owns that storage from then on: a parameter whose ``data``
     is later rebound is no longer updated. ``state[name]`` is the
     parameter's ``(m, v)`` pair, as views of the flat moment buffers.
@@ -104,8 +129,7 @@ class AdamW:
         self.weight_decay = weight_decay
         self.step_count = 0
         self._w = np.concatenate([t.data.reshape(-1) for _, t in self.params])
-        self._m = np.zeros_like(self._w)
-        self._v = np.zeros_like(self._w)
+        self._m, self._v, self._g, self._a, self._b = (np.zeros_like(self._w) for _ in range(5))
         self._slices = []
         self.state = {}
         start = 0
@@ -123,29 +147,16 @@ class AdamW:
     def step(self) -> None:
         """Update every parameter that received a gradient this round."""
         self.step_count += 1
-        missing = [t.grad is None for _, t in self.params]
-        g = np.concatenate(
-            [np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1) for _, t in self.params]
+        np.concatenate(
+            [np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1) for _, t in self.params], out=self._g
         )
-        w, m, v = adamw_step(
-            self._w,
-            g,
-            self._m,
-            self._v,
-            self.step_count,
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-            self.weight_decay,
-        )
-        if not any(missing):
-            self._w[...], self._m[...], self._v[...] = w, m, v
-            return
         # a parameter without a grad keeps its weight and its moments
-        for sl, skip in zip(self._slices, missing):
-            if not skip:
-                self._w[sl], self._m[sl], self._v[sl] = w[sl], m[sl], v[sl]
+        kept = [(sl, self._w[sl].copy(), self._m[sl].copy(), self._v[sl].copy())
+                for sl, (_, t) in zip(self._slices, self.params) if t.grad is None]
+        _adamw_update(self._w, self._g, self._m, self._v, self._a, self._b, self.step_count,
+                      self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
+        for sl, w, m, v in kept:
+            self._w[sl], self._m[sl], self._v[sl] = w, m, v
 
 
 # Numeric TrainConfig fields (each entry, for the tuples) by type; bools are neither.

@@ -72,6 +72,16 @@ def np_fnn_logits(x, params):
     return h @ params.w3.data + params.b3.data
 
 
+def np_adamw(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+    """AdamW with bias correction and decoupled weight decay, one expression per quantity."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    w = w - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
+    return w, m, v
+
+
 # --- metric transcriptions -------------------------------------------------
 # Written straight from the defining formulas, zero-denominator cases -> 0.
 

@@ -78,6 +78,15 @@ class TestSynth:
         assert r.returncode == 2
         assert "error" in r.stderr
 
+    @pytest.mark.parametrize("difficulty", ["separable", "noisy"])
+    def test_bad_bayes_error_is_usage_error(self, tmp_path, difficulty):
+        """Checked whatever the difficulty; separable data used to accept it and record it."""
+        out = tmp_path / "x.csv"
+        r = run("synth", "--n", 20, "--difficulty", difficulty, "--bayes-error", 0.7, "--out", out)
+        assert r.returncode == 2
+        assert "bayes_error" in r.stderr
+        assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
     def test_missing_required_flag(self, tmp_path):
         r = run("synth", "--out", tmp_path / "x.csv")
         assert r.returncode == 2
@@ -192,6 +201,31 @@ class TestTrain:
         assert "--profile" in r.stderr and "nosuch" in r.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            pytest.param(b'{"lr": 0.1\xff}', id="not-utf8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deep"),
+        ],
+    )
+    def test_unreadable_config_is_usage_error(self, workdir, tmp_path, blob):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(blob)
+        r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt", "--config", cfg_path)
+        assert r.returncode == 2
+        assert str(cfg_path) in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_oversized_cell_is_data_error(self, workdir, tmp_path):
+        """A cell over csv.field_size_limit() names the file and line (it used to end in a traceback)."""
+        lines = (workdir / "flows.csv").read_text().splitlines()
+        lines[1] = "x" * 200_000 + lines[1][lines[1].index(","):]
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        r = run("train", "--data", csv_path, "--out", tmp_path / "m.ckpt")
+        assert r.returncode == 3
+        assert f"{csv_path}: line 2: field larger than field limit" in r.stderr
+
     def test_missing_data_flag(self, tmp_path):
         r = run("train", "--out", tmp_path / "m.ckpt")
         assert r.returncode == 2
@@ -288,6 +322,14 @@ class TestEval:
         r = run("eval", "--model", bad, "--data", workdir / "flows.csv")
         assert r.returncode == 4
         assert "version" in r.stderr
+
+    def test_non_utf8_csv_is_data_error(self, workdir, tmp_path):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(b"a,b\n\xff\xfe,1\n")
+        r = run("eval", "--model", workdir / "fnn.ckpt", "--data", csv_path)
+        assert r.returncode == 3
+        assert f"{csv_path}: not UTF-8 text" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_wrong_columns_is_data_error(self, workdir, tmp_path):
         csv_path = tmp_path / "short.csv"

@@ -1,5 +1,6 @@
 """CSV loading, synthetic generation, splitting, checkpoint container."""
 
+import csv
 import hashlib
 import json
 import pathlib
@@ -50,6 +51,26 @@ class TestLoadCsv:
         """The fixture's svc column is not in the profile and must not leak."""
         ds, _ = load_csv(FIXTURES / "unsw_tiny.csv", "unsw")
         assert "svc" not in ds.records[0].values
+
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        """The text decodes a block at a time, so a bad byte anywhere in the
+        first block is reported from line 1."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"srcip,label\n\xff\xfe,1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text at or after line 1")):
+            load_csv(path, "synthetic")
+
+    def test_oversized_cell_names_file_and_line(self, tmp_path):
+        """The process-wide csv.field_size_limit() is left as it was."""
+        path = tmp_path / "big.csv"
+        write_csv(synth(20, seed=0), path)
+        lines = path.read_text().splitlines()
+        lines[3] = "x" * 200_000 + lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        limit = csv.field_size_limit()
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 4: field larger than field limit")):
+            load_csv(path, "synthetic")
+        assert csv.field_size_limit() == limit
 
     def test_labels_parsed(self):
         ds, _ = load_csv(FIXTURES / "unsw_tiny.csv", "unsw")
@@ -270,6 +291,11 @@ class TestSynth:
     def test_bad_bayes_error_rejected(self):
         with pytest.raises(ConfigError, match="bayes"):
             synth(100, seed=0, difficulty="noisy", bayes_error=0.7)
+
+    @pytest.mark.parametrize("bayes_error", [0.7, 0.0, float("nan")])
+    def test_bad_bayes_error_rejected_for_separable_data(self, bayes_error):
+        with pytest.raises(ConfigError, match="bayes_error must be in"):
+            synth(100, seed=0, difficulty="separable", bayes_error=bayes_error)
 
     def test_dist_mean_var(self):
         assert dist_mean_var(("uniform", 0.0, 1.0)) == (0.5, 1.0 / 12.0)

@@ -1,16 +1,24 @@
 """Property tests over generated inputs (hypothesis, a declared test dependency)."""
 
+import contextlib
+import io
+import json
 import math
 import tempfile
+import warnings
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowids.dataio import Dataset, FlowRecord, load_csv, write_csv
+from flowids import cli
+from flowids.dataio import Dataset, FlowRecord, load_csv, synth, write_csv
 from flowids.sentencing import NOMINAL, NUMERIC, PROFILES, FeatureSpec, Schema, encode, encode_batch
+from flowids.training import TrainConfig
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -102,3 +110,91 @@ def test_csv_round_trip_keeps_values_labels_and_order(rows):
         back, summary = load_csv(path, "synthetic")
     assert summary.rows_rejected == 0
     assert [(r.values, r.label) for r in back.records] == rows
+
+
+# --- the CLI never ends in a traceback (exit 1) ------------------------------
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
+
+
+def quiet_main(argv) -> int:
+    """cli.main with its output and warnings swallowed; an exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return cli.main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def flows(tmp_path_factory):
+    """A small synth CSV's bytes and an FNN checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("no_exit_1")
+    write_csv(synth(40, seed=1, difficulty="noisy"), root / "flows.csv")
+    argv = ["train", "--data", root / "flows.csv", "--model", "fnn", "--epochs", 1, "--out", root / "m.ckpt"]
+    assert quiet_main(argv) == 0
+    return (root / "flows.csv").read_bytes(), root / "m.ckpt"
+
+
+position = st.integers(0, 10**6)  # taken modulo the length of the bytes
+nasty = st.sampled_from([b"\xff", b"\xc3", b"\x00", b'"', b'"a,b"', b"\n", b"\r", b",", b"nan", b"-1e999", b"x" * 200_000])
+edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), position, st.integers(1, 255)),
+        st.tuples(st.just("insert"), position, nasty | st.binary(min_size=1, max_size=4)),
+        st.tuples(st.just("truncate"), position, st.none()),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate(data: bytes, edit_list) -> bytes:
+    data = bytearray(data)
+    for kind, at, arg in edit_list:
+        at %= len(data) + 1
+        if kind == "flip" and data:
+            data[at % len(data)] ^= arg
+        elif kind == "insert":
+            data[at:at] = arg
+        elif kind == "truncate":
+            del data[at:]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(edits)
+@example(edit_list=[("insert", 150, b"x" * 200_000)])  # an oversized cell in the first data row
+@example(edit_list=[("insert", 150, b"\xff")])
+def test_mutated_csv_never_exits_1(flows, command, edit_list):
+    """Flipped bytes, truncation, bytes that are not UTF-8, NULs, quotes and
+    oversized cells end in a documented exit code, never in a traceback."""
+    data, model = flows
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.csv"
+        path.write_bytes(mutate(data, edit_list))
+        if command == "eval":
+            argv = ["eval", "--model", model, "--data", path]
+        else:
+            argv = ["train", "--model", "fnn", "--epochs", 1, "--data", path, "--out", Path(tmp) / "m.ckpt"]
+        assert quiet_main(argv) in DOCUMENTED_EXITS
+
+
+small = st.integers(-2, 4)
+json_value = st.none() | st.booleans() | small | st.floats() | st.text(max_size=3) | st.lists(small | st.floats(), max_size=4)
+json_config = st.dictionaries(st.sampled_from([f.name for f in fields(TrainConfig)] + ["nosuch"]), json_value)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.binary(max_size=40) | json_config.map(lambda d: json.dumps(d).encode()))
+def test_any_config_file_never_exits_1(flows, blob):
+    """Arbitrary bytes, and JSON objects of any config field with values of
+    the wrong type or range, end in a documented exit code. The flags keep
+    training to one epoch of the FNN."""
+    data, _ = flows
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "flows.csv").write_bytes(data)
+        (Path(tmp) / "c.json").write_bytes(blob)
+        argv = ["train", "--model", "fnn", "--epochs", 1, "--data", Path(tmp) / "flows.csv",
+                "--config", Path(tmp) / "c.json", "--out", Path(tmp) / "m.ckpt"]
+        assert quiet_main(argv) in DOCUMENTED_EXITS

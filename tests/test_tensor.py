@@ -245,6 +245,44 @@ class TestBackward:
         assert not out.requires_grad
 
 
+class TestUnreadGradients:
+    """A matmul or mul rule returns None for an input that does not require
+    grad, and the other input's gradient is the product it always was."""
+
+    def _rule(self):
+        return T.active_tape()[-1][2]
+
+    def test_matmul_with_a_2d_weight(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 5, 3)))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        T.matmul(x, w)
+        g = rng.normal(size=(4, 5, 2))
+        gx, gw = self._rule()(g)
+        assert gx is None
+        np.testing.assert_array_equal(gw, x.data.reshape(-1, 3).T @ g.reshape(-1, 2))
+
+    def test_matmul_batched(self):
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3, 5)))
+        T.matmul(a, b)
+        g = rng.normal(size=(2, 4, 5))
+        ga, gb = self._rule()(g)
+        assert gb is None
+        np.testing.assert_array_equal(ga, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+
+    def test_mul_broadcast_over_a_batch(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(4, 13, 1)))
+        embed = Tensor(rng.normal(size=(13, 8)), requires_grad=True)
+        T.mul(x, embed)
+        g = rng.normal(size=(4, 13, 8))
+        gx, ge = self._rule()(g)
+        assert gx is None
+        np.testing.assert_array_equal(ge, (g * x.data).sum(axis=0))
+
+
 class TestFiniteForward:
     def test_forward_stays_finite_for_bounded_params(self):
         rng = np.random.default_rng(10)

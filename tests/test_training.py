@@ -25,7 +25,7 @@ from flowids.training import (
     train,
 )
 from fd import central_diff, max_rel_error
-from oracles import np_fnn_logits, np_model_logits, np_softmax
+from oracles import np_adamw, np_fnn_logits, np_model_logits, np_softmax
 
 
 def _default_step_inputs(batch: int):
@@ -190,28 +190,57 @@ class TestAdamWClass:
             AdamW([("a", a)], lr=-0.1)
 
     def test_flat_buffer_matches_per_parameter_loop(self):
-        """Three steps over mixed shapes equal adamw_step looped per parameter,
-        bit for bit; the parameter that never gets a grad keeps its weight and
-        zero moments."""
+        """Four steps over mixed shapes give the plain-expression oracle's bits,
+        looped per parameter, through AdamW.step and through adamw_step, which
+        leaves its inputs as they were. A parameter without a grad keeps its
+        weight and moments: "idle" never gets one, and one more sits out each
+        round after it has moments."""
         rng = np.random.default_rng(4)
         shapes = {"w": (3, 4), "b": (4,), "s": (), "idle": (2, 2), "t": (2, 1, 3)}
+        hyper = dict(lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6, weight_decay=0.1)
         start = {n: rng.normal(size=s) for n, s in shapes.items()}
-        grads = [{n: rng.normal(size=s) for n, s in shapes.items() if n != "idle"} for _ in range(3)]
         params = {n: Tensor(start[n].copy(), requires_grad=True) for n in shapes}
-        opt = AdamW(list(params.items()), lr=0.05, weight_decay=0.1)
+        opt = AdamW(list(params.items()), **hyper)
         want = {n: (start[n].copy(), np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
-        for step, round_grads in enumerate(grads, start=1):
+        pure = dict(want)
+        for step in range(1, 5):
+            resting = list(shapes)[step]
             for n, t in params.items():
-                t.grad = round_grads.get(n)
+                t.grad = None if n in ("idle", resting) else rng.normal(size=shapes[n])
+                if t.grad is None:
+                    continue
+                want[n] = np_adamw(want[n][0], t.grad, *want[n][1:], step, **hyper)
+                inputs = (pure[n][0], t.grad, *pure[n][1:])
+                before = [a.copy() for a in inputs]
+                pure[n] = adamw_step(*inputs, step, **hyper)
+                assert all(_same_bits(a, b) for a, b in zip(inputs, before))
             opt.step()
-            for n, g in round_grads.items():
-                w, m, v = want[n]
-                want[n] = adamw_step(w, g, m, v, step=step, lr=0.05, weight_decay=0.1)
-        for n, t in params.items():
-            np.testing.assert_array_equal(t.data, want[n][0])
-            np.testing.assert_array_equal(opt.state[n][0], want[n][1])
-            np.testing.assert_array_equal(opt.state[n][1], want[n][2])
-        np.testing.assert_array_equal(params["idle"].data, start["idle"])
+            for n, t in params.items():
+                for got in (pure[n], (t.data, *opt.state[n])):
+                    assert all(_same_bits(a, b) for a, b in zip(got, want[n])), (step, n)
+        assert _same_bits(params["idle"].data, start["idle"])
+
+    def test_step_allocates_under_one_parameter_vector(self):
+        """A step of the default encoder updates in place: its tracemalloc peak
+        stays under one parameter vector (27,362 weights, 218,896 B), where the
+        array-expression update peaked at 8 vectors."""
+        params, x, y = _default_step_inputs(16)
+        vector = sum(t.data.nbytes for _, t in params.named_parameters())
+        assert vector == 218_896
+        opt = AdamW(params.named_parameters(), lr=1e-3)
+        T.backward(cross_entropy(params.logits(x), y))
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vector
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestTrainConfig:
