@@ -107,8 +107,8 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
             at = {name: i for i, name in enumerate(header)}  # a repeated name: the last one wins
             width = len(header)
             rows = [row if len(row) >= width else row + [None] * (width - len(row)) for row in reader if row]
-        except UnicodeDecodeError:  # text decodes a block at a time, so the bad byte follows line_num
-            raise DataError(f"{path}: not UTF-8 text at or after line {reader.line_num + 1}") from None
+        except UnicodeDecodeError:  # raised for a whole decoded block, which can span many lines
+            raise DataError(f"{path}: not UTF-8 text at line {_first_non_utf8_line(path)}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), which stays as it is
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     reasons: dict[int, str] = {}  # row index -> first failing column
@@ -132,6 +132,20 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     if not records:
         raise DataError(f"{path}: no valid rows")
     return Dataset(records=records, profile=profile, provenance=str(path)), summary
+
+
+def _first_non_utf8_line(path) -> int:
+    """The line, from 1, of the first byte in ``path`` that is not UTF-8.
+
+    Lines end where csv ends them, at \\r\\n, \\r or \\n."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    raise DataError(f"{path}: changed while it was read")
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -6,19 +6,29 @@ accumulates gradients into ``Tensor.grad`` for every leaf. The tape persists
 until ``clear_tape()`` (the training loop clears it once per step), so
 calling ``backward`` twice doubles the accumulated grads.
 
+The tape holds keys, not tensors. Each record is (output node, input keys,
+rule): an op's output gets a node number, an input made on the current tape
+is keyed by its node number, and any other input that requires grad is a
+leaf keyed by the ``Tensor`` itself (parameters, or a tensor made before the
+last ``clear_tape()``). A rule captures only what it reads when it runs:
+shapes, axes, or the input or output arrays its formula uses. So an
+activation that no rule reads, such as the attention scores before softmax,
+is freed as soon as the forward pass drops it.
+
 Outputs of ``reshape`` and ``transpose`` are views of their input, and
-backward rules keep references to the arrays they were recorded with. That
-is safe because no op writes into an input or output array: every op and
-every backward rule builds new arrays. The one writer of parameter storage
-is ``training.AdamW``, which owns it and updates it in place after the
-backward pass has finished with the tape; it also writes its flat gradient
-and scratch buffers in place, and no tensor views those.
+backward rules keep references to the arrays they read. That is safe
+because no op writes into an input or output array: every op and every
+backward rule builds new arrays or returns views of ``g``. The one writer
+of parameter storage is ``training.AdamW``, which owns it and updates it in
+place after the backward pass has finished with the tape; it also writes
+its flat gradient and scratch buffers in place, and no tensor views those.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -28,12 +38,13 @@ from .errors import ContractError, DimensionError
 class Tensor:
     """A dense float64 array plus an optional gradient accumulator."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.node = -1  # set by record() when an op's output goes on the tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,7 +60,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-_TAPE: list[tuple[Tensor, tuple[Tensor, ...], object]] = []  # (out, inputs, backward rule)
+_TAPE: list[tuple[int, list, object]] = []  # (output node, input keys, backward rule)
+_NODES = count()  # node numbers only grow, so a tape's nodes are >= its first record's
 _GRAD_ENABLED = True
 
 
@@ -82,33 +94,50 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     compute a gradient that nothing reads. Custom
     primitives outside this module (e.g. the fused cross-entropy) use this
     entry point directly.
+
+    The tape keeps ``out``'s node number and a key per input (its node
+    number, the leaf ``Tensor``, or None if it does not require grad), not
+    the tensors. ``backward`` must therefore capture only what it reads:
+    whatever else the op used is freed once the caller drops it.
     """
     if _GRAD_ENABLED:
+        node = next(_NODES)  # a number left unused when nothing is recorded is harmless
+        base = _TAPE[0][0] if _TAPE else node
+        keys, live = [], False  # a loop: on Python 3.11 a comprehension costs more than the rest
         for t in inputs:
-            if t.requires_grad:
-                out.requires_grad = True
-                _TAPE.append((out, inputs, backward))
-                break
+            if t.node >= base:
+                keys.append(t.node)
+                live = True
+            elif t.requires_grad:
+                keys.append(t)
+                live = True
+            else:
+                keys.append(None)
+        if live:
+            _TAPE.append((node, keys, backward))
+            out.node = node
+            out.requires_grad = True
     return out
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf reachable from loss.
 
-    A leaf is a requires_grad tensor, or the loss, that no tape record
-    produced. Gradients accumulate across calls; the caller zeroes them
-    between optimization steps.
+    A leaf is a requires_grad tensor, or the loss, that no record on the
+    current tape produced. Gradients accumulate across calls; the caller
+    zeroes them between optimization steps.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    grads = {id(loss): (loss, np.ones_like(loss.data))}  # id -> (tensor, gradient so far)
-    for out, inputs, back in reversed(_TAPE):
-        if id(out) in grads:  # a record's output leaves the map as its record replays
-            for t, ig in zip(inputs, back(grads.pop(id(out))[1])):
-                if ig is not None and t.requires_grad:
-                    key = id(t)
-                    grads[key] = (t, grads[key][1] + ig if key in grads else ig)
-    for t, g in grads.values():
+    on_tape = bool(_TAPE) and loss.node >= _TAPE[0][0]
+    grads = {loss.node if on_tape else loss: np.ones_like(loss.data)}  # key -> gradient so far
+    for node, keys, back in reversed(_TAPE):
+        g = grads.pop(node, None)  # a record's output leaves the map as its record replays
+        if g is not None:
+            for key, ig in zip(keys, back(g)):
+                if ig is not None and key is not None:
+                    grads[key] = grads[key] + ig if key in grads else ig
+    for t, g in grads.items():  # only leaf Tensor keys are left
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 
@@ -136,11 +165,8 @@ def add(a: Tensor, b) -> Tensor:
         out = Tensor(a.data + b.data)
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    return record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
+    sa, sb = a.data.shape, b.data.shape
+    return record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -150,12 +176,16 @@ def mul(a: Tensor, b) -> Tensor:
         out = Tensor(a.data * b.data)
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    # each gradient reads the other input, and only if its own input requires grad
+    sa, sb = a.data.shape, b.data.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
     return record(
         out,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            None if bd is None else _unbroadcast(g * bd, sa),
+            None if ad is None else _unbroadcast(g * ad, sb),
         ),
     )
 
@@ -177,21 +207,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not align")
 
+    # each gradient reads the other input, and only if its own input requires grad
+    sa, sb = a.data.shape, b.data.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+
     def back(g):
         ga = gb = None  # an input that does not require grad gets no gradient
-        if b.data.ndim == 2:
+        if len(sb) == 2:
             # a 2-D weight: fold a's batch axes into rows, one GEMM per grad
-            d, k = b.data.shape
+            d, k = sb
             g2 = g.reshape(-1, k)
-            if a.requires_grad:
-                ga = (g2 @ b.data.T).reshape(a.data.shape)
-            if b.requires_grad:
-                gb = a.data.reshape(-1, d).T @ g2
+            if bd is not None:
+                ga = (g2 @ bd.T).reshape(sa)
+            if ad is not None:
+                gb = ad.reshape(-1, d).T @ g2
         else:
-            if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-            if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            if bd is not None:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+            if ad is not None:
+                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
         return ga, gb
 
     return record(out, (a, b), back)
@@ -199,14 +234,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    return record(out, (a,), lambda g: (g * (a.data > 0.0),))
+    y = np.maximum(a.data, 0.0)  # y > 0 exactly where a > 0, so the rule reads y
+    return record(Tensor(y), (a,), lambda g: (g * (y > 0.0),))
 
 
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
-    return record(out, (a,), lambda g: (g / a.data,))
+    x = a.data
+    return record(Tensor(np.log(x)), (a,), lambda g: (g / x,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -239,13 +274,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / dim
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    gain = gamma.data
+    out = Tensor(gain * xhat + beta.data)
 
     def back(g):
         axes = tuple(range(g.ndim - 1))
         dgamma = np.add.reduce(g * xhat, axis=axes)
         dbeta = np.add.reduce(g, axis=axes)
-        dxhat = g * gamma.data
+        dxhat = g * gain
         dx = inv * (
             dxhat
             - np.add.reduce(dxhat, axis=-1, keepdims=True) / dim
@@ -271,7 +307,8 @@ def reshape(a: Tensor, shape) -> Tensor:
         out = Tensor(a.data.reshape(shape))
     except ValueError:
         raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
-    return record(out, (a,), lambda g: (g.reshape(a.data.shape),))
+    source = a.data.shape
+    return record(out, (a,), lambda g: (g.reshape(source),))
 
 
 def concat_last_axis(parts: list[Tensor]) -> Tensor:
@@ -284,11 +321,12 @@ def concat_last_axis(parts: list[Tensor]) -> Tensor:
             + ", ".join(str(p.shape) for p in parts)
         )
     out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    sizes = [p.data.shape[-1] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
+    edges = [0]
+    for p in parts:
+        edges.append(edges[-1] + p.data.shape[-1])
 
     def back(g):
-        return tuple(np.split(g, bounds, axis=-1))
+        return tuple(g[..., lo:hi] for lo, hi in zip(edges, edges[1:]))
 
     return record(out, tuple(parts), back)
 
@@ -297,15 +335,16 @@ def mean_all(a: Tensor) -> Tensor:
     """Mean over every element, yielding a scalar tensor."""
     a = _as_tensor(a)
     out = Tensor(a.data.mean())
-    n = a.data.size
-    return record(out, (a,), lambda g: (np.full(a.data.shape, float(g) / n),))
+    shape, n = a.data.shape, a.data.size
+    return record(out, (a,), lambda g: (np.full(shape, float(g) / n),))
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum over every element, yielding a scalar tensor."""
     a = _as_tensor(a)
     out = Tensor(a.data.sum())
-    return record(out, (a,), lambda g: (np.full(a.data.shape, float(g)),))
+    shape = a.data.shape
+    return record(out, (a,), lambda g: (np.full(shape, float(g)),))
 
 
 @lru_cache(maxsize=16)

@@ -53,11 +53,21 @@ class TestLoadCsv:
         assert "svc" not in ds.records[0].values
 
     def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
-        """The text decodes a block at a time, so a bad byte anywhere in the
-        first block is reported from line 1."""
         path = tmp_path / "bad.csv"
         path.write_bytes(b"srcip,label\n\xff\xfe,1\n")
-        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text at or after line 1")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text at line 2")):
+            load_csv(path, "synthetic")
+
+    def test_non_utf8_byte_past_the_first_block_names_its_line(self, tmp_path):
+        """Text decodes about 8 KB at a time; the line is still the bad byte's
+        own, with write_csv's \\r\\n line ends counted once each."""
+        path = tmp_path / "bad.csv"
+        write_csv(synth(400, seed=0), path)
+        lines = path.read_bytes().split(b"\r\n")
+        assert len(b"\r\n".join(lines[:299])) > 8192
+        lines[299] = lines[299][:3] + b"\xc3" + lines[299][3:]  # a lead byte with no continuation
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text at line 300")):
             load_csv(path, "synthetic")
 
     def test_oversized_cell_names_file_and_line(self, tmp_path):

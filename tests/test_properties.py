@@ -161,7 +161,7 @@ def mutate(data: bytes, edit_list) -> bytes:
     return bytes(data)
 
 
-@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("command", ["eval", "train", "predict", "report"])
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(edits)
 @example(edit_list=[("insert", 150, b"x" * 200_000)])  # an oversized cell in the first data row
@@ -175,6 +175,10 @@ def test_mutated_csv_never_exits_1(flows, command, edit_list):
         path.write_bytes(mutate(data, edit_list))
         if command == "eval":
             argv = ["eval", "--model", model, "--data", path]
+        elif command == "predict":
+            argv = ["predict", "--model", model, "--data", path, "--out", Path(tmp) / "p.csv"]
+        elif command == "report":
+            argv = ["report", "--models", model, model, "--data", path]
         else:
             argv = ["train", "--model", "fnn", "--epochs", 1, "--data", path, "--out", Path(tmp) / "m.ckpt"]
         assert quiet_main(argv) in DOCUMENTED_EXITS

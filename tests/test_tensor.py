@@ -237,6 +237,14 @@ class TestBackward:
         assert other.grad is None
         np.testing.assert_allclose(w.grad, [1.0, 1.0])
 
+    def test_tensor_from_an_earlier_tape_is_a_leaf(self):
+        w = Tensor([2.0], requires_grad=True)
+        y = T.mul(w, w)
+        T.clear_tape()
+        T.backward(T.sum_all(T.mul(y, y)))
+        np.testing.assert_array_equal(y.grad, [8.0])
+        assert w.grad is None
+
     def test_no_grad_disables_recording(self):
         w = Tensor([1.0], requires_grad=True)
         with T.no_grad():
