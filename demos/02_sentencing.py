@@ -37,14 +37,14 @@ print("one raw record:")
 for name in ("srcip", "proto", "Sload", "Stime"):
     print(f"  {name:6s} = {record.values[name]}")
 
-x = sentencing.encode(record, schema)
+(x,), _ = sentencing.encode_batch([record], schema)  # the one row of a (1, width) matrix
 print()
 print("encoded to", x.shape[0], "scalars, all inside [0, 1]:")
 print(" ", np.round(x, 4))
 
 # unseen nominal values fall back to index 0 rather than failing
 stranger = dataio.FlowRecord(dict(record.values, srcip="10.99.99.99"), record.label, 0)
-x2 = sentencing.encode(stranger, schema)
+(x2,), _ = sentencing.encode_batch([stranger], schema)
 print()
 print("srcip never seen at fit time encodes to", x2[0], "(index 0 fallback)")
 

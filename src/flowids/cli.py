@@ -103,8 +103,6 @@ def _build_train_config(args) -> TrainConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             merged[f.name] = value
-    if args.no_mask:
-        merged["mask"] = False
     return TrainConfig.from_dict(merged)
 
 
@@ -175,11 +173,18 @@ def cmd_predict(args) -> Run:
 
 
 def cmd_report(args) -> Run:
-    rows = []
+    rows, datasets, encoded = [], {}, []  # the CSV is read once per profile and encoded once per schema
     for model_path in args.models:
         checkpoint = dataio.load_checkpoint(model_path)
-        scores, truths, _ = _scores_for(checkpoint, args.data)
-        rep = metrics.report(scores, truths, threshold=args.threshold)
+        schema = checkpoint.schema
+        if schema.profile not in datasets:
+            datasets[schema.profile] = _load_dataset(args.data, schema.profile)
+        xy = next((xy for seen, xy in encoded if seen == schema), None)
+        if xy is None:
+            xy = encode_batch(datasets[schema.profile].records, schema)
+            encoded.append((schema, xy))
+        x, truths = xy
+        rep = metrics.report(predict_scores(checkpoint.params, x), truths, threshold=args.threshold)
         rows.append((f"{checkpoint.kind}:{model_path}", rep))
     text = metrics.render_table(rows)
     print(text)
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int)
     p.add_argument("--mlp-dim", type=int, dest="mlp_dim")
     p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--no-mask", action="store_true", dest="no_mask",
+    p.add_argument("--no-mask", action="store_false", dest="mask", default=None,
                    help="ablate the causal attention mask")
     p.add_argument("--log", help="write the per-epoch training log CSV here")
     p.set_defaults(func=cmd_train)

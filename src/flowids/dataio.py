@@ -31,7 +31,7 @@ from .errors import (
 from .sentencing import (
     NOMINAL,
     Schema,
-    parse_checked_column,
+    parse_column,
     profile_columns,
 )
 
@@ -53,9 +53,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
 
 
 @dataclass
@@ -93,9 +90,8 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
 
     Rows read as with csv.DictReader: blank rows are skipped and not numbered, missing cells
     are None, extra cells are ignored, a repeated header name takes its last column. A row
-    with a bad label, or a cell that does not parse for its kind or is nan or infinite, is
-    rejected with the first reason (label, then columns in profile order) in the summary.
-    Each column is checked whole; only a failing one is scanned cell by cell."""
+    with a bad label, or a cell that sentencing.parse_column finds bad, is rejected with the
+    first reason (label, then columns in profile order) in the summary."""
     layout = profile_columns(profile)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -115,7 +111,7 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     for name, kind in layout["features"]:
         if kind == NOMINAL:
             continue
-        for i, reason in parse_checked_column([row[at[name]] for row in rows], kind)[1].items():
+        for i, reason in parse_column([row[at[name]] for row in rows], kind)[1].items():
             reasons.setdefault(i, f"column {name!r}: {reason}")
     columns, label_at = [(name, at[name]) for name, _ in layout["features"]], at[layout["label"]]
     summary, records = LoadSummary(), []

@@ -129,35 +129,27 @@ def parse_cell(cell: str, kind: str) -> float:
     raise ValueError(f"parse_cell does not handle kind {kind!r}")
 
 
-def parse_column(cells, kind: str) -> list[float]:
-    """parse_cell over a column, trying one float() pass first unless boolean;
-    the first bad cell raises parse_cell's error."""
+def parse_column(cells, kind: str) -> tuple[np.ndarray, dict[int, str]]:
+    """Each cell parsed for its kind, plus why each cell that does not parse or is nan or infinite is bad, by index.
+
+    One float() pass serves a column that parses whole and is finite; only otherwise is each
+    cell parsed for its kind. The values are meaningful only where no cell is bad."""
     if kind != BOOLEAN:
         try:
-            return [float(cell) for cell in cells]
+            values = np.array([float(cell) for cell in cells], dtype=np.float64)
+            if np.isfinite(values).all():
+                return values, {}
         except (TypeError, ValueError):
             pass
-    return [parse_cell(cell, kind) for cell in cells]
-
-
-def parse_checked_column(cells, kind: str) -> tuple[list[float], dict[int, str]]:
-    """parse_column, plus why each cell that does not parse or is nan or infinite fails, by index.
-
-    Only a column that fails whole is scanned cell by cell, and then no values are returned."""
-    try:
-        values = parse_column(cells, kind)
-        if np.isfinite(values).all():
-            return values, {}
-    except DataError:
-        pass
-    reasons = {}
+    values, reasons = np.empty(len(cells), dtype=np.float64), {}
     for i, cell in enumerate(cells):
         try:
-            if not math.isfinite(parse_cell(cell, kind)):
+            values[i] = parse_cell(cell, kind)
+            if not math.isfinite(values[i]):
                 reasons[i] = f"non-finite value {cell!r}"
         except DataError as exc:
             reasons[i] = str(exc)
-    return [], reasons
+    return values, reasons
 
 
 @dataclass
@@ -170,16 +162,12 @@ class FeatureSpec:
     lo: float | None = None  # numeric/timestamp/boolean only
     hi: float | None = None
 
-    def encode(self, cell: str) -> float:
-        """Map a raw cell into [0, 1] using the fitted state."""
-        return float(self.encode_column([cell])[0])
-
-    def encode_column(self, cells) -> np.ndarray:
-        """Map a column of raw cells into [0, 1] using the fitted state."""
+    def encode_column(self, column) -> np.ndarray:
+        """Map a checked column into [0, 1] using the fitted state: raw cells if nominal, else parse_column's values."""
         if self.kind == NOMINAL:
-            index = np.array([self.vocab.get(str(cell), 0) for cell in cells], dtype=np.float64)
+            index = np.array([self.vocab.get(str(cell), 0) for cell in column], dtype=np.float64)
             return index / len(self.vocab) if self.vocab else index  # 0 = unseen
-        values = np.array(parse_column(cells, self.kind), dtype=np.float64)
+        values = np.asarray(column, dtype=np.float64)
         if self.hi == self.lo:
             return np.full(values.shape, 0.5)  # constant feature in training: center it
         lo, hi = self.lo, self.hi
@@ -236,31 +224,49 @@ def profile_columns(profile: str) -> dict:
         raise SchemaError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
 
 
+def _checked_columns(records, features) -> list:
+    """Each (name, kind) feature's column over the records: raw cells if nominal, else parse_column's values.
+
+    One rule for every record: a missing column raises SchemaError, and a non-nominal cell
+    that does not parse for its kind or is nan or infinite raises DataError. The error is the
+    first such record's, at its first such column in feature order."""
+    columns, first, error = [], len(records), None
+    for name, kind in features:
+        try:
+            cells = [rec.values[name] for rec in records]
+        except KeyError:  # caught, not looked for: a column that no record misses costs nothing
+            i = next(i for i, rec in enumerate(records) if name not in rec.values)
+            if i < first:
+                first, error = i, SchemaError(f"record {records[i].row} is missing column {name!r}")
+            cells = [rec.values[name] for rec in records[:i]]
+        if kind != NOMINAL:
+            cells, reasons = parse_column(cells, kind)
+            if reasons and min(reasons) < first:
+                first = min(reasons)
+                error = DataError(f"record {records[first].row}, column {name!r}: {reasons[first]}")
+        columns.append(cells)
+    if error is not None:
+        raise error
+    return columns
+
+
 def fit_schema(records, profile: str) -> Schema:
     """Fit nominal vocabularies and numeric ranges from training records only.
 
-    Nominal vocabularies index values by first appearance, starting at 1;
-    index 0 stays reserved for values unseen during fitting.
+    Every cell is checked before any column is fitted. Nominal vocabularies index values by
+    first appearance, starting at 1; index 0 stays reserved for values unseen during fitting.
     """
     layout = profile_columns(profile)
     if not records:
         raise SchemaError("cannot fit a schema on an empty record set")
     specs = []
-    for name, kind in layout["features"]:
-        try:
-            cells = [rec.values[name] for rec in records]
-        except KeyError:
-            missing = next(rec for rec in records if name not in rec.values)
-            raise SchemaError(f"record {missing.row} is missing column {name!r}") from None
+    for (name, kind), column in zip(layout["features"], _checked_columns(records, layout["features"])):
         if kind == NOMINAL:
             # dict keys keep first appearance order
-            vocab = {cell: i for i, cell in enumerate(dict.fromkeys(map(str, cells)), start=1)}
+            vocab = {cell: i for i, cell in enumerate(dict.fromkeys(map(str, column)), start=1)}
             specs.append(FeatureSpec(name=name, kind=kind, vocab=vocab))
         else:
-            values, reasons = parse_checked_column(cells, kind)
-            if reasons:
-                i = min(reasons)
-                raise DataError(f"record {records[i].row}, column {name!r}: {reasons[i]}")
+            values = column.tolist()  # builtin min and max keep the first of tied 0.0 and -0.0
             lo, hi = min(values), max(values)
             if lo == hi:
                 warnings.warn(f"feature {name!r} is constant in the training split")
@@ -268,31 +274,12 @@ def fit_schema(records, profile: str) -> Schema:
     return Schema(profile=profile, features=specs, label=layout["label"])
 
 
-def encode(record, schema: Schema) -> np.ndarray:
-    """Encode one record into a vector in [0, 1]^width."""
-    out = np.empty(schema.width, dtype=np.float64)
-    for j, spec in enumerate(schema.features):
-        if spec.name not in record.values:
-            raise SchemaError(f"record {record.row} is missing column {spec.name!r}")
-        try:
-            out[j] = spec.encode(record.values[spec.name])
-        except DataError as exc:
-            raise DataError(f"record {record.row}, column {spec.name!r}: {exc}") from None
-    return out
-
-
 def encode_batch(records, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
-    """Encode records into an (n, width) matrix, one column at a time, plus the label vector.
-
-    A failing column hands over to encode() record by record, so the error is the first bad record's."""
+    """Encode records into an (n, width) matrix, one column at a time, plus the label vector."""
+    features = [(spec.name, spec.kind) for spec in schema.features]
     x = np.empty((len(records), schema.width), dtype=np.float64)
-    for j, spec in enumerate(schema.features):
-        try:
-            x[:, j] = spec.encode_column([rec.values[spec.name] for rec in records])
-        except (KeyError, DataError):
-            for rec in records:
-                encode(rec, schema)
-            raise
+    for j, (spec, column) in enumerate(zip(schema.features, _checked_columns(records, features))):
+        x[:, j] = spec.encode_column(column)
     return x, np.array([rec.label for rec in records], dtype=np.int64)
 
 

@@ -139,6 +139,15 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 3  # flag beats file
         assert manifest["config"]["lr"] == 0.01  # file beats default
 
+    def test_no_mask_flag_overrides_config(self, workdir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mask": True, "epochs": 1, "dim": 4, "heads": 1, "blocks": 1}))
+        out = tmp_path / "m.ckpt"
+        argv = ["train", "--data", workdir / "flows.csv", "--out", out, "--config", cfg_path, "--no-mask"]
+        assert cli.main([str(a) for a in argv]) == 0
+        (header_len,) = struct.unpack("<Q", out.read_bytes()[8:16])
+        assert json.loads(out.read_bytes()[16 : 16 + header_len])["hyper"]["mask"] is False
+
     def test_unknown_config_key_is_usage_error(self, workdir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"model": "fnn", "momentum": 0.9}))
@@ -386,6 +395,17 @@ class TestReport:
         assert r.returncode == 0, r.stderr
         config = {"threshold": 0.5, "models": [str(m) for m in models]}
         check_manifest(out, "report", config, None, models + [workdir / "flows.csv"], [out])
+
+    def test_reads_and_encodes_the_csv_once(self, workdir, monkeypatch, capsys):
+        """Three checkpoints of one schema share one load and one encoding of the CSV."""
+        calls = []
+        for owner, name in ((cli.dataio, "load_csv"), (cli, "encode_batch")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+        fnn = str(workdir / "fnn.ckpt")
+        assert cli.main(["report", "--models", fnn, fnn, fnn, "--data", str(workdir / "flows.csv")]) == 0
+        assert calls == ["load_csv", "encode_batch"]
+        assert capsys.readouterr().out.count("fnn:") == 3
 
     def test_single_class_data_is_data_error(self, workdir, tmp_path):
         import csv as csv_mod

@@ -228,6 +228,10 @@ class TestLoadCsvReadsLikeDictReader:
         ]
 
 
+def _labels(ds):
+    return np.array([r.label for r in ds.records])
+
+
 class TestSynth:
     def test_deterministic(self):
         a = synth(60, seed=5)
@@ -242,13 +246,13 @@ class TestSynth:
 
     def test_balanced_labels(self):
         ds = synth(101, seed=1)
-        assert int(ds.labels().sum()) == 50
+        assert int(_labels(ds).sum()) == 50
 
     def test_separable_by_single_threshold(self):
         """Sload alone classifies a separable set perfectly, with margin."""
         ds = synth(500, seed=2, difficulty="separable")
         sload = np.array([float(r.values["Sload"]) for r in ds.records])
-        labels = ds.labels()
+        labels = _labels(ds)
         assert np.array_equal((sload > SEPARABLE_THRESHOLD).astype(int), labels)
         gap = np.abs(sload - SEPARABLE_THRESHOLD).min()
         assert gap >= 400.0
@@ -257,7 +261,7 @@ class TestSynth:
         """The documented optimal threshold errs at about the target rate."""
         ds = synth(10000, seed=3, difficulty="noisy", bayes_error=0.1)
         sload = np.array([float(r.values["Sload"]) for r in ds.records])
-        labels = ds.labels()
+        labels = _labels(ds)
         cut = noisy_sload_threshold(0.1)
         acc = np.mean((sload > cut).astype(int) == labels)
         assert 0.87 <= acc <= 0.93
@@ -266,7 +270,7 @@ class TestSynth:
         """Per-class means of the uninformative columns agree with the
         documented distribution to 4 standard errors."""
         ds = synth(8000, seed=4, difficulty="noisy")
-        labels = ds.labels()
+        labels = _labels(ds)
         for name in ("Dload", "Spkts", "Dpkts", "dur"):
             values = np.array([float(r.values[name]) for r in ds.records])
             for cls in (0, 1):
@@ -323,7 +327,7 @@ class TestSplit:
         sizes = [len(p) for p in parts]
         assert sizes == [48, 16, 16]
         for part in parts:
-            labels = part.labels()
+            labels = _labels(part)
             assert int(labels.sum()) == len(labels) // 2
 
     def test_partition_is_exact(self):

@@ -15,9 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from checkpoints import rewrite_header
 from flowids import cli
-from flowids.dataio import Dataset, FlowRecord, load_csv, synth, write_csv
-from flowids.sentencing import NOMINAL, NUMERIC, PROFILES, FeatureSpec, Schema, encode, encode_batch
+from flowids.dataio import Dataset, FlowRecord, load_checkpoint, load_csv, save_checkpoint, synth, write_csv
+from flowids.errors import FlowidsError
+from flowids.model import EncoderConfig, init_fnn, init_params
+from flowids.sentencing import NOMINAL, NUMERIC, PROFILES, FeatureSpec, Schema, encode_batch, fit_schema
 from flowids.training import TrainConfig
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -29,7 +32,7 @@ def test_numeric_encoding_is_finite_and_in_unit_interval(a, b, value):
     """Any finite cell against any finite fitted range encodes into [0, 1],
     within 1e-15 of the exact rational min-max value."""
     lo, hi = min(a, b), max(a, b)
-    out = FeatureSpec("f", NUMERIC, lo=lo, hi=hi).encode(repr(value))
+    (out,) = FeatureSpec("f", NUMERIC, lo=lo, hi=hi).encode_column([value]).tolist()
     assert math.isfinite(out) and 0.0 <= out <= 1.0
     if lo != hi:
         exact = (Fraction(value) - Fraction(lo)) / (Fraction(hi) - Fraction(lo))
@@ -81,7 +84,7 @@ def schemas_and_records(draw):
 @settings(derandomize=True, database=None, max_examples=500)
 @given(schemas_and_records())
 def test_batch_encoding_matches_record_and_cell_encoding(case):
-    """encode_batch's bytes equal the stacked per-record encodings and the
+    """encode_batch's bytes equal the stacked one-record batches and the
     per-cell Python-float formula, -0.0, clamped values, unseen nominal
     values, constant features and ranges wider than a float included."""
     schema, records = case
@@ -89,7 +92,7 @@ def test_batch_encoding_matches_record_and_cell_encoding(case):
     assert x.shape == (len(records), schema.width)
     cells = [[scalar_encode(s, r.values[s.name]) for s in schema.features] for r in records]
     assert x.tobytes() == np.array(cells, dtype=np.float64).tobytes()
-    assert x.tobytes() == b"".join(encode(r, schema).tobytes() for r in records)
+    assert x.tobytes() == b"".join(encode_batch([r], schema)[0].tobytes() for r in records)
     assert y.tolist() == [r.label for r in records]
 
 
@@ -202,3 +205,74 @@ def test_any_config_file_never_exits_1(flows, blob):
         argv = ["train", "--model", "fnn", "--epochs", 1, "--data", Path(tmp) / "flows.csv",
                 "--config", Path(tmp) / "c.json", "--out", Path(tmp) / "m.ckpt"]
         assert quiet_main(argv) in DOCUMENTED_EXITS
+
+
+# --- a damaged checkpoint raises only flowids errors ---------------------------
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes():
+    """The bytes of a small transformer checkpoint and a small FNN checkpoint, by kind."""
+    ds = synth(40, seed=1)
+    schema = fit_schema(ds.records, ds.profile)
+    models = {
+        "transformer": init_params(EncoderConfig(dim=4, heads=2, blocks=1), schema.width, seed=0),
+        "fnn": init_fnn(schema.width, hidden=(4, 4), seed=0),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        out = {}
+        for kind, params in models.items():
+            save_checkpoint(params, schema, {"model": kind}, path)
+            out[kind] = path.read_bytes()
+    return out
+
+
+def loads_or_raises_flowids_error(path) -> None:
+    """load_checkpoint returns, or raises a FlowidsError subclass; anything else fails the test."""
+    with contextlib.suppress(FlowidsError):
+        load_checkpoint(path)
+
+
+kinds = st.sampled_from(["transformer", "fnn"])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(kinds, edits)
+def test_damaged_checkpoint_raises_only_flowids_errors(checkpoint_bytes, kind, edit_list):
+    """Flipped, inserted and truncated bytes anywhere in the file, checksum included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(mutate(checkpoint_bytes[kind], edit_list))
+        loads_or_raises_flowids_error(path)
+
+
+# small, because load_checkpoint builds the model that hyper declares before it checks the arrays
+size = st.integers(-2, 64)
+hyper_sizes = {
+    "transformer": st.fixed_dictionaries(
+        {}, optional={k: size for k in ("dim", "heads", "blocks", "mlp_dim", "tokens")}
+    ),
+    "fnn": st.fixed_dictionaries({}, optional={"features": size, "hidden": st.lists(size, max_size=3)}),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(kinds.flatmap(lambda kind: st.tuples(st.just(kind), hyper_sizes[kind], st.none() | edits)))
+def test_resigned_checkpoint_raises_only_flowids_errors(checkpoint_bytes, case):
+    """A header re-signed with other hyper sizes, over array bytes that are
+    intact or flipped, inserted into or truncated, passes the checksum, so
+    only validation stands between it and the model."""
+    kind, sizes, array_edits = case
+
+    def edit(header, arrays):
+        header = {**header, "hyper": {**header["hyper"], **sizes}}
+        if array_edits is not None:
+            arrays = mutate(arrays, array_edits)
+        return json.dumps(header, sort_keys=True).encode(), arrays
+
+    with tempfile.TemporaryDirectory() as tmp:
+        src, path = Path(tmp) / "src.ckpt", Path(tmp) / "m.ckpt"
+        src.write_bytes(checkpoint_bytes[kind])
+        rewrite_header(src, path, edit)
+        loads_or_raises_flowids_error(path)

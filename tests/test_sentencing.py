@@ -17,7 +17,6 @@ from flowids.sentencing import (
     FeatureSpec,
     Schema,
     SentencingParams,
-    encode,
     encode_batch,
     fit_schema,
     parse_boolean,
@@ -162,13 +161,10 @@ class TestFitSchema:
     def test_missing_column_names_it(self):
         bad = _rec(7)
         del bad.values["sttl"]
-        with pytest.warns(UserWarning) as caught, pytest.raises(SchemaError, match="sttl"):
-            fit_schema([_rec(0), bad], "unsw")
-        # two identical records: every numeric column fitted before sttl is constant
-        constant = ("Sload", "Dload", "Stime", "Ltime", "Spkts", "srcport", "dstport", "Dpkts", "dur")
-        assert [str(w.message) for w in caught] == [
-            f"feature {name!r} is constant in the training split" for name in constant
-        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # every cell is checked before a constant column is fitted
+            with pytest.raises(SchemaError, match="record 7 is missing column 'sttl'"):
+                fit_schema([_rec(0), bad], "unsw")
 
     @pytest.mark.parametrize(
         "cell, reason",
@@ -187,68 +183,80 @@ class TestFitSchema:
         assert clone == schema
 
 
+def _encode(spec, *cells):
+    """The encodings of raw cells under one fitted spec, through encode_batch."""
+    records = [FlowRecord(values={spec.name: cell}, label=0, row=i) for i, cell in enumerate(cells)]
+    return encode_batch(records, Schema("unsw", [spec]))[0][:, 0].tolist()
+
+
 class TestEncode:
     def test_nominal_scaled_index(self):
         spec = FeatureSpec(name="proto", kind="nominal", vocab={"tcp": 1, "udp": 2})
-        assert spec.encode("tcp") == 0.5
-        assert spec.encode("udp") == 1.0
+        assert _encode(spec, "tcp", "udp") == [0.5, 1.0]
 
     def test_nominal_unseen_is_zero(self):
         spec = FeatureSpec(name="proto", kind="nominal", vocab={"tcp": 1, "udp": 2})
-        assert spec.encode("gre") == 0.0
+        assert _encode(spec, "gre") == [0.0]
 
     def test_numeric_min_max(self):
         spec = FeatureSpec(name="Sload", kind="numeric", lo=0.0, hi=10.0)
-        np.testing.assert_allclose(spec.encode("2.5"), 0.25)
+        np.testing.assert_allclose(_encode(spec, "2.5"), [0.25])
 
     def test_numeric_clips_outside_train_range(self):
         spec = FeatureSpec(name="Sload", kind="numeric", lo=0.0, hi=10.0)
-        assert spec.encode("-5") == 0.0
-        assert spec.encode("25") == 1.0
+        assert _encode(spec, "-5", "25") == [0.0, 1.0]
 
     def test_range_wider_than_a_float_stays_in_unit_interval(self):
         """hi - lo overflows to inf here; the encoding must not turn into nan."""
         spec = FeatureSpec("Sload", "numeric", lo=-1e308, hi=1e308)
-        assert spec.encode("1e308") == 1.0
-        assert spec.encode("0") == 0.5
-        assert spec.encode("-1e308") == 0.0
+        assert _encode(spec, "1e308", "0", "-1e308") == [1.0, 0.5, 0.0]
 
     def test_constant_feature_centers(self):
         spec = FeatureSpec(name="sttl", kind="numeric", lo=64.0, hi=64.0)
-        assert spec.encode("64") == 0.5
-        assert spec.encode("255") == 0.5
+        assert _encode(spec, "64", "255") == [0.5, 0.5]
 
     def test_full_record_in_unit_interval(self):
         recs = _records()
-        schema = fit_schema(recs, "unsw")
-        for rec in recs:
-            vec = encode(rec, schema)
-            assert vec.shape == (13,)
-            assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
+        x, _ = encode_batch(recs, fit_schema(recs, "unsw"))
+        assert x.shape == (4, 13)
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
     def test_deterministic(self):
         recs = _records()
         schema = fit_schema(recs, "unsw")
-        a = encode(recs[1], schema)
-        b = encode(recs[1], schema)
+        a, _ = encode_batch(recs[1:2], schema)
+        b, _ = encode_batch(recs[1:2], schema)
         np.testing.assert_array_equal(a, b)
 
     def test_encode_does_not_mutate_schema(self):
         """Seeing new nominal values at encode time must not grow the vocab."""
         schema = fit_schema(_records(), "unsw")
         before = schema.to_dict()
-        encode(_rec(9, proto="gre", srcip="172.16.0.9"), schema)
+        encode_batch([_rec(9, proto="gre", srcip="172.16.0.9")], schema)
         assert schema.to_dict() == before
 
     def test_bad_cell_error_names_row_and_column(self):
+        """fit_schema's and load_csv's rule: a cell that does not parse or is not finite is never encoded."""
         schema = fit_schema(_records(), "unsw")
-        bad = _rec(41, Sload="fast")
-        with pytest.raises(DataError, match=r"record 41.*Sload"):
-            encode(bad, schema)
+        cases = [("fast", "cannot parse"), ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite")]
+        for cell, reason in cases:
+            with pytest.raises(DataError, match=f"record 41, column 'Sload': {reason}"):
+                encode_batch(_records() + [_rec(41, Sload=cell)], schema)
+
+    def test_fit_and_encode_name_the_same_cell(self):
+        """The first record with a bad cell wins, whatever column its cell is in."""
+        recs = _records() + [_rec(4, Sload="fast")]
+        recs[1].values["Dload"] = "slow"
+        message = "record 1, column 'Dload': cannot parse numeric cell 'slow'"
+        with pytest.raises(DataError) as fit:
+            fit_schema(recs, "unsw")
+        with pytest.raises(DataError) as enc:
+            encode_batch(recs, fit_schema(_records(), "unsw"))
+        assert str(fit.value) == str(enc.value) == message
 
     def test_encode_batch_names_the_first_bad_record(self):
         """Two bad records in different columns: the error is the first
-        record's, naming its first bad column, as the per-record encode says."""
+        record's, naming its first bad column."""
         schema = fit_schema(_records(), "unsw")
         recs = _records() + [_rec(41, Dload="slow"), _rec(42, Sload="fast", Dload="nan?")]
         message = "record 41, column 'Dload': cannot parse numeric cell 'slow'"
