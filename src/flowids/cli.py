@@ -3,10 +3,11 @@
 Each command returns a Run: its configuration, seed and the files it read and
 wrote. `main` times the run, writes the one run manifest next to the first
 output (<output>.manifest.json: command, configuration, seed, SHA-256
-checksums of inputs and outputs, duration), and maps errors to exit codes
-through EXIT_CODES: 2 usage or configuration, 3 bad data, 4 model/data
-incompatibility (including checkpoint versions), 5 numeric failure in
-training, 6 file I/O. An eval or report that writes no file writes no manifest.
+checksums of inputs and outputs, duration, and the environment it ran in),
+and maps errors to exit codes through EXIT_CODES: 2 usage or configuration,
+3 bad data, 4 model/data incompatibility (including checkpoint versions),
+5 numeric failure in training, 6 file I/O. An eval or report that writes no
+file writes no manifest.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import datetime
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -27,7 +29,7 @@ from . import dataio, metrics
 from . import model as M
 from .errors import ConfigError, DataError, IncompatibilityError, IntegrityError, NumericError, SchemaError
 from .sentencing import PROFILES, encode_batch
-from .training import TrainConfig, predict_scores, train
+from .training import TrainConfig, predict_scores, scoring_threads, train
 
 # Exit code per error class; no class here subclasses another entry, so order does not matter.
 EXIT_CODES = {
@@ -59,6 +61,13 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+@cache
+def _versions() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas.get('name')} {blas.get('version')}"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+
+
 def _write_manifest(command: str, run: Run, started: float) -> None:
     manifest = {
         "command": command,
@@ -68,6 +77,8 @@ def _write_manifest(command: str, run: Run, started: float) -> None:
         "outputs": {str(p): _sha256(p) for p in run.outputs},
         "duration_seconds": round(time.time() - started, 3),
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        # a transformer score of at least this many chunks runs on this many threads
+        "environment": {**_versions(), "scoring_threads": scoring_threads()},
     }
     with open(f"{run.outputs[0]}.manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

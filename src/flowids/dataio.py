@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import statistics
 import struct
 import warnings
@@ -102,14 +104,17 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
                     raise SchemaError(f"{path}: missing required column {name!r}")
             at = {name: i for i, name in enumerate(header)}  # a repeated name: the last one wins
             width = len(header)
-            rows = [row if len(row) >= width else row + [None] * (width - len(row)) for row in reader if row]
+            rows = [row for row in reader if row]
         except UnicodeDecodeError:  # raised for a whole decoded block, which can span many lines
             raise DataError(f"{path}: not UTF-8 text at line {_first_non_utf8_line(path)}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), which stays as it is
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    short = [row for row in rows if len(row) < width]
+    for row in short:
+        row.extend([None] * (width - len(row)))
     reasons: dict[int, str] = {}  # row index -> first failing column
     for name, kind in layout["features"]:
-        if kind == NOMINAL:
+        if kind == NOMINAL and not short:  # a nominal cell can be bad only when its row was short
             continue
         for i, reason in parse_column([row[at[name]] for row in rows], kind)[1].items():
             reasons.setdefault(i, f"column {name!r}: {reason}")
@@ -394,12 +399,15 @@ def save_checkpoint(params, schema: Schema, config: dict, path, metrics: dict | 
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; verifies the checksum before trusting anything."""
+    """Inverse of save_checkpoint; verifies the checksum before trusting anything.
+
+    Every array's declared shape and byte length is checked before the model is
+    built, so a load allocates no more than the file holds."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 4 + 4 + 8 + 32:
         raise IntegrityError(f"{path}: file too short to be a checkpoint")
-    body, digest = blob[:-32], blob[-32:]
+    body, digest = memoryview(blob)[:-32], blob[-32:]  # a view: the body is not copied
     if hashlib.sha256(body).digest() != digest:
         raise IntegrityError(f"{path}: checksum mismatch (corrupt or truncated file)")
     if body[:4] != CHECKPOINT_MAGIC:
@@ -415,7 +423,7 @@ def load_checkpoint(path) -> Checkpoint:
     if offset + header_len > len(body):
         raise IntegrityError(f"{path}: truncated header")
     try:
-        header = json.loads(body[offset : offset + header_len].decode("utf-8"))
+        header = json.loads(str(body[offset : offset + header_len], "utf-8"))
     except ValueError as exc:
         raise IntegrityError(f"{path}: header is not valid JSON ({exc})")
     offset += header_len
@@ -443,14 +451,9 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(mask, bool):
         raise IntegrityError(f"{path}: header field hyper.mask is {mask!r}, not true or false")
     try:
-        params = M.KINDS[kind].from_hyper({**hyper, "mask": mask})
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
-    try:
         schema = Schema.from_dict(header["schema"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"{path}: header field schema is malformed ({exc!r})")
-    named = params.named_parameters()
     manifest = header["arrays"]
     if not isinstance(manifest, list):
         raise IntegrityError(f"{path}: header field arrays is not a list")
@@ -460,9 +463,17 @@ def load_checkpoint(path) -> Checkpoint:
         for key in ("name", "shape"):
             if key not in meta:
                 raise IntegrityError(f"{path}: header field arrays[{i}].{key} is missing")
-    if [m["name"] for m in manifest] != [n for n, _ in named]:
+    hyper = {**hyper, "mask": mask}
+    try:  # no more of the declared layout than the manifest could match
+        declared = list(itertools.islice(M.KINDS[kind].shapes(hyper), len(manifest) + 1))
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
+    if [m["name"] for m in manifest] != [name for name, _ in declared]:
         raise IntegrityError(f"{path}: parameter manifest does not match the declared model")
-    for meta, (name, t) in zip(manifest, named):
+    arrays = []  # (offset, byte length) of each array, checked before anything is built
+    for meta, (name, shape) in zip(manifest, declared):
+        if not all(type(n) is int and n >= 0 for n in shape):  # JSON null, true, 8.0, "8", ... are no size
+            raise IntegrityError(f"{path}: header field hyper gives array {name!r} the shape {list(shape)!r}")
         if offset + 8 > len(body):
             raise IntegrityError(f"{path}: truncated length prefix of array {name!r}")
         (nbytes,) = struct.unpack_from("<Q", body, offset)
@@ -473,17 +484,22 @@ def load_checkpoint(path) -> Checkpoint:
             raise IntegrityError(
                 f"{path}: array {name!r} has {nbytes} bytes, not a multiple of 8"
             )
-        if meta["shape"] != list(t.data.shape):
+        if meta["shape"] != list(shape):
             raise IntegrityError(
-                f"{path}: array {name!r} has shape {meta['shape']!r}, model needs {list(t.data.shape)}"
+                f"{path}: array {name!r} has shape {meta['shape']!r}, model needs {list(shape)}"
             )
-        array = np.frombuffer(body[offset : offset + nbytes], dtype="<f8")
-        if array.size != t.data.size:
+        if nbytes != 8 * math.prod(shape):
             raise IntegrityError(f"{path}: array {name!r} has wrong length")
-        t.data = array.reshape(t.data.shape).astype(np.float64)
+        arrays.append((offset, nbytes))
         offset += nbytes
     if offset != len(body):
         raise IntegrityError(f"{path}: {len(body) - offset} trailing bytes")
+    try:
+        params = M.KINDS[kind].from_hyper(hyper)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
+    for (_, t), (start, nbytes) in zip(params.named_parameters(), arrays):
+        t.data = np.frombuffer(body[start : start + nbytes], dtype="<f8").reshape(t.data.shape).astype(np.float64)
     return Checkpoint(
         params=params,
         schema=schema,

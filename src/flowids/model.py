@@ -13,8 +13,11 @@ being reproduced. It is a field of the architecture, ``EncoderConfig.mask``,
 so a model always scores the way it was trained; build with mask=False to
 ablate it.
 
-Each model kind is one parameter class owning ``logits``, ``hyper`` and
-``from_hyper``; ``KINDS`` is the only map from a kind name to its class.
+Each model kind is one parameter class owning ``logits``, ``hyper``,
+``shapes`` and ``from_hyper``, and how it is scored: ``chunk_rows`` rows per
+inference chunk, and whether ``threaded_chunks`` may spread the chunks over
+threads (see ``training._batched_logits``). ``KINDS`` is the only map from a
+kind name to its class.
 """
 
 from __future__ import annotations
@@ -109,6 +112,10 @@ class ModelParams:
     config: EncoderConfig
 
     kind = "transformer"
+    # A 64-row chunk is big enough to pay for a thread handoff, and small
+    # enough that a worker thread's heap stays near one chunk's working set.
+    chunk_rows = 64
+    threaded_chunks = True
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = self.sentencing.named()
@@ -134,6 +141,22 @@ class ModelParams:
         }
 
     @staticmethod
+    def shapes(h: dict):
+        """Yield (name, shape) of each parameter that from_hyper(h) builds, in order, allocating nothing."""
+        cfg = EncoderConfig(h["dim"], h["heads"], h["blocks"], h["mlp_dim"], h["mask"])
+        cfg.validate()  # so that dim // heads is defined
+        t, d, m = h["tokens"], cfg.dim, cfg.resolved_mlp_dim()
+        yield from ((f"sentencing.{name}", (t, d)) for name in ("embed", "bias", "position"))
+        for i in range(cfg.blocks):
+            for k in range(cfg.heads):
+                yield from ((f"block{i}.attn.head{k}.{w}", (d, d // cfg.heads)) for w in ("w_q", "w_k", "w_v"))
+            rest = [("attn.w_out", (d, d)), ("mlp_w1", (d, m)), ("mlp_b1", (m,)), ("mlp_w2", (m, d)), ("mlp_b2", (d,))]
+            rest += [(f"ln{k}_{w}", (d,)) for k in (1, 2, 3) for w in ("gamma", "beta")]
+            yield from ((f"block{i}.{name}", shape) for name, shape in rest)
+        yield "head.w", (t * d, 2)
+        yield "head.b", (2,)
+
+    @staticmethod
     def from_hyper(h: dict) -> "ModelParams":
         cfg = EncoderConfig(h["dim"], h["heads"], h["blocks"], h["mlp_dim"], h["mask"])
         return init_params(cfg, tokens=h["tokens"], seed=0)
@@ -151,6 +174,10 @@ class FnnParams:
     b3: Tensor
 
     kind = "fnn"
+    # Too little work per chunk to pay for a thread handoff: chunks run on
+    # the calling thread.
+    chunk_rows = 128
+    threaded_chunks = False
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
@@ -164,6 +191,12 @@ class FnnParams:
             "features": self.w1.data.shape[0],
             "hidden": [self.w1.data.shape[1], self.w2.data.shape[1]],
         }
+
+    @staticmethod
+    def shapes(h: dict):
+        """Yield (name, shape) of each parameter that from_hyper(h) builds, in order, allocating nothing."""
+        features, (h1, h2) = h["features"], h["hidden"]
+        yield from [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
 
     @staticmethod
     def from_hyper(h: dict) -> "FnnParams":

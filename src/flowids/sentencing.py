@@ -129,11 +129,16 @@ def parse_cell(cell: str, kind: str) -> float:
     raise ValueError(f"parse_cell does not handle kind {kind!r}")
 
 
-def parse_column(cells, kind: str) -> tuple[np.ndarray, dict[int, str]]:
-    """Each cell parsed for its kind, plus why each cell that does not parse or is nan or infinite is bad, by index.
+def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
+    """The column as encoding reads it, plus why each bad cell is bad, by index.
 
-    One float() pass serves a column that parses whole and is finite; only otherwise is each
-    cell parsed for its kind. The values are meaningful only where no cell is bad."""
+    A nominal column is its cells, and a nominal cell is bad only when it is missing (None:
+    its row ended before it). Any other column is each cell parsed for its kind, and a cell is
+    bad when it does not parse or is nan or infinite. One float() pass serves a column that
+    parses whole and is finite; only otherwise is each cell parsed for its kind. The values
+    are meaningful only where no cell is bad."""
+    if kind == NOMINAL:
+        return cells, ({i: "missing cell" for i, cell in enumerate(cells) if cell is None} if None in cells else {})
     if kind != BOOLEAN:
         try:
             values = np.array([float(cell) for cell in cells], dtype=np.float64)
@@ -225,11 +230,11 @@ def profile_columns(profile: str) -> dict:
 
 
 def _checked_columns(records, features) -> list:
-    """Each (name, kind) feature's column over the records: raw cells if nominal, else parse_column's values.
+    """Each (name, kind) feature's column over the records, as parse_column gives it.
 
-    One rule for every record: a missing column raises SchemaError, and a non-nominal cell
-    that does not parse for its kind or is nan or infinite raises DataError. The error is the
-    first such record's, at its first such column in feature order."""
+    One rule for every record: a missing column raises SchemaError, and a cell that
+    parse_column finds bad raises DataError. The error is the first such record's, at its
+    first such column in feature order."""
     columns, first, error = [], len(records), None
     for name, kind in features:
         try:
@@ -239,11 +244,10 @@ def _checked_columns(records, features) -> list:
             if i < first:
                 first, error = i, SchemaError(f"record {records[i].row} is missing column {name!r}")
             cells = [rec.values[name] for rec in records[:i]]
-        if kind != NOMINAL:
-            cells, reasons = parse_column(cells, kind)
-            if reasons and min(reasons) < first:
-                first = min(reasons)
-                error = DataError(f"record {records[first].row}, column {name!r}: {reasons[first]}")
+        cells, reasons = parse_column(cells, kind)
+        if reasons and min(reasons) < first:
+            first = min(reasons)
+            error = DataError(f"record {records[first].row}, column {name!r}: {reasons[first]}")
         columns.append(cells)
     if error is not None:
         raise error

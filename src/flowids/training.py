@@ -8,8 +8,11 @@ part of the moment estimates.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
 
@@ -297,21 +300,91 @@ class TrainResult:
     test: dataio.Dataset
 
 
-# Rows per inference chunk. At the default encoder (13 tokens, MLP width
-# 128) a 512-row chunk's float64 activations reach 6.8 MB, more than a
-# core's 2 MiB L2, and such large temporaries go back to the OS and are
-# page-faulted in again on every chunk (22-33k minor faults per 4,096 rows).
-# Chunks of 64-256 rows stay warm and fault-free; 128 measured fastest.
-INFERENCE_CHUNK_ROWS = 128
+# Inference runs in chunks of the kind's chunk_rows rows. At the default
+# encoder (13 tokens, MLP width 128) a 512-row chunk's float64 activations
+# reach 6.8 MB, more than a core's 2 MiB L2, and temporaries that large go
+# back to the OS and are page-faulted in again on every chunk. A
+# transformer's chunks are independent and their numpy and BLAS work
+# releases the GIL, so they run on up to SCORING_THREADS threads, one per
+# usable core, in a pool kept for the process: each new thread keeps a
+# malloc arena of its own. Two threads is the most that has been measured
+# (time and peak RSS, on a 2-core host); more need measuring first.
+SCORING_THREADS = 2
+_pool = None  # a concurrent.futures.ThreadPoolExecutor, built on first use
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None  # a forked child has none of the pool's threads
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def scoring_threads() -> int:
+    """Threads that score a transformer's chunks, when it has at least this many."""
+    return min(usable_cores(), SCORING_THREADS)
+
+
+def _score_chunks(params, x: np.ndarray, out: np.ndarray, claim) -> tuple[int, Exception] | None:
+    """Write the logits of each chunk that ``claim()`` hands out into ``out``, until it hands out None.
+
+    Returns the first failing chunk's start and error, having stopped there."""
+    while (i := claim()) is not None:
+        try:
+            out[i : i + params.chunk_rows] = params.logits(x[i : i + params.chunk_rows]).data
+        except Exception as exc:  # the caller raises the lowest failing chunk's, once every thread has stopped
+            return i, exc
+    return None
 
 
 def _batched_logits(params, x: np.ndarray) -> np.ndarray:
-    """Raw logits for a whole matrix, computed off-tape in chunks."""
-    parts = []
+    """Raw logits for a whole matrix, computed off-tape in chunks.
+
+    A transformer's chunks run on W = min(scoring_threads(), chunks) threads,
+    the calling thread one of them. Each thread claims the next unscored chunk
+    when it is done with its last, so a thread that the machine slows down
+    scores fewer chunks rather than holding the others up. A chunk computes
+    the same bytes on any thread. Chunks are claimed in order, so every
+    chunk before a failing one is scored; the error raised is the lowest
+    failing chunk's, as on one thread, once every thread has stopped.
+    """
+    global _pool
+    out = np.empty((x.shape[0], 2))
+    starts = range(0, x.shape[0] or 1, params.chunk_rows)  # zero rows still check the width
+    threads = min(scoring_threads(), len(starts)) if params.threaded_chunks else 1
+    if threads > 1 and _pool is None:
+        # imported here: concurrent.futures pulls in logging, 0.65 MB and 7 ms that an unthreaded score need not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(SCORING_THREADS - 1, thread_name_prefix="flowids-score")
+    unclaimed, lock = iter(starts), threading.Lock()
+
+    def claim() -> int | None:
+        with lock:
+            return next(unclaimed, None)
+
     with T.no_grad():
-        for i in range(0, x.shape[0], INFERENCE_CHUNK_ROWS):
-            parts.append(params.logits(x[i : i + INFERENCE_CHUNK_ROWS]).data)
-    return np.concatenate(parts, axis=0)
+        # each task runs in a copy of the caller's context, so np.errstate holds there too
+        futures = [_pool.submit(contextvars.copy_context().run, _score_chunks, params, x, out, claim)
+                   for _ in range(threads - 1)]
+        try:
+            failures = [_score_chunks(params, x, out, claim)]
+        finally:
+            for future in futures:  # no worker may still run once grad recording is back on
+                future.exception()  # waits; a task returns its chunk's error rather than raising it
+        failures += [future.result() for future in futures]
+    failed = [failure for failure in failures if failure is not None]
+    if failed:
+        raise min(failed, key=lambda failure: failure[0])[1]
+    return out
 
 
 def _scores(logits: np.ndarray) -> np.ndarray:
@@ -328,6 +401,8 @@ def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
 def predict_scores(params, x: np.ndarray, *, mask: bool | None = None) -> np.ndarray:
     """P(attack) per row, i.e. the softmax weight of class 1, masked as the model was built.
 
+    Zero rows give an empty vector.
+
     ``mask`` only keeps callers of the older signature working: it must agree
     with a transformer's ``config.mask``; the FNN has no attention and ignores it.
     """
@@ -337,8 +412,10 @@ def predict_scores(params, x: np.ndarray, *, mask: bool | None = None) -> np.nda
 
 
 def evaluate(params, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy at threshold 0.5) on held-out data."""
+    """(mean cross-entropy, accuracy at threshold 0.5) on held-out data; (nan, nan) on zero rows."""
     logits = _batched_logits(params, x)
+    if not len(y):
+        return math.nan, math.nan
     with T.no_grad():
         loss = cross_entropy(Tensor(logits), y).item()
     return loss, _accuracy(logits, y)
@@ -395,10 +472,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
         # training split gets no second forward pass
         train_loss = total / n
         train_acc = _accuracy(train_logits, y_train)
-        if y_val.size:
-            val_loss, val_acc = evaluate(params, x_val, y_val)
-        else:
-            val_loss, val_acc = float("nan"), float("nan")
+        val_loss, val_acc = evaluate(params, x_val, y_val)
         log.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
     return TrainResult(
         params=params,

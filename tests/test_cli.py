@@ -4,15 +4,17 @@ import argparse
 import hashlib
 import json
 import pathlib
+import platform
 import re
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from checkpoints import HEADER_DEFECTS, rewrite_header
-from flowids import cli
+from flowids import cli, training
 
 CMD = [sys.executable, "-m", "flowids"]
 NAN = float("nan")  # json.dumps writes it as NaN, which json.load reads back
@@ -283,6 +285,16 @@ class TestEval:
         r = run("eval", "--model", inputs[0], "--data", inputs[1], "--threshold", 0.25, "--roc", roc)
         assert r.returncode == 0, r.stderr
         check_manifest(roc, "eval", config, 0, inputs, [roc])
+
+    def test_manifest_names_the_environment(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert cli.main(["eval", "--model", str(workdir / "enc.ckpt"), "--data", str(workdir / "flows.csv"),
+                         "--out", str(out)]) == 0
+        environment = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())["environment"]
+        assert sorted(environment) == ["blas", "numpy", "python", "scoring_threads"]
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == np.__version__
+        assert environment["scoring_threads"] == min(training.usable_cores(), 2)
 
     @pytest.mark.parametrize("command", ["eval", "report"])
     def test_no_file_output_writes_no_manifest(self, workdir, tmp_path, monkeypatch, capsys, command):

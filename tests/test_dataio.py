@@ -6,6 +6,7 @@ import json
 import pathlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,13 +180,15 @@ class TestLoadCsvReadsLikeDictReader:
         assert summary.rejects == [(3, "label '2' is not 0 or 1")]
 
     def test_short_row_reads_missing_cells_as_none(self, tmp_path):
+        """A missing cell reads as None, a bad cell in any column: a row that
+        ends before its nominal cells is rejected, naming the first of them
+        in profile order."""
         header = ",".join(NUMERIC_FIRST)
         short = _row().rsplit(",", 2)[0]  # no dstip, no proto
         too_short = ",".join(_row().split(",")[:5])  # ends after Ltime
-        ds, summary = _load_lines(tmp_path, [header, short, too_short])
-        assert ds.records[0].values["dstip"] is None and ds.records[0].values["proto"] is None
-        assert ds.records[0].values["srcip"] == "10.0.0.1"
-        assert summary.rejects == [(3, "column 'Spkts': cannot parse numeric cell None")]
+        ds, summary = _load_lines(tmp_path, [header, short, too_short, _row(srcip="10.0.0.2")])
+        assert summary.rejects == [(2, "column 'dstip': missing cell"), (3, "column 'srcip': missing cell")]
+        assert [r.row for r in ds.records] == [4]
 
     def test_extra_cells_are_ignored(self, tmp_path):
         header = ",".join(NUMERIC_FIRST)
@@ -472,6 +475,62 @@ class TestCheckpoint:
         rewrite_header(path, path, edit)
         with pytest.raises(IntegrityError, match=re.escape(field)):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "sizes, error",
+        [({"mlp_dim": 20000}, "'block0.mlp_w1' has shape"), ({"blocks": 1000}, "manifest does not match")],
+        ids=["mlp-dim", "blocks"],
+    )
+    def test_declared_sizes_are_checked_before_anything_is_built(self, tmp_path, sizes, error):
+        """A default encoder checkpoint re-signed with hyper.mlp_dim 20000, or
+        1000 blocks, is refused before the model it declares is built: the
+        load's tracemalloc peak stays under twice the file's size (21.4 MB
+        for mlp_dim 20000 when the model was built first)."""
+        _, schema = _fitted()
+        path, bad = tmp_path / "enc.ckpt", tmp_path / "wide.ckpt"
+        save_checkpoint(init_params(EncoderConfig(), schema.width, seed=0), schema, {}, path)
+
+        def widen(header, arrays):
+            return json.dumps({**header, "hyper": {**header["hyper"], **sizes}}, sort_keys=True).encode(), arrays
+
+        rewrite_header(path, bad, widen)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match=error):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * bad.stat().st_size
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [("fnn", "features", None), ("transformer", "tokens", None), ("fnn", "features", True),
+         ("fnn", "features", 8.0), ("transformer", "tokens", {})],
+        ids=["fnn-null", "transformer-null", "bool", "float", "object"],
+    )
+    def test_declared_size_that_is_not_an_int_is_refused(self, tmp_path, kind, field, value):
+        """A re-signed header whose hyper size is not a non-negative int, and
+        whose manifest shapes agree with it, raises IntegrityError, not the
+        TypeError of multiplying the shape out."""
+        _, schema = _fitted()
+        if kind == "fnn":
+            params = init_fnn(schema.width, hidden=(8, 8), seed=1)
+        else:
+            params = init_params(EncoderConfig(dim=8, heads=2, blocks=1), schema.width, seed=1)
+        path, bad = tmp_path / "m.ckpt", tmp_path / "bad.ckpt"
+        save_checkpoint(params, schema, {}, path)
+        width = schema.width
+
+        def resize(header, arrays):
+            shapes = [[value if n == width else n for n in meta["shape"]] for meta in header["arrays"]]
+            manifest = [{**meta, "shape": shape} for meta, shape in zip(header["arrays"], shapes)]
+            hyper = {**header["hyper"], field: value}
+            return json.dumps({**header, "hyper": hyper, "arrays": manifest}, sort_keys=True).encode(), arrays
+
+        rewrite_header(path, bad, resize)
+        with pytest.raises(IntegrityError, match="header field hyper"):
+            load_checkpoint(bad)
 
     def test_garbage_file_detected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -287,13 +287,14 @@ class TestKindInterface:
         ids=["transformer", "fnn", "transformer-unmasked"],
     )
     def test_hyper_round_trip_and_logits(self, params, oracle):
-        """from_hyper(hyper()) rebuilds the same layout; logits() is the forward pass."""
+        """from_hyper(hyper()) rebuilds the same layout, which shapes(hyper()) names without
+        building it; logits() is the forward pass."""
         skeleton = KINDS[params.kind].from_hyper(params.hyper())
         assert type(skeleton) is type(params)
         assert skeleton.hyper() == params.hyper()
-        assert [(n, t.data.shape) for n, t in skeleton.named_parameters()] == [
-            (n, t.data.shape) for n, t in params.named_parameters()
-        ]
+        layout = [(n, t.data.shape) for n, t in params.named_parameters()]
+        assert [(n, t.data.shape) for n, t in skeleton.named_parameters()] == layout
+        assert list(KINDS[params.kind].shapes(params.hyper())) == layout
         x = np.random.default_rng(9).uniform(size=(4, 5))
         np.testing.assert_allclose(params.logits(x).data, oracle(x, params), rtol=1e-12, atol=1e-12)
 

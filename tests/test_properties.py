@@ -247,7 +247,7 @@ def test_damaged_checkpoint_raises_only_flowids_errors(checkpoint_bytes, kind, e
         loads_or_raises_flowids_error(path)
 
 
-# small, because load_checkpoint builds the model that hyper declares before it checks the arrays
+# small; test_dataio checks that load_checkpoint refuses larger declared sizes before it builds anything
 size = st.integers(-2, 64)
 hyper_sizes = {
     "transformer": st.fixed_dictionaries(

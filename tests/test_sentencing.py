@@ -266,6 +266,19 @@ class TestEncode:
         with pytest.raises(DataError, match="record 42, column 'Sload'"):
             encode_batch(recs[-1:], schema)
 
+    def test_missing_nominal_cell_is_a_bad_cell(self):
+        """A row that ends before its nominal cells holds None there, as
+        load_csv pads it: fit_schema and encode_batch name the record and the
+        column, and no 'None' reaches a vocabulary."""
+        recs = _records()
+        recs[2].values["dstip"] = recs[2].values["proto"] = None
+        message = "record 2, column 'dstip': missing cell"
+        with pytest.raises(DataError) as fit:
+            fit_schema(recs, "unsw")
+        with pytest.raises(DataError) as enc:
+            encode_batch(recs, fit_schema(_records(), "unsw"))
+        assert str(fit.value) == str(enc.value) == message
+
     def test_encode_batch_missing_column_before_later_bad_cell(self):
         schema = fit_schema(_records(), "unsw")
         gap = _rec(5)

@@ -1,20 +1,25 @@
 """Loss, optimizer, and training-loop behavior."""
 
 import dataclasses
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import flowids.tensor as T
-from flowids import dataio
-from flowids.errors import ConfigError, ContractError, DataError, NumericError
+from flowids import dataio, training
+from flowids.errors import ConfigError, ContractError, DataError, IncompatibilityError, NumericError
 from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
-from flowids.sentencing import encode_batch
+from flowids.sentencing import encode_batch, fit_schema
 from flowids.tensor import Tensor
 from flowids.training import (
-    INFERENCE_CHUNK_ROWS,
     MODEL_DEFAULTS,
     AdamW,
     TrainConfig,
@@ -486,15 +491,14 @@ class TestTrainLoop:
 class TestInference:
     @pytest.mark.parametrize("kind", ["transformer", "fnn"])
     def test_chunked_scores_match_oracle(self, kind):
-        """Two full inference chunks plus a 3-row tail score as one softmax
-        over the straight-line transcription of the model."""
-        x = np.random.default_rng(6).uniform(size=(2 * INFERENCE_CHUNK_ROWS + 3, 5))
+        """Two full inference chunks of the kind plus a 3-row tail score as
+        one softmax over the straight-line transcription of the model."""
         if kind == "transformer":
             params = init_params(EncoderConfig(dim=8, heads=2, blocks=2), tokens=5, seed=1)
-            logits = np_model_logits(x, params)
         else:
             params = init_fnn(5, hidden=(8, 8), seed=1)
-            logits = np_fnn_logits(x, params)
+        x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows + 3, 5))
+        logits = np_model_logits(x, params) if kind == "transformer" else np_fnn_logits(x, params)
         want = np_softmax(logits, axis=1)[:, 1]
         np.testing.assert_allclose(predict_scores(params, x), want, rtol=0, atol=1e-12)
 
@@ -526,6 +530,247 @@ class TestInference:
         params, x, y = _default_step_inputs(16)
         cross_entropy(params.logits(x), y)
         assert len(T.active_tape()) == 103
+
+
+class TestParallelScoring:
+    """A transformer's chunks run on up to one thread per usable core, here
+    set by monkeypatching training.usable_cores with the cap raised to 6 (2 in
+    use, checked below); the FNN's run on the caller's. Each test builds its
+    own pool, sized when first used, and shuts it down."""
+
+    @pytest.fixture(autouse=True)
+    def own_pool(self, monkeypatch):
+        monkeypatch.setattr(training, "_pool", None)
+        monkeypatch.setattr(training, "SCORING_THREADS", 6)
+        yield
+        if training._pool is not None:
+            training._pool.shutdown()
+
+    @staticmethod
+    def _small_transformer():
+        return init_params(EncoderConfig(dim=8, heads=2, blocks=2), tokens=5, seed=1)
+
+    @staticmethod
+    def _spy(monkeypatch, params, fail=(), delay=0.0):
+        """Wrap params.logits: record each chunk's start row and thread, raise
+        ValueError at the starts in ``fail``, and count the chunks in flight.
+        The start row is read from column 0, which the callers set to the row index."""
+        seen, running, real = [], [0], params.logits
+
+        def logits(x):
+            running[0] += 1
+            try:
+                start = int(x[0, 0])
+                seen.append((start, threading.get_ident()))
+                time.sleep(delay)
+                if start in fail:
+                    raise ValueError(f"chunk at row {start}")
+                return real(x)
+            finally:
+                running[0] -= 1
+
+        monkeypatch.setattr(params, "logits", logits)
+        return seen, running
+
+    @pytest.mark.parametrize("rows", ["2x64+3", "synth4000"])
+    def test_scores_are_the_same_bytes_for_any_worker_count(self, monkeypatch, rows):
+        if rows == "synth4000":
+            ds = dataio.synth(4000, seed=3, difficulty="noisy")
+            schema = fit_schema(ds.records, ds.profile)
+            x, _ = encode_batch(ds.records, schema)
+            params = init_params(EncoderConfig(), tokens=schema.width, seed=0)
+        else:
+            params = self._small_transformer()
+            x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows + 3, 5))
+        scores = []
+        for cores in (3, 2, 1):  # the pool gets 2 threads
+            monkeypatch.setattr(training, "usable_cores", lambda: cores)
+            scores.append(predict_scores(params, x).tobytes())
+        assert scores[0] == scores[1] == scores[2]
+
+    def test_each_chunk_is_scored_once(self, monkeypatch):
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(5 * params.chunk_rows, 5))
+        x[:, 0] = np.arange(len(x))
+        monkeypatch.setattr(training, "usable_cores", lambda: 3)
+        seen, _ = self._spy(monkeypatch, params)
+        predict_scores(params, x)
+        assert sorted(start for start, _ in seen) == [k * params.chunk_rows for k in range(5)]
+        assert len({ident for _, ident in seen}) <= 3
+
+    def test_threads_are_capped(self, monkeypatch):
+        """However many cores there are, a score uses at most two threads,
+        the most that has been measured."""
+        monkeypatch.setattr(training, "SCORING_THREADS", 2)
+        monkeypatch.setattr(training, "usable_cores", lambda: 8)
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(8 * params.chunk_rows, 5))
+        x[:, 0] = np.arange(len(x))
+        seen, _ = self._spy(monkeypatch, params, delay=0.01)
+        predict_scores(params, x)
+        assert training.scoring_threads() == 2 and training._pool._max_workers == 1
+        assert len(seen) == 8 and len({ident for _, ident in seen}) == 2
+
+    def test_a_slow_thread_scores_fewer_chunks(self, monkeypatch):
+        """Threads claim chunks as they go: while a pool thread sleeps 0.1 s
+        in each of its chunks, the caller scores more than its half of 20."""
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(20 * params.chunk_rows, 5))
+        x[:, 0] = np.arange(len(x))
+        monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        caller, seen, real = threading.get_ident(), [], params.logits
+
+        def logits(chunk):
+            seen.append(threading.get_ident())
+            if seen[-1] != caller:
+                time.sleep(0.1)
+            return real(chunk)
+
+        monkeypatch.setattr(params, "logits", logits)
+        predict_scores(params, x)
+        assert len(seen) == 20 and seen.count(caller) > 10
+
+    @pytest.mark.parametrize("fail", [(64,), (0,), (128, 64), (256,)], ids=lambda f: "+".join(map(str, f)))
+    def test_a_failing_chunk_raises_as_on_one_thread(self, monkeypatch, fail):
+        """A chunk that raises, in a worker's share or the caller's, raises the
+        lowest failing chunk's error once every share has ended; grad
+        recording is back on and the tape is empty."""
+        errors = []
+        for cores in (1, 3):
+            params = self._small_transformer()
+            x = np.random.default_rng(6).uniform(size=(5 * params.chunk_rows, 5))
+            x[:, 0] = np.arange(len(x))
+            monkeypatch.setattr(training, "usable_cores", lambda: cores)
+            _, running = self._spy(monkeypatch, params, fail=fail, delay=0.01)
+            with pytest.raises(ValueError) as caught:
+                predict_scores(params, x)
+            errors.append((type(caught.value), str(caught.value)))
+            assert running == [0]
+            assert T._GRAD_ENABLED and T.active_tape() == []
+        assert errors[0] == errors[1] == (ValueError, f"chunk at row {min(fail)}")
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_a_chunk_failing_on_either_thread_waits_for_the_other(self, monkeypatch, where):
+        """The first chunk scored on the caller's thread, or on a pool thread,
+        raises; the other thread is still scoring. The error comes out once
+        it has stopped, with grad recording back on and the tape empty."""
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(8 * params.chunk_rows, 5))
+        x[:, 0] = np.arange(len(x))
+        monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        caller, failed, running, real = threading.get_ident(), [], [0], params.logits
+
+        def logits(chunk):
+            running[0] += 1
+            try:
+                time.sleep(0.01)
+                if (threading.get_ident() == caller) == (where == "caller") and not failed:
+                    failed.append(int(chunk[0, 0]))
+                    raise ValueError(f"chunk at row {failed[0]}")
+                return real(chunk)
+            finally:
+                running[0] -= 1
+
+        monkeypatch.setattr(params, "logits", logits)
+        with pytest.raises(ValueError) as caught:
+            predict_scores(params, x)
+        assert str(caught.value) == f"chunk at row {failed[0]}"
+        assert running == [0]
+        assert T._GRAD_ENABLED and T.active_tape() == []
+
+    def test_scoring_with_grad_enabled_leaves_the_tape_empty(self, monkeypatch):
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(3 * params.chunk_rows, 5))
+        monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        assert T._GRAD_ENABLED
+        predict_scores(params, x)
+        assert T._GRAD_ENABLED and T.active_tape() == []
+
+    def test_fnn_chunks_run_on_the_calling_thread(self, monkeypatch):
+        params = init_fnn(5, hidden=(8, 8), seed=1)
+        x = np.random.default_rng(6).uniform(size=(4 * params.chunk_rows + 3, 5))
+        x[:, 0] = np.arange(len(x))
+        monkeypatch.setattr(training, "usable_cores", lambda: 3)
+        seen, _ = self._spy(monkeypatch, params)
+        predict_scores(params, x)
+        assert len(seen) == 5
+        assert {ident for _, ident in seen} == {threading.get_ident()}
+
+    def test_an_unthreaded_score_imports_no_pool(self):
+        """concurrent.futures, and the logging it imports, cost 0.65 MB of RSS:
+        a process that scores only FNNs, or one transformer chunk, never loads them."""
+        code = (
+            "import sys, numpy as np\n"
+            "from flowids import cli, training\n"
+            "from flowids.model import EncoderConfig, init_fnn, init_params\n"
+            "training.predict_scores(init_fnn(5, hidden=(8, 8), seed=1), np.zeros((300, 5)))\n"
+            "params = init_params(EncoderConfig(dim=8, heads=2, blocks=1), tokens=5, seed=1)\n"
+            "training.predict_scores(params, np.zeros((params.chunk_rows, 5)))\n"
+            "assert 'concurrent.futures' not in sys.modules, 'imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+
+    def test_callers_errstate_holds_in_the_workers(self, monkeypatch):
+        """An inf cell in the second chunk, a worker's, makes layer_norm
+        compute inf - inf; the caller's errstate turns that into an error."""
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows, 5))
+        x[params.chunk_rows + 1, 2] = np.inf
+        monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                predict_scores(params, x)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        """Six threads on the available cores, switching every microsecond,
+        write each chunk's rows once and nothing else."""
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(20 * params.chunk_rows + 5, 5))
+        monkeypatch.setattr(training, "usable_cores", lambda: 1)
+        want = predict_scores(params, x).tobytes()
+        monkeypatch.setattr(training, "usable_cores", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert predict_scores(params, x).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+        """The child of a fork has none of the pool's threads; scoring there
+        would wait for them forever unless the pool is dropped at the fork."""
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(3 * params.chunk_rows, 5))
+        monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        want = predict_scores(params, x).tobytes()
+        assert training._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if training._pool is None and predict_scores(params, x).tobytes() == want else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_zero_rows(self, kind):
+        """No rows: an empty score vector, and (nan, nan) from evaluate, as
+        train logs for an empty validation split, without a warning. The
+        width is checked as for any other input."""
+        params = self._small_transformer() if kind == "transformer" else init_fnn(5, hidden=(8, 8), seed=1)
+        scores = predict_scores(params, np.empty((0, 5)))
+        assert scores.shape == (0,) and scores.dtype == np.float64
+        loss, acc = evaluate(params, np.empty((0, 5)), np.empty(0, dtype=np.int64))
+        assert np.isnan(loss) and np.isnan(acc)
+        with pytest.raises(IncompatibilityError):
+            predict_scores(params, np.empty((0, 4)))
 
 
 class TestBackwardStep:
