@@ -237,6 +237,8 @@ def noisy_sload_dists(bayes_error: float) -> dict[str, tuple]:
     """
     if not 0.0 < bayes_error < 0.5:
         raise ConfigError(f"bayes_error must be in (0, 0.5), got {bayes_error}")
+    if 1.0 - bayes_error == 1.0:  # inv_cdf(1.0) is undefined
+        raise ConfigError(f"bayes_error {bayes_error!r} is too small: 1 - bayes_error rounds to 1 in float64")
     z = statistics.NormalDist().inv_cdf(1.0 - bayes_error)
     delta = 2.0 * NOISY_SLOAD_SD * z
     return {

@@ -13,6 +13,12 @@ being reproduced. It is a field of the architecture, ``EncoderConfig.mask``,
 so a model always scores the way it was trained; build with mask=False to
 ablate it.
 
+The MLP baseline (``fnn_forward``) is three dense layers with ReLU between
+them, run as one taped primitive, as ``training.cross_entropy`` is: one
+record per forward pass, whose hand-written backward repeats the generic
+ops' rules so its bytes are the op-by-op graph's. The encoder is built from
+the generic ops in ``tensor``.
+
 Each model kind is one parameter class owning ``logits``, ``hyper``,
 ``shapes`` and ``from_hyper``, and how it is scored: ``chunk_rows`` rows per
 inference chunk, and whether ``threaded_chunks`` may spread the chunks over
@@ -251,16 +257,49 @@ def forward(x: np.ndarray | Tensor, params: ModelParams) -> Tensor:
 
 
 def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
-    """Encoded batch (batch, features) -> raw logits (batch, 2)."""
+    """Encoded batch (batch, features) -> raw logits (batch, 2).
+
+    One taped primitive with inputs (x, w1, b1, w2, b2, w3, b3). Forward and
+    backward make the numpy calls that the matmul, add and relu ops and
+    their rules would make, in the same order, so every logit and gradient
+    has the bytes of the op-by-op graph. The rule computes a gradient only
+    for an input that requires one.
+    """
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 2 or x.data.shape[1] != params.w1.data.shape[0]:
         raise IncompatibilityError(
             f"input shape {x.shape} does not match first layer "
             f"{params.w1.data.shape}"
         )
-    h = T.relu(T.add(T.matmul(x, params.w1), params.b1))
-    h = T.relu(T.add(T.matmul(h, params.w2), params.b2))
-    return T.add(T.matmul(h, params.w3), params.b3)
+    inputs = (x, params.w1, params.b1, params.w2, params.b2, params.w3, params.b3)
+    w1, w2, w3 = params.w1.data, params.w2.data, params.w3.data
+    h1 = np.maximum(np.matmul(x.data, w1) + params.b1.data, 0.0)
+    h2 = np.maximum(np.matmul(h1, w2) + params.b2.data, 0.0)
+    out = Tensor(np.matmul(h2, w3) + params.b3.data)
+
+    needs = [t.requires_grad for t in inputs]  # x, w1, b1, w2, b2, w3, b3
+    # layer k = 1, 2, 3 reads its input acts[k - 1]; for k > 1 that is the ReLU output below it
+    acts = (x.data if needs[1] else None, h1, h2)
+    weights = (w1, w2, w3)
+
+    def back(g):
+        grads = [None] * 7
+        for k in (3, 2, 1):
+            a = acts[k - 1]
+            if needs[2 * k]:
+                grads[2 * k] = np.add.reduce(g, axis=0)  # the bias: what _unbroadcast computes
+            if needs[2 * k - 1]:
+                grads[2 * k - 1] = a.T @ g
+            if not any(needs[: 2 * k - 1]):  # nothing below layer k needs a gradient
+                break
+            g = g @ weights[k - 1].T
+            if k > 1:
+                g = g * (a > 0.0)  # the relu rule, which reads the ReLU output
+        else:
+            grads[0] = g
+        return grads
+
+    return T.record(out, inputs, back)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:

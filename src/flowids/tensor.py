@@ -92,7 +92,7 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     return one gradient array (or None) per input, in order. A rule may
     return None for an input that does not require grad, so it need not
     compute a gradient that nothing reads. Custom
-    primitives outside this module (e.g. the fused cross-entropy) use this
+    primitives outside this module (the fused cross-entropy, the FNN) use this
     entry point directly.
 
     The tape keeps ``out``'s node number and a key per input (its node

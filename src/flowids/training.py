@@ -56,12 +56,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     # the reduce ufuncs are what .max/.sum/.mean compute, without their overhead
     shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
     logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-    out = Tensor(np.asarray(-(np.add.reduce(logp[np.arange(n), labels]) / n)))
-    probs = np.exp(logp)
+    rows = np.arange(n)
+    out = Tensor(np.asarray(-(np.add.reduce(logp[rows, labels]) / n)))
 
     def backward(g):
-        grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
+        grad = np.exp(logp)  # the softmax, built only when a backward pass reads it
+        grad[rows, labels] -= 1.0
         return (grad * (float(g) / n),)
 
     return T.record(out, (logits,), backward)
@@ -461,7 +461,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
             train_logits[idx] = logits.data
             loss = cross_entropy(logits, y_train[idx])
             value = loss.item()
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {step}")
             T.backward(loss)
             opt.step()

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import pathlib
 import re
 import struct
@@ -313,6 +314,18 @@ class TestSynth:
     def test_bad_bayes_error_rejected_for_separable_data(self, bayes_error):
         with pytest.raises(ConfigError, match="bayes_error must be in"):
             synth(100, seed=0, difficulty="separable", bayes_error=bayes_error)
+
+    @pytest.mark.parametrize("difficulty", ["separable", "noisy"])
+    @pytest.mark.parametrize("bayes_error", [1e-320, 5e-324, 1e-17])
+    def test_bayes_error_too_small_for_float64_rejected(self, difficulty, bayes_error):
+        """1 - bayes_error rounds to 1, where the normal quantile is undefined."""
+        with pytest.raises(ConfigError, match=f"bayes_error {bayes_error!r} is too small"):
+            synth(10, seed=0, difficulty=difficulty, bayes_error=bayes_error)
+
+    def test_smallest_bayes_error_that_moves_one_accepted(self):
+        tiny = 2.0**-53  # 1 - tiny is the float64 just below 1
+        assert 1.0 - tiny != 1.0
+        assert math.isfinite(noisy_sload_threshold(tiny))
 
     def test_dist_mean_var(self):
         assert dist_mean_var(("uniform", 0.0, 1.0)) == (0.5, 1.0 / 12.0)

@@ -18,6 +18,7 @@ from flowids.model import (
 )
 from flowids.sentencing import sentence
 from flowids.tensor import Tensor
+from flowids.training import cross_entropy
 from fd import central_diff, max_rel_error
 from oracles import (
     np_encoder_block,
@@ -241,6 +242,35 @@ class TestForward:
             np.testing.assert_array_equal(stack(x)[0, :3], stack(poked)[0, :3])
 
 
+FNN_INPUTS = ("x", "w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def op_fnn(x, p):
+    """The FNN as the op-by-op graph: 8 records, each with the generic rule."""
+    h = T.relu(T.add(T.matmul(x, p.w1), p.b1))
+    h = T.relu(T.add(T.matmul(h, p.w2), p.b2))
+    return T.add(T.matmul(h, p.w3), p.b3)
+
+
+def fnn_step(forward_fn, rows, x_grad=False, frozen=()):
+    """Logits and the gradient of each FNN input after one cross-entropy backward pass."""
+    p = init_fnn(13, hidden=(64, 64), seed=4)
+    for name in frozen:
+        getattr(p, name).requires_grad = False
+    rng = np.random.default_rng(rows)
+    x = Tensor(rng.uniform(size=(rows, 13)), requires_grad=x_grad)
+    T.clear_tape()
+    logits = forward_fn(x, p)
+    T.backward(cross_entropy(logits, rng.integers(0, 2, size=rows)))
+    return logits.data, [x.grad] + [getattr(p, name).grad for name in FNN_INPUTS[1:]]
+
+
+def same_bytes(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestFnn:
     def test_matches_transcription(self):
         p = init_fnn(5, hidden=(8, 8), seed=1)
@@ -271,6 +301,40 @@ class TestFnn:
         numeric = central_diff(loss_fn, tensors)
         for a, n in zip(analytic, numeric):
             assert max_rel_error(a, n, floor=1e-6) < 1e-4
+
+    @pytest.mark.parametrize("rows", [16, 1])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_logits_and_gradients_match_the_op_graph_bytes(self, rows, x_grad):
+        logits, grads = fnn_step(fnn_forward, rows, x_grad)
+        ref_logits, ref_grads = fnn_step(op_fnn, rows, x_grad)
+        assert same_bytes(logits, ref_logits)
+        assert (grads[0] is not None) is x_grad
+        for name, g, ref in zip(FNN_INPUTS, grads, ref_grads):
+            assert same_bytes(g, ref), name
+
+    @pytest.mark.parametrize(
+        "frozen", [("w2",), ("b3",), ("w3", "b3"), ("w1", "b1"), ("w1", "b1", "w2", "b2"), ("b1", "w2", "b2", "w3")]
+    )
+    def test_frozen_parameter_gets_no_gradient(self, frozen):
+        _, grads = fnn_step(fnn_forward, 16, frozen=frozen)
+        (_, _, rule), _ = T.active_tape()  # the FNN's record, then the loss's
+        assert [g is not None for g in rule(np.ones((16, 2)))] == [g is not None for g in grads]
+        _, ref_grads = fnn_step(op_fnn, 16, frozen=frozen)
+        for name, g, ref in zip(FNN_INPUTS, grads, ref_grads):
+            assert (g is None) is (name in frozen or name == "x"), name
+            assert same_bytes(g, ref), name
+
+    def test_no_grad_records_nothing(self):
+        p = init_fnn(5, hidden=(8, 8), seed=1)
+        with T.no_grad():
+            out = fnn_forward(np.ones((3, 5)), p)
+        assert T.active_tape() == [] and not out.requires_grad
+
+    def test_training_step_records_the_fnn_and_the_loss(self):
+        p = init_fnn(5, hidden=(8, 8), seed=1)
+        T.backward(cross_entropy(p.logits(np.ones((16, 5))), np.zeros(16, dtype=np.int64)))
+        assert len(T.active_tape()) == 2
+        assert all(t.grad is not None for _, t in p.named_parameters())
 
 
 class TestKindInterface:

@@ -121,11 +121,18 @@ DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
 
 
 def quiet_main(argv) -> int:
-    """cli.main with its output and warnings swallowed; an exception escapes."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """cli.main's exit code, argparse's own included, with its output and warnings
+    swallowed; an exception escapes, and stderr must hold no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return cli.main([str(a) for a in argv])
+            try:
+                code = cli.main([str(a) for a in argv])
+            except SystemExit as exc:  # argparse rejected the argv
+                code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +212,38 @@ def test_any_config_file_never_exits_1(flows, blob):
         argv = ["train", "--model", "fnn", "--epochs", 1, "--data", Path(tmp) / "flows.csv",
                 "--config", Path(tmp) / "c.json", "--out", Path(tmp) / "m.ckpt"]
         assert quiet_main(argv) in DOCUMENTED_EXITS
+
+
+def flag(values):
+    """A flag's text, or None to leave the flag out."""
+    return st.none() | values.map(str)
+
+
+synth_argv = st.fixed_dictionaries({
+    "--n": flag(st.integers(-5, 200) | st.sampled_from(["1e3", "-5", "", "ten", "10.0"])),
+    "--seed": flag(st.integers(-3, 3) | st.integers(2**64, 2**70) | st.sampled_from(["-1", "1e3", ""])),
+    "--difficulty": flag(st.sampled_from(["separable", "noisy", "hard", ""])),
+    "--bayes-error": flag(
+        st.floats() | st.sampled_from(["nan", "inf", "-inf", "1e-320", "5e-324", "1e-17", "0.5", "0.4999", ""])
+    ),
+    "--out": st.sampled_from(["file", "directory", "missing directory"]),
+})
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(synth_argv)
+@example({"--n": "10", "--seed": None, "--difficulty": None, "--bayes-error": "1e-320", "--out": "file"})
+@example({"--n": "10", "--seed": None, "--difficulty": "noisy", "--bayes-error": "5e-324", "--out": "file"})
+def test_synth_argv_never_exits_1(flags):
+    """Any mix of synth flags, each of them malformed, out of range or left
+    out, ends in exit 0, 2 (usage) or 6 (the output path), never in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {"file": Path(tmp) / "x.csv", "directory": Path(tmp), "missing directory": Path(tmp) / "no" / "x.csv"}
+        argv = ["synth"]
+        for name, value in flags.items():
+            if value is not None:
+                argv += [name, out[value] if name == "--out" else value]
+        assert quiet_main(argv) in {0, 2, 6}
 
 
 # --- a damaged checkpoint raises only flowids errors ---------------------------
