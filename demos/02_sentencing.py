@@ -32,19 +32,22 @@ for spec in schema.features[:5]:
 print("  ...")
 print()
 
+# ds.records is a table by column; a row of it reads as the cells it was made from
 record = ds.records[0]
 print("one raw record:")
 for name in ("srcip", "proto", "Sload", "Stime"):
     print(f"  {name:6s} = {record.values[name]}")
 
-(x,), _ = sentencing.encode_batch([record], schema)  # the one row of a (1, width) matrix
+(x,), _ = sentencing.encode_batch(ds.records.take([0]), schema)  # the one row of a (1, width) matrix
 print()
 print("encoded to", x.shape[0], "scalars, all inside [0, 1]:")
 print(" ", np.round(x, 4))
 
 # unseen nominal values fall back to index 0 rather than failing
-stranger = dataio.FlowRecord(dict(record.values, srcip="10.99.99.99"), record.label, 0)
-(x2,), _ = sentencing.encode_batch([stranger], schema)
+# (a table built from raw cells checks every cell as it is built)
+cells = {name: [cell] for name, cell in dict(record.values, srcip="10.99.99.99").items()}
+stranger = dataio.FlowTable(cells, ds.records.kinds, [record.label])
+(x2,), _ = sentencing.encode_batch(stranger, schema)
 print()
 print("srcip never seen at fit time encodes to", x2[0], "(index 0 fallback)")
 

@@ -35,6 +35,7 @@ for name, cfg in configs.items():
 print("\n--- held-out test metrics ---")
 reports = {}
 for name, result in results.items():
+    # the test split's rows by column; encoding reads the values parsed at synth time
     x, y = sentencing.encode_batch(result.test.records, result.schema)
     scores = training.predict_scores(result.params, x)
     reports[name] = metrics.report(scores, y)

@@ -38,7 +38,7 @@ print("model kind :", ckpt.kind)
 print("config     : lr =", ckpt.config["lr"], ", epochs =", ckpt.config["epochs"])
 print("schema     :", ckpt.schema.width, "features")
 
-x, y = sentencing.encode_batch(result.test.records, result.schema)
+x, y = sentencing.encode_batch(result.test.records, result.schema)  # the test split's column table
 before = training.predict_scores(result.params, x)
 after = training.predict_scores(ckpt.params, x)
 print("scores identical after round trip:", bool(np.array_equal(before, after)))

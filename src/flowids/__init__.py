@@ -17,7 +17,7 @@ The usual round trip:
 """
 
 from . import dataio, metrics, model, sentencing, tensor, training
-from .dataio import Dataset, FlowRecord, load_checkpoint, load_csv, save_checkpoint, synth
+from .dataio import Dataset, FlowTable, load_checkpoint, load_csv, save_checkpoint, synth
 from .errors import (
     ConfigError,
     ContractError,
@@ -46,7 +46,7 @@ __all__ = [
     "Dataset",
     "DimensionError",
     "EncoderConfig",
-    "FlowRecord",
+    "FlowTable",
     "FlowidsError",
     "IncompatibilityError",
     "IntegrityError",

@@ -3,7 +3,8 @@
 Each command returns a Run: its configuration, seed and the files it read and
 wrote. `main` times the run, writes the one run manifest next to the first
 output (<output>.manifest.json: command, configuration, seed, SHA-256
-checksums of inputs and outputs, duration, and the environment it ran in),
+checksums of inputs and outputs, the rows each CSV load kept and rejected,
+duration, and the environment it ran in),
 and maps errors to exit codes through EXIT_CODES: 2 usage or configuration,
 3 bad data, 4 model/data incompatibility (including checkpoint versions),
 5 numeric failure in training, 6 file I/O. An eval or report that writes no
@@ -20,7 +21,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -51,6 +52,7 @@ class Run:
     seed: int | None
     inputs: list
     outputs: list
+    loads: dict = field(default_factory=dict)  # profile -> its CSV's LoadSummary, as a dict
 
 
 def _sha256(path) -> str:
@@ -75,6 +77,7 @@ def _write_manifest(command: str, run: Run, started: float) -> None:
         "seed": run.seed,
         "inputs": {str(p): _sha256(p) for p in run.inputs},
         "outputs": {str(p): _sha256(p) for p in run.outputs},
+        "loads": run.loads,
         "duration_seconds": round(time.time() - started, 3),
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         # a transformer score of at least this many chunks runs on this many threads
@@ -85,9 +88,11 @@ def _write_manifest(command: str, run: Run, started: float) -> None:
         handle.write("\n")
 
 
-def _load_dataset(path, profile: str) -> dataio.Dataset:
+def _load_dataset(path, profile: str, loads: dict) -> dataio.Dataset:
+    """Load the CSV, print its load summary and keep it in ``loads`` under the profile."""
     dataset, summary = dataio.load_csv(path, profile)
     print(summary.describe(), file=sys.stderr)
+    loads[profile] = asdict(summary)
     return dataset
 
 
@@ -118,8 +123,8 @@ def _build_train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> Run:
-    config = _build_train_config(args)
-    dataset = _load_dataset(args.data, args.profile)
+    config, loads = _build_train_config(args), {}
+    dataset = _load_dataset(args.data, args.profile, loads)
     result = train(dataset, config)
     for row in result.log.rows:
         print(
@@ -141,18 +146,18 @@ def cmd_train(args) -> Run:
         outputs.append(args.log)
     print(f"saved checkpoint to {args.out}")
     print(f"final validation accuracy: {final.val_acc:.4f}")
-    return Run(result.config.to_dict(), result.config.seed, inputs=[args.data], outputs=outputs)
+    return Run(result.config.to_dict(), result.config.seed, inputs=[args.data], outputs=outputs, loads=loads)
 
 
-def _scores_for(checkpoint: dataio.Checkpoint, data_path) -> tuple[np.ndarray, np.ndarray, dataio.Dataset]:
-    dataset = _load_dataset(data_path, checkpoint.schema.profile)
+def _scores_for(checkpoint: dataio.Checkpoint, data_path, loads: dict) -> tuple[np.ndarray, np.ndarray, dataio.Dataset]:
+    dataset = _load_dataset(data_path, checkpoint.schema.profile, loads)
     x, y = encode_batch(dataset.records, checkpoint.schema)
     return predict_scores(checkpoint.params, x), y, dataset
 
 
 def cmd_eval(args) -> Run:
-    checkpoint = dataio.load_checkpoint(args.model)
-    scores, truths, _ = _scores_for(checkpoint, args.data)
+    checkpoint, loads = dataio.load_checkpoint(args.model), {}
+    scores, truths, _ = _scores_for(checkpoint, args.data, loads)
     rep = metrics.report(scores, truths, threshold=args.threshold)
     label = args.label or str(args.model)
     print(rep.table(label))
@@ -168,28 +173,28 @@ def cmd_eval(args) -> Run:
         rep.roc_csv(args.roc)
         outputs.append(args.roc)
     config = {"threshold": args.threshold, "model_kind": checkpoint.kind}
-    return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=outputs)
+    return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=outputs, loads=loads)
 
 
 def cmd_predict(args) -> Run:
-    checkpoint = dataio.load_checkpoint(args.model)
-    scores, _, dataset = _scores_for(checkpoint, args.data)
+    checkpoint, loads = dataio.load_checkpoint(args.model), {}
+    scores, _, dataset = _scores_for(checkpoint, args.data, loads)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("row,score,predicted\n")
-        for rec, score in zip(dataset.records, scores):
-            handle.write(f"{rec.row},{score:.9f},{int(score >= args.threshold)}\n")
+        for row, score in zip(dataset.records.rows.tolist(), scores):
+            handle.write(f"{row},{score:.9f},{int(score >= args.threshold)}\n")
     print(f"wrote {len(scores)} predictions to {args.out}")
     config = {"threshold": args.threshold, "model_kind": checkpoint.kind}
-    return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=[args.out])
+    return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=[args.out], loads=loads)
 
 
 def cmd_report(args) -> Run:
-    rows, datasets, encoded = [], {}, []  # the CSV is read once per profile and encoded once per schema
+    rows, datasets, encoded, loads = [], {}, [], {}  # the CSV is read once per profile and encoded once per schema
     for model_path in args.models:
         checkpoint = dataio.load_checkpoint(model_path)
         schema = checkpoint.schema
         if schema.profile not in datasets:
-            datasets[schema.profile] = _load_dataset(args.data, schema.profile)
+            datasets[schema.profile] = _load_dataset(args.data, schema.profile, loads)
         xy = next((xy for seen, xy in encoded if seen == schema), None)
         if xy is None:
             xy = encode_batch(datasets[schema.profile].records, schema)
@@ -203,7 +208,8 @@ def cmd_report(args) -> Run:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     config = {"threshold": args.threshold, "models": [str(m) for m in args.models]}
-    return Run(config, None, inputs=list(args.models) + [args.data], outputs=[args.out] if args.out else [])
+    outputs = [args.out] if args.out else []
+    return Run(config, None, inputs=list(args.models) + [args.data], outputs=outputs, loads=loads)
 
 
 def threshold(text: str) -> float:

@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import statistics
 import struct
 import warnings
@@ -25,6 +26,7 @@ import numpy as np
 from . import model as M
 from .errors import (
     ConfigError,
+    ContractError,
     DataError,
     IntegrityError,
     SchemaError,
@@ -32,24 +34,118 @@ from .errors import (
 )
 from .sentencing import (
     NOMINAL,
+    PROFILES,
     Schema,
     parse_column,
     profile_columns,
 )
 
 
-@dataclass
-class FlowRecord:
-    """One raw flow row: cell strings as read, plus the binary label."""
+class FlowTable:
+    """Flow rows by column: the table that load_csv, synth and split build.
 
-    values: dict[str, str]
-    label: int
-    row: int | None = None  # source row for error messages
+    ``cells[name]`` is a column's cells as read, ``parsed[name]`` the float64
+    values of each non-nominal column as sentencing.parse_column gives them,
+    ``labels`` the int64 labels and ``rows`` the source row of each row, for
+    error messages. ``kinds[name]`` is the kind each column was parsed as.
+
+    Built without ``parsed`` (from raw cells, as tests and demos build it),
+    every column is checked with parse_column here, and the first row with a
+    bad cell raises DataError, naming the row and its first bad column.
+    load_csv and synth pass the values they already hold. The table is read,
+    not changed: iterating it or indexing it gives read-only FlowRow views."""
+
+    __slots__ = ("cells", "kinds", "parsed", "labels", "rows")
+
+    def __init__(self, cells, kinds, labels, rows=None, parsed=None):
+        self.cells, self.kinds = dict(cells), dict(kinds)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        n = len(self.labels)
+        self.rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+        if self.kinds.keys() != self.cells.keys() or len(self.rows) != n or any(
+            len(column) != n for column in self.cells.values()
+        ):
+            raise ContractError("a FlowTable needs one kind per column and n cells, labels and rows")
+        if parsed is None:
+            parsed, first, error = {}, n, None
+            for name, column in self.cells.items():
+                values, reasons = parse_column(column, self.kinds[name])
+                if self.kinds[name] != NOMINAL:
+                    parsed[name] = values
+                if reasons and min(reasons) < first:
+                    first = min(reasons)
+                    error = self._bad_cell(first, name, reasons[first])
+            if error is not None:
+                raise error
+        self.parsed = parsed
+
+    def _bad_cell(self, i: int, name: str, reason: str) -> DataError:
+        return DataError(f"record {self.rows[i]}, column {name!r}: {reason}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return (FlowRow(self, i) for i in range(len(self)))
+
+    def __getitem__(self, i) -> "FlowRow":
+        return FlowRow(self, range(len(self))[operator.index(i)])
+
+    def take(self, index) -> "FlowTable":
+        """The rows at ``index``, in that order, as a new table."""
+        index = np.asarray(index, dtype=np.intp)
+        at = index.tolist()
+        return FlowTable(
+            {name: [column[i] for i in at] for name, column in self.cells.items()},
+            self.kinds,
+            self.labels[index],
+            self.rows[index],
+            {name: values[index] for name, values in self.parsed.items()},
+        )
+
+    def column(self, name: str, kind: str):
+        """A column as encoding reads it: its cells if ``kind`` is nominal, else its float64 values.
+
+        A column read as another kind than it was parsed as is parsed for that
+        kind, by the same rule; a bad cell raises DataError naming its row."""
+        if name not in self.cells:
+            if not len(self):
+                return [] if kind == NOMINAL else np.empty(0)
+            raise SchemaError(f"record {self.rows[0]} is missing column {name!r}")
+        if kind == NOMINAL:
+            return self.cells[name]
+        if self.kinds[name] == kind:
+            return self.parsed[name]
+        values, reasons = parse_column(self.cells[name], kind)
+        if reasons:
+            raise self._bad_cell(min(reasons), name, reasons[min(reasons)])
+        return values
+
+
+class FlowRow:
+    """One row of a FlowTable: its cells as read, by column, its label and its source row."""
+
+    __slots__ = ("_table", "_i")
+
+    def __init__(self, table: FlowTable, i: int):
+        self._table, self._i = table, i
+
+    @property
+    def values(self) -> dict:
+        return {name: column[self._i] for name, column in self._table.cells.items()}
+
+    @property
+    def label(self) -> int:
+        return int(self._table.labels[self._i])
+
+    @property
+    def row(self) -> int:
+        return int(self._table.rows[self._i])
 
 
 @dataclass
 class Dataset:
-    records: list[FlowRecord]
+    records: FlowTable
     profile: str
     provenance: str = ""
 
@@ -87,19 +183,40 @@ def _parse_label(cell: str) -> int:
     return int(value)
 
 
+def _parse_labels(cells) -> tuple[np.ndarray, dict[int, str]]:
+    """The int64 labels of a column, plus why each bad label is bad, by index.
+
+    One float() pass serves a column of 0s and 1s; only otherwise is each cell parsed alone."""
+    try:
+        values = np.array(list(map(float, cells)), dtype=np.float64)
+        if ((values == 0.0) | (values == 1.0)).all():
+            return values.astype(np.int64), {}
+    except (TypeError, ValueError):
+        pass
+    labels, reasons = np.zeros(len(cells), dtype=np.int64), {}
+    for i, cell in enumerate(cells):
+        try:
+            labels[i] = _parse_label(cell)
+        except DataError as exc:
+            reasons[i] = str(exc)
+    return labels, reasons
+
+
 def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     """Read a header-first CSV, keeping the profile's columns.
 
     Rows read as with csv.DictReader: blank rows are skipped and not numbered, missing cells
-    are None, extra cells are ignored, a repeated header name takes its last column. A row
-    with a bad label, or a cell that sentencing.parse_column finds bad, is rejected with the
-    first reason (label, then columns in profile order) in the summary."""
+    are None, extra cells are ignored, a repeated header name takes its last column. A leading
+    byte-order mark is dropped. A row with a bad label, or a cell that sentencing.parse_column
+    finds bad, is rejected with the first reason (label, then columns in profile order) in the
+    summary. Each column is parsed once: the table keeps the values that found the rejects."""
     layout = profile_columns(profile)
-    with open(path, newline="", encoding="utf-8") as handle:
+    names = [name for name, _ in layout["features"]] + [layout["label"]]
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
-            for name in [name for name, _ in layout["features"]] + [layout["label"]]:
+            for name in names:
                 if name not in header:
                     raise SchemaError(f"{path}: missing required column {name!r}")
             at = {name: i for i, name in enumerate(header)}  # a repeated name: the last one wins
@@ -112,27 +229,29 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     short = [row for row in rows if len(row) < width]
     for row in short:
         row.extend([None] * (width - len(row)))
-    reasons: dict[int, str] = {}  # row index -> first failing column
-    for name, kind in layout["features"]:
+    # one tuple of cells per profile column, label last
+    columns = list(zip(*map(operator.itemgetter(*[at[name] for name in names]), rows))) or [()] * len(names)
+    labels, reasons = _parse_labels(columns[-1])  # row index -> first reason: the label's, then by column
+    cells, parsed = {}, {}
+    for (name, kind), column in zip(layout["features"], columns):
+        cells[name] = column
         if kind == NOMINAL and not short:  # a nominal cell can be bad only when its row was short
             continue
-        for i, reason in parse_column([row[at[name]] for row in rows], kind)[1].items():
+        values, bad = parse_column(column, kind)
+        if kind != NOMINAL:
+            parsed[name] = values
+        for i, reason in bad.items():
             reasons.setdefault(i, f"column {name!r}: {reason}")
-    columns, label_at = [(name, at[name]) for name, _ in layout["features"]], at[layout["label"]]
-    summary, records = LoadSummary(), []
-    for i, row in enumerate(rows):
-        try:
-            label = _parse_label(row[label_at])
-            if i in reasons:
-                raise DataError(reasons[i])
-        except DataError as exc:
-            summary.note(i + 2, str(exc))
-            continue
-        records.append(FlowRecord(values={name: row[j] for name, j in columns}, label=label, row=i + 2))
-    summary.rows_loaded = len(records)
-    if not records:
+    summary, rejected = LoadSummary(), sorted(reasons)
+    for i in rejected:
+        summary.note(i + 2, reasons[i])
+    table = FlowTable(cells, dict(layout["features"]), labels, np.arange(2, len(rows) + 2), parsed)
+    if rejected:
+        table = table.take(np.delete(np.arange(len(rows)), rejected))
+    summary.rows_loaded = len(table)
+    if not len(table):
         raise DataError(f"{path}: no valid rows")
-    return Dataset(records=records, profile=profile, provenance=str(path)), summary
+    return Dataset(records=table, profile=profile, provenance=str(path)), summary
 
 
 def _first_non_utf8_line(path) -> int:
@@ -150,13 +269,14 @@ def _first_non_utf8_line(path) -> int:
 
 
 def write_csv(dataset: Dataset, path) -> None:
+    """Write the profile's columns, cells as read, then the label."""
     layout = profile_columns(dataset.profile)
-    columns = [name for name, _ in layout["features"]] + [layout["label"]]
+    names = [name for name, _ in layout["features"]]
+    table = dataset.records
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(columns)
-        for rec in dataset.records:
-            writer.writerow([rec.values[c] for c in columns[:-1]] + [rec.label])
+        writer.writerow(names + [layout["label"]])
+        writer.writerows(zip(*[table.cells[name] for name in names], table.labels.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -293,26 +413,26 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
     start = 1.4e9 + np.arange(n, dtype=np.float64)  # monotone counter
     end = start + numeric["dur"]
 
-    records = []
-    for i in range(n):
-        values = {
-            "srcip": str(categorical["srcip"][i]),
-            "dstip": str(categorical["dstip"][i]),
-            "proto": str(categorical["proto"][i]),
-            "Sload": repr(float(numeric["Sload"][i])),
-            "Dload": repr(float(numeric["Dload"][i])),
-            "Stime": repr(float(start[i])),
-            "Ltime": repr(float(end[i])),
-            "Spkts": str(int(numeric["Spkts"][i])),
-            "srcport": str(int(srcport[i])),
-            "dstport": str(categorical["dstport"][i]),
-            "Dpkts": str(int(numeric["Dpkts"][i])),
-            "dur": repr(float(numeric["dur"][i])),
-            "sttl": str(categorical["sttl"][i]),
-        }
-        records.append(FlowRecord(values=values, label=int(labels[i]), row=i))
+    # each column's cells as write_csv writes them, and the float64 values
+    # that parsing those cells gives back: repr() of a float and str() of an
+    # integer both parse to the value they were made from
+    floats = {name: numeric[name] for name in ("Sload", "Dload", "dur")} | {"Stime": start, "Ltime": end}
+    ints = {name: numeric[name] for name in ("Spkts", "Dpkts")} | {"srcport": srcport.astype(np.float64)}
+    cells, parsed = {}, {}
+    for name, kind in PROFILES["synthetic"]["features"]:
+        if name in floats:
+            parsed[name] = floats[name]
+            cells[name] = [repr(v) for v in floats[name].tolist()]
+        elif name in ints:
+            parsed[name] = ints[name]
+            cells[name] = [str(int(v)) for v in ints[name].tolist()]
+        else:
+            cells[name] = categorical[name].tolist()
+            if kind != NOMINAL:  # dstport and sttl draw their cells from a pool of numerals
+                parsed[name] = np.array(list(map(float, cells[name])), dtype=np.float64)
+    table = FlowTable(cells, dict(PROFILES["synthetic"]["features"]), labels, parsed=parsed)
     provenance = f"synth(n={n}, seed={seed}, difficulty={difficulty})"
-    return Dataset(records=records, profile="synthetic", provenance=provenance)
+    return Dataset(records=table, profile="synthetic", provenance=provenance)
 
 
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
@@ -321,31 +441,26 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
     if any(not f > 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must be positive and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
-    buckets: list[list[FlowRecord]] = [[] for _ in fractions]
+    parts: list[list[np.ndarray]] = [[] for _ in fractions]
     bounds = np.cumsum(fractions)
-    for cls in (0, 1):
-        members = [r for r in dataset.records if r.label == cls]
+    labels = dataset.records.labels
+    for cls in (0, 1):  # each part holds its class 0 rows, then its class 1 rows
+        members = np.flatnonzero(labels == cls)
         order = rng.permutation(len(members))
         edges = [0] + [int(np.floor(b * len(members) + 1e-9)) for b in bounds]
         edges[-1] = len(members)
         for i in range(len(fractions)):
-            for k in order[edges[i] : edges[i + 1]]:
-                buckets[i].append(members[k])
+            parts[i].append(members[order[edges[i] : edges[i + 1]]])
     names = ("train", "validation", "test") if len(fractions) == 3 else tuple(
         f"part{i}" for i in range(len(fractions))
     )
     out = []
-    for i, bucket in enumerate(buckets):
+    for i, part in enumerate(parts):
+        table = dataset.records.take(np.concatenate(part))
         for cls in (0, 1):
-            if not any(r.label == cls for r in bucket):
+            if not (table.labels == cls).any():
                 warnings.warn(f"split {names[i]!r} received zero records of class {cls}")
-        out.append(
-            Dataset(
-                records=bucket,
-                profile=dataset.profile,
-                provenance=f"{dataset.provenance} [{names[i]}]",
-            )
-        )
+        out.append(Dataset(records=table, profile=dataset.profile, provenance=f"{dataset.provenance} [{names[i]}]"))
     return tuple(out)
 
 

@@ -307,15 +307,29 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
+# The most parameters a model may hold. Its parameters and AdamW's five
+# buffers of the same size take 48 bytes each, 805 MB at this count, before
+# any activation; a larger model is refused before anything is allocated.
+MAX_PARAMETERS = 2**24
+
+
+def _refuse_oversized(total: int) -> None:
+    if total > MAX_PARAMETERS:
+        raise ConfigError(f"the model would hold {total:,} parameters, more than {MAX_PARAMETERS:,}")
+
+
 def init_params(config: EncoderConfig, tokens: int, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases and positional table; seed-determined."""
     config.validate()
     if tokens < 1:
         raise ConfigError(f"token count must be positive, got {tokens}")
-    rng = np.random.default_rng(seed)
     dim, heads = config.dim, config.heads
     head_dim = dim // heads
     mlp_dim = config.resolved_mlp_dim()
+    # the layout below, counted first: sentencing and head 5td + 2, and per block
+    # the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
+    _refuse_oversized(5 * tokens * dim + 2 + config.blocks * (4 * dim * dim + 2 * dim * mlp_dim + mlp_dim + 7 * dim))
+    rng = np.random.default_rng(seed)
 
     def weight(fan_in, fan_out, shape=None):
         return Tensor(_glorot(rng, fan_in, fan_out, shape or (fan_in, fan_out)), requires_grad=True)
@@ -366,8 +380,9 @@ def init_params(config: EncoderConfig, tokens: int, seed: int) -> ModelParams:
 def init_fnn(features: int, hidden: tuple[int, int] = (64, 64), seed: int = 0) -> FnnParams:
     if features < 1 or min(hidden) < 1:
         raise ConfigError(f"layer sizes must be positive: features={features}, hidden={hidden}")
-    rng = np.random.default_rng(seed)
     h1, h2 = hidden
+    _refuse_oversized(features * h1 + h1 + h1 * h2 + h2 + 2 * h2 + 2)
+    rng = np.random.default_rng(seed)
 
     def weight(fan_in, fan_out):
         return Tensor(_glorot(rng, fan_in, fan_out, (fan_in, fan_out)), requires_grad=True)

@@ -141,7 +141,7 @@ def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
         return cells, ({i: "missing cell" for i, cell in enumerate(cells) if cell is None} if None in cells else {})
     if kind != BOOLEAN:
         try:
-            values = np.array([float(cell) for cell in cells], dtype=np.float64)
+            values = np.array(list(map(float, cells)), dtype=np.float64)
             if np.isfinite(values).all():
                 return values, {}
         except (TypeError, ValueError):
@@ -229,42 +229,19 @@ def profile_columns(profile: str) -> dict:
         raise SchemaError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
 
 
-def _checked_columns(records, features) -> list:
-    """Each (name, kind) feature's column over the records, as parse_column gives it.
-
-    One rule for every record: a missing column raises SchemaError, and a cell that
-    parse_column finds bad raises DataError. The error is the first such record's, at its
-    first such column in feature order."""
-    columns, first, error = [], len(records), None
-    for name, kind in features:
-        try:
-            cells = [rec.values[name] for rec in records]
-        except KeyError:  # caught, not looked for: a column that no record misses costs nothing
-            i = next(i for i, rec in enumerate(records) if name not in rec.values)
-            if i < first:
-                first, error = i, SchemaError(f"record {records[i].row} is missing column {name!r}")
-            cells = [rec.values[name] for rec in records[:i]]
-        cells, reasons = parse_column(cells, kind)
-        if reasons and min(reasons) < first:
-            first = min(reasons)
-            error = DataError(f"record {records[first].row}, column {name!r}: {reasons[first]}")
-        columns.append(cells)
-    if error is not None:
-        raise error
-    return columns
-
-
 def fit_schema(records, profile: str) -> Schema:
     """Fit nominal vocabularies and numeric ranges from training records only.
 
-    Every cell is checked before any column is fitted. Nominal vocabularies index values by
+    ``records`` is a dataio.FlowTable, whose cells were checked when it was built, so
+    fitting reads its columns and parses nothing. Nominal vocabularies index values by
     first appearance, starting at 1; index 0 stays reserved for values unseen during fitting.
     """
     layout = profile_columns(profile)
-    if not records:
+    if not len(records):
         raise SchemaError("cannot fit a schema on an empty record set")
+    columns = [records.column(name, kind) for name, kind in layout["features"]]  # a missing one raises first
     specs = []
-    for (name, kind), column in zip(layout["features"], _checked_columns(records, layout["features"])):
+    for (name, kind), column in zip(layout["features"], columns):
         if kind == NOMINAL:
             # dict keys keep first appearance order
             vocab = {cell: i for i, cell in enumerate(dict.fromkeys(map(str, column)), start=1)}
@@ -279,12 +256,12 @@ def fit_schema(records, profile: str) -> Schema:
 
 
 def encode_batch(records, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
-    """Encode records into an (n, width) matrix, one column at a time, plus the label vector."""
-    features = [(spec.name, spec.kind) for spec in schema.features]
+    """Encode a dataio.FlowTable into an (n, width) matrix, one column at a time, plus the label vector."""
+    columns = [records.column(spec.name, spec.kind) for spec in schema.features]
     x = np.empty((len(records), schema.width), dtype=np.float64)
-    for j, (spec, column) in enumerate(zip(schema.features, _checked_columns(records, features))):
+    for j, (spec, column) in enumerate(zip(schema.features, columns)):
         x[:, j] = spec.encode_column(column)
-    return x, np.array([rec.label for rec in records], dtype=np.int64)
+    return x, records.labels.copy()
 
 
 @dataclass

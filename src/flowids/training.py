@@ -46,11 +46,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, k = z.shape
     if labels.shape != (n,):
         raise DataError(f"labels shape {labels.shape} does not match batch size {n}")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":  # signed or unsigned integers; bool is neither
         raise DataError(f"labels must be integers, got dtype {labels.dtype}")
-    bad = np.nonzero((labels < 0) | (labels >= k))[0]
-    if bad.size:
-        i = int(bad[0])
+    if n and not (0 <= np.minimum.reduce(labels) and np.maximum.reduce(labels) < k):  # look for the row only then
+        i = int(np.flatnonzero((labels < 0) | (labels >= k))[0])
         raise DataError(f"label at row {i} is {labels[i]}, outside 0..{k - 1}")
 
     # the reduce ufuncs are what .max/.sum/.mean compute, without their overhead
@@ -429,7 +428,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
     """
     config = (config or TrainConfig()).resolved()
     train_ds, val_ds, test_ds = dataio.split(dataset, config.split_fractions, config.seed)
-    if not train_ds.records:
+    if not len(train_ds):
         raise ConfigError("training split is empty; dataset too small for the fractions")
     schema = fit_schema(train_ds.records, dataset.profile)
     x_train, y_train = encode_batch(train_ds.records, schema)

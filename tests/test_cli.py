@@ -433,6 +433,35 @@ class TestReport:
         assert "both classes" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "report"])
+def test_manifest_records_what_each_load_kept_and_rejected(workdir, tmp_path, capsys, command):
+    """A CSV with one bad row: the manifest names the row and its reason, for
+    report once per profile it read, and stderr prints the summary as before."""
+    lines = (workdir / "flows.csv").read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[3] = "fast"  # Sload
+    lines[4] = ",".join(cells)
+    data, out = tmp_path / "flows.csv", tmp_path / "out"
+    data.write_text("\n".join(lines) + "\n")
+    fnn, unsw = str(workdir / "fnn.ckpt"), str(tmp_path / "unsw.ckpt")  # the synthetic layout is the unsw one
+    argv = {
+        "train": ["train", "--model", "fnn", "--epochs", "1", "--out", str(out)],
+        "eval": ["eval", "--model", fnn, "--out", str(out)],
+        "predict": ["predict", "--model", fnn, "--out", str(out)],
+        "report": ["report", "--models", fnn, unsw, fnn, "--out", str(out)],
+    }[command]
+    profiles = ["synthetic", "unsw"] if command == "report" else ["synthetic"]
+    if command == "report":
+        assert cli.main(["train", "--model", "fnn", "--epochs", "1", "--profile", "unsw",
+                         "--data", str(workdir / "flows.csv"), "--out", unsw]) == 0
+        capsys.readouterr()
+    assert cli.main(argv + ["--data", str(data)]) == 0
+    reason = "column 'Sload': cannot parse numeric cell 'fast'"
+    summary = {"rows_loaded": 299, "rows_rejected": 1, "rejects": [[5, reason]]}
+    assert json.loads(pathlib.Path(f"{out}.manifest.json").read_text())["loads"] == dict.fromkeys(profiles, summary)
+    assert capsys.readouterr().err == f"loaded 299 rows, rejected 1\n  row 5: {reason}\n" * len(profiles)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["eval", "predict", "report"])
 def test_non_finite_threshold_is_usage_error(workdir, tmp_path, command, value):

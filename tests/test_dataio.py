@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from checkpoints import HEADER_DEFECTS, rewrite_header
-from flowids import dataio
+from flowids import dataio, sentencing
 from flowids.dataio import (
     SEPARABLE_THRESHOLD,
     Checkpoint,
+    FlowTable,
     dist_mean_var,
     load_checkpoint,
     load_csv,
@@ -26,9 +27,9 @@ from flowids.dataio import (
     synth,
     write_csv,
 )
-from flowids.errors import ConfigError, DataError, IntegrityError, SchemaError, VersionError
+from flowids.errors import ConfigError, ContractError, DataError, IntegrityError, SchemaError, VersionError
 from flowids.model import EncoderConfig, init_fnn, init_params
-from flowids.sentencing import encode_batch, fit_schema
+from flowids.sentencing import NOMINAL, encode_batch, fit_schema, parse_column
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -146,6 +147,55 @@ class TestLoadCsv:
             assert f"'{column}'" in rows[line] and "non-finite" in rows[line]
         x, _ = encode_batch(ds.records, fit_schema(ds.records, "unsw"))
         assert np.all(np.isfinite(x))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A CSV that a spreadsheet saved with a leading BOM loads as the same file without it."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(synth(200, seed=3), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (a, sa), (b, sb) = load_csv(plain, "synthetic"), load_csv(marked, "synthetic")
+        assert sa == sb and a.records.cells == b.records.cells
+        assert all(a.records.parsed[name].tobytes() == b.records.parsed[name].tobytes() for name in a.records.parsed)
+        assert a.records.labels.tolist() == b.records.labels.tolist()
+        assert a.records.rows.tolist() == b.records.rows.tolist()
+
+    def test_byte_order_mark_leaves_the_non_utf8_line_unchanged(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbfsrcip,label\n\xff\xfe,1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text at line 2")):
+            load_csv(path, "synthetic")
+        write_csv(synth(400, seed=0), path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[299] = lines[299][:3] + b"\xc3" + lines[299][3:]
+        path.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join(lines))
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text at line 300")):
+            load_csv(path, "synthetic")
+
+    def test_each_column_is_parsed_once(self, tmp_path, monkeypatch):
+        """load_csv parses each non-nominal column once, rejects and all;
+        fit_schema and encode_batch read its values and parse nothing."""
+        path = tmp_path / "flows.csv"
+        write_csv(synth(200, seed=3), path)
+        path.write_text(path.read_text().replace(",tcp,", ",tcp,fast", 2))  # two rows' Sload is rejected
+        calls, real = [], parse_column
+
+        def counted(cells, kind):
+            calls.append(kind)
+            return real(cells, kind)
+
+        for module in (dataio, sentencing):
+            monkeypatch.setattr(module, "parse_column", counted)
+        ds, summary = load_csv(path, "synthetic")
+        assert summary.rows_rejected == 2
+        features = sentencing.PROFILES["synthetic"]["features"]
+        assert sorted(kind for kind in calls if kind != NOMINAL) == sorted(k for _, k in features if k != NOMINAL)
+        calls.clear()
+        schema = fit_schema(ds.records, ds.profile)
+        encode_batch(ds.records, schema)
+        assert calls == []
+        for name, kind in features:  # the kept values are what parsing the kept cells gives
+            if kind != NOMINAL:
+                assert ds.records.parsed[name].tobytes() == real(ds.records.cells[name], kind)[0].tobytes()
 
     def test_summary_describe_mentions_rows(self):
         _, summary = load_csv(FIXTURES / "unsw_tiny.csv", "unsw")
@@ -334,7 +384,42 @@ class TestSynth:
         assert mean == 4.5 and var == (100 - 1) / 12.0
 
 
+class TestFlowTable:
+    def test_synth_values_are_its_cells_parsed(self):
+        """synth hands over the values it drew; they are what parsing its cells gives, bit for bit."""
+        for difficulty in ("separable", "noisy"):
+            table = synth(300, seed=4, difficulty=difficulty).records
+            for name, kind in table.kinds.items():
+                values, reasons = parse_column(table.cells[name], kind)
+                assert reasons == {}
+                if kind != NOMINAL:
+                    assert table.parsed[name].tobytes() == values.tobytes(), name
+
+    def test_rows_are_read_only_views(self):
+        table = synth(20, seed=1).records
+        assert len(table) == len(list(table)) == 20
+        row = table[-1]
+        assert (row.row, row.label) == (19, int(table.labels[19]))
+        row.values["Sload"] = "0"  # a copy: the table keeps its cells
+        assert table[19].values["Sload"] == table.cells["Sload"][19] != "0"
+        with pytest.raises(AttributeError):
+            row.label = 1
+
+    def test_columns_must_agree_in_length(self):
+        with pytest.raises(ContractError):
+            FlowTable({"a": ["1", "2"]}, {"a": "numeric"}, [0])
+        with pytest.raises(ContractError):
+            FlowTable({"a": ["1"]}, {"b": "numeric"}, [0])
+
+
 class TestSplit:
+    def test_parts_keep_class_zero_rows_first(self):
+        """Each part holds its class 0 rows, then its class 1 rows, so
+        checkpoints trained on a part keep their bytes."""
+        for part in split(synth(90, seed=7), (0.6, 0.2, 0.2), seed=0):
+            labels = part.records.labels.tolist()
+            assert labels == sorted(labels) and 0 < sum(labels) < len(labels)
+
     def test_stratified_counts(self):
         """80 balanced records at (0.6, 0.2, 0.2) give 48/16/16, each part
         itself balanced."""
@@ -349,9 +434,9 @@ class TestSplit:
     def test_partition_is_exact(self):
         ds = synth(75, seed=7)
         parts = split(ds, (0.6, 0.2, 0.2), seed=0)
-        seen = [id(r) for p in parts for r in p.records]
+        seen = [r.row for p in parts for r in p.records]
         assert len(seen) == 75
-        assert set(seen) == {id(r) for r in ds.records}
+        assert set(seen) == {r.row for r in ds.records}
 
     def test_deterministic(self):
         ds = synth(60, seed=7)
@@ -377,7 +462,7 @@ class TestSplit:
 
     def test_empty_class_warns(self):
         ds = synth(60, seed=7)
-        ds.records = [r for r in ds.records if r.label == 0][:12]
+        ds.records = ds.records.take(np.flatnonzero(ds.records.labels == 0)[:12])
         with pytest.warns(UserWarning, match="class 1"):
             split(ds, (0.6, 0.2, 0.2), seed=0)
 

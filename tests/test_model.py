@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowids.tensor as T
+from flowids import model
 from flowids.errors import ConfigError, IncompatibilityError
 from flowids.model import (
     KINDS,
@@ -119,6 +120,31 @@ class TestInit:
     def test_invalid_head_split_rejected(self):
         with pytest.raises(ConfigError):
             init_params(EncoderConfig(dim=10, heads=4), tokens=3, seed=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: init_params(EncoderConfig(dim=4, heads=2, blocks=1, mlp_dim=2**64), tokens=3, seed=0),
+        lambda: init_params(EncoderConfig(dim=2, heads=1, blocks=2**40), tokens=3, seed=0),
+        lambda: init_params(EncoderConfig(dim=2**12, heads=1, blocks=1), tokens=2**12, seed=0),
+        lambda: init_fnn(13, hidden=(2**64, 4)),
+    ], ids=["mlp_dim-2**64", "blocks-2**40", "tokens-times-dim", "fnn-hidden-2**64"])
+    def test_oversized_model_is_refused_before_allocating(self, build):
+        """A size numpy cannot index, or a model past MAX_PARAMETERS, is a
+        configuration error, found from the layout without building it."""
+        with pytest.raises(ConfigError, match="parameters, more than 16,777,216"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: init_params(EncoderConfig(dim=6, heads=3, blocks=2, mlp_dim=5), tokens=4, seed=0),
+        lambda: init_fnn(7, hidden=(5, 3)),
+    ], ids=["transformer", "fnn"])
+    def test_size_limit_counts_the_parameters_built(self, build, monkeypatch):
+        """The count checked before building is the count built: a model of
+        exactly MAX_PARAMETERS builds, and one parameter fewer refuses it."""
+        monkeypatch.setattr(model, "MAX_PARAMETERS", parameter_count(build()))
+        build()
+        monkeypatch.setattr(model, "MAX_PARAMETERS", model.MAX_PARAMETERS - 1)
+        with pytest.raises(ConfigError, match="parameters, more than"):
+            build()
 
 
 class TestAttention:

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from checkpoints import rewrite_header
 from flowids import cli
-from flowids.dataio import Dataset, FlowRecord, load_checkpoint, load_csv, save_checkpoint, synth, write_csv
+from flowids.dataio import Dataset, FlowTable, load_checkpoint, load_csv, save_checkpoint, synth, write_csv
 from flowids.errors import FlowidsError
 from flowids.model import EncoderConfig, init_fnn, init_params
 from flowids.sentencing import NOMINAL, NUMERIC, PROFILES, FeatureSpec, Schema, encode_batch, fit_schema
@@ -70,15 +70,10 @@ def schemas_and_records(draw):
             a = draw(number)
             b = a if draw(st.booleans()) else draw(number)  # a constant feature half the time
             specs.append(FeatureSpec(f"f{j}", NUMERIC, lo=min(a, b), hi=max(a, b)))
-    records = [
-        FlowRecord(
-            values={s.name: draw(word) if s.kind == NOMINAL else repr(draw(number)) for s in specs},
-            label=draw(st.integers(0, 1)),
-            row=i,
-        )
-        for i in range(draw(st.integers(0, 5)))
-    ]
-    return Schema("synthetic", specs), records
+    n = draw(st.integers(0, 5))
+    cells = {s.name: [draw(word) if s.kind == NOMINAL else repr(draw(number)) for _ in range(n)] for s in specs}
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Schema("synthetic", specs), FlowTable(cells, {s.name: s.kind for s in specs}, labels)
 
 
 @settings(derandomize=True, database=None, max_examples=500)
@@ -92,7 +87,7 @@ def test_batch_encoding_matches_record_and_cell_encoding(case):
     assert x.shape == (len(records), schema.width)
     cells = [[scalar_encode(s, r.values[s.name]) for s in schema.features] for r in records]
     assert x.tobytes() == np.array(cells, dtype=np.float64).tobytes()
-    assert x.tobytes() == b"".join(encode_batch([r], schema)[0].tobytes() for r in records)
+    assert x.tobytes() == b"".join(encode_batch(records.take([i]), schema)[0].tobytes() for i in range(len(records)))
     assert y.tolist() == [r.label for r in records]
 
 
@@ -106,7 +101,9 @@ flow_values = st.fixed_dictionaries(
 @settings(derandomize=True, database=None, max_examples=200)
 @given(st.lists(st.tuples(flow_values, st.integers(0, 1)), min_size=1, max_size=6))
 def test_csv_round_trip_keeps_values_labels_and_order(rows):
-    records = [FlowRecord(values=values, label=label, row=i) for i, (values, label) in enumerate(rows)]
+    kinds = dict(PROFILES["synthetic"]["features"])
+    cells = {name: [values[name] for values, _ in rows] for name in kinds}
+    records = FlowTable(cells, kinds, [label for _, label in rows])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "flows.csv"
         write_csv(Dataset(records=records, profile="synthetic"), path)
@@ -244,6 +241,106 @@ def test_synth_argv_never_exits_1(flags):
             if value is not None:
                 argv += [name, out[value] if name == "--out" else value]
         assert quiet_main(argv) in {0, 2, 6}
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(flows, tmp_path_factory):
+    """The input files a generated argv can name, by kind: the flows CSV, an
+    FNN and a small transformer checkpoint trained on it, and a config file."""
+    data, fnn = flows
+    root = tmp_path_factory.mktemp("argv")
+    (root / "flows.csv").write_bytes(data)
+    (root / "c.json").write_text('{"epochs": 1, "batch_size": 8}')
+    argv = ["train", "--data", root / "flows.csv", "--dim", 4, "--heads", 2, "--blocks", 1, "--epochs", 1,
+            "--out", root / "t.ckpt"]
+    assert quiet_main(argv) == 0
+    return {"csv": root / "flows.csv", "fnn": fnn, "transformer": root / "t.ckpt", "config": root / "c.json"}
+
+
+def mostly(good, bad):
+    """Good values nine times in ten, bad ones the tenth."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+def required(good, bad):
+    """A required flag's values: mostly a good one once; else left out, repeated or bad."""
+    return mostly(good.map(lambda v: [v]), st.lists(good | bad, max_size=2))
+
+
+def optional(good, bad):
+    """An optional flag's values: mostly left out or good; sometimes repeated or bad."""
+    given_once_or_twice = st.lists(mostly(good, bad), min_size=1, max_size=2)
+    return st.integers(0, 9).flatmap(lambda k: st.just([]) if k < 5 else given_once_or_twice)
+
+
+inputs = st.sampled_from(["csv", "fnn", "transformer", "config", "directory", "missing"])
+outputs = st.sampled_from(["file", "directory", "missing directory"])
+not_a_number = st.sampled_from(["", "x", "1e3", "nan", "-inf", "0x10"])
+small_integer = st.integers(-2, 0) | not_a_number
+integer = small_integer | st.integers(2**64, 2**70)  # past any model size limit and any index
+real = st.floats() | not_a_number
+thresholds = real | st.sampled_from(["1e-300", "-1", "2"])
+COMMAND_FLAGS = {  # good sizes stay small, and no bad one is large enough to allocate much
+    "train": {
+        "--data": required(st.just("csv"), inputs), "--out": required(st.just("file"), outputs),
+        "--log": optional(st.just("file"), outputs), "--config": optional(st.just("config"), inputs),
+        "--model": optional(st.sampled_from(["fnn", "transformer"]), st.just("nosuch")),
+        "--profile": optional(st.sampled_from(["synthetic", "unsw"]), st.sampled_from(["ton", "nosuch"])),
+        "--epochs": optional(st.just(2), small_integer), "--lr": optional(st.just(0.1), real),  # 2**64 epochs would run
+        "--batch-size": optional(st.sampled_from([4, 64]), integer), "--seed": optional(st.just(7), integer),
+        "--dim": optional(st.sampled_from([4, 8]), integer), "--heads": optional(st.sampled_from([1, 2, 4]), integer),
+        "--blocks": optional(st.just(1), integer), "--mlp-dim": optional(st.just(4), integer),
+        "--weight-decay": optional(st.just(0.0), real), "--no-mask": optional(st.none(), st.none()),
+    },
+    "eval": {
+        "--model": required(st.sampled_from(["fnn", "transformer"]), inputs),
+        "--data": required(st.just("csv"), inputs),
+        "--threshold": optional(st.just(0.3), thresholds), "--label": optional(st.text(max_size=3), st.just("")),
+        "--out": optional(st.just("file"), outputs), "--roc": optional(st.just("file"), outputs),
+    },
+    "predict": {
+        "--model": required(st.sampled_from(["fnn", "transformer"]), inputs),
+        "--data": required(st.just("csv"), inputs),
+        "--threshold": optional(st.just(0.3), thresholds), "--out": required(st.just("file"), outputs),
+    },
+    "report": {
+        "--models": required(st.lists(st.sampled_from(["fnn", "transformer"]), min_size=1, max_size=3),
+                             st.lists(inputs, max_size=3)),
+        "--data": required(st.just("csv"), inputs), "--threshold": optional(st.just(0.3), thresholds),
+        "--out": optional(st.just("file"), outputs),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_command_argv_never_exits_1(argv_inputs, command, data):
+    """Any mix of a command's flags, each given as text, out of range, repeated
+    or left out, with paths that are directories or under a missing directory,
+    ends in a documented exit code, never in a traceback. Training starts from
+    one epoch, which a generated --epochs overrides."""
+    flags = data.draw(st.fixed_dictionaries(COMMAND_FLAGS[command]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {**argv_inputs, "directory": Path(tmp), "missing": Path(tmp) / "no" / "such"}
+
+        def text(flag, value):
+            if flag in ("--data", "--config", "--model"):
+                return [paths.get(value, value)]
+            if flag == "--models":
+                return [paths[v] for v in value]  # no paths at all is argparse's error
+            if flag in ("--out", "--log", "--roc"):
+                return [{"file": Path(tmp) / f"{flag[2:]}.out", "directory": Path(tmp),
+                         "missing directory": Path(tmp) / "no" / "x"}[value]]
+            return [] if value is None else [value]
+
+        argv = [command] + (["--epochs", 1] if command == "train" else [])
+        for flag, values in flags.items():
+            for value in values:
+                argv += [flag] + text(flag, value)
+        code = quiet_main(argv)
+        event(f"exit {code}")
+        assert code in DOCUMENTED_EXITS
 
 
 # --- a damaged checkpoint raises only flowids errors ---------------------------

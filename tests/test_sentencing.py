@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import flowids.tensor as T
-from flowids.dataio import FlowRecord
+from flowids.dataio import FlowTable
 from flowids.errors import DataError, SchemaError
 from flowids.sentencing import (
     FeatureSpec,
@@ -55,12 +55,22 @@ _BASE = {
 
 
 def _rec(row=0, label=0, **overrides):
-    values = dict(_BASE)
-    values.update(overrides)
-    return FlowRecord(values=values, label=label, row=row)
+    """One record: its source row, label and cells."""
+    return row, label, {**_BASE, **overrides}
+
+
+def _table(recs, without=()):
+    """The records as a unsw FlowTable, less the columns named in ``without``; checked as it is built."""
+    kinds = {name: kind for name, kind in profile_columns("unsw")["features"] if name not in without}
+    cells = {name: [values[name] for _, _, values in recs] for name in kinds}
+    return FlowTable(cells, kinds, [label for _, label, _ in recs], [row for row, _, _ in recs])
 
 
 def _records():
+    return _table(_rows())
+
+
+def _rows():
     return [
         _rec(0, 0),
         _rec(1, 1, srcip="10.0.0.2", proto="udp", Sload="3000.0", sttl="255", dur="0.4"),
@@ -148,7 +158,7 @@ class TestFitSchema:
         assert sload.hi == 5000.0
 
     def test_constant_feature_warns(self):
-        recs = [_rec(i, i % 2) for i in range(4)]
+        recs = _table([_rec(i, i % 2) for i in range(4)])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit_schema(recs, "unsw")
@@ -156,26 +166,26 @@ class TestFitSchema:
 
     def test_empty_records_rejected(self):
         with pytest.raises(SchemaError, match="empty"):
-            fit_schema([], "unsw")
+            fit_schema(_table([]), "unsw")
 
     def test_missing_column_names_it(self):
-        bad = _rec(7)
-        del bad.values["sttl"]
+        """A table without a profile column names its first record and the column."""
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # every cell is checked before a constant column is fitted
+            warnings.simplefilter("error")  # every column is read before a constant column is fitted
             with pytest.raises(SchemaError, match="record 7 is missing column 'sttl'"):
-                fit_schema([_rec(0), bad], "unsw")
+                fit_schema(_table([_rec(7), _rec(8)], without=("sttl",)), "unsw")
 
     @pytest.mark.parametrize(
         "cell, reason",
         [("fast", "cannot parse"), ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite")],
     )
     def test_bad_numeric_cell_names_record_and_column(self, cell, reason):
-        """load_csv's rule: a cell that does not parse or is not finite never reaches a range."""
-        recs = _records()
-        recs[2].values["Sload"] = cell
+        """load_csv's rule, applied as a table is built from raw cells: a cell
+        that does not parse or is not finite never reaches a range."""
+        recs = _rows()
+        recs[2][2]["Sload"] = cell
         with pytest.raises(DataError, match=f"record 2, column 'Sload': {reason}"):
-            fit_schema(recs, "unsw")
+            fit_schema(_table(recs), "unsw")
 
     def test_roundtrip_through_dict(self):
         schema = fit_schema(_records(), "unsw")
@@ -185,7 +195,7 @@ class TestFitSchema:
 
 def _encode(spec, *cells):
     """The encodings of raw cells under one fitted spec, through encode_batch."""
-    records = [FlowRecord(values={spec.name: cell}, label=0, row=i) for i, cell in enumerate(cells)]
+    records = FlowTable({spec.name: list(cells)}, {spec.name: spec.kind}, [0] * len(cells))
     return encode_batch(records, Schema("unsw", [spec]))[0][:, 0].tolist()
 
 
@@ -224,15 +234,15 @@ class TestEncode:
     def test_deterministic(self):
         recs = _records()
         schema = fit_schema(recs, "unsw")
-        a, _ = encode_batch(recs[1:2], schema)
-        b, _ = encode_batch(recs[1:2], schema)
+        a, _ = encode_batch(recs.take([1]), schema)
+        b, _ = encode_batch(recs.take([1]), schema)
         np.testing.assert_array_equal(a, b)
 
     def test_encode_does_not_mutate_schema(self):
         """Seeing new nominal values at encode time must not grow the vocab."""
         schema = fit_schema(_records(), "unsw")
         before = schema.to_dict()
-        encode_batch([_rec(9, proto="gre", srcip="172.16.0.9")], schema)
+        encode_batch(_table([_rec(9, proto="gre", srcip="172.16.0.9")]), schema)
         assert schema.to_dict() == before
 
     def test_bad_cell_error_names_row_and_column(self):
@@ -241,54 +251,66 @@ class TestEncode:
         cases = [("fast", "cannot parse"), ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite")]
         for cell, reason in cases:
             with pytest.raises(DataError, match=f"record 41, column 'Sload': {reason}"):
-                encode_batch(_records() + [_rec(41, Sload=cell)], schema)
+                encode_batch(_table(_rows() + [_rec(41, Sload=cell)]), schema)
 
     def test_fit_and_encode_name_the_same_cell(self):
-        """The first record with a bad cell wins, whatever column its cell is in."""
-        recs = _records() + [_rec(4, Sload="fast")]
-        recs[1].values["Dload"] = "slow"
+        """The table that both read is checked as it is built: the first
+        record with a bad cell wins, whatever column its cell is in."""
+        recs = _rows() + [_rec(4, Sload="fast")]
+        recs[1][2]["Dload"] = "slow"
         message = "record 1, column 'Dload': cannot parse numeric cell 'slow'"
         with pytest.raises(DataError) as fit:
-            fit_schema(recs, "unsw")
+            fit_schema(_table(recs), "unsw")
         with pytest.raises(DataError) as enc:
-            encode_batch(recs, fit_schema(_records(), "unsw"))
+            encode_batch(_table(recs), fit_schema(_records(), "unsw"))
         assert str(fit.value) == str(enc.value) == message
 
     def test_encode_batch_names_the_first_bad_record(self):
         """Two bad records in different columns: the error is the first
         record's, naming its first bad column."""
         schema = fit_schema(_records(), "unsw")
-        recs = _records() + [_rec(41, Dload="slow"), _rec(42, Sload="fast", Dload="nan?")]
+        recs = _rows() + [_rec(41, Dload="slow"), _rec(42, Sload="fast", Dload="nan?")]
         message = "record 41, column 'Dload': cannot parse numeric cell 'slow'"
         with pytest.raises(DataError) as batch:
-            encode_batch(recs, schema)
+            encode_batch(_table(recs), schema)
         assert str(batch.value) == message
         with pytest.raises(DataError, match="record 42, column 'Sload'"):
-            encode_batch(recs[-1:], schema)
+            encode_batch(_table(recs[-1:]), schema)
 
     def test_missing_nominal_cell_is_a_bad_cell(self):
         """A row that ends before its nominal cells holds None there, as
-        load_csv pads it: fit_schema and encode_batch name the record and the
-        column, and no 'None' reaches a vocabulary."""
-        recs = _records()
-        recs[2].values["dstip"] = recs[2].values["proto"] = None
+        load_csv pads it: a table built from it names the record and the
+        column, so no 'None' reaches a vocabulary."""
+        recs = _rows()
+        recs[2][2]["dstip"] = recs[2][2]["proto"] = None
         message = "record 2, column 'dstip': missing cell"
         with pytest.raises(DataError) as fit:
-            fit_schema(recs, "unsw")
+            fit_schema(_table(recs), "unsw")
         with pytest.raises(DataError) as enc:
-            encode_batch(recs, fit_schema(_records(), "unsw"))
+            encode_batch(_table(recs), fit_schema(_records(), "unsw"))
         assert str(fit.value) == str(enc.value) == message
 
-    def test_encode_batch_missing_column_before_later_bad_cell(self):
+    def test_encode_batch_missing_column_names_it(self):
         schema = fit_schema(_records(), "unsw")
-        gap = _rec(5)
-        del gap.values["sttl"]
         with pytest.raises(SchemaError, match="record 5 is missing column 'sttl'"):
-            encode_batch([gap, _rec(6, Sload="fast")], schema)
+            encode_batch(_table([_rec(5), _rec(6)], without=("sttl",)), schema)
+
+    def test_column_read_as_another_kind_is_parsed_for_it(self):
+        """A schema may read a column as another kind than its profile gives
+        it: the column is parsed for that kind by the same rule, and a bad
+        cell names the record and the column."""
+        recs = _records()
+        as_timestamp = FeatureSpec("Sload", "timestamp", lo=1000.0, hi=5000.0)
+        as_numeric = FeatureSpec("Sload", "numeric", lo=1000.0, hi=5000.0)
+        x, _ = encode_batch(recs, Schema("unsw", [as_timestamp]))
+        assert x.tobytes() == encode_batch(recs, Schema("unsw", [as_numeric]))[0].tobytes()
+        as_boolean = FeatureSpec("Sload", "boolean", lo=0.0, hi=1.0)
+        with pytest.raises(DataError, match="record 0, column 'Sload': cannot parse boolean cell '1000.0'"):
+            encode_batch(recs, Schema("unsw", [as_boolean]))
 
     def test_encode_batch_of_no_records(self):
         """Zero records give an empty (0, width) matrix and no labels."""
-        x, y = encode_batch([], fit_schema(_records(), "unsw"))
+        x, y = encode_batch(_table([]), fit_schema(_records(), "unsw"))
         assert x.shape == (0, 13) and x.dtype == np.float64
         assert y.shape == (0,) and y.dtype == np.int64
 
