@@ -245,23 +245,36 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; each slice sums to 1."""
+    """Stable softmax along ``axis``; each slice sums to 1.
+
+    ``axis`` is swapped last, so the sums are BLAS products with a ones
+    column (see ``_column``); the row max is a reduction, which is exact.
+    """
     a = _as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise DimensionError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    e = np.exp(a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True))
-    y = e / np.add.reduce(e, axis=axis, keepdims=True)
-    out = Tensor(y)
+    x = a.data.swapaxes(axis, -1)
+    ones = _column(x.shape[-1], 1.0)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    y = e / (e @ ones)
+    out = Tensor(y.swapaxes(axis, -1))
 
     def back(g):
-        dot = np.add.reduce(g * y, axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        g = g.swapaxes(axis, -1)
+        return ((y * (g - (g * y) @ ones)).swapaxes(axis, -1),)
 
     return record(out, (a,), back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Every sum over the last axis is a BLAS product with a cached constant:
+    ``@ _centring(dim)`` subtracts the row means and ``@ _column(dim, 1/dim)``
+    takes a row mean. The forward products take ``x`` unflattened, so numpy
+    makes one BLAS call per leading index and a row's bits do not depend on
+    how many rows share the batch; one product over all rows would let them.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     dim = x.data.shape[-1]
     if gamma.data.shape != (dim,) or beta.data.shape != (dim,):
@@ -269,24 +282,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match last dimension {dim}"
         )
-    # np.add.reduce(..) / dim is what .mean computes, without its overhead
-    centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / dim
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / dim
+    centre, mean = _centring(dim), _column(dim, 1.0 / dim)
+    centred = x.data @ centre
+    var = (centred * centred) @ mean
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
     gain = gamma.data
     out = Tensor(gain * xhat + beta.data)
 
     def back(g):
-        axes = tuple(range(g.ndim - 1))
-        dgamma = np.add.reduce(g * xhat, axis=axes)
-        dbeta = np.add.reduce(g, axis=axes)
+        g2 = g.reshape(-1, dim)
+        ones = _column(len(g2), 1.0)[:, 0]
+        dgamma = ones @ (g * xhat).reshape(-1, dim)
+        dbeta = ones @ g2
         dxhat = g * gain
-        dx = inv * (
-            dxhat
-            - np.add.reduce(dxhat, axis=-1, keepdims=True) / dim
-            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / dim)
-        )
+        dx = inv * (dxhat @ centre - xhat * ((dxhat * xhat) @ mean))
         return dx, dgamma, dbeta
 
     return record(out, (x, gamma, beta), back)
@@ -353,6 +363,26 @@ def _lower_triangle(n: int) -> np.ndarray:
     keep = np.tril(np.ones((n, n), dtype=bool))
     keep.flags.writeable = False
     return keep
+
+
+@lru_cache(maxsize=32)
+def _column(n: int, value: float) -> np.ndarray:
+    """Read-only (n, 1) column of ``value``, shared per size.
+
+    ``m @ _column(n, 1.0)`` sums the last axis of ``m`` as a BLAS product,
+    several times faster than ``np.add.reduce`` over a short axis.
+    """
+    column = np.full((n, 1), value)
+    column.flags.writeable = False
+    return column
+
+
+@lru_cache(maxsize=16)
+def _centring(n: int) -> np.ndarray:
+    """Read-only (n, n) centring matrix ``I - 1/n``: ``m @ _centring(n)`` subtracts row means."""
+    centre = np.eye(n) - 1.0 / n
+    centre.flags.writeable = False
+    return centre
 
 
 def causal_mask(scores: Tensor) -> Tensor:

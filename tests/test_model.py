@@ -267,6 +267,28 @@ class TestForward:
                 return z.data
             np.testing.assert_array_equal(stack(x)[0, :3], stack(poked)[0, :3])
 
+    def test_body_rows_do_not_depend_on_the_chunk(self):
+        """Everything before the head computes a row with the same bytes
+        whatever rows share its chunk: a prefix of a scoring chunk gives
+        the chunk's first rows, and a permuted chunk gives permuted rows."""
+        rows = model.ModelParams.chunk_rows
+        p = init_params(EncoderConfig(), tokens=13, seed=21)
+        rng = np.random.default_rng(22)
+        x = rng.uniform(size=(rows, 13))
+
+        def body(v):
+            with T.no_grad():
+                z = sentence(Tensor(v), p.sentencing)
+                for block in p.blocks:
+                    z = encoder_block(z, block, p.config.mask)
+            return z.data
+
+        whole = body(x)
+        differ = [n for n in range(1, rows) if body(x[:n]).tobytes() != whole[:n].tobytes()]
+        assert differ == []
+        perm = rng.permutation(rows)
+        assert body(x[perm]).tobytes() == whole[perm].tobytes()
+
 
 FNN_INPUTS = ("x", "w1", "b1", "w2", "b2", "w3", "b3")
 

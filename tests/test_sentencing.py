@@ -115,6 +115,12 @@ class TestParsing:
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == [offset, 1556186400.0, 1556186400.0, 1556236800.0, 1556236800.0]
 
+    def test_timestamp_z_suffix_and_basic_iso_format(self):
+        """ISO forms that datetime.fromisoformat reads from Python 3.11 on,
+        the oldest version the package supports."""
+        assert parse_timestamp("2015-01-22T10:00:00Z") == 1421920800.0
+        assert parse_timestamp("20150122T100000") == 1421920800.0
+
     def test_timestamp_rejects_garbage(self):
         with pytest.raises(DataError):
             parse_timestamp("not-a-time")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fd import central_diff, max_rel_error
+from oracles import np_layer_norm, np_softmax
 from flowids import tensor as T
 from flowids.errors import ContractError, DimensionError
 from flowids.tensor import Tensor
@@ -140,6 +141,55 @@ class TestLayerNorm:
     def test_bad_affine_shapes(self):
         with pytest.raises(DimensionError):
             T.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.ones(4)))
+
+
+class TestBlasSums:
+    """layer_norm and softmax sum their last axis as BLAS products with cached
+    constants; the numpy-reduction oracles are the reference."""
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0, 1e3])
+    @pytest.mark.parametrize("dim", [1, 3, 24, 128])
+    def test_layer_norm_matches_oracle(self, dim, offset):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(64, 13, dim)) + offset
+        gamma, beta = rng.normal(size=dim), rng.normal(size=dim)
+        got = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        np.testing.assert_allclose(got, np_layer_norm(x, gamma, beta), rtol=0, atol=1e-13 * (1 + offset))
+
+    @pytest.mark.parametrize("width", [1, 13, 40])
+    def test_masked_softmax_matches_oracle(self, width):
+        rng = np.random.default_rng(width)
+        masked = T.causal_mask(Tensor(rng.normal(size=(64, 4, width, width))))
+        got = T.softmax(masked, axis=-1).data
+        np.testing.assert_allclose(got, np_softmax(masked.data), rtol=0, atol=1e-13)
+        above = np.triu_indices(width, k=1)
+        assert np.all(got[..., above[0], above[1]] == 0.0)
+
+    def test_softmax_along_a_leading_axis(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(5, 3, 4))
+        np.testing.assert_allclose(T.softmax(x, axis=0).data, np_softmax(x.data, axis=0), rtol=0, atol=1e-15)
+        T.backward(T.sum_all(T.mul(T.softmax(x, axis=0), Tensor(w))))
+        numeric = central_diff(lambda: float((np_softmax(x.data, axis=0) * w).sum()), [x])
+        assert max_rel_error([x.grad], numeric) < 1e-6
+
+    def test_layer_norm_gradient_where_one_over_dim_is_inexact(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 3, 24)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=24), requires_grad=True)
+        beta = Tensor(rng.normal(size=24), requires_grad=True)
+        w = rng.normal(size=(2, 3, 24))
+        T.backward(T.sum_all(T.mul(T.layer_norm(x, gamma, beta), Tensor(w))))
+        numeric = central_diff(
+            lambda: float((np_layer_norm(x.data, gamma.data, beta.data) * w).sum()), [x, gamma, beta]
+        )
+        assert max_rel_error([x.grad, gamma.grad, beta.grad], numeric) < 1e-5
+
+    def test_cached_constants_are_read_only(self):
+        for constant in (T._centring(4), T._column(4, 0.25), T._column(4, 1.0)[:, 0]):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] += 1.0
 
 
 class TestElementwise:
