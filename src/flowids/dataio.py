@@ -518,8 +518,9 @@ def save_checkpoint(params, schema: Schema, config: dict, path, metrics: dict | 
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of save_checkpoint; verifies the checksum before trusting anything.
 
-    Every array's declared shape and byte length is checked before the model is
-    built, so a load allocates no more than the file holds."""
+    Every array's declared shape and byte length is checked before it is read, so
+    a load allocates no more than the file holds. The model is built from the
+    file's arrays, with no initialisation to overwrite."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 4 + 4 + 8 + 32:
@@ -587,7 +588,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
     if [m["name"] for m in manifest] != [name for name, _ in declared]:
         raise IntegrityError(f"{path}: parameter manifest does not match the declared model")
-    arrays = []  # (offset, byte length) of each array, checked before anything is built
+    arrays = {}  # each array by name, read once its shape and byte length are checked
     for meta, (name, shape) in zip(manifest, declared):
         if not all(type(n) is int and n >= 0 for n in shape):  # JSON null, true, 8.0, "8", ... are no size
             raise IntegrityError(f"{path}: header field hyper gives array {name!r} the shape {list(shape)!r}")
@@ -607,16 +608,14 @@ def load_checkpoint(path) -> Checkpoint:
             )
         if nbytes != 8 * math.prod(shape):
             raise IntegrityError(f"{path}: array {name!r} has wrong length")
-        arrays.append((offset, nbytes))
+        arrays[name] = np.frombuffer(body[offset : offset + nbytes], dtype="<f8").reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(body):
         raise IntegrityError(f"{path}: {len(body) - offset} trailing bytes")
     try:
-        params = M.KINDS[kind].from_hyper(hyper)
+        params = M.KINDS[kind].from_arrays(hyper, arrays)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
-    for (_, t), (start, nbytes) in zip(params.named_parameters(), arrays):
-        t.data = np.frombuffer(body[start : start + nbytes], dtype="<f8").reshape(t.data.shape).astype(np.float64)
     return Checkpoint(
         params=params,
         schema=schema,

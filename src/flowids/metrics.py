@@ -55,7 +55,10 @@ def _check_scores_truths(scores, truths) -> tuple[np.ndarray, np.ndarray]:
 
 def confusion(scores, truths, threshold: float = 0.5) -> ConfusionCounts:
     """Counts at a fixed threshold; positive means score >= threshold."""
-    scores, truths = _check_scores_truths(scores, truths)
+    return _confusion(*_check_scores_truths(scores, truths), threshold)
+
+
+def _confusion(scores: np.ndarray, truths: np.ndarray, threshold: float) -> ConfusionCounts:
     predicted = scores >= threshold
     actual = truths == 1
     return ConfusionCounts(
@@ -93,7 +96,12 @@ def roc_curve(scores, truths) -> list[tuple[float, float]]:
     polyline and its trapezoid area equals the pairwise ranking statistic
     with ties counted half.
     """
-    scores, truths = _check_scores_truths(scores, truths)
+    fpr, tpr = _roc(*_check_scores_truths(scores, truths))
+    return list(zip(fpr.tolist(), tpr.tolist()))
+
+
+def _roc(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The FPR and TPR arrays of roc_curve, from checked inputs."""
     n_pos = int(truths.sum())
     n_neg = truths.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -101,28 +109,19 @@ def roc_curve(scores, truths) -> list[tuple[float, float]]:
             f"ROC needs both classes; got {n_pos} positives and {n_neg} negatives"
         )
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_truths = truths[order]
-    cum_tp = np.cumsum(sorted_truths)
+    cum_tp = np.cumsum(truths[order])
     # last index of each run of equal scores = the whole tie group included
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
+    boundary = np.nonzero(np.diff(scores[order]))[0]
     cut = np.append(boundary, scores.size - 1)
     tpr = cum_tp[cut] / n_pos
     fpr = (cut + 1 - cum_tp[cut]) / n_neg
-    points = [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
-    return points
-
-
-def _area(points: list[tuple[float, float]]) -> float:
-    """Trapezoid area under an (FPR, TPR) polyline."""
-    fpr = np.array([p[0] for p in points])
-    tpr = np.array([p[1] for p in points])
-    return float(np.trapezoid(tpr, fpr))
+    return np.append(0.0, fpr), np.append(0.0, tpr)
 
 
 def roc_auc(scores, truths) -> float:
     """Trapezoid area under the ROC polyline."""
-    return _area(roc_curve(scores, truths))
+    fpr, tpr = _roc(*_check_scores_truths(scores, truths))
+    return float(np.trapezoid(tpr, fpr))
 
 
 @dataclass
@@ -187,13 +186,13 @@ def render_table(rows: list[tuple[str, MetricsReport]]) -> str:
 def report(scores, truths, threshold: float = 0.5) -> MetricsReport:
     """Full evaluation of one score vector against binary truths."""
     scores, truths = _check_scores_truths(scores, truths)
-    counts = confusion(scores, truths, threshold)
-    points = roc_curve(scores, truths)  # raises if single-class
+    counts = _confusion(scores, truths, threshold)
+    fpr, tpr = _roc(scores, truths)  # raises if single-class
     return MetricsReport(
         n=scores.size,
         threshold=threshold,
         counts=counts,
         metrics=scalar_metrics(counts),
-        auc=_area(points),
-        roc=points,
+        auc=float(np.trapezoid(tpr, fpr)),
+        roc=list(zip(fpr.tolist(), tpr.tolist())),
     )

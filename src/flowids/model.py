@@ -19,8 +19,9 @@ record per forward pass, whose hand-written backward repeats the generic
 ops' rules so its bytes are the op-by-op graph's. The encoder is built from
 the generic ops in ``tensor``.
 
-Each model kind is one parameter class owning ``logits``, ``hyper``,
-``shapes`` and ``from_hyper``, and how it is scored: ``chunk_rows`` rows per
+Each model kind is one parameter class owning ``logits``, ``hyper``, its
+layout ``shapes``, its one builder ``from_arrays`` (which both init and
+checkpoint load go through), and how it is scored: ``chunk_rows`` rows per
 inference chunk, and whether ``threaded_chunks`` may spread the chunks over
 threads (see ``training._batched_logits``). ``KINDS`` is the only map from a
 kind name to its class.
@@ -76,15 +77,6 @@ class AttentionParams:
     def heads(self) -> int:
         return len(self.w_q)
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = []
-        for h in range(self.heads):
-            out.append((f"{prefix}.head{h}.w_q", self.w_q[h]))
-            out.append((f"{prefix}.head{h}.w_k", self.w_k[h]))
-            out.append((f"{prefix}.head{h}.w_v", self.w_v[h]))
-        out.append((f"{prefix}.w_out", self.w_out))
-        return out
-
 
 @dataclass
 class EncoderBlockParams:
@@ -99,12 +91,6 @@ class EncoderBlockParams:
     ln2_beta: Tensor
     ln3_gamma: Tensor
     ln3_beta: Tensor
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = self.attn.named(f"{prefix}.attn")
-        for f in fields(self)[1:]:  # every field after attn is one tensor
-            out.append((f"{prefix}.{f.name}", getattr(self, f.name)))
-        return out
 
 
 @dataclass
@@ -124,48 +110,53 @@ class ModelParams:
     threaded_chunks = True
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = self.sentencing.named()
-        for i, block in enumerate(self.blocks):
-            out.extend(block.named(f"block{i}"))
-        out.append(("head.w", self.head_w))
-        out.append(("head.b", self.head_b))
-        return out
+        return list(self._named)  # in shapes order, recorded by from_arrays
 
     def logits(self, x: np.ndarray | Tensor) -> Tensor:
         return forward(x, self)
 
     def hyper(self) -> dict:
-        cfg = self.config
-        return {
-            "kind": self.kind,
-            "dim": cfg.dim,
-            "heads": cfg.heads,
-            "blocks": cfg.blocks,
-            "mlp_dim": cfg.resolved_mlp_dim(),
-            "tokens": self.sentencing.width,
-            "mask": cfg.mask,
-        }
+        return _encoder_hyper(self.config, self.sentencing.width)
 
     @staticmethod
     def shapes(h: dict):
-        """Yield (name, shape) of each parameter that from_hyper(h) builds, in order, allocating nothing."""
+        """(name, shape) of each parameter that from_arrays(h, ...) builds, in order; checks h
+        at once, then yields the layout lazily, allocating nothing."""
         cfg = EncoderConfig(h["dim"], h["heads"], h["blocks"], h["mlp_dim"], h["mask"])
         cfg.validate()  # so that dim // heads is defined
         t, d, m = h["tokens"], cfg.dim, cfg.resolved_mlp_dim()
-        yield from ((f"sentencing.{name}", (t, d)) for name in ("embed", "bias", "position"))
-        for i in range(cfg.blocks):
-            for k in range(cfg.heads):
-                yield from ((f"block{i}.attn.head{k}.{w}", (d, d // cfg.heads)) for w in ("w_q", "w_k", "w_v"))
-            rest = [("attn.w_out", (d, d)), ("mlp_w1", (d, m)), ("mlp_b1", (m,)), ("mlp_w2", (m, d)), ("mlp_b2", (d,))]
-            rest += [(f"ln{k}_{w}", (d,)) for k in (1, 2, 3) for w in ("gamma", "beta")]
-            yield from ((f"block{i}.{name}", shape) for name, shape in rest)
-        yield "head.w", (t * d, 2)
-        yield "head.b", (2,)
+        if t < 1:
+            raise ConfigError(f"token count must be positive, got {t}")
 
-    @staticmethod
-    def from_hyper(h: dict) -> "ModelParams":
+        def layout():
+            yield from ((f"sentencing.{name}", (t, d)) for name in ("embed", "bias", "position"))
+            for i in range(cfg.blocks):
+                for k in range(cfg.heads):
+                    yield from ((f"block{i}.attn.head{k}.{w}", (d, d // cfg.heads)) for w in ("w_q", "w_k", "w_v"))
+                rest = [("attn.w_out", (d, d)), ("mlp_w1", (d, m)), ("mlp_b1", (m,)), ("mlp_w2", (m, d)), ("mlp_b2", (d,))]
+                rest += [(f"ln{k}_{w}", (d,)) for k in (1, 2, 3) for w in ("gamma", "beta")]
+                yield from ((f"block{i}.{name}", shape) for name, shape in rest)
+            yield "head.w", (t * d, 2)
+            yield "head.b", (2,)
+
+        return layout()
+
+    @classmethod
+    def from_arrays(cls, h: dict, arrays: dict) -> "ModelParams":
+        """The model that shapes(h) lays out, each parameter taken from arrays by its name."""
+        named = _parameters(cls.shapes(h), arrays)
+        p = dict(named)
         cfg = EncoderConfig(h["dim"], h["heads"], h["blocks"], h["mlp_dim"], h["mask"])
-        return init_params(cfg, tokens=h["tokens"], seed=0)
+
+        def block(i: int) -> EncoderBlockParams:
+            heads = [f"block{i}.attn.head{k}." for k in range(cfg.heads)]
+            attn = AttentionParams(*([p[head + w] for head in heads] for w in ("w_q", "w_k", "w_v")), p[f"block{i}.attn.w_out"])
+            return EncoderBlockParams(attn, *(p[f"block{i}.{f.name}"] for f in fields(EncoderBlockParams)[1:]))
+
+        sent = SentencingParams(*(p[f"sentencing.{f.name}"] for f in fields(SentencingParams)))
+        params = cls(sent, [block(i) for i in range(cfg.blocks)], p["head.w"], p["head.b"], cfg)
+        params._named = named
+        return params
 
 
 @dataclass
@@ -186,27 +177,30 @@ class FnnParams:
     threaded_chunks = False
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return list(self._named)  # in shapes order, recorded by from_arrays
 
     def logits(self, x: np.ndarray | Tensor) -> Tensor:
         return fnn_forward(x, self)
 
     def hyper(self) -> dict:
-        return {
-            "kind": self.kind,
-            "features": self.w1.data.shape[0],
-            "hidden": [self.w1.data.shape[1], self.w2.data.shape[1]],
-        }
+        (features, h1), h2 = self.w1.data.shape, self.w2.data.shape[1]
+        return {"kind": self.kind, "features": features, "hidden": [h1, h2]}
 
     @staticmethod
-    def shapes(h: dict):
-        """Yield (name, shape) of each parameter that from_hyper(h) builds, in order, allocating nothing."""
+    def shapes(h: dict) -> list[tuple[str, tuple]]:
+        """(name, shape) of each parameter, in order: the layout that from_arrays(h, ...) builds."""
         features, (h1, h2) = h["features"], h["hidden"]
-        yield from [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
+        if features < 1 or min(h1, h2) < 1:
+            raise ConfigError(f"layer sizes must be positive: features={features}, hidden={h['hidden']}")
+        return [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
 
-    @staticmethod
-    def from_hyper(h: dict) -> "FnnParams":
-        return init_fnn(h["features"], hidden=tuple(h["hidden"]), seed=0)
+    @classmethod
+    def from_arrays(cls, h: dict, arrays: dict) -> "FnnParams":
+        """The model that shapes(h) lays out, each parameter taken from arrays by its name."""
+        named = _parameters(cls.shapes(h), arrays)
+        params = cls(**dict(named))
+        params._named = named
+        return params
 
 
 def attention(z: Tensor, params: AttentionParams, mask: bool = True) -> Tensor:
@@ -302,9 +296,35 @@ def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
     return T.record(out, inputs, back)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
+def _encoder_hyper(config: EncoderConfig, tokens: int) -> dict:
+    """The hyper dict of a transformer of this config over this many tokens."""
+    return {"kind": ModelParams.kind, "dim": config.dim, "heads": config.heads, "blocks": config.blocks,
+            "mlp_dim": config.resolved_mlp_dim(), "tokens": tokens, "mask": config.mask}
+
+
+def _parameters(layout, arrays: dict) -> list[tuple[str, Tensor]]:
+    """(name, trainable Tensor over arrays[name]) for each entry of layout, in its order; no array is copied."""
+    named = []
+    for name, shape in layout:
+        if arrays[name].shape != shape:
+            raise ConfigError(f"array {name!r} has shape {arrays[name].shape}, the layout needs {shape}")
+        named.append((name, Tensor(arrays[name], requires_grad=True)))
+    return named
+
+
+def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:  # shape is (fan_in, fan_out)
+    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _init_arrays(layout, drawn: list[str], seed: int) -> dict[str, np.ndarray]:
+    """Glorot weights for the names in drawn, drawn in that order; every other
+    entry of layout is a unit layer-norm gain or a zero bias."""
+    shapes = dict(layout)
+    rng = np.random.default_rng(seed)
+    weights = {name: _glorot(rng, shapes[name]) for name in drawn}
+    return {name: weights[name] if name in weights else (np.ones if name.endswith("_gamma") else np.zeros)(shape)
+            for name, shape in shapes.items()}
 
 
 # The most parameters a model may hold. Its parameters and AdamW's five
@@ -319,82 +339,31 @@ def _refuse_oversized(total: int) -> None:
 
 
 def init_params(config: EncoderConfig, tokens: int, seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases and positional table; seed-determined."""
-    config.validate()
-    if tokens < 1:
-        raise ConfigError(f"token count must be positive, got {tokens}")
-    dim, heads = config.dim, config.heads
-    head_dim = dim // heads
-    mlp_dim = config.resolved_mlp_dim()
-    # the layout below, counted first: sentencing and head 5td + 2, and per block
-    # the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
+    """Glorot-uniform weights, zero biases and positional table, unit layer-norm gains; seed-determined.
+
+    The weights are drawn in this order: the sentencing embedding; per block,
+    every head's w_q, then every head's w_k, then every head's w_v, then
+    w_out, mlp_w1 and mlp_w2; last the head."""
+    h = _encoder_hyper(config, tokens)
+    layout = ModelParams.shapes(h)  # checks the config and the token count
+    dim, mlp_dim = config.dim, config.resolved_mlp_dim()
+    # the layout, counted without walking it: sentencing and head 5td + 2, and per
+    # block the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
     _refuse_oversized(5 * tokens * dim + 2 + config.blocks * (4 * dim * dim + 2 * dim * mlp_dim + mlp_dim + 7 * dim))
-    rng = np.random.default_rng(seed)
-
-    def weight(fan_in, fan_out, shape=None):
-        return Tensor(_glorot(rng, fan_in, fan_out, shape or (fan_in, fan_out)), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    sent = SentencingParams(
-        embed=weight(tokens, dim),
-        bias=zeros((tokens, dim)),
-        position=zeros((tokens, dim)),
-    )
-    blocks = []
-    for _ in range(config.blocks):
-        attn = AttentionParams(
-            w_q=[weight(dim, head_dim) for _ in range(heads)],
-            w_k=[weight(dim, head_dim) for _ in range(heads)],
-            w_v=[weight(dim, head_dim) for _ in range(heads)],
-            w_out=weight(dim, dim),
-        )
-        blocks.append(
-            EncoderBlockParams(
-                attn=attn,
-                mlp_w1=weight(dim, mlp_dim),
-                mlp_b1=zeros(mlp_dim),
-                mlp_w2=weight(mlp_dim, dim),
-                mlp_b2=zeros(dim),
-                ln1_gamma=ones(dim),
-                ln1_beta=zeros(dim),
-                ln2_gamma=ones(dim),
-                ln2_beta=zeros(dim),
-                ln3_gamma=ones(dim),
-                ln3_beta=zeros(dim),
-            )
-        )
-    return ModelParams(
-        sentencing=sent,
-        blocks=blocks,
-        head_w=weight(tokens * dim, 2),
-        head_b=zeros(2),
-        config=config,
-    )
+    drawn = ["sentencing.embed"]
+    for i in range(config.blocks):
+        drawn += [f"block{i}.attn.head{k}.{w}" for w in ("w_q", "w_k", "w_v") for k in range(config.heads)]
+        drawn += [f"block{i}.{name}" for name in ("attn.w_out", "mlp_w1", "mlp_w2")]
+    drawn.append("head.w")
+    return ModelParams.from_arrays(h, _init_arrays(layout, drawn, seed))
 
 
 def init_fnn(features: int, hidden: tuple[int, int] = (64, 64), seed: int = 0) -> FnnParams:
-    if features < 1 or min(hidden) < 1:
-        raise ConfigError(f"layer sizes must be positive: features={features}, hidden={hidden}")
-    h1, h2 = hidden
-    _refuse_oversized(features * h1 + h1 + h1 * h2 + h2 + 2 * h2 + 2)
-    rng = np.random.default_rng(seed)
-
-    def weight(fan_in, fan_out):
-        return Tensor(_glorot(rng, fan_in, fan_out, (fan_in, fan_out)), requires_grad=True)
-
-    return FnnParams(
-        w1=weight(features, h1),
-        b1=Tensor(np.zeros(h1), requires_grad=True),
-        w2=weight(h1, h2),
-        b2=Tensor(np.zeros(h2), requires_grad=True),
-        w3=weight(h2, 2),
-        b3=Tensor(np.zeros(2), requires_grad=True),
-    )
+    """Glorot-uniform weights drawn in the order w1, w2, w3, and zero biases; seed-determined."""
+    h = {"kind": FnnParams.kind, "features": features, "hidden": list(hidden)}
+    layout = FnnParams.shapes(h)  # checks the sizes
+    _refuse_oversized(sum(math.prod(shape) for _, shape in layout))
+    return FnnParams.from_arrays(h, _init_arrays(layout, ["w1", "w2", "w3"], seed))
 
 
 KINDS: dict[str, type] = {"transformer": ModelParams, "fnn": FnnParams}

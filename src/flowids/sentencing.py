@@ -280,13 +280,6 @@ class SentencingParams:
     def width(self) -> int:
         return self.embed.data.shape[0]
 
-    def named(self, prefix: str = "sentencing") -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.embed", self.embed),
-            (f"{prefix}.bias", self.bias),
-            (f"{prefix}.position", self.position),
-        ]
-
 
 def sentence(x: Tensor, params: SentencingParams) -> Tensor:
     """Lift encoded vectors (..., width) into token sequences (..., width, dim)."""

@@ -72,6 +72,48 @@ def np_fnn_logits(x, params):
     return h @ params.w3.data + params.b3.data
 
 
+def np_init_arrays(config, tokens, seed):
+    """Initial parameters by name, redrawn from the documented order.
+
+    config is an EncoderConfig, with tokens the token count, or a pair of FNN
+    hidden widths, with tokens the input feature count. One generator seeded
+    with seed draws each weight uniform in +-sqrt(6 / (fan_in + fan_out)) for
+    its (fan_in, fan_out) shape: for the encoder the sentencing embedding,
+    then per block every head's w_q, every head's w_k, every head's w_v,
+    w_out, mlp_w1 and mlp_w2, then the head; for the FNN w1, w2, w3. Layer
+    norm gains are one; biases and the positional table are zero.
+    """
+    rng = np.random.default_rng(seed)
+
+    def glorot(fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    if isinstance(config, tuple):
+        h1, h2 = config
+        return {
+            "w1": glorot(tokens, h1), "b1": np.zeros(h1),
+            "w2": glorot(h1, h2), "b2": np.zeros(h2),
+            "w3": glorot(h2, 2), "b3": np.zeros(2),
+        }
+    d, m = config.dim, config.resolved_mlp_dim()
+    out = {"sentencing.embed": glorot(tokens, d)}
+    out["sentencing.bias"] = np.zeros((tokens, d))
+    out["sentencing.position"] = np.zeros((tokens, d))
+    for i in range(config.blocks):
+        b = f"block{i}."
+        for w in ("w_q", "w_k", "w_v"):
+            for k in range(config.heads):
+                out[f"{b}attn.head{k}.{w}"] = glorot(d, d // config.heads)
+        out[b + "attn.w_out"] = glorot(d, d)
+        out[b + "mlp_w1"], out[b + "mlp_b1"] = glorot(d, m), np.zeros(m)
+        out[b + "mlp_w2"], out[b + "mlp_b2"] = glorot(m, d), np.zeros(d)
+        for n in (1, 2, 3):
+            out[f"{b}ln{n}_gamma"], out[f"{b}ln{n}_beta"] = np.ones(d), np.zeros(d)
+    out["head.w"], out["head.b"] = glorot(tokens * d, 2), np.zeros(2)
+    return out
+
+
 def np_adamw(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
     """AdamW with bias correction and decoupled weight decay, one expression per quantity."""
     m = beta1 * m + (1.0 - beta1) * g

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from checkpoints import HEADER_DEFECTS, rewrite_header
-from flowids import dataio, sentencing
+from flowids import dataio, model, sentencing
 from flowids.dataio import (
     SEPARABLE_THRESHOLD,
     Checkpoint,
@@ -507,6 +507,26 @@ class TestCheckpoint:
         assert ck.metrics is None
         for (_, ta), (_, tb) in zip(params.named_parameters(), ck.params.named_parameters()):
             np.testing.assert_array_equal(ta.data, tb.data)
+
+    @pytest.mark.parametrize("build", [
+        lambda width: init_params(EncoderConfig(dim=4, heads=2, blocks=2), width, seed=3),
+        lambda width: init_fnn(width, hidden=(6, 5), seed=3),
+    ], ids=["transformer", "fnn"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, build):
+        """A load builds the model from the file's arrays: it initialises nothing to overwrite."""
+        _, schema = _fitted()
+        params = build(schema.width)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, schema, {}, path)
+
+        def refuse(*args):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+        monkeypatch.setattr(model, "_glorot", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(path).params
+        x = np.random.Generator(np.random.PCG64(0)).uniform(size=(3, schema.width))
+        np.testing.assert_array_equal(loaded.logits(x).data, params.logits(x).data)
 
     def test_save_is_byte_stable(self, tmp_path):
         _, schema = _fitted()

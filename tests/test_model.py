@@ -24,6 +24,7 @@ from fd import central_diff, max_rel_error
 from oracles import (
     np_encoder_block,
     np_fnn_logits,
+    np_init_arrays,
     np_layer_norm,
     np_model_logits,
 )
@@ -71,6 +72,24 @@ class TestInit:
         for (name_a, ta), (name_b, tb) in zip(a.named_parameters(), b.named_parameters()):
             assert name_a == name_b
             np.testing.assert_array_equal(ta.data, tb.data)
+
+    @pytest.mark.parametrize("config, tokens, seed", [
+        (EncoderConfig(dim=6, heads=3, blocks=2, mlp_dim=5), 4, 7),
+        (EncoderConfig(dim=4, heads=1, blocks=3, mask=False), 2, 0),
+        (EncoderConfig(dim=8, heads=2, blocks=1), 13, 3),
+        ((5, 3), 7, 11),
+    ], ids=["heads3-blocks2", "heads1-blocks3", "heads2-blocks1", "fnn"])
+    def test_init_matches_documented_draw_order(self, config, tokens, seed):
+        """Every initial array, bit for bit, is the oracle's independent redraw;
+        uniform draws make no BLAS call, so the bits are the same on any machine."""
+        if isinstance(config, tuple):
+            params = init_fnn(tokens, hidden=config, seed=seed)
+        else:
+            params = init_params(config, tokens, seed)
+        want = np_init_arrays(config, tokens, seed)
+        assert sorted(want) == sorted(name for name, _ in params.named_parameters())
+        for name, t in params.named_parameters():
+            np.testing.assert_array_equal(t.data, want[name], err_msg=name)
 
     def test_seed_changes_weights(self):
         a = _small_params(seed=1)
@@ -211,11 +230,12 @@ class TestBlockOracle:
         """With all attention and MLP weights zero, both residual branches
         add nothing and the block is just its closing layer norm."""
         p = _small_params(tokens=3, dim=4, heads=2, blocks=1)
-        block = p.blocks[0]
-        for _, t in block.attn.named("a"):
-            t.data = np.zeros_like(t.data)
-        for t in (block.mlp_w1, block.mlp_b1, block.mlp_w2, block.mlp_b2):
-            t.data = np.zeros_like(t.data)
+        arrays = {
+            name: np.zeros_like(t.data) if name.startswith(("block0.attn.", "block0.mlp_")) else t.data
+            for name, t in p.named_parameters()
+        }
+        block = KINDS["transformer"].from_arrays(p.hyper(), arrays).blocks[0]
+        assert not any(np.any(t.data) for t in block.attn.w_q + block.attn.w_k + block.attn.w_v)
         z = np.random.default_rng(3).normal(size=(3, 4))
         got = encoder_block(Tensor(z), block).data
         np.testing.assert_allclose(
@@ -399,15 +419,17 @@ class TestKindInterface:
         ids=["transformer", "fnn", "transformer-unmasked"],
     )
     def test_hyper_round_trip_and_logits(self, params, oracle):
-        """from_hyper(hyper()) rebuilds the same layout, which shapes(hyper()) names without
-        building it; logits() is the forward pass."""
-        skeleton = KINDS[params.kind].from_hyper(params.hyper())
-        assert type(skeleton) is type(params)
-        assert skeleton.hyper() == params.hyper()
+        """from_arrays(hyper(), arrays) rebuilds the same model from its named arrays, in
+        the layout that shapes(hyper()) names without building it; logits() is the forward pass."""
+        arrays = {n: t.data for n, t in params.named_parameters()}
+        rebuilt = KINDS[params.kind].from_arrays(params.hyper(), arrays)
+        assert type(rebuilt) is type(params)
+        assert rebuilt.hyper() == params.hyper()
         layout = [(n, t.data.shape) for n, t in params.named_parameters()]
-        assert [(n, t.data.shape) for n, t in skeleton.named_parameters()] == layout
+        assert [(n, t.data.shape) for n, t in rebuilt.named_parameters()] == layout
         assert list(KINDS[params.kind].shapes(params.hyper())) == layout
         x = np.random.default_rng(9).uniform(size=(4, 5))
+        np.testing.assert_array_equal(rebuilt.logits(x).data, params.logits(x).data)
         np.testing.assert_allclose(params.logits(x).data, oracle(x, params), rtol=1e-12, atol=1e-12)
 
 

@@ -19,7 +19,7 @@ from checkpoints import rewrite_header
 from flowids import cli
 from flowids.dataio import Dataset, FlowTable, load_checkpoint, load_csv, save_checkpoint, synth, write_csv
 from flowids.errors import FlowidsError
-from flowids.model import EncoderConfig, init_fnn, init_params
+from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
 from flowids.sentencing import NOMINAL, NUMERIC, PROFILES, FeatureSpec, Schema, encode_batch, fit_schema
 from flowids.training import TrainConfig
 
@@ -412,3 +412,38 @@ def test_resigned_checkpoint_raises_only_flowids_errors(checkpoint_bytes, case):
         src.write_bytes(checkpoint_bytes[kind])
         rewrite_header(src, path, edit)
         loads_or_raises_flowids_error(path)
+
+
+# --- from_arrays builds exactly the layout that shapes names --------------------
+
+small = st.integers(1, 3)
+small_hypers = st.one_of(
+    st.builds(
+        lambda heads, head_dim, blocks, mlp_dim, tokens, mask: {
+            "kind": "transformer", "dim": heads * head_dim, "heads": heads, "blocks": blocks,
+            "mlp_dim": mlp_dim, "tokens": tokens, "mask": mask,
+        },
+        small, small, st.integers(1, 2), small, small, st.booleans(),
+    ),
+    st.builds(lambda features, h1, h2: {"kind": "fnn", "features": features, "hidden": [h1, h2]}, small, small, small),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_hypers, st.integers(0, 2**32 - 1))
+def test_from_arrays_builds_the_layout_of_shapes(h, seed):
+    """from_arrays(h, arrays) has hyper h and parameters named and shaped as shapes(h)
+    lists them, and a checkpoint of it saves, loads and saves to the same bytes."""
+    kind = KINDS[h["kind"]]
+    rng = np.random.default_rng(seed)
+    arrays = {name: rng.normal(size=shape) for name, shape in kind.shapes(h)}
+    params = kind.from_arrays(h, arrays)
+    assert params.hyper() == h
+    assert [(name, t.data.shape) for name, t in params.named_parameters()] == list(kind.shapes(h))
+    width = h.get("tokens", h.get("features"))
+    schema = Schema("synthetic", [FeatureSpec(f"f{j}", NUMERIC, lo=0.0, hi=1.0) for j in range(width)])
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        save_checkpoint(params, schema, {"model": h["kind"]}, first)
+        save_checkpoint(load_checkpoint(first).params, schema, {"model": h["kind"]}, second)
+        assert first.read_bytes() == second.read_bytes()

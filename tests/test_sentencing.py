@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -376,6 +377,7 @@ class TestSentence:
         x = Tensor(np.array([0.1, 0.7, 0.3, 1.0]))
         loss = T.mean_all(T.mul(sentence(x, p), sentence(x, p)))
         T.backward(loss)
-        for _, t in p.named():
+        for f in fields(p):
+            t = getattr(p, f.name)
             assert t.grad is not None
             assert np.all(np.isfinite(t.grad))
