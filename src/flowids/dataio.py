@@ -519,8 +519,10 @@ def load_checkpoint(path) -> Checkpoint:
     """Inverse of save_checkpoint; verifies the checksum before trusting anything.
 
     Every array's declared shape and byte length is checked before it is read, so
-    a load allocates no more than the file holds. The model is built from the
-    file's arrays, with no initialisation to overwrite."""
+    a load allocates no more than the file holds, and a schema whose width is
+    not the model's input width is refused, so no caller encodes data for a
+    model that cannot read it. The model is built from the file's arrays,
+    with no initialisation to overwrite."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 4 + 4 + 8 + 32:
@@ -612,6 +614,11 @@ def load_checkpoint(path) -> Checkpoint:
         offset += nbytes
     if offset != len(body):
         raise IntegrityError(f"{path}: {len(body) - offset} trailing bytes")
+    width = declared[0][1][0]  # every kind's first parameter, the embedding or w1, is (input width, ...)
+    if width != schema.width:
+        raise IntegrityError(
+            f"{path}: the schema encodes {schema.width} features but the model takes {width} inputs"
+        )
     try:
         params = M.KINDS[kind].from_arrays(hyper, arrays)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:

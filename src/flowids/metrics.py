@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -133,7 +133,14 @@ class MetricsReport:
     counts: ConfusionCounts
     metrics: ScalarMetrics
     auc: float
-    roc: list[tuple[float, float]]
+    # the ROC polyline as roc_curve sweeps it; == and repr skip these arrays
+    fpr: np.ndarray = field(compare=False, repr=False)
+    tpr: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def roc(self) -> list[tuple[float, float]]:
+        """The (FPR, TPR) points of roc_curve, built only when read."""
+        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -194,5 +201,6 @@ def report(scores, truths, threshold: float = 0.5) -> MetricsReport:
         counts=counts,
         metrics=scalar_metrics(counts),
         auc=float(np.trapezoid(tpr, fpr)),
-        roc=list(zip(fpr.tolist(), tpr.tolist())),
+        fpr=fpr,
+        tpr=tpr,
     )

@@ -17,11 +17,15 @@ is freed as soon as the forward pass drops it.
 
 Outputs of ``reshape`` and ``transpose`` are views of their input, and
 backward rules keep references to the arrays they read. That is safe
-because no op writes into an input or output array: every op and every
-backward rule builds new arrays or returns views of ``g``. The one writer
-of parameter storage is ``training.AdamW``, which owns it and updates it in
-place after the backward pass has finished with the tape; it also writes
-its flat gradient and scratch buffers in place, and no tensor views those.
+because an op, a backward rule and ``backward`` write only into arrays they
+allocated in the same call (``softmax`` and ``layer_norm`` reuse their own
+temporaries with ``out=``, and ``backward`` adds in place only into a
+gradient sum it made itself); they never write into an input, an upstream
+``g`` or an array another call returned, which may be views of each other.
+The one writer of parameter storage is ``training.AdamW``, which owns it
+and updates it in place after the backward pass has finished with the
+tape; it also writes its flat gradient and scratch buffers in place, and no
+tensor views those.
 """
 
 from __future__ import annotations
@@ -131,14 +135,27 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     on_tape = bool(_TAPE) and loss.node >= _TAPE[0][0]
     grads = {loss.node if on_tape else loss: np.ones_like(loss.data)}  # key -> gradient so far
+    # keys whose gradient is a sum this loop allocated; any other may be a rule's
+    # view of g, or the very array another key holds, so it is never written
+    owned = set()
     for node, keys, back in reversed(_TAPE):
         g = grads.pop(node, None)  # a record's output leaves the map as its record replays
         if g is not None:
             for key, ig in zip(keys, back(g)):
-                if ig is not None and key is not None:
-                    grads[key] = grads[key] + ig if key in grads else ig
+                if ig is None or key is None:
+                    continue
+                if key in owned:
+                    np.add(grads[key], ig, out=grads[key])
+                elif key in grads:
+                    grads[key] = grads[key] + ig
+                    owned.add(key)
+                else:
+                    grads[key] = ig
     for t, g in grads.items():  # only leaf Tensor keys are left
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        if t.grad is None:
+            t.grad = g if t in owned else g.copy()
+        else:
+            t.grad = t.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -235,7 +252,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.maximum(a.data, 0.0)  # y > 0 exactly where a > 0, so the rule reads y
-    return record(Tensor(y), (a,), lambda g: (g * (y > 0.0),))
+
+    def back(g):
+        mask = (y > 0.0).astype(np.float64)  # 1.0 or 0.0: a float product, faster than one with a bool array
+        return (np.multiply(g, mask, out=mask),)
+
+    return record(Tensor(y), (a,), back)
 
 
 def log(a: Tensor) -> Tensor:
@@ -248,20 +270,29 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``; each slice sums to 1.
 
     ``axis`` is swapped last, so the sums are BLAS products with a ones
-    column (see ``_column``); the row max is a reduction, which is exact.
+    column (see ``_column``). The row max is taken across the leading axis
+    of a copy with ``axis`` moved first, an elementwise ``np.maximum`` of
+    whole rows rather than a reduction over a short strided axis; a max is
+    exact, so its order does not matter. Forward and backward each write
+    their later steps into the array their first step allocated.
     """
     a = _as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise DimensionError(f"softmax: axis {axis} invalid for shape {a.shape}")
     x = a.data.swapaxes(axis, -1)
     ones = _column(x.shape[-1], 1.0)
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    y = e / (e @ ones)
+    peak = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)
+    y = np.subtract(x, peak[..., None])
+    np.exp(y, out=y)
+    np.divide(y, y @ ones, out=y)
     out = Tensor(y.swapaxes(axis, -1))
 
     def back(g):
         g = g.swapaxes(axis, -1)
-        return ((y * (g - (g * y) @ ones)).swapaxes(axis, -1),)
+        dx = np.multiply(g, y)
+        np.subtract(g, dx @ ones, out=dx)
+        np.multiply(y, dx, out=dx)
+        return (dx.swapaxes(axis, -1),)
 
     return record(out, (a,), back)
 
@@ -283,20 +314,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"do not match last dimension {dim}"
         )
     centre, mean = _centring(dim), _column(dim, 1.0 / dim)
-    centred = x.data @ centre
-    var = (centred * centred) @ mean
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
+    xhat = x.data @ centre  # centred, then scaled in place
+    y = np.multiply(xhat, xhat)
+    inv = y @ mean  # the variance, then 1 / sqrt(var + eps) in place
+    np.add(inv, eps, out=inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(xhat, inv, out=xhat)
     gain = gamma.data
-    out = Tensor(gain * xhat + beta.data)
+    np.multiply(gain, xhat, out=y)
+    np.add(y, beta.data, out=y)
+    out = Tensor(y)
 
     def back(g):
         g2 = g.reshape(-1, dim)
         ones = _column(len(g2), 1.0)[:, 0]
-        dgamma = ones @ (g * xhat).reshape(-1, dim)
+        t = np.multiply(g, xhat)
+        dgamma = ones @ t.reshape(-1, dim)
         dbeta = ones @ g2
-        dxhat = g * gain
-        dx = inv * (dxhat @ centre - xhat * ((dxhat * xhat) @ mean))
+        dxhat = np.multiply(g, gain)
+        np.multiply(dxhat, xhat, out=t)
+        row = t @ mean
+        dx = dxhat @ centre
+        np.multiply(xhat, row, out=t)
+        np.subtract(dx, t, out=dx)
+        np.multiply(inv, dx, out=dx)
         return dx, dgamma, dbeta
 
     return record(out, (x, gamma, beta), back)

@@ -4,6 +4,12 @@ Everything here is written directly from the layer definitions with plain
 numpy, no package internals, so agreement with the library is meaningful.
 Softmax is deliberately the raw exp/sum form (test inputs are small enough
 not to overflow).
+
+The ``ref_*`` functions are different: they are reference implementations
+that fix the library's bytes. Each is the expression the library used
+before its kernels wrote into their own temporaries, one new array per
+step, and the property tests require the library to produce the same
+bytes while writing into nothing it did not allocate.
 """
 
 import numpy as np
@@ -64,6 +70,58 @@ def np_model_logits(x, params, mask=True):
         z = np_encoder_block(z, block, mask)
     flat = z.reshape(x.shape[0], -1)
     return flat @ params.head_w.data + params.head_b.data
+
+
+def ref_softmax(x, axis=-1):
+    """Softmax along axis with its sums as products with a ones column, as
+    ``tensor.softmax`` computes it. Returns (y, back), back(g) -> dx."""
+    x = x.swapaxes(axis, -1)
+    ones = np.ones((x.shape[-1], 1))
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    y = e / (e @ ones)
+
+    def back(g):
+        g = g.swapaxes(axis, -1)
+        return (y * (g - (g * y) @ ones)).swapaxes(axis, -1)
+
+    return y.swapaxes(axis, -1), back
+
+
+def ref_layer_norm(x, gamma, beta, eps=1e-5):
+    """Layer norm with its last-axis sums as products with I - 1/d and a
+    column of 1/d, as ``tensor.layer_norm`` computes it. Returns (out, back),
+    back(g) -> (dx, dgamma, dbeta)."""
+    dim = x.shape[-1]
+    centre, mean = np.eye(dim) - 1.0 / dim, np.full((dim, 1), 1.0 / dim)
+    centred = x @ centre
+    var = (centred * centred) @ mean
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+
+    def back(g):
+        g2 = g.reshape(-1, dim)
+        ones = np.ones(len(g2))
+        dgamma = ones @ (g * xhat).reshape(-1, dim)
+        dbeta = ones @ g2
+        dxhat = g * gamma
+        dx = inv * (dxhat @ centre - xhat * ((dxhat * xhat) @ mean))
+        return dx, dgamma, dbeta
+
+    return gamma * xhat + beta, back
+
+
+def ref_replay(tape, loss):
+    """The gradient of every leaf key on ``tape``, replayed as ``tensor.backward``
+    does, with a new array for every sum. Returns {key: gradient}; sets no ``.grad``."""
+    on_tape = bool(tape) and loss.node >= tape[0][0]
+    grads = {loss.node if on_tape else loss: np.ones_like(loss.data)}
+    for node, keys, back in reversed(tape):
+        g = grads.pop(node, None)
+        if g is not None:
+            for key, ig in zip(keys, back(g)):
+                if ig is not None and key is not None:
+                    grads[key] = grads[key] + ig if key in grads else ig
+    return {key: g.copy() for key, g in grads.items()}
 
 
 def np_fnn_logits(x, params):

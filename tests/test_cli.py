@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from checkpoints import HEADER_DEFECTS, rewrite_header
-from flowids import cli, training
+from flowids import cli, dataio, training
+from flowids.model import init_fnn
 
 CMD = [sys.executable, "-m", "flowids"]
 NAN = float("nan")  # json.dumps writes it as NaN, which json.load reads back
@@ -334,6 +335,19 @@ class TestEval:
         for _ in range(3):
             assert cli.main(argv) == 0
         assert built == []
+
+    def test_schema_wider_than_the_model_exits_before_reading_data(self, workdir, tmp_path, capsys):
+        """An FNN over 4 inputs saved with the workdir checkpoint's schema is
+        refused at load: the error names both widths, and the --data path,
+        which does not exist, is never opened."""
+        schema = dataio.load_checkpoint(workdir / "fnn.ckpt").schema
+        bad = tmp_path / "narrow.ckpt"
+        dataio.save_checkpoint(init_fnn(4, hidden=(8, 8), seed=1), schema, {}, bad)
+        code = cli.main(["eval", "--model", str(bad), "--data", str(tmp_path / "absent.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"schema encodes {schema.width} features but the model takes 4 inputs" in err
+        assert "absent.csv" not in err
 
     def test_future_version_is_incompatibility(self, workdir, tmp_path):
         body = bytearray((workdir / "enc.ckpt").read_bytes()[:-32])

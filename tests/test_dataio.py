@@ -650,6 +650,21 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError, match="header field hyper"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_schema_width_other_than_the_model_input_is_refused(self, tmp_path, kind):
+        """A model over 4 inputs saved with a 13-feature schema is refused at
+        load, naming both widths, rather than when its first batch is scored."""
+        _, schema = _fitted()
+        assert schema.width != 4
+        if kind == "fnn":
+            params = init_fnn(4, hidden=(8, 8), seed=1)
+        else:
+            params = init_params(EncoderConfig(dim=8, heads=2, blocks=1), 4, seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, schema, {}, path)
+        with pytest.raises(IntegrityError, match=f"schema encodes {schema.width} features but the model takes 4 inputs"):
+            load_checkpoint(path)
+
     def test_garbage_file_detected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"\x00" * 256)

@@ -199,3 +199,9 @@ class TestReport:
     def test_single_class_raises(self):
         with pytest.raises(MetricUndefinedError):
             report(np.array([0.2, 0.8]), np.array([0, 0]))
+
+    def test_roc_points_are_roc_curve(self):
+        rng = np.random.default_rng(6)
+        scores = np.round(rng.uniform(size=200), 2)  # ties, so tie groups move together
+        truths = rng.integers(0, 2, size=200)
+        assert report(scores, truths).roc == roc_curve(scores, truths)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fd import central_diff, max_rel_error
-from oracles import np_layer_norm, np_softmax
+from oracles import np_layer_norm, np_softmax, ref_layer_norm, ref_replay, ref_softmax
 from flowids import tensor as T
 from flowids.errors import ContractError, DimensionError
 from flowids.tensor import Tensor
@@ -351,3 +353,141 @@ class TestFiniteForward:
             beta = Tensor(rng.uniform(-10, 10, size=8))
             y = T.softmax(T.layer_norm(T.relu(T.matmul(x, w)), gamma, beta), axis=-1)
             assert np.all(np.isfinite(y.data))
+
+
+# -0.0 and 0.0, magnitudes near 1e300 and the smallest subnormal, as a share of an array
+SPECIALS = (0.0, -0.0, 1e300, -1e300, 3e299, -7e299, 5e-324, -1.0)
+
+
+@st.composite
+def values(draw, shape):
+    """A float64 array of ``shape``: normal draws at a drawn scale, with a
+    drawn share of its entries replaced by a drawn set of SPECIALS."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = rng.normal(scale=draw(st.sampled_from([1.0, 1e-3, 30.0, 1e300])), size=shape)
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    picks = draw(st.lists(st.sampled_from(SPECIALS), min_size=1, max_size=4))
+    hit = rng.random(shape) < share
+    out[hit] = rng.choice(picks, size=int(hit.sum()))
+    return out
+
+
+@st.composite
+def upstream(draw, shape):
+    """A gradient of ``shape``, sometimes a non-contiguous transpose view."""
+    if len(shape) > 1 and draw(st.booleans()):
+        return draw(values(shape[::-1])).transpose()
+    return draw(values(shape))
+
+
+def same(a, b) -> bool:
+    """Equal shapes and equal bits, NaN payloads and the sign of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelBytes:
+    """softmax, layer_norm and the replay loop write into their own
+    temporaries; they give the bytes of the one-array-per-step references in
+    ``oracles`` and write into no input, no upstream gradient and no array
+    another call returned."""
+
+    @pytest.fixture(autouse=True)
+    def quiet_overflow(self):
+        with np.errstate(all="ignore"):  # values near 1e300 overflow, on both sides alike
+            yield
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(st.data())
+    def test_softmax_matches_reference(self, data):
+        rows, n = data.draw(st.integers(1, 130)), data.draw(st.integers(1, 40))
+        masked = data.draw(st.booleans())
+        shape = (rows, n, n) if masked else (rows, data.draw(st.integers(1, 13)), n)
+        axis = -1 if masked else data.draw(st.integers(-3, 2))
+        x = Tensor(data.draw(values(shape)), requires_grad=True)
+        if masked:  # the rows above the diagonal hold -inf, the first row all but one
+            x = T.causal_mask(x)
+        before = x.data.copy()
+        out = T.softmax(x, axis=axis)
+        rule = T.active_tape()[-1][2]
+        ref_out, ref_back = ref_softmax(before, axis)
+        assert same(out.data, ref_out)
+        g = data.draw(upstream(shape))
+        g_before, out_before = g.copy(), out.data.copy()
+        (dx,) = rule(g)
+        assert same(dx, ref_back(g))
+        assert same(g, g_before) and same(x.data, before) and same(out.data, out_before)
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(st.data())
+    def test_layer_norm_matches_reference(self, data):
+        rows, dim = data.draw(st.integers(1, 130)), data.draw(st.integers(1, 40))
+        shape = (rows, dim) if data.draw(st.booleans()) else (rows, data.draw(st.integers(1, 13)), dim)
+        x, gamma, beta = (
+            Tensor(data.draw(values(s)), requires_grad=True) for s in (shape, (dim,), (dim,))
+        )
+        inputs = [t.data.copy() for t in (x, gamma, beta)]
+        out = T.layer_norm(x, gamma, beta)
+        rule = T.active_tape()[-1][2]
+        ref_out, ref_back = ref_layer_norm(*inputs)
+        assert same(out.data, ref_out)
+        g = data.draw(upstream(shape))
+        g_before, out_before = g.copy(), out.data.copy()
+        got = rule(g)
+        assert all(same(a, b) for a, b in zip(got, ref_back(g), strict=True))
+        assert same(g, g_before) and same(out.data, out_before)
+        assert all(same(t.data, b) for t, b in zip((x, gamma, beta), inputs))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_replay_matches_reference_and_writes_no_rule_array(self, data):
+        """A miniature encoder where x is read three times, twice by one add;
+        z is read by all 12 head projections; one w_v leaf is shared by the
+        four heads; and the gradients reaching relu are views made by
+        transpose and reshape. backward twice must give the reference
+        replay's gradients, then their doubles."""
+        rows, tokens, dim, heads = data.draw(st.integers(1, 130)), data.draw(st.integers(1, 13)), 8, 4
+
+        def leaf(shape):
+            return Tensor(data.draw(values(shape)), requires_grad=True)
+
+        x, gamma, beta = leaf((rows, tokens, dim)), leaf((dim,)), leaf((dim,))
+        w_q = [leaf((dim, dim // heads)) for _ in range(heads)]
+        w_k = [leaf((dim, dim // heads)) for _ in range(heads)]
+        w_v, w_out = leaf((dim, dim // heads)), leaf((dim, dim))
+        mix = data.draw(values((tokens, rows * dim)))
+        leaves = [x, gamma, beta, *w_q, *w_k, w_v, w_out]
+        forward_inputs = [t.data.copy() for t in leaves]
+
+        z = T.layer_norm(T.add(x, x), gamma, beta)
+        parts = []
+        for q_w, k_w in zip(w_q, w_k):
+            q, k, v = T.matmul(z, q_w), T.matmul(z, k_w), T.matmul(z, w_v)
+            weights = T.softmax(T.causal_mask(T.scale(T.matmul(q, T.transpose(k)), 0.5)))
+            parts.append(T.matmul(weights, v))
+        h = T.relu(T.add(T.matmul(T.concat_last_axis(parts), w_out), x))
+        flat = T.reshape(T.transpose(h, 0, 1), (tokens, rows * dim))
+        loss = T.sum_all(T.mul(flat, Tensor(mix)))
+
+        tape = T.active_tape()
+        ref = ref_replay(list(tape), loss)
+        assert set(ref) == set(leaves)
+        seen = []
+
+        def spy(back):
+            def rule(g):
+                got = back(g)
+                seen.append([(a, a.copy()) for a in (g, *got) if a is not None])
+                return got
+
+            return rule
+
+        tape[:] = [(node, keys, spy(back)) for node, keys, back in tape]
+        T.backward(loss)
+        assert all(same(t.grad, ref[t]) for t in leaves)
+        # a leaf's gradient is its own: a sum the replay made, or a copy
+        assert not any(np.may_share_memory(t.grad, a) for t in leaves for arrays in seen for a, _ in arrays)
+        T.backward(loss)
+        assert all(same(t.grad, ref[t] + ref[t]) for t in leaves)
+        assert all(same(a, copy) for arrays in seen for a, copy in arrays)
+        assert all(same(t.data, b) for t, b in zip(leaves, forward_inputs))

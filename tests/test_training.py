@@ -630,14 +630,16 @@ class TestParallelScoring:
         predict_scores(params, x)
         assert len(seen) == 20 and seen.count(caller) > 10
 
-    @pytest.mark.parametrize("fail", [(64,), (0,), (128, 64), (256,)], ids=lambda f: "+".join(map(str, f)))
-    def test_a_failing_chunk_raises_as_on_one_thread(self, monkeypatch, fail):
+    @pytest.mark.parametrize("chunks", [(1,), (0,), (2, 1), (4,)], ids=lambda c: "+".join(map(str, c)))
+    def test_a_failing_chunk_raises_as_on_one_thread(self, monkeypatch, chunks):
         """A chunk that raises, in a worker's share or the caller's, raises the
         lowest failing chunk's error once every share has ended; grad
-        recording is back on and the tape is empty."""
+        recording is back on and the tape is empty. The failing chunks are
+        given by index, so the cases hold at any chunk size."""
         errors = []
         for cores in (1, 3):
             params = self._small_transformer()
+            fail = tuple(k * params.chunk_rows for k in chunks)
             x = np.random.default_rng(6).uniform(size=(5 * params.chunk_rows, 5))
             x[:, 0] = np.arange(len(x))
             monkeypatch.setattr(training, "usable_cores", lambda: cores)
