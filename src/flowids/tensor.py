@@ -399,10 +399,10 @@ def sum_all(a: Tensor) -> Tensor:
     return record(out, (a,), lambda g: (np.full(shape, float(g)),))
 
 
-@lru_cache(maxsize=16)
-def _lower_triangle(n: int) -> np.ndarray:
-    """Read-only (n, n) boolean mask of the diagonal and below, shared per size."""
-    keep = np.tril(np.ones((n, n), dtype=bool))
+@lru_cache(maxsize=32)
+def _lower_triangle(n: int, dtype=bool) -> np.ndarray:
+    """Read-only (n, n) mask, ones on and below the diagonal and zeros above, shared per size and dtype."""
+    keep = np.tril(np.ones((n, n), dtype=dtype))
     keep.flags.writeable = False
     return keep
 
@@ -437,6 +437,7 @@ def causal_mask(scores: Tensor) -> Tensor:
     rows, cols = scores.data.shape[-2], scores.data.shape[-1]
     if rows != cols:
         raise DimensionError(f"causal_mask: last two axes must be square, got {scores.shape}")
-    keep = _lower_triangle(rows)
-    out = Tensor(np.where(keep, scores.data, -np.inf))
+    out = Tensor(np.where(_lower_triangle(rows), scores.data, -np.inf))
+    # a float64 triangle: the product a bool one gives, without casting it each backward
+    keep = _lower_triangle(rows, np.float64)
     return record(out, (scores,), lambda g: (g * keep,))

@@ -12,7 +12,49 @@ step, and the property tests require the library to produce the same
 bytes while writing into nothing it did not allocate.
 """
 
+import csv
+
 import numpy as np
+
+
+def dictreader_load(path, features, label, parse_cell):
+    """A flow CSV read row by row with csv.DictReader, as load_csv documents its reading.
+
+    ``features`` are (name, kind) pairs in profile order and ``label`` the label
+    column. ``parse_cell(cell, kind)`` gives ``(value, reason)``: a cell's value,
+    and why it is bad or None. Blank rows are skipped and not numbered, so the
+    first record is row 2; a missing cell is None, and the last of a repeated
+    header name wins, as DictReader reads them. A row is rejected with the first
+    reason: its label's, then its columns' in profile order.
+
+    Returns (rows, cells, labels, values, rejects): the source row, the cells by
+    column, the int label and the values by non-nominal column of each kept row,
+    and every rejected row's (row, reason)."""
+    rows, labels, rejects = [], [], []
+    cells = {name: [] for name, _ in features}
+    values = {name: [] for name, kind in features if kind != "nominal"}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        for row, record in enumerate(csv.DictReader(handle), start=2):
+            try:
+                number = float(record[label])
+                reason = None if number in (0.0, 1.0) else f"label {record[label]!r} is not 0 or 1"
+            except (TypeError, ValueError):
+                reason = f"label {record[label]!r} does not parse"
+            parsed = {}
+            for name, kind in features:
+                parsed[name], bad = parse_cell(record[name], kind)
+                if reason is None and bad is not None:
+                    reason = f"column {name!r}: {bad}"
+            if reason is not None:
+                rejects.append((row, reason))
+                continue
+            rows.append(row)
+            labels.append(int(number))
+            for name, kind in features:
+                cells[name].append(record[name])
+                if kind != "nominal":
+                    values[name].append(parsed[name])
+    return rows, cells, labels, values, rejects
 
 
 def np_softmax(s, axis=-1):

@@ -1,6 +1,7 @@
 """CSV loading, synthetic generation, splitting, checkpoint container."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from checkpoints import HEADER_DEFECTS, rewrite_header
 from flowids import dataio, model, sentencing
 from flowids.dataio import (
@@ -215,71 +217,158 @@ def _row(header=NUMERIC_FIRST, **cells) -> str:
     return ",".join({**CELLS, **cells}.get(name, "") for name in header)
 
 
-def _load_lines(tmp_path, lines, profile="unsw"):
+def _load_lines(tmp_path, lines, profile="unsw", prefix=0):
+    """Load a header and rows, with `prefix` valid rows read between them."""
     path = tmp_path / "flows.csv"
+    lines = lines[:1] + [_row(lines[0].split(","))] * prefix + lines[1:]
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     return load_csv(path, profile)
+
+
+def _oracle_cell(cell, kind):
+    """A cell's value and why it is bad, by sentencing.parse_cell: (value, reason or None)."""
+    if kind == NOMINAL:
+        return cell, "missing cell" if cell is None else None
+    try:
+        value = sentencing.parse_cell(cell, kind)
+    except DataError as exc:
+        return math.nan, str(exc)
+    return value, None if math.isfinite(value) else f"non-finite value {cell!r}"
+
+
+BLOCK = dataio.BLOCK_ROWS
 
 
 class TestLoadCsvReadsLikeDictReader:
     """The reader is positional; each case reads as csv.DictReader read it."""
 
-    def test_blank_rows_are_skipped_and_not_numbered(self, tmp_path):
-        header = ",".join(NUMERIC_FIRST)
-        ds, summary = _load_lines(tmp_path, [header, _row(), "", _row(label="2"), "", "", _row(dur="4.0")])
-        assert [(r.row, r.values["dur"]) for r in ds.records] == [(2, "3.9"), (4, "4.0")]
-        assert summary.rejects == [(3, "label '2' is not 0 or 1")]
+    @pytest.fixture
+    def prefix(self):
+        """The valid rows read before a case's own: none."""
+        return 0
 
-    def test_short_row_reads_missing_cells_as_none(self, tmp_path):
+    def test_blank_rows_are_skipped_and_not_numbered(self, tmp_path, prefix):
+        header = ",".join(NUMERIC_FIRST)
+        lines = [header, _row(), "", _row(label="2"), "", "", _row(dur="4.0")]
+        ds, summary = _load_lines(tmp_path, lines, prefix=prefix)
+        assert [(r.row, r.values["dur"]) for r in ds.records][prefix:] == [(2 + prefix, "3.9"), (4 + prefix, "4.0")]
+        assert summary.rejects == [(3 + prefix, "label '2' is not 0 or 1")]
+
+    def test_short_row_reads_missing_cells_as_none(self, tmp_path, prefix):
         """A missing cell reads as None, a bad cell in any column: a row that
         ends before its nominal cells is rejected, naming the first of them
         in profile order."""
         header = ",".join(NUMERIC_FIRST)
         short = _row().rsplit(",", 2)[0]  # no dstip, no proto
         too_short = ",".join(_row().split(",")[:5])  # ends after Ltime
-        ds, summary = _load_lines(tmp_path, [header, short, too_short, _row(srcip="10.0.0.2")])
-        assert summary.rejects == [(2, "column 'dstip': missing cell"), (3, "column 'srcip': missing cell")]
-        assert [r.row for r in ds.records] == [4]
+        ds, summary = _load_lines(tmp_path, [header, short, too_short, _row(srcip="10.0.0.2")], prefix=prefix)
+        assert summary.rejects == [
+            (2 + prefix, "column 'dstip': missing cell"),
+            (3 + prefix, "column 'srcip': missing cell"),
+        ]
+        assert [r.row for r in ds.records][prefix:] == [4 + prefix]
 
-    def test_extra_cells_are_ignored(self, tmp_path):
+    def test_extra_cells_are_ignored(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
-        ds, summary = _load_lines(tmp_path, [header, _row() + ",x,y,9", _row()])
+        ds, summary = _load_lines(tmp_path, [header, _row() + ",x,y,9", _row()], prefix=prefix)
         assert summary.rows_rejected == 0
-        assert ds.records[0].values == ds.records[1].values
+        assert ds.records[prefix].values == ds.records[prefix + 1].values
 
-    def test_repeated_header_name_takes_the_last_column(self, tmp_path):
+    def test_repeated_header_name_takes_the_last_column(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST + ["Sload", "Dload"])
         # the second row ends before the last Dload column
-        ds, summary = _load_lines(tmp_path, [header, _row() + ",7.5,8.5", _row() + ",7.5"])
-        assert (ds.records[0].values["Sload"], ds.records[0].values["Dload"]) == ("7.5", "8.5")
-        assert summary.rejects == [(3, "column 'Dload': cannot parse numeric cell None")]
+        ds, summary = _load_lines(tmp_path, [header, _row() + ",7.5,8.5", _row() + ",7.5"], prefix=prefix)
+        assert (ds.records[prefix].values["Sload"], ds.records[prefix].values["Dload"]) == ("7.5", "8.5")
+        assert summary.rejects == [(3 + prefix, "column 'Dload': cannot parse numeric cell None")]
 
-    def test_quoted_newline_stays_in_its_cell(self, tmp_path):
+    def test_quoted_newline_stays_in_its_cell(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
-        ds, summary = _load_lines(tmp_path, [header, _row(proto='"tcp\nv2"'), _row(label="x"), _row()])
-        assert ds.records[0].values["proto"] == "tcp\nv2"
-        assert summary.rejects == [(3, "label 'x' does not parse")]
-        assert [r.row for r in ds.records] == [2, 4]
+        ds, summary = _load_lines(tmp_path, [header, _row(proto='"tcp\nv2"'), _row(label="x"), _row()], prefix=prefix)
+        assert ds.records[prefix].values["proto"] == "tcp\nv2"
+        assert summary.rejects == [(3 + prefix, "label 'x' does not parse")]
+        assert [r.row for r in ds.records][prefix:] == [2 + prefix, 4 + prefix]
 
-    def test_more_than_twenty_rejects_are_counted_not_listed(self, tmp_path):
+    def test_more_than_twenty_rejects_are_counted_not_listed(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
-        _, summary = _load_lines(tmp_path, [header] + [_row(label="x")] * 25 + [_row(), _row()])
-        lines = ["loaded 2 rows, rejected 25"]
-        lines += [f"  row {n}: label 'x' does not parse" for n in range(2, 22)]
+        _, summary = _load_lines(tmp_path, [header] + [_row(label="x")] * 25 + [_row(), _row()], prefix=prefix)
+        lines = [f"loaded {2 + prefix} rows, rejected 25"]
+        lines += [f"  row {n}: label 'x' does not parse" for n in range(2 + prefix, 22 + prefix)]
         lines += ["  ... and 5 more"]
         assert summary.describe() == "\n".join(lines)
 
-    def test_first_reason_is_the_label_then_profile_order(self, tmp_path):
+    def test_first_reason_is_the_label_then_profile_order(self, tmp_path, prefix):
         """The label's reason wins; among bad cells the first column of the
         profile wins, whatever the header order (Dload comes before Sload here)."""
         header = ["label", "Dload", "Sload"] + [n for n in NUMERIC_FIRST if n not in ("label", "Dload", "Sload")]
         lines = [",".join(header), _row(header, label="2", Sload="fast"), _row(header, Dload="nan", Sload="fast"),
                  _row(header)]
-        _, summary = _load_lines(tmp_path, lines)
+        _, summary = _load_lines(tmp_path, lines, prefix=prefix)
         assert summary.rejects == [
-            (2, "label '2' is not 0 or 1"),
-            (3, "column 'Sload': cannot parse numeric cell 'fast'"),
+            (2 + prefix, "label '2' is not 0 or 1"),
+            (3 + prefix, "column 'Sload': cannot parse numeric cell 'fast'"),
         ]
+
+
+class TestLoadCsvReadsLikeDictReaderOnBlockEdges(TestLoadCsvReadsLikeDictReader):
+    """The same cases after valid rows that put a case's rows on either side
+    of the edges of the blocks load_csv reads."""
+
+    @pytest.fixture(params=[BLOCK - 2, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
+    def prefix(self, request):
+        return request.param
+
+
+class TestLoadCsvBlocks:
+    def test_three_blocks_of_mixed_rows_read_as_dict_reader_reads_them(self, tmp_path):
+        """Blank, short, long, bad-label, bad-cell and quoted-newline rows,
+        drawn at random over three blocks, load as the DictReader oracle reads them."""
+        header = NUMERIC_FIRST + ["svc", "Sload"]  # a column outside the profile, and a repeated name
+        kinds = {
+            "valid": lambda i: _row(header, Sload=f"{i}.5"),
+            "blank": lambda i: "",
+            "short": lambda i: _row(header)[: 20 + i % 40],
+            "long": lambda i: _row(header) + f",x,{i}",
+            "bad label": lambda i: _row(header, label=("2", "x", "")[i % 3]),
+            "bad cell": lambda i: _row(header, **{("dur", "Stime", "sttl")[i % 3]: ("fast", "nan", "-inf")[i % 3]}),
+            "quoted newline": lambda i: _row(header, proto=f'"tcp\n{i}"'),
+        }
+        draws = np.random.default_rng(18).choice(list(kinds), size=int(2.75 * BLOCK), p=[0.5] + [1 / 12] * 6)
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join([",".join(header)] + [kinds[kind](i) for i, kind in enumerate(draws)]) + "\n")
+        ds, summary = load_csv(path, "unsw")
+        layout = sentencing.profile_columns("unsw")
+        rows, cells, labels, values, rejects = oracles.dictreader_load(
+            path, layout["features"], layout["label"], _oracle_cell
+        )
+        assert rows[-1] > 2 * BLOCK + 1 and len(rejects) > BLOCK // 2
+        table = ds.records
+        assert table.rows.tolist() == rows and table.labels.tolist() == labels
+        assert {name: list(column) for name, column in table.cells.items()} == cells
+        assert table.parsed.keys() == values.keys()
+        for name, column in values.items():
+            assert table.parsed[name].tobytes() == np.array(column, dtype=np.float64).tobytes()
+        assert summary.rows_loaded == len(rows) and summary.rows_rejected == len(rejects)
+        assert summary.rejects == rejects[:20]
+
+    def test_reading_starts_no_older_generation_collection(self, tmp_path):
+        """Each block's rows are dropped once their cells are in the columns,
+        so a load of twenty blocks starts no collection of an older generation."""
+        path = tmp_path / "flows.csv"
+        write_csv(synth(20 * BLOCK, seed=5), path)
+        older = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] > 0:
+                older.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            ds, _ = load_csv(path, "synthetic")
+        finally:
+            gc.callbacks.remove(count)
+        assert len(ds) == 20 * BLOCK
+        assert older == []
 
 
 def _labels(ds):

@@ -261,6 +261,23 @@ class TestCausalMask:
         with pytest.raises(DimensionError):
             T.causal_mask(Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("width", [1, 13, 40])
+    def test_gradient_is_the_product_with_the_boolean_triangle(self, width):
+        """Byte for byte, -0.0 above the diagonal and nan from inf included."""
+        rng = np.random.default_rng(width)
+        T.causal_mask(Tensor(rng.normal(size=(16, 4, width, width)), requires_grad=True))
+        rule = T.active_tape()[-1][2]
+        g = rng.normal(size=(16, 4, width, width))
+        g[0, 0] = -0.0
+        g[1, 1, 0] = [np.inf, -np.inf, np.nan][: width] + [-1.0] * (width - 3)
+        with np.errstate(invalid="ignore"):
+            (got,) = rule(g)
+            want = g * np.tril(np.ones((width, width), dtype=bool))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        first = g[..., 0, 1:]  # masked entries whose upstream is finite and negative
+        above = got[..., 0, 1:][np.isfinite(first) & (first < 0)]
+        assert np.all(above == 0.0) and np.signbit(above).all()
+
 
 class TestBackward:
     def test_analytic_quadratic(self):
