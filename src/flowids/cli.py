@@ -4,7 +4,8 @@ Each command returns a Run: its configuration, seed and the files it read and
 wrote. `main` times the run, writes the one run manifest next to the first
 output (<output>.manifest.json: command, configuration, seed, SHA-256
 checksums of inputs and outputs, the rows each CSV load kept and rejected,
-duration, and the environment it ran in),
+the warnings the command raised, duration, and the environment it ran in),
+prints each warning to stderr as one `warning: <message>` line,
 and maps errors to exit codes through EXIT_CODES: 2 usage or configuration,
 3 bad data, 4 model/data incompatibility (including checkpoint versions),
 5 numeric failure in training, 6 file I/O. An eval or report that writes no
@@ -21,6 +22,7 @@ import math
 import platform
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 
@@ -70,7 +72,7 @@ def _versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
 
 
-def _write_manifest(command: str, run: Run, started: float) -> None:
+def _write_manifest(command: str, run: Run, started: float, warned: list[str]) -> None:
     manifest = {
         "command": command,
         "config": run.config,
@@ -78,6 +80,7 @@ def _write_manifest(command: str, run: Run, started: float) -> None:
         "inputs": {str(p): _sha256(p) for p in run.inputs},
         "outputs": {str(p): _sha256(p) for p in run.outputs},
         "loads": run.loads,
+        "warnings": warned,
         "duration_seconds": round(time.time() - started, 3),
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         # a transformer score of at least this many chunks runs on this many threads
@@ -283,11 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started, warned = time.time(), []  # each message the command warns of, once, in order
+
+    def show(message, *_):
+        if str(message) not in warned:
+            warned.append(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
     try:
-        run = args.func(args)
+        with warnings.catch_warnings():  # puts the filters and showwarning back when the command ends
+            warnings.simplefilter("always")  # each warning is a line, never an exception, whatever -W says
+            warnings.showwarning = show
+            run = args.func(args)
         if run.outputs:
-            _write_manifest(args.command, run, started)
+            _write_manifest(args.command, run, started, warned)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

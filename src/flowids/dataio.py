@@ -33,6 +33,7 @@ from .errors import (
     VersionError,
 )
 from .sentencing import (
+    MISSING_CELL,
     NOMINAL,
     PROFILES,
     Schema,
@@ -174,6 +175,8 @@ class LoadSummary:
 
 
 def _parse_label(cell: str) -> int:
+    if cell is None:
+        raise DataError(f"label: {MISSING_CELL}")
     try:
         value = float(cell)
     except (TypeError, ValueError):
@@ -219,7 +222,9 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     are None, extra cells are ignored, a repeated header name takes its last column. A leading
     byte-order mark is dropped. A row with a bad label, or a cell that sentencing.parse_column
     finds bad, is rejected with the first reason (label, then columns in profile order) in the
-    summary. Each column is parsed once: the table keeps the values that found the rejects.
+    summary; a missing cell reads ``label: missing cell`` or ``column 'name': missing cell``,
+    whatever its kind. Each column is parsed once: the table keeps the values that found the
+    rejects.
 
     The file is read BLOCK_ROWS rows at a time, each block's cells appended to one list per
     profile column, so no list per row outlives its block. On a 200,000-row synth CSV, with
@@ -343,21 +348,6 @@ SYNTH_CATEGORICAL = {
 }
 
 
-def dist_mean_var(dist: tuple) -> tuple[float, float]:
-    """Mean and variance of one SYNTH_DISTS entry (for verification)."""
-    kind = dist[0]
-    if kind == "uniform":
-        _, lo, hi = dist
-        return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0
-    if kind == "normal":
-        _, mu, sd = dist
-        return mu, sd**2
-    if kind == "randint":
-        _, lo, hi = dist
-        return (lo + hi - 1) / 2.0, ((hi - lo) ** 2 - 1) / 12.0
-    raise ValueError(f"no mean/var for dist {dist!r}")
-
-
 def _draw(rng: np.random.Generator, dist: tuple, size: int) -> np.ndarray:
     kind = dist[0]
     if kind == "uniform":
@@ -386,12 +376,6 @@ def noisy_sload_dists(bayes_error: float) -> dict[str, tuple]:
         "normal": ("normal", NOISY_SLOAD_BASE, NOISY_SLOAD_SD),
         "attack": ("normal", NOISY_SLOAD_BASE + delta, NOISY_SLOAD_SD),
     }
-
-
-def noisy_sload_threshold(bayes_error: float) -> float:
-    """The Bayes-optimal single threshold on Sload for the noisy generator."""
-    dists = noisy_sload_dists(bayes_error)
-    return (dists["normal"][1] + dists["attack"][1]) / 2.0
 
 
 def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float = 0.1) -> Dataset:
@@ -499,7 +483,6 @@ class Checkpoint:
     schema: Schema
     config: dict
     metrics: dict | None
-    version: int
 
     @property
     def kind(self) -> str:
@@ -649,5 +632,4 @@ def load_checkpoint(path) -> Checkpoint:
         schema=schema,
         config=config,
         metrics=header["metrics"],
-        version=version,
     )

@@ -218,7 +218,7 @@ def attention(z: Tensor, params: AttentionParams, mask: bool = True) -> Tensor:
         scores = T.scale(T.matmul(q, T.transpose(k)), inv_scale)
         if mask:
             scores = T.causal_mask(scores)
-        weights = T.softmax(scores, axis=-1)
+        weights = T.softmax(scores)
         head_outputs.append(T.matmul(weights, v))
     return T.matmul(T.concat_last_axis(head_outputs), params.w_out)
 
@@ -370,7 +370,3 @@ def init_fnn(features: int, hidden: tuple[int, int] = (64, 64), seed: int = 0) -
 
 
 KINDS: dict[str, type] = {"transformer": ModelParams, "fnn": FnnParams}
-
-
-def parameter_count(params) -> int:
-    return sum(t.data.size for _, t in params.named_parameters())

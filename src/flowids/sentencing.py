@@ -71,6 +71,9 @@ PROFILES: dict[str, dict] = {
 # Synthetic data reuses the unsw column layout.
 PROFILES["synthetic"] = PROFILES["unsw"]
 
+# Why a cell is bad when its row ended before its column (csv reads it as None), whatever the kind.
+MISSING_CELL = "missing cell"
+
 _TRUE = {"1", "true", "t", "on", "yes"}
 _FALSE = {"0", "false", "f", "off", "no"}
 
@@ -132,13 +135,14 @@ def parse_cell(cell: str, kind: str) -> float:
 def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
     """The column as encoding reads it, plus why each bad cell is bad, by index.
 
-    A nominal column is its cells, and a nominal cell is bad only when it is missing (None:
-    its row ended before it). Any other column is each cell parsed for its kind, and a cell is
-    bad when it does not parse or is nan or infinite. One float() pass serves a column that
-    parses whole and is finite; only otherwise is each cell parsed for its kind. The values
-    are meaningful only where no cell is bad."""
+    A missing cell (None: its row ended before it) is bad as MISSING_CELL, whatever the kind,
+    and that is the only way a nominal cell is bad: a nominal column is its cells. Any other
+    column is each cell parsed for its kind, and a present cell is bad when it does not parse
+    or is nan or infinite. One float() pass serves a column that parses whole and is finite;
+    only otherwise is each cell parsed for its kind. The values are meaningful only where no
+    cell is bad."""
     if kind == NOMINAL:
-        return cells, ({i: "missing cell" for i, cell in enumerate(cells) if cell is None} if None in cells else {})
+        return cells, ({i: MISSING_CELL for i, cell in enumerate(cells) if cell is None} if None in cells else {})
     if kind != BOOLEAN:
         try:
             values = np.array(list(map(float, cells)), dtype=np.float64)
@@ -148,6 +152,9 @@ def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
             pass
     values, reasons = np.empty(len(cells), dtype=np.float64), {}
     for i, cell in enumerate(cells):
+        if cell is None:
+            reasons[i] = MISSING_CELL
+            continue
         try:
             values[i] = parse_cell(cell, kind)
             if not math.isfinite(values[i]):

@@ -260,41 +260,33 @@ def relu(a: Tensor) -> Tensor:
     return record(Tensor(y), (a,), back)
 
 
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    return record(Tensor(np.log(x)), (a,), lambda g: (g / x,))
+def softmax(a: Tensor) -> Tensor:
+    """Stable softmax along the last axis; each row sums to 1.
 
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; each slice sums to 1.
-
-    ``axis`` is swapped last, so the sums are BLAS products with a ones
-    column (see ``_column``). The row max is taken across the leading axis
-    of a copy with ``axis`` moved first, an elementwise ``np.maximum`` of
-    whole rows rather than a reduction over a short strided axis; a max is
-    exact, so its order does not matter. Forward and backward each write
-    their later steps into the array their first step allocated.
+    The sums are BLAS products with a ones column (see ``_column``). The row
+    max is taken across the leading axis of a copy with the last axis moved
+    first, an elementwise ``np.maximum`` of whole rows rather than a
+    reduction over a short strided axis; a max is exact, so its order does
+    not matter. Forward and backward each write their later steps into the
+    array their first step allocated.
     """
     a = _as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise DimensionError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    x = a.data.swapaxes(axis, -1)
+    x = a.data
+    if not x.ndim:
+        raise DimensionError("softmax: needs at least one axis, got a 0-d tensor")
     ones = _column(x.shape[-1], 1.0)
     peak = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)
     y = np.subtract(x, peak[..., None])
     np.exp(y, out=y)
     np.divide(y, y @ ones, out=y)
-    out = Tensor(y.swapaxes(axis, -1))
 
     def back(g):
-        g = g.swapaxes(axis, -1)
         dx = np.multiply(g, y)
         np.subtract(g, dx @ ones, out=dx)
         np.multiply(y, dx, out=dx)
-        return (dx.swapaxes(axis, -1),)
+        return (dx,)
 
-    return record(out, (a,), back)
+    return record(Tensor(y), (a,), back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -344,11 +336,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return record(out, (x, gamma, beta), back)
 
 
-def transpose(a: Tensor, axis0: int = -2, axis1: int = -1) -> Tensor:
-    """Swap two axes; the output is a view of the input (see module docstring)."""
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes; the output is a view of the input (see module docstring)."""
     a = _as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, axis0, axis1))
-    return record(out, (a,), lambda g: (np.swapaxes(g, axis0, axis1),))
+    out = Tensor(np.swapaxes(a.data, -2, -1))
+    return record(out, (a,), lambda g: (np.swapaxes(g, -2, -1),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -381,22 +373,6 @@ def concat_last_axis(parts: list[Tensor]) -> Tensor:
         return tuple(g[..., lo:hi] for lo, hi in zip(edges, edges[1:]))
 
     return record(out, tuple(parts), back)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    """Mean over every element, yielding a scalar tensor."""
-    a = _as_tensor(a)
-    out = Tensor(a.data.mean())
-    shape, n = a.data.shape, a.data.size
-    return record(out, (a,), lambda g: (np.full(shape, float(g) / n),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum over every element, yielding a scalar tensor."""
-    a = _as_tensor(a)
-    out = Tensor(a.data.sum())
-    shape = a.data.shape
-    return record(out, (a,), lambda g: (np.full(shape, float(g)),))
 
 
 @lru_cache(maxsize=32)

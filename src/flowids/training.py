@@ -66,44 +66,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return T.record(out, (logits,), backward)
 
 
-def _adamw_update(w, g, m, v, a, b, step, lr, beta1, beta2, eps, weight_decay) -> None:
-    """One AdamW update of w, m and v in place, with a and b as scratch.
-
-    adamw_step and AdamW.step both run this. Each line is one IEEE
-    operation, in the order that this expression evaluates them:
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        w = w - lr * (m / (1 - beta1**step) / (sqrt(v / (1 - beta2**step)) + eps) + weight_decay * w)
-    """
-    np.multiply(m, beta1, out=m)
-    np.multiply(g, 1.0 - beta1, out=a)
-    np.add(m, a, out=m)
-    np.multiply(v, beta2, out=v)
-    np.multiply(g, 1.0 - beta2, out=a)
-    np.multiply(a, g, out=a)
-    np.add(v, a, out=v)
-    np.divide(m, 1.0 - beta1**step, out=a)
-    np.divide(v, 1.0 - beta2**step, out=b)
-    np.sqrt(b, out=b)
-    np.add(b, eps, out=b)
-    np.divide(a, b, out=a)
-    np.multiply(w, weight_decay, out=b)
-    np.add(a, b, out=a)
-    np.multiply(a, lr, out=a)
-    np.subtract(w, a, out=w)
-
-
-def adamw_step(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-    """One AdamW update; pure function, returns new (w, m, v) arrays.
-
-    step is the 1-based update count used for bias correction. Weight decay
-    is decoupled: it scales the incoming weight, not the gradient.
-    """
-    w, m, v = (np.array(x, dtype=np.float64) for x in (w, m, v))
-    _adamw_update(w, g, m, v, np.empty_like(w), np.empty_like(w), step, lr, beta1, beta2, eps, weight_decay)
-    return w, m, v
-
-
 class AdamW:
     """AdamW over a list of (name, Tensor) pairs; state keyed by name.
 
@@ -147,18 +109,40 @@ class AdamW:
             t.grad = None
 
     def step(self) -> None:
-        """Update every parameter that received a gradient this round."""
+        """Update every parameter that received a gradient this round.
+
+        The update runs over the flat buffers in place, one IEEE operation
+        per line, in the order that this expression evaluates them, with
+        step counting from 1:
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            w = w - lr * (m / (1 - beta1**step) / (sqrt(v / (1 - beta2**step)) + eps) + weight_decay * w)
+        """
         self.step_count += 1
-        np.concatenate(
-            [np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1) for _, t in self.params], out=self._g
-        )
+        w, g, m, v, a, b = self._w, self._g, self._m, self._v, self._a, self._b
+        beta1, beta2, step = self.beta1, self.beta2, self.step_count
+        np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1) for _, t in self.params], out=g)
         # a parameter without a grad keeps its weight and its moments
-        kept = [(sl, self._w[sl].copy(), self._m[sl].copy(), self._v[sl].copy())
+        kept = [(sl, w[sl].copy(), m[sl].copy(), v[sl].copy())
                 for sl, (_, t) in zip(self._slices, self.params) if t.grad is None]
-        _adamw_update(self._w, self._g, self._m, self._v, self._a, self._b, self.step_count,
-                      self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
-        for sl, w, m, v in kept:
-            self._w[sl], self._m[sl], self._v[sl] = w, m, v
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, 1.0 - beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, 1.0 - beta1**step, out=a)
+        np.divide(v, 1.0 - beta2**step, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)
+        np.multiply(w, self.weight_decay, out=b)
+        np.add(a, b, out=a)
+        np.multiply(a, self.lr, out=a)
+        np.subtract(w, a, out=w)
+        for sl, kw, km, kv in kept:
+            w[sl], m[sl], v[sl] = kw, km, kv
 
 
 # Numeric TrainConfig fields (each entry, for the tuples) by type; bools are neither.

@@ -1,13 +1,28 @@
-"""Central finite-difference oracle used by the gradient tests.
+"""Central finite-difference oracle used by the gradient tests, and the
+scalar losses they differentiate.
 
-Deliberately independent of the tape: it only pokes at raw ``Tensor.data``
-buffers and re-evaluates a loss closure, so it can contradict the analytic
-backward rules it is checking.
+``central_diff`` is deliberately independent of the tape: it only pokes at
+raw ``Tensor.data`` buffers and re-evaluates a loss closure, so it can
+contradict the analytic backward rules it is checking.
 """
 
 import numpy as np
 
 from flowids import tensor as T
+from flowids.tensor import Tensor
+
+
+def taped_sum(a):
+    """The sum of every element of ``a`` as a scalar tensor: a test-local
+    primitive, put on the tape through ``T.record`` as the package's own
+    custom primitives are."""
+    shape = a.data.shape
+    return T.record(Tensor(a.data.sum()), (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def taped_mean(a):
+    """The mean of every element of ``a``, as ``taped_sum`` scaled by 1/size."""
+    return T.scale(taped_sum(a), 1.0 / a.data.size)
 
 
 def central_diff(loss_fn, params, h=1e-5):

@@ -13,8 +13,11 @@ bytes while writing into nothing it did not allocate.
 """
 
 import csv
+import statistics
 
 import numpy as np
+
+from flowids.dataio import NOISY_SLOAD_BASE, NOISY_SLOAD_SD
 
 
 def dictreader_load(path, features, label, parse_cell):
@@ -22,7 +25,7 @@ def dictreader_load(path, features, label, parse_cell):
 
     ``features`` are (name, kind) pairs in profile order and ``label`` the label
     column. ``parse_cell(cell, kind)`` gives ``(value, reason)``: a cell's value,
-    and why it is bad or None. Blank rows are skipped and not numbered, so the
+    and why it is bad or None. A missing label reads ``label: missing cell``. Blank rows are skipped and not numbered, so the
     first record is row 2; a missing cell is None, and the last of a repeated
     header name wins, as DictReader reads them. A row is rejected with the first
     reason: its label's, then its columns' in profile order.
@@ -38,7 +41,9 @@ def dictreader_load(path, features, label, parse_cell):
             try:
                 number = float(record[label])
                 reason = None if number in (0.0, 1.0) else f"label {record[label]!r} is not 0 or 1"
-            except (TypeError, ValueError):
+            except TypeError:  # the row ended before its label
+                reason = "label: missing cell"
+            except ValueError:
                 reason = f"label {record[label]!r} does not parse"
             parsed = {}
             for name, kind in features:
@@ -114,19 +119,17 @@ def np_model_logits(x, params, mask=True):
     return flat @ params.head_w.data + params.head_b.data
 
 
-def ref_softmax(x, axis=-1):
-    """Softmax along axis with its sums as products with a ones column, as
-    ``tensor.softmax`` computes it. Returns (y, back), back(g) -> dx."""
-    x = x.swapaxes(axis, -1)
+def ref_softmax(x):
+    """Softmax along the last axis with its sums as products with a ones
+    column, as ``tensor.softmax`` computes it. Returns (y, back), back(g) -> dx."""
     ones = np.ones((x.shape[-1], 1))
     e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     y = e / (e @ ones)
 
     def back(g):
-        g = g.swapaxes(axis, -1)
-        return (y * (g - (g * y) @ ones)).swapaxes(axis, -1)
+        return y * (g - (g * y) @ ones)
 
-    return y.swapaxes(axis, -1), back
+    return y, back
 
 
 def ref_layer_norm(x, gamma, beta, eps=1e-5):
@@ -222,6 +225,35 @@ def np_adamw(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_deca
     v_hat = v / (1.0 - beta2**step)
     w = w - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
     return w, m, v
+
+
+# --- synthetic-data transcriptions -----------------------------------------
+# Written from the distributions that dataio.SYNTH_DISTS names and from the
+# noisy generator's documented Sload classes, not from the generator's code.
+
+
+def dist_mean_var(dist):
+    """Mean and variance of one SYNTH_DISTS entry: ("uniform", lo, hi),
+    ("normal", mu, sd), or ("randint", lo, hi) with hi excluded."""
+    kind = dist[0]
+    if kind == "uniform":
+        _, lo, hi = dist
+        return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0
+    if kind == "normal":
+        _, mu, sd = dist
+        return mu, sd**2
+    if kind == "randint":
+        _, lo, hi = dist
+        return (lo + hi - 1) / 2.0, ((hi - lo) ** 2 - 1) / 12.0
+    raise ValueError(f"no mean/var for dist {dist!r}")
+
+
+def noisy_sload_threshold(bayes_error):
+    """The Bayes-optimal Sload cut of the noisy generator: its classes are
+    normal with sd NOISY_SLOAD_SD, at NOISY_SLOAD_BASE and at NOISY_SLOAD_BASE
+    + 2 sd z with z = Phi^-1(1 - bayes_error), and with equal priors and
+    variances the optimal cut is their midpoint, NOISY_SLOAD_BASE + sd z."""
+    return NOISY_SLOAD_BASE + NOISY_SLOAD_SD * statistics.NormalDist().inv_cdf(1.0 - bayes_error)
 
 
 # --- metric transcriptions -------------------------------------------------

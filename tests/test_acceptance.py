@@ -20,8 +20,8 @@ from flowids.errors import IntegrityError
 from flowids.model import EncoderConfig, encoder_block, forward, init_params
 from flowids.sentencing import encode_batch, sentence
 from flowids.tensor import Tensor
-from flowids.training import TrainConfig, adamw_step, predict_scores, train
-from fd import central_diff, max_rel_error
+from flowids.training import AdamW, TrainConfig, predict_scores, train
+from fd import central_diff, max_rel_error, taped_mean
 from oracles import (
     np_auc_pairwise,
     np_encoder_block,
@@ -55,7 +55,7 @@ def test_acceptance_1_full_model_gradient_check():
 
     def loss_fn():
         out = forward(x, params)
-        return T.mean_all(T.mul(out, out))
+        return taped_mean(T.mul(out, out))
 
     T.clear_tape()
     loss = loss_fn()
@@ -146,14 +146,15 @@ def test_acceptance_4_metric_equivalence():
 
 def test_acceptance_5_optimizer_worked_example():
     """One AdamW step at w=1, g=2, lr=0.1, wd=0.01 reproduces the
-    hand-expanded update to 1e-12."""
-    w, m, v = adamw_step(
-        np.array(1.0), np.array(2.0), np.array(0.0), np.array(0.0),
-        step=1, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01,
-    )
+    hand-expanded update to 1e-12, through the optimizer training uses."""
+    w = Tensor(np.array(1.0), requires_grad=True)
+    opt = AdamW([("w", w)], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+    w.grad = np.array(2.0)
+    opt.step()
+    m, v = opt.state["w"]
     # m = 0.2, v = 0.004; bias correction gives m_hat = 2, sqrt(v_hat) = 2
     expected = 1.0 - 0.1 * (2.0 / (2.0 + 1e-8) + 0.01 * 1.0)
-    diff = abs(float(w) - expected)
+    diff = abs(float(w.data) - expected)
     ok = diff < 1e-12 and abs(float(m) - 0.2) < 1e-15 and abs(float(v) - 0.004) < 1e-15
     _verdict(5, "optimizer worked example", ok, f"|w - expected| = {diff:.2e}")
 

@@ -476,6 +476,42 @@ def test_manifest_records_what_each_load_kept_and_rejected(workdir, tmp_path, ca
     assert capsys.readouterr().err == f"loaded 299 rows, rejected 1\n  row 5: {reason}\n" * len(profiles)
 
 
+class TestWarnings:
+    """A command's warnings print as plain `warning:` lines and go in its manifest."""
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error::UserWarning"]], ids=["default", "W-error"])
+    def test_constant_features_of_a_ton_csv(self, tmp_path, flags):
+        """Python's -W does not turn a command's warning into a traceback."""
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "ton_tiny.csv"
+        out = tmp_path / "ton.ckpt"
+        argv = ["train", "--data", fixture, "--profile", "ton", "--epochs", 1, "--out", out]
+        r = subprocess.run([sys.executable, *flags, "-m", "flowids", *map(str, argv)], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert "UserWarning" not in r.stderr and "sentencing.py" not in r.stderr
+        warned = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())["warnings"]
+        assert "feature 'longitude' is constant in the training split" in warned
+        assert [line for line in r.stderr.splitlines() if line.startswith("warning: ")] == [
+            f"warning: {message}" for message in warned
+        ]
+
+    def test_a_split_without_a_class(self, workdir, tmp_path):
+        lines = (workdir / "flows.csv").read_text().splitlines()
+        attacks = [line for line in lines[1:] if line.endswith(",1")]
+        data, out = tmp_path / "one_attack.csv", tmp_path / "m.ckpt"
+        data.write_text("\n".join([lines[0], attacks[0]] + [line for line in lines[1:] if line.endswith(",0")]) + "\n")
+        r = run("train", "--data", data, "--model", "fnn", "--epochs", 1, "--out", out)
+        assert r.returncode == 0, r.stderr
+        warned = ["split 'train' received zero records of class 1", "split 'validation' received zero records of class 1"]
+        assert json.loads(pathlib.Path(f"{out}.manifest.json").read_text())["warnings"] == warned
+        assert [line for line in r.stderr.splitlines() if "warn" in line.lower()] == [
+            f"warning: {message}" for message in warned
+        ]
+
+    def test_a_clean_run_lists_none(self, workdir):
+        for name in ("enc.ckpt", "fnn.ckpt", "flows.csv"):
+            assert json.loads((workdir / f"{name}.manifest.json").read_text())["warnings"] == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["eval", "predict", "report"])
 def test_non_finite_threshold_is_usage_error(workdir, tmp_path, command, value):

@@ -20,10 +20,8 @@ from flowids.dataio import (
     SEPARABLE_THRESHOLD,
     Checkpoint,
     FlowTable,
-    dist_mean_var,
     load_checkpoint,
     load_csv,
-    noisy_sload_threshold,
     save_checkpoint,
     split,
     synth,
@@ -217,6 +215,39 @@ def _row(header=NUMERIC_FIRST, **cells) -> str:
     return ",".join({**CELLS, **cells}.get(name, "") for name in header)
 
 
+TON_CELLS = {"time": "09:12:01", "date": "26-Apr-19", "motion status": "0", "light status": "off",
+             "temperature": "24.1", "pressure": "1012.5", "humidity": "41.0", "sphone signal": "0",
+             "latitude": "37.7749", "longitude": "-122.4194", "FC1 Read Input Register": "120", "label": "0"}
+
+
+class TestMissingCells:
+    """A row that ends before a column reads that cell as missing, whatever the
+    column's kind; the label's reason still comes first. Only the reason's
+    text depends on the kind of cell: the rows kept and rejected do not."""
+
+    @pytest.mark.parametrize("profile, cut_before, kind", [
+        ("unsw", "proto", NOMINAL),
+        ("unsw", "Dload", sentencing.NUMERIC),
+        ("unsw", "Stime", sentencing.TIMESTAMP),
+        ("ton", "light status", sentencing.BOOLEAN),
+    ])
+    @pytest.mark.parametrize("label_at", ["first", "last"])
+    def test_reason_is_missing_cell(self, tmp_path, profile, cut_before, kind, label_at):
+        layout = sentencing.profile_columns(profile)
+        assert dict(layout["features"])[cut_before] == kind
+        features = [name for name, _ in layout["features"]]
+        header = ["label"] + features if label_at == "first" else features + ["label"]
+        cells = CELLS if profile == "unsw" else TON_CELLS
+        full = ",".join(cells[name] for name in header)
+        cut = ",".join(cells[name] for name in header[: header.index(cut_before)])
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join([",".join(header), full, cut, full]) + "\n")
+        ds, summary = load_csv(path, profile)
+        reason = f"column {cut_before!r}: missing cell" if label_at == "first" else "label: missing cell"
+        assert summary.rejects == [(3, reason)]
+        assert ds.records.rows.tolist() == [2, 4]
+
+
 def _load_lines(tmp_path, lines, profile="unsw", prefix=0):
     """Load a header and rows, with `prefix` valid rows read between them."""
     path = tmp_path / "flows.csv"
@@ -226,9 +257,12 @@ def _load_lines(tmp_path, lines, profile="unsw", prefix=0):
 
 
 def _oracle_cell(cell, kind):
-    """A cell's value and why it is bad, by sentencing.parse_cell: (value, reason or None)."""
+    """A cell's value and why it is bad, by sentencing.parse_cell: (value, reason or None).
+    A missing cell is bad as "missing cell", whatever its kind."""
+    if cell is None:
+        return (None if kind == NOMINAL else math.nan), "missing cell"
     if kind == NOMINAL:
-        return cell, "missing cell" if cell is None else None
+        return cell, None
     try:
         value = sentencing.parse_cell(cell, kind)
     except DataError as exc:
@@ -279,7 +313,7 @@ class TestLoadCsvReadsLikeDictReader:
         # the second row ends before the last Dload column
         ds, summary = _load_lines(tmp_path, [header, _row() + ",7.5,8.5", _row() + ",7.5"], prefix=prefix)
         assert (ds.records[prefix].values["Sload"], ds.records[prefix].values["Dload"]) == ("7.5", "8.5")
-        assert summary.rejects == [(3 + prefix, "column 'Dload': cannot parse numeric cell None")]
+        assert summary.rejects == [(3 + prefix, "column 'Dload': missing cell")]
 
     def test_quoted_newline_stays_in_its_cell(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
@@ -405,7 +439,7 @@ class TestSynth:
         ds = synth(10000, seed=3, difficulty="noisy", bayes_error=0.1)
         sload = np.array([float(r.values["Sload"]) for r in ds.records])
         labels = _labels(ds)
-        cut = noisy_sload_threshold(0.1)
+        cut = oracles.noisy_sload_threshold(0.1)
         acc = np.mean((sload > cut).astype(int) == labels)
         assert 0.87 <= acc <= 0.93
 
@@ -418,7 +452,7 @@ class TestSynth:
             values = np.array([float(r.values[name]) for r in ds.records])
             for cls in (0, 1):
                 dist = dataio.SYNTH_DISTS["noisy"][name]["normal" if cls == 0 else "attack"]
-                mean, var = dist_mean_var(dist)
+                mean, var = oracles.dist_mean_var(dist)
                 sample = values[labels == cls]
                 se = np.sqrt(var / sample.size)
                 assert abs(sample.mean() - mean) < 4 * se, name
@@ -464,13 +498,21 @@ class TestSynth:
     def test_smallest_bayes_error_that_moves_one_accepted(self):
         tiny = 2.0**-53  # 1 - tiny is the float64 just below 1
         assert 1.0 - tiny != 1.0
-        assert math.isfinite(noisy_sload_threshold(tiny))
+        assert math.isfinite(dataio.noisy_sload_dists(tiny)["attack"][1])
 
     def test_dist_mean_var(self):
-        assert dist_mean_var(("uniform", 0.0, 1.0)) == (0.5, 1.0 / 12.0)
-        assert dist_mean_var(("normal", 3.0, 2.0)) == (3.0, 4.0)
-        mean, var = dist_mean_var(("randint", 0, 10))
+        assert oracles.dist_mean_var(("uniform", 0.0, 1.0)) == (0.5, 1.0 / 12.0)
+        assert oracles.dist_mean_var(("normal", 3.0, 2.0)) == (3.0, 4.0)
+        mean, var = oracles.dist_mean_var(("randint", 0, 10))
         assert mean == 4.5 and var == (100 - 1) / 12.0
+
+    def test_noisy_sload_classes_match_the_oracle(self):
+        """The generator's Sload classes put their midpoint at the oracle's cut."""
+        for bayes_error in (0.01, 0.1, 0.3):
+            dists = dataio.noisy_sload_dists(bayes_error)
+            midpoint = (dists["normal"][1] + dists["attack"][1]) / 2.0
+            assert midpoint == pytest.approx(oracles.noisy_sload_threshold(bayes_error), rel=1e-15)
+            assert dists["normal"][2] == dists["attack"][2] == dataio.NOISY_SLOAD_SD
 
 
 class TestFlowTable:

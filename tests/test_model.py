@@ -15,12 +15,11 @@ from flowids.model import (
     forward,
     init_fnn,
     init_params,
-    parameter_count,
 )
 from flowids.sentencing import sentence
 from flowids.tensor import Tensor
 from flowids.training import cross_entropy
-from fd import central_diff, max_rel_error
+from fd import central_diff, max_rel_error, taped_mean
 from oracles import (
     np_encoder_block,
     np_fnn_logits,
@@ -130,11 +129,11 @@ class TestInit:
             + 6 * dim  # three layer norms
         )
         expected = 3 * tokens * dim + blocks * per_block + tokens * dim * 2 + 2
-        assert parameter_count(p) == expected
+        assert sum(t.data.size for _, t in p.named_parameters()) == expected
 
     def test_fnn_parameter_count(self):
         p = init_fnn(13, hidden=(64, 64), seed=0)
-        assert parameter_count(p) == 13 * 64 + 64 + 64 * 64 + 64 + 64 * 2 + 2
+        assert sum(t.data.size for _, t in p.named_parameters()) == 13 * 64 + 64 + 64 * 64 + 64 + 64 * 2 + 2
 
     def test_invalid_head_split_rejected(self):
         with pytest.raises(ConfigError):
@@ -159,7 +158,7 @@ class TestInit:
     def test_size_limit_counts_the_parameters_built(self, build, monkeypatch):
         """The count checked before building is the count built: a model of
         exactly MAX_PARAMETERS builds, and one parameter fewer refuses it."""
-        monkeypatch.setattr(model, "MAX_PARAMETERS", parameter_count(build()))
+        monkeypatch.setattr(model, "MAX_PARAMETERS", sum(t.data.size for _, t in build().named_parameters()))
         build()
         monkeypatch.setattr(model, "MAX_PARAMETERS", model.MAX_PARAMETERS - 1)
         with pytest.raises(ConfigError, match="parameters, more than"):
@@ -360,7 +359,7 @@ class TestFnn:
 
         def loss_fn():
             out = fnn_forward(x, p)
-            return T.mean_all(T.mul(out, out))
+            return taped_mean(T.mul(out, out))
 
         T.clear_tape()
         loss = loss_fn()
@@ -442,7 +441,7 @@ class TestEncoderGradient:
 
         def loss_fn():
             out = forward(x, p)
-            return T.mean_all(T.mul(out, out))
+            return taped_mean(T.mul(out, out))
 
         T.clear_tape()
         loss = loss_fn()

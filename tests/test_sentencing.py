@@ -27,6 +27,7 @@ from flowids.sentencing import (
     sentence,
 )
 from flowids.tensor import Tensor
+from fd import taped_mean
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -375,7 +376,7 @@ class TestSentence:
     def test_gradients_reach_all_parameters(self):
         p = _params()
         x = Tensor(np.array([0.1, 0.7, 0.3, 1.0]))
-        loss = T.mean_all(T.mul(sentence(x, p), sentence(x, p)))
+        loss = taped_mean(T.mul(sentence(x, p), sentence(x, p)))
         T.backward(loss)
         for f in fields(p):
             t = getattr(p, f.name)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fd import central_diff, max_rel_error
+from fd import central_diff, max_rel_error, taped_mean, taped_sum
 from oracles import np_layer_norm, np_softmax, ref_layer_norm, ref_replay, ref_softmax
 from flowids import tensor as T
 from flowids.errors import ContractError, DimensionError
@@ -37,9 +37,9 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
 
         def loss_fn():
-            return T.sum_all(T.matmul(a, b)).item()
+            return taped_sum(T.matmul(a, b)).item()
 
-        loss = T.sum_all(T.matmul(a, b))
+        loss = taped_sum(T.matmul(a, b))
         T.backward(loss)
         numeric = central_diff(loss_fn, [a, b])
         assert max_rel_error([a.grad, b.grad], numeric) < 1e-6
@@ -58,18 +58,18 @@ class TestMatmul:
             upstream = rng.normal(size=lead + (3, 2))
             out = T.matmul(a, b)
             assert out.shape == lead + (3, 2)
-            T.backward(T.sum_all(T.mul(out, Tensor(upstream))))
+            T.backward(taped_sum(T.mul(out, Tensor(upstream))))
             numeric = central_diff(lambda: (np.matmul(a.data, b.data) * upstream).sum(), [a, b])
             assert max_rel_error([a.grad, b.grad], numeric) < 1e-6
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
+        out = T.softmax(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_large_inputs_do_not_overflow(self):
-        out = T.softmax(Tensor([1000.0, 0.0]), axis=-1)
+        out = T.softmax(Tensor([1000.0, 0.0]))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-300)
 
@@ -81,7 +81,7 @@ class TestSoftmax:
         def loss_fn():
             return float(_np_softmax(x.data) @ w)
 
-        loss = T.sum_all(T.mul(T.softmax(x, axis=-1), Tensor(w)))
+        loss = taped_sum(T.mul(T.softmax(x), Tensor(w)))
         T.backward(loss)
         numeric = central_diff(loss_fn, [x])
         assert max_rel_error([x.grad], numeric) < 1e-6
@@ -90,13 +90,13 @@ class TestSoftmax:
         rng = np.random.default_rng(4)
         for _ in range(100):
             x = Tensor(rng.normal(scale=5.0, size=(6, 9)))
-            y = T.softmax(x, axis=-1).data
+            y = T.softmax(x).data
             np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-9)
             assert np.all(y > 0.0) and np.all(y < 1.0)
 
-    def test_invalid_axis(self):
-        with pytest.raises(DimensionError):
-            T.softmax(Tensor(np.ones((2, 2))), axis=5)
+    def test_zero_d_input_rejected(self):
+        with pytest.raises(DimensionError, match="0-d"):
+            T.softmax(Tensor(1.0))
 
 
 def _np_softmax(x, axis=-1):
@@ -135,7 +135,7 @@ class TestLayerNorm:
             xhat = (x.data - mu) / np.sqrt(var + 1e-5)
             return float(((gamma.data * xhat + beta.data) * w).sum())
 
-        loss = T.sum_all(T.mul(T.layer_norm(x, gamma, beta), Tensor(w)))
+        loss = taped_sum(T.mul(T.layer_norm(x, gamma, beta), Tensor(w)))
         T.backward(loss)
         numeric = central_diff(loss_fn, [x, gamma, beta])
         assert max_rel_error([x.grad, gamma.grad, beta.grad], numeric) < 1e-5
@@ -162,19 +162,10 @@ class TestBlasSums:
     def test_masked_softmax_matches_oracle(self, width):
         rng = np.random.default_rng(width)
         masked = T.causal_mask(Tensor(rng.normal(size=(64, 4, width, width))))
-        got = T.softmax(masked, axis=-1).data
+        got = T.softmax(masked).data
         np.testing.assert_allclose(got, np_softmax(masked.data), rtol=0, atol=1e-13)
         above = np.triu_indices(width, k=1)
         assert np.all(got[..., above[0], above[1]] == 0.0)
-
-    def test_softmax_along_a_leading_axis(self):
-        rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=True)
-        w = rng.normal(size=(5, 3, 4))
-        np.testing.assert_allclose(T.softmax(x, axis=0).data, np_softmax(x.data, axis=0), rtol=0, atol=1e-15)
-        T.backward(T.sum_all(T.mul(T.softmax(x, axis=0), Tensor(w))))
-        numeric = central_diff(lambda: float((np_softmax(x.data, axis=0) * w).sum()), [x])
-        assert max_rel_error([x.grad], numeric) < 1e-6
 
     def test_layer_norm_gradient_where_one_over_dim_is_inexact(self):
         rng = np.random.default_rng(11)
@@ -182,7 +173,7 @@ class TestBlasSums:
         gamma = Tensor(rng.normal(size=24), requires_grad=True)
         beta = Tensor(rng.normal(size=24), requires_grad=True)
         w = rng.normal(size=(2, 3, 24))
-        T.backward(T.sum_all(T.mul(T.layer_norm(x, gamma, beta), Tensor(w))))
+        T.backward(taped_sum(T.mul(T.layer_norm(x, gamma, beta), Tensor(w))))
         numeric = central_diff(
             lambda: float((np_layer_norm(x.data, gamma.data, beta.data) * w).sum()), [x, gamma, beta]
         )
@@ -232,7 +223,7 @@ class TestElementwise:
         b = Tensor(rng.normal(size=4), requires_grad=True)
 
         def compose():
-            return T.mean_all(T.mul(T.log(x), T.relu(T.add(x, b))))
+            return taped_mean(T.mul(T.scale(x, 0.5), T.relu(T.add(x, b))))
 
         T.backward(compose())
         numeric = central_diff(lambda: compose().item(), [x, b])
@@ -240,8 +231,24 @@ class TestElementwise:
 
     def test_scale_and_sum(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        T.backward(T.sum_all(T.scale(x, 2.5)))
+        T.backward(taped_sum(T.scale(x, 2.5)))
         np.testing.assert_allclose(x.grad, [2.5, 2.5, 2.5])
+
+
+class TestBroadcastGradients:
+    """add and mul sum a gradient back to each input's shape, over the axes
+    an input lacks and over its size-1 axes that broadcast."""
+
+    @pytest.mark.parametrize("op, numpy_op", [(T.add, np.add), (T.mul, np.multiply)], ids=["add", "mul"])
+    @pytest.mark.parametrize("shapes", [((3, 1), (1, 4)), ((4, 13, 1), (13, 8))], ids=["3x1-1x4", "4x13x1-13x8"])
+    def test_gradient_matches_finite_differences(self, op, numpy_op, shapes):
+        rng = np.random.default_rng(12)
+        a, b = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes)
+        w = rng.normal(size=np.broadcast_shapes(*shapes))
+        T.backward(taped_sum(T.mul(op(a, b), Tensor(w))))
+        assert a.grad.shape == a.shape and b.grad.shape == b.shape
+        numeric = central_diff(lambda: float((numpy_op(a.data, b.data) * w).sum()), [a, b])
+        assert max_rel_error([a.grad, b.grad], numeric) < 1e-6
 
 
 class TestCausalMask:
@@ -253,7 +260,7 @@ class TestCausalMask:
 
     def test_masked_softmax_weights_are_exactly_zero(self):
         rng = np.random.default_rng(9)
-        w = T.softmax(T.causal_mask(Tensor(rng.normal(size=(5, 5)))), axis=-1).data
+        w = T.softmax(T.causal_mask(Tensor(rng.normal(size=(5, 5))))).data
         assert np.all(w[np.triu_indices(5, k=1)] == 0.0)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -282,12 +289,12 @@ class TestCausalMask:
 class TestBackward:
     def test_analytic_quadratic(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        T.backward(T.sum_all(T.mul(w, w)))
+        T.backward(taped_sum(T.mul(w, w)))
         np.testing.assert_allclose(w.grad, [2.0, 4.0])
 
     def test_backward_twice_doubles_gradients(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.sum_all(T.mul(w, w))
+        loss = taped_sum(T.mul(w, w))
         T.backward(loss)
         T.backward(loss)
         np.testing.assert_allclose(w.grad, [4.0, 8.0])
@@ -302,7 +309,7 @@ class TestBackward:
         w = Tensor([1.0, 2.0], requires_grad=True)
         other = Tensor([3.0], requires_grad=True)
         T.relu(other)  # recorded but disconnected from the loss
-        T.backward(T.sum_all(w))
+        T.backward(taped_sum(w))
         assert other.grad is None
         np.testing.assert_allclose(w.grad, [1.0, 1.0])
 
@@ -310,7 +317,7 @@ class TestBackward:
         w = Tensor([2.0], requires_grad=True)
         y = T.mul(w, w)
         T.clear_tape()
-        T.backward(T.sum_all(T.mul(y, y)))
+        T.backward(taped_sum(T.mul(y, y)))
         np.testing.assert_array_equal(y.grad, [8.0])
         assert w.grad is None
 
@@ -368,7 +375,7 @@ class TestFiniteForward:
             w = Tensor(rng.uniform(-10, 10, size=(8, 8)))
             gamma = Tensor(rng.uniform(0.1, 10, size=8))
             beta = Tensor(rng.uniform(-10, 10, size=8))
-            y = T.softmax(T.layer_norm(T.relu(T.matmul(x, w)), gamma, beta), axis=-1)
+            y = T.softmax(T.layer_norm(T.relu(T.matmul(x, w)), gamma, beta))
             assert np.all(np.isfinite(y.data))
 
 
@@ -420,14 +427,13 @@ class TestKernelBytes:
         rows, n = data.draw(st.integers(1, 130)), data.draw(st.integers(1, 40))
         masked = data.draw(st.booleans())
         shape = (rows, n, n) if masked else (rows, data.draw(st.integers(1, 13)), n)
-        axis = -1 if masked else data.draw(st.integers(-3, 2))
         x = Tensor(data.draw(values(shape)), requires_grad=True)
         if masked:  # the rows above the diagonal hold -inf, the first row all but one
             x = T.causal_mask(x)
         before = x.data.copy()
-        out = T.softmax(x, axis=axis)
+        out = T.softmax(x)
         rule = T.active_tape()[-1][2]
-        ref_out, ref_back = ref_softmax(before, axis)
+        ref_out, ref_back = ref_softmax(before)
         assert same(out.data, ref_out)
         g = data.draw(upstream(shape))
         g_before, out_before = g.copy(), out.data.copy()
@@ -472,7 +478,7 @@ class TestKernelBytes:
         w_q = [leaf((dim, dim // heads)) for _ in range(heads)]
         w_k = [leaf((dim, dim // heads)) for _ in range(heads)]
         w_v, w_out = leaf((dim, dim // heads)), leaf((dim, dim))
-        mix = data.draw(values((tokens, rows * dim)))
+        mix = data.draw(values((rows * dim, tokens)))
         leaves = [x, gamma, beta, *w_q, *w_k, w_v, w_out]
         forward_inputs = [t.data.copy() for t in leaves]
 
@@ -483,8 +489,8 @@ class TestKernelBytes:
             weights = T.softmax(T.causal_mask(T.scale(T.matmul(q, T.transpose(k)), 0.5)))
             parts.append(T.matmul(weights, v))
         h = T.relu(T.add(T.matmul(T.concat_last_axis(parts), w_out), x))
-        flat = T.reshape(T.transpose(h, 0, 1), (tokens, rows * dim))
-        loss = T.sum_all(T.mul(flat, Tensor(mix)))
+        flat = T.reshape(T.transpose(h), (rows * dim, tokens))
+        loss = taped_sum(T.mul(flat, Tensor(mix)))
 
         tape = T.active_tape()
         ref = ref_replay(list(tape), loss)

@@ -23,7 +23,6 @@ from flowids.training import (
     MODEL_DEFAULTS,
     AdamW,
     TrainConfig,
-    adamw_step,
     cross_entropy,
     evaluate,
     predict_scores,
@@ -106,13 +105,21 @@ class TestCrossEntropy:
             cross_entropy(Tensor([[0.0, 0.0]]), np.array([0, 1]))
 
 
+def _adamw_steps(w, grads, **hyper):
+    """(w, m, v) after one AdamW step per gradient in ``grads`` on the one
+    parameter ``w``, read from the optimizer's buffers."""
+    param = Tensor(np.array(w, dtype=np.float64), requires_grad=True)
+    opt = AdamW([("w", param)], **hyper)
+    for g in grads:
+        param.grad = np.asarray(g, dtype=np.float64)
+        opt.step()
+    return (param.data.copy(), *(a.copy() for a in opt.state["w"]))
+
+
 class TestAdamWStep:
     def test_worked_example_first_step(self):
         """w=1, g=2, lr=0.1, wd=0.01: hand-expanded update to 1e-12."""
-        w, m, v = adamw_step(
-            np.array(1.0), np.array(2.0), np.array(0.0), np.array(0.0),
-            step=1, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01,
-        )
+        w, m, v = _adamw_steps(1.0, [2.0], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
         np.testing.assert_allclose(m, 0.2, rtol=0, atol=1e-15)
         np.testing.assert_allclose(v, 0.004, rtol=0, atol=1e-15)
         # bias correction rebuilds g and g^2 exactly on the first step
@@ -121,26 +128,18 @@ class TestAdamWStep:
 
     def test_worked_example_second_step(self):
         """With a constant gradient the corrected moments stay g and g^2."""
-        w0 = np.array(1.0)
-        g = np.array(2.0)
-        w1, m, v = adamw_step(w0, g, np.array(0.0), np.array(0.0), step=1, lr=0.1)
-        w2, _, _ = adamw_step(w1, g, m, v, step=2, lr=0.1)
+        w1, _, _ = _adamw_steps(1.0, [2.0], lr=0.1)
+        w2, _, _ = _adamw_steps(1.0, [2.0, 2.0], lr=0.1)
         expected = w1 - 0.1 * (2.0 / (2.0 + 1e-8) + 0.01 * w1)
         np.testing.assert_allclose(w2, expected, rtol=0, atol=1e-12)
 
     def test_zero_grad_zero_decay_is_identity(self):
-        w, _, _ = adamw_step(
-            np.array([3.0, -2.0]), np.zeros(2), np.zeros(2), np.zeros(2),
-            step=1, lr=0.5, weight_decay=0.0,
-        )
+        w, _, _ = _adamw_steps([3.0, -2.0], [np.zeros(2)], lr=0.5, weight_decay=0.0)
         np.testing.assert_array_equal(w, [3.0, -2.0])
 
     def test_zero_grad_still_decays(self):
         """Decoupled decay acts even when the gradient happens to be zero."""
-        w, _, _ = adamw_step(
-            np.array(10.0), np.array(0.0), np.array(0.0), np.array(0.0),
-            step=1, lr=0.1, weight_decay=0.01,
-        )
+        w, _, _ = _adamw_steps(10.0, [0.0], lr=0.1, weight_decay=0.01)
         np.testing.assert_allclose(w, 10.0 - 0.1 * 0.01 * 10.0, rtol=1e-15)
 
 
@@ -195,9 +194,8 @@ class TestAdamWClass:
             AdamW([("a", a)], lr=-0.1)
 
     def test_flat_buffer_matches_per_parameter_loop(self):
-        """Four steps over mixed shapes give the plain-expression oracle's bits,
-        looped per parameter, through AdamW.step and through adamw_step, which
-        leaves its inputs as they were. A parameter without a grad keeps its
+        """Four steps over mixed shapes give the bits of the plain-expression
+        oracle, looped per parameter. A parameter without a grad keeps its
         weight and moments: "idle" never gets one, and one more sits out each
         round after it has moments."""
         rng = np.random.default_rng(4)
@@ -207,22 +205,15 @@ class TestAdamWClass:
         params = {n: Tensor(start[n].copy(), requires_grad=True) for n in shapes}
         opt = AdamW(list(params.items()), **hyper)
         want = {n: (start[n].copy(), np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
-        pure = dict(want)
         for step in range(1, 5):
             resting = list(shapes)[step]
             for n, t in params.items():
                 t.grad = None if n in ("idle", resting) else rng.normal(size=shapes[n])
-                if t.grad is None:
-                    continue
-                want[n] = np_adamw(want[n][0], t.grad, *want[n][1:], step, **hyper)
-                inputs = (pure[n][0], t.grad, *pure[n][1:])
-                before = [a.copy() for a in inputs]
-                pure[n] = adamw_step(*inputs, step, **hyper)
-                assert all(_same_bits(a, b) for a, b in zip(inputs, before))
+                if t.grad is not None:
+                    want[n] = np_adamw(want[n][0], t.grad, *want[n][1:], step, **hyper)
             opt.step()
             for n, t in params.items():
-                for got in (pure[n], (t.data, *opt.state[n])):
-                    assert all(_same_bits(a, b) for a, b in zip(got, want[n])), (step, n)
+                assert all(_same_bits(a, b) for a, b in zip((t.data, *opt.state[n]), want[n])), (step, n)
         assert _same_bits(params["idle"].data, start["idle"])
 
     def test_step_allocates_under_one_parameter_vector(self):
