@@ -107,20 +107,14 @@ class FlowTable:
     def column(self, name: str, kind: str):
         """A column as encoding reads it: its cells if ``kind`` is nominal, else its float64 values.
 
-        A column read as another kind than it was parsed as is parsed for that
-        kind, by the same rule; a bad cell raises DataError naming its row."""
+        A column is read only as the kind it was parsed as; asked for another, it raises SchemaError."""
         if name not in self.cells:
             if not len(self):
                 return [] if kind == NOMINAL else np.empty(0)
             raise SchemaError(f"record {self.rows[0]} is missing column {name!r}")
-        if kind == NOMINAL:
-            return self.cells[name]
-        if self.kinds[name] == kind:
-            return self.parsed[name]
-        values, reasons = parse_column(self.cells[name], kind)
-        if reasons:
-            raise self._bad_cell(min(reasons), name, reasons[min(reasons)])
-        return values
+        if self.kinds[name] != kind:
+            raise SchemaError(f"column {name!r} was parsed as {self.kinds[name]!r}, not as {kind!r}")
+        return self.cells[name] if kind == NOMINAL else self.parsed[name]
 
 
 class FlowRow:

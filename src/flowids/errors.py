@@ -38,7 +38,7 @@ class NumericError(FlowidsError):
 
 
 class IncompatibilityError(FlowidsError):
-    """Checkpoint and data/schema disagree (feature count, profile)."""
+    """A checkpoint cannot be used as asked (an unsupported format version, input of the wrong shape)."""
 
 
 class VersionError(IncompatibilityError):

@@ -89,19 +89,13 @@ def scalar_metrics(counts: ConfusionCounts) -> ScalarMetrics:
     )
 
 
-def roc_curve(scores, truths) -> list[tuple[float, float]]:
-    """(FPR, TPR) points swept over the distinct score values, descending.
+def _roc(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FPR and TPR arrays from checked inputs, swept over the distinct score values, descending.
 
     Tied scores move together, so the curve is the exact step/diagonal
     polyline and its trapezoid area equals the pairwise ranking statistic
     with ties counted half.
     """
-    fpr, tpr = _roc(*_check_scores_truths(scores, truths))
-    return list(zip(fpr.tolist(), tpr.tolist()))
-
-
-def _roc(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The FPR and TPR arrays of roc_curve, from checked inputs."""
     n_pos = int(truths.sum())
     n_neg = truths.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -133,13 +127,13 @@ class MetricsReport:
     counts: ConfusionCounts
     metrics: ScalarMetrics
     auc: float
-    # the ROC polyline as roc_curve sweeps it; == and repr skip these arrays
+    # the ROC polyline as _roc sweeps it; == and repr skip these arrays
     fpr: np.ndarray = field(compare=False, repr=False)
     tpr: np.ndarray = field(compare=False, repr=False)
 
     @property
     def roc(self) -> list[tuple[float, float]]:
-        """The (FPR, TPR) points of roc_curve, built only when read."""
+        """The (FPR, TPR) points of the ROC polyline, built only when read."""
         return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
     def to_dict(self) -> dict:

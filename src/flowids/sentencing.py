@@ -28,7 +28,6 @@ NOMINAL = "nominal"
 NUMERIC = "numeric"
 TIMESTAMP = "timestamp"
 BOOLEAN = "boolean"
-LABEL = "binary-label"
 
 # Column layouts keyed by dataset profile. Order is load-bearing: it fixes
 # token positions and is persisted with every checkpoint.
@@ -192,10 +191,8 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "feature") -> "FeatureSpec":
-        """Inverse of asdict; a ValueError names (after `where`) a field the encoder cannot use."""
+        """Inverse of asdict for a kind Schema.from_dict has checked; a ValueError names (after `where`) a bad field."""
         spec = cls(name=d["name"], kind=d["kind"], vocab=d["vocab"], lo=d["lo"], hi=d["hi"])
-        if spec.kind not in (NOMINAL, NUMERIC, TIMESTAMP, BOOLEAN):
-            raise ValueError(f"{where}.kind is {spec.kind!r}, not a feature kind")
         vocab = spec.vocab if spec.kind == NOMINAL else {}
         if not isinstance(vocab, dict) or not all(type(k) is str and type(v) is int for k, v in vocab.items()):
             raise ValueError(f"{where}.vocab is {spec.vocab!r}, not an object of strings to integers")
@@ -225,8 +222,22 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        features = [FeatureSpec.from_dict(f, f"schema.features[{i}]") for i, f in enumerate(d["features"])]
-        return cls(profile=d["profile"], features=features, label=d["label"])
+        """Inverse of to_dict; a ValueError names the first field that does not restate its profile's columns."""
+        profile, label, features = d["profile"], d["label"], d["features"]
+        if type(profile) is not str or profile not in PROFILES:
+            raise ValueError(f"schema.profile is {profile!r}, not one of {sorted(PROFILES)}")
+        layout = PROFILES[profile]
+        if label != layout["label"]:
+            raise ValueError(f"schema.label is {label!r}; profile {profile!r} has {layout['label']!r}")
+        columns = layout["features"]
+        if type(features) is not list or len(features) != len(columns):
+            raise ValueError(f"schema.features is not a list of the {len(columns)} features of profile {profile!r}")
+        for i, (f, column) in enumerate(zip(features, columns)):
+            for key, want in zip(("name", "kind"), column):
+                if f[key] != want:
+                    where = f"schema.features[{i}].{key}"
+                    raise ValueError(f"{where} is {f[key]!r}; profile {profile!r} has {want!r} there")
+        return cls(profile, [FeatureSpec.from_dict(f, f"schema.features[{i}]") for i, f in enumerate(features)], label)
 
 
 def profile_columns(profile: str) -> dict:

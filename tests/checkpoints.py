@@ -25,10 +25,19 @@ def _header(edit):
     return lambda h, arrays: (edit(h), arrays)
 
 
+def _schema(h: dict, **fields) -> bytes:
+    """The header with `fields` set in its schema."""
+    return _dump({**h, "schema": {**h["schema"], **fields}})
+
+
 def _feature(h: dict, j: int, **fields) -> bytes:
     """The header with `fields` set in feature `j` of its schema."""
-    features = [dict(f, **fields) if i == j else f for i, f in enumerate(h["schema"]["features"])]
-    return _dump({**h, "schema": {**h["schema"], "features": features}})
+    return _schema(h, features=[dict(f, **fields) if i == j else f for i, f in enumerate(h["schema"]["features"])])
+
+
+def _features(h: dict, edit) -> bytes:
+    """The header with the feature list of its schema replaced by `edit(features)`."""
+    return _schema(h, features=edit(h["schema"]["features"]))
 
 
 def _vocab(h: dict, j: int, edit) -> bytes:
@@ -65,7 +74,32 @@ HEADER_DEFECTS = [
     pytest.param(
         _header(lambda h: _dump({**h, "train_config": [1]})), "train_config", id="train-config-not-object"
     ),
-    # features[0] is srcip (nominal) and features[3] is Sload (numeric)
+    # the schema restates its profile: the synthetic profile is unsw's 13 columns and label
+    pytest.param(_header(lambda h: _schema(h, profile=[])), "schema.profile", id="profile-not-string"),
+    pytest.param(_header(lambda h: _schema(h, profile="nosuch")), "schema.profile", id="profile-unknown"),
+    pytest.param(
+        _header(lambda h: _schema(h, profile="ton")), "not a list of the 11 features", id="profile-of-another-width"
+    ),
+    pytest.param(_header(lambda h: _schema(h, label="Label")), "schema.label", id="label-not-the-profiles"),
+    pytest.param(
+        _header(lambda h: _features(h, lambda fs: fs[:-1])), "not a list of the 13 features", id="feature-dropped"
+    ),
+    pytest.param(
+        _header(lambda h: _features(h, lambda fs: fs + fs[3:4])), "not a list of the 13 features", id="feature-added"
+    ),
+    # features[0] is srcip (nominal), features[3] is Sload (numeric) and features[4] is Dload (numeric)
+    pytest.param(
+        _header(lambda h: _features(h, lambda fs: fs[:3] + [fs[4], fs[3]] + fs[5:])),
+        "schema.features[3].name is 'Dload'",
+        id="features-swapped",
+    ),
+    pytest.param(_header(lambda h: _feature(h, 0, name=[])), "schema.features[0].name", id="feature-name-not-string"),
+    pytest.param(_header(lambda h: _feature(h, 3, name="sload")), "schema.features[3].name", id="feature-renamed"),
+    pytest.param(
+        _header(lambda h: _feature(h, 3, kind="timestamp")),
+        "schema.features[3].kind is 'timestamp'; profile 'synthetic' has 'numeric' there",
+        id="feature-kind-swapped",
+    ),
     pytest.param(_header(lambda h: _feature(h, 3, lo="x")), "schema.features[3].lo", id="feature-lo-not-number"),
     pytest.param(
         _header(lambda h: _feature(h, 3, kind="weird")), "schema.features[3].kind", id="feature-unknown-kind"

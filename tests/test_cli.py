@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -506,6 +507,21 @@ class TestWarnings:
         assert [line for line in r.stderr.splitlines() if "warn" in line.lower()] == [
             f"warning: {message}" for message in warned
         ]
+
+    def test_a_warning_raised_twice_prints_once(self, tmp_path, monkeypatch, capsys):
+        """Each distinct warning prints once and is listed once, however often the command raises it."""
+        write_csv = dataio.write_csv
+
+        def warn_twice(*args):
+            for _ in range(2):
+                warnings.warn("the same warning")
+            write_csv(*args)
+
+        monkeypatch.setattr(dataio, "write_csv", warn_twice)
+        out = tmp_path / "x.csv"
+        assert cli.main(["synth", "--n", "20", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: the same warning\n"
+        assert json.loads(pathlib.Path(f"{out}.manifest.json").read_text())["warnings"] == ["the same warning"]
 
     def test_a_clean_run_lists_none(self, workdir):
         for name in ("enc.ckpt", "fnn.ckpt", "flows.csv"):

@@ -347,10 +347,16 @@ def test_command_argv_never_exits_1(argv_inputs, command, data):
 
 
 @pytest.fixture(scope="module")
-def checkpoint_bytes():
-    """The bytes of a small transformer checkpoint and a small FNN checkpoint, by kind."""
+def synthetic_schema():
+    """A schema fitted on a small synth set: the 13 columns of the synthetic profile."""
     ds = synth(40, seed=1)
-    schema = fit_schema(ds.records, ds.profile)
+    return fit_schema(ds.records, ds.profile)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(synthetic_schema):
+    """The bytes of a small transformer checkpoint and a small FNN checkpoint, by kind."""
+    schema = synthetic_schema
     models = {
         "transformer": init_params(EncoderConfig(dim=4, heads=2, blocks=1), schema.width, seed=0),
         "fnn": init_fnn(schema.width, hidden=(4, 4), seed=0),
@@ -414,6 +420,36 @@ def test_resigned_checkpoint_raises_only_flowids_errors(checkpoint_bytes, case):
         loads_or_raises_flowids_error(path)
 
 
+any_json = json_value | st.dictionaries(st.text(max_size=2), json_value, max_size=2) | st.sampled_from(
+    ["unsw", "ton", "synthetic", "label", "Sload", "Dload", "nominal", "numeric", "timestamp", "boolean"]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["profile", "label"]), any_json),
+    st.integers(0, 12),
+    st.dictionaries(st.sampled_from(["name", "kind"]), any_json, max_size=1),
+)
+def test_resigned_schema_of_any_json_values_never_exits_1(flows, schema_fields, j, feature_fields):
+    """A checkpoint re-signed with any JSON value as its schema's profile or
+    label, or as one feature's name or kind, ends eval in a documented exit
+    code, never in a traceback."""
+    data, model = flows
+
+    def edit(header, arrays):
+        schema = header["schema"]
+        features = [dict(f, **feature_fields) if i == j else f for i, f in enumerate(schema["features"])]
+        header = {**header, "schema": {**schema, **schema_fields, "features": features}}
+        return json.dumps(header, sort_keys=True).encode(), arrays
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, csv_path = Path(tmp) / "m.ckpt", Path(tmp) / "flows.csv"
+        rewrite_header(model, path, edit)
+        csv_path.write_bytes(data)
+        assert quiet_main(["eval", "--model", path, "--data", csv_path]) in DOCUMENTED_EXITS
+
+
 # --- from_arrays builds exactly the layout that shapes names --------------------
 
 small = st.integers(1, 3)
@@ -431,19 +467,20 @@ small_hypers = st.one_of(
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_hypers, st.integers(0, 2**32 - 1))
-def test_from_arrays_builds_the_layout_of_shapes(h, seed):
+def test_from_arrays_builds_the_layout_of_shapes(synthetic_schema, h, seed):
     """from_arrays(h, arrays) has hyper h and parameters named and shaped as shapes(h)
-    lists them, and a checkpoint of it saves, loads and saves to the same bytes."""
+    lists them. With its input width set to the fitted synthetic schema's 13, a
+    checkpoint of it saves, loads and saves to the same bytes."""
     kind = KINDS[h["kind"]]
     rng = np.random.default_rng(seed)
     arrays = {name: rng.normal(size=shape) for name, shape in kind.shapes(h)}
     params = kind.from_arrays(h, arrays)
     assert params.hyper() == h
     assert [(name, t.data.shape) for name, t in params.named_parameters()] == list(kind.shapes(h))
-    width = h.get("tokens", h.get("features"))
-    schema = Schema("synthetic", [FeatureSpec(f"f{j}", NUMERIC, lo=0.0, hi=1.0) for j in range(width)])
+    h = {**h, ("tokens" if h["kind"] == "transformer" else "features"): synthetic_schema.width}
+    params = kind.from_arrays(h, {name: rng.normal(size=shape) for name, shape in kind.shapes(h)})
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
-        save_checkpoint(params, schema, {"model": h["kind"]}, first)
-        save_checkpoint(load_checkpoint(first).params, schema, {"model": h["kind"]}, second)
+        save_checkpoint(params, synthetic_schema, {"model": h["kind"]}, first)
+        save_checkpoint(load_checkpoint(first).params, synthetic_schema, {"model": h["kind"]}, second)
         assert first.read_bytes() == second.read_bytes()

@@ -303,18 +303,14 @@ class TestEncode:
         with pytest.raises(SchemaError, match="record 5 is missing column 'sttl'"):
             encode_batch(_table([_rec(5), _rec(6)], without=("sttl",)), schema)
 
-    def test_column_read_as_another_kind_is_parsed_for_it(self):
-        """A schema may read a column as another kind than its profile gives
-        it: the column is parsed for that kind by the same rule, and a bad
-        cell names the record and the column."""
-        recs = _records()
-        as_timestamp = FeatureSpec("Sload", "timestamp", lo=1000.0, hi=5000.0)
-        as_numeric = FeatureSpec("Sload", "numeric", lo=1000.0, hi=5000.0)
-        x, _ = encode_batch(recs, Schema("unsw", [as_timestamp]))
-        assert x.tobytes() == encode_batch(recs, Schema("unsw", [as_numeric]))[0].tobytes()
-        as_boolean = FeatureSpec("Sload", "boolean", lo=0.0, hi=1.0)
-        with pytest.raises(DataError, match="record 0, column 'Sload': cannot parse boolean cell '1000.0'"):
-            encode_batch(recs, Schema("unsw", [as_boolean]))
+    @pytest.mark.parametrize("kind", ["timestamp", "boolean", "nominal"])
+    def test_column_read_as_another_kind_names_both_kinds(self, kind):
+        """A column is read only as the kind it was parsed as: a hand-built
+        schema that reads Sload, parsed as numeric, as another kind raises
+        SchemaError naming the column and both kinds."""
+        spec = FeatureSpec("Sload", kind, vocab={"1000.0": 1} if kind == "nominal" else None, lo=0.0, hi=1.0)
+        with pytest.raises(SchemaError, match=f"column 'Sload' was parsed as 'numeric', not as '{kind}'"):
+            encode_batch(_records(), Schema("unsw", [spec]))
 
     def test_encode_batch_of_no_records(self):
         """Zero records give an empty (0, width) matrix and no labels."""

@@ -240,7 +240,9 @@ class TestBroadcastGradients:
     an input lacks and over its size-1 axes that broadcast."""
 
     @pytest.mark.parametrize("op, numpy_op", [(T.add, np.add), (T.mul, np.multiply)], ids=["add", "mul"])
-    @pytest.mark.parametrize("shapes", [((3, 1), (1, 4)), ((4, 13, 1), (13, 8))], ids=["3x1-1x4", "4x13x1-13x8"])
+    @pytest.mark.parametrize(
+        "shapes", [((3, 1), (1, 4)), ((4, 13, 1), (13, 8)), ((2, 1), (1, 2))], ids=["3x1-1x4", "4x13x1-13x8", "2x1-1x2"]
+    )
     def test_gradient_matches_finite_differences(self, op, numpy_op, shapes):
         rng = np.random.default_rng(12)
         a, b = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import flowids.tensor as T
-from flowids import dataio, training
+from flowids import dataio, metrics, training
 from flowids.errors import ConfigError, ContractError, DataError, IncompatibilityError, NumericError
 from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
 from flowids.sentencing import encode_batch, fit_schema
@@ -477,6 +477,21 @@ class TestTrainLoop:
         scores = predict_scores(res.params, x)
         np.testing.assert_allclose(acc, np.mean((scores >= 0.5).astype(int) == y))
         assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_a_score_of_one_half_counts_as_class_1(self, kind):
+        """A zero head scores every row exactly 0.5, which evaluate counts as
+        class 1, as metrics does with score >= threshold."""
+        if kind == "transformer":
+            params = init_params(EncoderConfig(dim=4, heads=2, blocks=1), tokens=5, seed=1)
+        else:
+            params = init_fnn(5, hidden=(4, 4), seed=1)
+        for _, t in params.named_parameters()[-2:]:  # the head's weight and bias
+            t.data[...] = 0.0
+        x, y = np.random.default_rng(7).uniform(size=(6, 5)), np.array([1, 1, 1, 1, 1, 0])
+        scores = predict_scores(params, x)
+        assert scores.tolist() == [0.5] * 6
+        assert evaluate(params, x, y)[1] == metrics.report(scores, y).metrics.accuracy == 5 / 6
 
 
 class TestInference:
