@@ -32,21 +32,20 @@ for spec in schema.features[:5]:
 print("  ...")
 print()
 
-# ds.records is a table by column; a row of it reads as the cells it was made from
-record = ds.records[0]
+# ds.records is a table by column; a one-row take of it holds that row's cells as read
+first = ds.records.take([0])
 print("one raw record:")
 for name in ("srcip", "proto", "Sload", "Stime"):
-    print(f"  {name:6s} = {record.values[name]}")
+    print(f"  {name:6s} = {first.cells[name][0]}")
 
-(x,), _ = sentencing.encode_batch(ds.records.take([0]), schema)  # the one row of a (1, width) matrix
+(x,), _ = sentencing.encode_batch(first, schema)  # the one row of a (1, width) matrix
 print()
 print("encoded to", x.shape[0], "scalars, all inside [0, 1]:")
 print(" ", np.round(x, 4))
 
 # unseen nominal values fall back to index 0 rather than failing
 # (a table built from raw cells checks every cell as it is built)
-cells = {name: [cell] for name, cell in dict(record.values, srcip="10.99.99.99").items()}
-stranger = dataio.FlowTable(cells, ds.records.kinds, [record.label])
+stranger = dataio.FlowTable(dict(first.cells, srcip=["10.99.99.99"]), first.kinds, first.labels)
 (x2,), _ = sentencing.encode_batch(stranger, schema)
 print()
 print("srcip never seen at fit time encodes to", x2[0], "(index 0 fallback)")

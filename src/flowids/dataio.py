@@ -33,8 +33,8 @@ from .errors import (
     VersionError,
 )
 from .sentencing import (
-    MISSING_CELL,
     NOMINAL,
+    NUMERIC,
     PROFILES,
     Schema,
     parse_column,
@@ -51,10 +51,11 @@ class FlowTable:
     error messages. ``kinds[name]`` is the kind each column was parsed as.
 
     Built without ``parsed`` (from raw cells, as tests and demos build it),
-    every column is checked with parse_column here, and the first row with a
+    every column goes through _parse_columns here, and the first row with a
     bad cell raises DataError, naming the row and its first bad column.
     load_csv and synth pass the values they already hold. The table is read,
-    not changed: iterating it or indexing it gives read-only FlowRow views."""
+    not changed: take gives a new table, and iterating it gives read-only
+    FlowRow views."""
 
     __slots__ = ("cells", "kinds", "parsed", "labels", "rows")
 
@@ -68,29 +69,18 @@ class FlowTable:
         ):
             raise ContractError("a FlowTable needs one kind per column and n cells, labels and rows")
         if parsed is None:
-            parsed, first, error = {}, n, None
-            for name, column in self.cells.items():
-                values, reasons = parse_column(column, self.kinds[name])
-                if self.kinds[name] != NOMINAL:
-                    parsed[name] = values
-                if reasons and min(reasons) < first:
-                    first = min(reasons)
-                    error = self._bad_cell(first, name, reasons[first])
-            if error is not None:
-                raise error
+            reasons = {}
+            parsed = _parse_columns(self.cells, self.kinds, reasons)
+            if reasons:
+                i = min(reasons)
+                raise DataError(f"record {self.rows[i]}, {reasons[i]}")
         self.parsed = parsed
-
-    def _bad_cell(self, i: int, name: str, reason: str) -> DataError:
-        return DataError(f"record {self.rows[i]}, column {name!r}: {reason}")
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __iter__(self):
         return (FlowRow(self, i) for i in range(len(self)))
-
-    def __getitem__(self, i) -> "FlowRow":
-        return FlowRow(self, range(len(self))[operator.index(i)])
 
     def take(self, index) -> "FlowTable":
         """The rows at ``index``, in that order, as a new table."""
@@ -142,7 +132,6 @@ class FlowRow:
 class Dataset:
     records: FlowTable
     profile: str
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -168,35 +157,19 @@ class LoadSummary:
         return "\n".join(lines)
 
 
-def _parse_label(cell: str) -> int:
-    if cell is None:
-        raise DataError(f"label: {MISSING_CELL}")
-    try:
-        value = float(cell)
-    except (TypeError, ValueError):
-        raise DataError(f"label {cell!r} does not parse")
-    if value not in (0.0, 1.0):
-        raise DataError(f"label {cell!r} is not 0 or 1")
-    return int(value)
+def _parse_columns(columns: dict, kinds: dict, reasons: dict[int, str]) -> dict[str, np.ndarray]:
+    """sentencing.parse_column over each column, in order: the values of the non-nominal ones, by name.
 
-
-def _parse_labels(cells) -> tuple[np.ndarray, dict[int, str]]:
-    """The int64 labels of a column, plus why each bad label is bad, by index.
-
-    One float() pass serves a column of 0s and 1s; only otherwise is each cell parsed alone."""
-    try:
-        values = np.array(list(map(float, cells)), dtype=np.float64)
-        if ((values == 0.0) | (values == 1.0)).all():
-            return values.astype(np.int64), {}
-    except (TypeError, ValueError):
-        pass
-    labels, reasons = np.zeros(len(cells), dtype=np.int64), {}
-    for i, cell in enumerate(cells):
-        try:
-            labels[i] = _parse_label(cell)
-        except DataError as exc:
-            reasons[i] = str(exc)
-    return labels, reasons
+    Each row's first bad cell goes into ``reasons`` (row index -> why) as ``column 'name':
+    <parse_column's reason>``; a row already in ``reasons`` keeps what it has."""
+    parsed = {}
+    for name, cells in columns.items():
+        values, bad = parse_column(cells, kinds[name])
+        if kinds[name] != NOMINAL:
+            parsed[name] = values
+        for i, reason in bad.items():
+            reasons.setdefault(i, f"column {name!r}: {reason}")
+    return parsed
 
 
 # Rows load_csv reads from csv.reader at a time. Each row costs about two
@@ -214,11 +187,12 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
 
     Rows read as with csv.DictReader: blank rows are skipped and not numbered, missing cells
     are None, extra cells are ignored, a repeated header name takes its last column. A leading
-    byte-order mark is dropped. A row with a bad label, or a cell that sentencing.parse_column
-    finds bad, is rejected with the first reason (label, then columns in profile order) in the
-    summary; a missing cell reads ``label: missing cell`` or ``column 'name': missing cell``,
-    whatever its kind. Each column is parsed once: the table keeps the values that found the
-    rejects.
+    byte-order mark is dropped. Every cell is checked by sentencing.parse_column, the label as
+    a numeric cell that must also be 0 or 1. A row with a bad cell is rejected with the first
+    reason (label, then columns in profile order) in the summary: ``label: <reason>``,
+    ``label '2' is not 0 or 1`` or ``column 'name': <reason>``, where a missing cell's reason is
+    ``missing cell``, whatever its kind. Each column is parsed once: the table keeps the values
+    that found the rejects.
 
     The file is read BLOCK_ROWS rows at a time, each block's cells appended to one list per
     profile column, so no list per row outlives its block. On a 200,000-row synth CSV, with
@@ -250,28 +224,26 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
             raise DataError(f"{path}: not UTF-8 text at line {_first_non_utf8_line(path)}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), which stays as it is
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    n = len(columns[-1])
-    labels, reasons = _parse_labels(columns[-1])  # row index -> first reason: the label's, then by column
-    cells, parsed = {}, {}
-    for (name, kind), column in zip(layout["features"], columns):
-        cells[name] = column
-        if kind == NOMINAL and not short:  # a nominal cell can be bad only when its row was short
-            continue
-        values, bad = parse_column(column, kind)
-        if kind != NOMINAL:
-            parsed[name] = values
-        for i, reason in bad.items():
-            reasons.setdefault(i, f"column {name!r}: {reason}")
+    label = columns[-1]
+    n = len(label)
+    values, bad = parse_column(label, NUMERIC)  # the label is a numeric cell that must be 0 or 1
+    reasons = {i: f"label: {reason}" for i, reason in bad.items()}  # row index -> first reason
+    for i in np.flatnonzero((values != 0.0) & (values != 1.0)).tolist():
+        reasons.setdefault(i, f"label {label[i]!r} is not 0 or 1")
+    kinds = dict(layout["features"])
+    cells = dict(zip(kinds, columns))
+    # a nominal cell can be bad only when its row was short
+    parsed = _parse_columns({name: cells[name] for name in cells if short or kinds[name] != NOMINAL}, kinds, reasons)
     summary, rejected = LoadSummary(), sorted(reasons)
     for i in rejected:
         summary.note(i + 2, reasons[i])
-    table = FlowTable(cells, dict(layout["features"]), labels, np.arange(2, n + 2), parsed)
+    table = FlowTable(cells, kinds, (values == 1.0).astype(np.int64), np.arange(2, n + 2), parsed)
     if rejected:
         table = table.take(np.delete(np.arange(n), rejected))
     summary.rows_loaded = len(table)
     if not len(table):
         raise DataError(f"{path}: no valid rows")
-    return Dataset(records=table, profile=profile, provenance=str(path)), summary
+    return Dataset(records=table, profile=profile), summary
 
 
 def _first_non_utf8_line(path) -> int:
@@ -430,8 +402,7 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
             if kind != NOMINAL:  # dstport and sttl draw their cells from a pool of numerals
                 parsed[name] = np.array(list(map(float, cells[name])), dtype=np.float64)
     table = FlowTable(cells, dict(PROFILES["synthetic"]["features"]), labels, parsed=parsed)
-    provenance = f"synth(n={n}, seed={seed}, difficulty={difficulty})"
-    return Dataset(records=table, profile="synthetic", provenance=provenance)
+    return Dataset(records=table, profile="synthetic")
 
 
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
@@ -459,7 +430,7 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
         for cls in (0, 1):
             if not (table.labels == cls).any():
                 warnings.warn(f"split {names[i]!r} received zero records of class {cls}")
-        out.append(Dataset(records=table, profile=dataset.profile, provenance=f"{dataset.provenance} [{names[i]}]"))
+        out.append(Dataset(records=table, profile=dataset.profile))
     return tuple(out)
 
 
@@ -511,6 +482,11 @@ def save_checkpoint(params, schema: Schema, config: dict, path, metrics: dict | 
     with open(path, "wb") as handle:
         handle.write(body)
         handle.write(hashlib.sha256(body).digest())
+
+
+def _why(exc: Exception) -> str:
+    """An error's own text for a header message: a KeyError names the missing field."""
+    return f"no field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -570,8 +546,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: header field hyper.mask is {mask!r}, not true or false")
     try:
         schema = Schema.from_dict(header["schema"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"{path}: header field schema is malformed ({exc!r})")
+    except ValueError as exc:  # its text begins with the bad field's path
+        raise IntegrityError(f"{path}: header field {exc}")
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"{path}: header field schema is malformed ({_why(exc)})")
     manifest = header["arrays"]
     if not isinstance(manifest, list):
         raise IntegrityError(f"{path}: header field arrays is not a list")
@@ -585,7 +563,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:  # no more of the declared layout than the manifest could match
         declared = list(itertools.islice(M.KINDS[kind].shapes(hyper), len(manifest) + 1))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
+        raise IntegrityError(f"{path}: header field hyper does not describe a model ({_why(exc)})")
     if [m["name"] for m in manifest] != [name for name, _ in declared]:
         raise IntegrityError(f"{path}: parameter manifest does not match the declared model")
     arrays = {}  # each array by name, read once its shape and byte length are checked
@@ -620,7 +598,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         params = M.KINDS[kind].from_arrays(hyper, arrays)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise IntegrityError(f"{path}: header field hyper does not describe a model ({exc!r})")
+        raise IntegrityError(f"{path}: header field hyper does not describe a model ({_why(exc)})")
     return Checkpoint(
         params=params,
         schema=schema,

@@ -139,7 +139,7 @@ def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
     column is each cell parsed for its kind, and a present cell is bad when it does not parse
     or is nan or infinite. One float() pass serves a column that parses whole and is finite;
     only otherwise is each cell parsed for its kind. The values are meaningful only where no
-    cell is bad."""
+    cell is bad; a cell that does not parse reads 0.0, so comparing them raises no float flag."""
     if kind == NOMINAL:
         return cells, ({i: MISSING_CELL for i, cell in enumerate(cells) if cell is None} if None in cells else {})
     if kind != BOOLEAN:
@@ -149,7 +149,7 @@ def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
                 return values, {}
         except (TypeError, ValueError):
             pass
-    values, reasons = np.empty(len(cells), dtype=np.float64), {}
+    values, reasons = np.zeros(len(cells), dtype=np.float64), {}
     for i, cell in enumerate(cells):
         if cell is None:
             reasons[i] = MISSING_CELL

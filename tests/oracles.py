@@ -13,6 +13,7 @@ bytes while writing into nothing it did not allocate.
 """
 
 import csv
+import math
 import statistics
 
 import numpy as np
@@ -25,7 +26,9 @@ def dictreader_load(path, features, label, parse_cell):
 
     ``features`` are (name, kind) pairs in profile order and ``label`` the label
     column. ``parse_cell(cell, kind)`` gives ``(value, reason)``: a cell's value,
-    and why it is bad or None. A missing label reads ``label: missing cell``. Blank rows are skipped and not numbered, so the
+    and why it is bad or None. A label is a number that must be 0 or 1: one that is missing, does
+    not parse or is not finite reads ``label: missing cell``, ``label: cannot parse numeric cell
+    'x'`` or ``label: non-finite value 'nan'``. Blank rows are skipped and not numbered, so the
     first record is row 2; a missing cell is None, and the last of a repeated
     header name wins, as DictReader reads them. A row is rejected with the first
     reason: its label's, then its columns' in profile order.
@@ -40,11 +43,16 @@ def dictreader_load(path, features, label, parse_cell):
         for row, record in enumerate(csv.DictReader(handle), start=2):
             try:
                 number = float(record[label])
-                reason = None if number in (0.0, 1.0) else f"label {record[label]!r} is not 0 or 1"
+                if not math.isfinite(number):
+                    reason = f"label: non-finite value {record[label]!r}"
+                elif number not in (0.0, 1.0):
+                    reason = f"label {record[label]!r} is not 0 or 1"
+                else:
+                    reason = None
             except TypeError:  # the row ended before its label
                 reason = "label: missing cell"
             except ValueError:
-                reason = f"label {record[label]!r} does not parse"
+                reason = f"label: cannot parse numeric cell {record[label]!r}"
             parsed = {}
             for name, kind in features:
                 parsed[name], bad = parse_cell(record[name], kind)

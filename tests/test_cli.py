@@ -325,6 +325,17 @@ class TestEval:
         assert field in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("checkpoint", ["enc.ckpt", "fnn.ckpt"])
+    def test_header_errors_print_the_fields_own_text(self, workdir, tmp_path, capsys, checkpoint):
+        """Each malformed header's message names its field in plain text, never an exception's repr."""
+        bad = tmp_path / "bad.ckpt"
+        for case in HEADER_DEFECTS:
+            edit, field = case.values
+            rewrite_header(workdir / checkpoint, bad, edit)
+            assert cli.main(["eval", "--model", str(bad), "--data", str(workdir / "flows.csv")]) == 3, case.id
+            err = capsys.readouterr().err
+            assert field in err and "Error(" not in err, err
+
     def test_in_process_calls_build_no_further_parser(self, workdir, monkeypatch, capsys):
         argv = ["eval", "--model", str(workdir / "fnn.ckpt"), "--data", str(workdir / "flows.csv")]
         assert cli.main(argv) == 0

@@ -53,7 +53,7 @@ class TestLoadCsv:
     def test_extra_columns_ignored(self):
         """The fixture's svc column is not in the profile and must not leak."""
         ds, _ = load_csv(FIXTURES / "unsw_tiny.csv", "unsw")
-        assert "svc" not in ds.records[0].values
+        assert "svc" not in ds.records.cells
 
     def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -172,8 +172,8 @@ class TestLoadCsv:
             load_csv(path, "synthetic")
 
     def test_each_column_is_parsed_once(self, tmp_path, monkeypatch):
-        """load_csv parses each non-nominal column once, rejects and all;
-        fit_schema and encode_batch read its values and parse nothing."""
+        """load_csv parses each non-nominal column and the label once, rejects
+        and all; fit_schema and encode_batch read its values and parse nothing."""
         path = tmp_path / "flows.csv"
         write_csv(synth(200, seed=3), path)
         path.write_text(path.read_text().replace(",tcp,", ",tcp,fast", 2))  # two rows' Sload is rejected
@@ -188,7 +188,8 @@ class TestLoadCsv:
         ds, summary = load_csv(path, "synthetic")
         assert summary.rows_rejected == 2
         features = sentencing.PROFILES["synthetic"]["features"]
-        assert sorted(kind for kind in calls if kind != NOMINAL) == sorted(k for _, k in features if k != NOMINAL)
+        parsed = [k for _, k in features if k != NOMINAL] + [sentencing.NUMERIC]  # the label is a numeric column
+        assert sorted(kind for kind in calls if kind != NOMINAL) == sorted(parsed)
         calls.clear()
         schema = fit_schema(ds.records, ds.profile)
         encode_batch(ds.records, schema)
@@ -306,27 +307,27 @@ class TestLoadCsvReadsLikeDictReader:
         header = ",".join(NUMERIC_FIRST)
         ds, summary = _load_lines(tmp_path, [header, _row() + ",x,y,9", _row()], prefix=prefix)
         assert summary.rows_rejected == 0
-        assert ds.records[prefix].values == ds.records[prefix + 1].values
+        assert all(column[prefix] == column[prefix + 1] for column in ds.records.cells.values())
 
     def test_repeated_header_name_takes_the_last_column(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST + ["Sload", "Dload"])
         # the second row ends before the last Dload column
         ds, summary = _load_lines(tmp_path, [header, _row() + ",7.5,8.5", _row() + ",7.5"], prefix=prefix)
-        assert (ds.records[prefix].values["Sload"], ds.records[prefix].values["Dload"]) == ("7.5", "8.5")
+        assert (ds.records.cells["Sload"][prefix], ds.records.cells["Dload"][prefix]) == ("7.5", "8.5")
         assert summary.rejects == [(3 + prefix, "column 'Dload': missing cell")]
 
     def test_quoted_newline_stays_in_its_cell(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
         ds, summary = _load_lines(tmp_path, [header, _row(proto='"tcp\nv2"'), _row(label="x"), _row()], prefix=prefix)
-        assert ds.records[prefix].values["proto"] == "tcp\nv2"
-        assert summary.rejects == [(3 + prefix, "label 'x' does not parse")]
+        assert ds.records.cells["proto"][prefix] == "tcp\nv2"
+        assert summary.rejects == [(3 + prefix, "label: cannot parse numeric cell 'x'")]
         assert [r.row for r in ds.records][prefix:] == [2 + prefix, 4 + prefix]
 
     def test_more_than_twenty_rejects_are_counted_not_listed(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
         _, summary = _load_lines(tmp_path, [header] + [_row(label="x")] * 25 + [_row(), _row()], prefix=prefix)
         lines = [f"loaded {2 + prefix} rows, rejected 25"]
-        lines += [f"  row {n}: label 'x' does not parse" for n in range(2 + prefix, 22 + prefix)]
+        lines += [f"  row {n}: label: cannot parse numeric cell 'x'" for n in range(2 + prefix, 22 + prefix)]
         lines += ["  ... and 5 more"]
         assert summary.describe() == "\n".join(lines)
 
@@ -529,10 +530,10 @@ class TestFlowTable:
     def test_rows_are_read_only_views(self):
         table = synth(20, seed=1).records
         assert len(table) == len(list(table)) == 20
-        row = table[-1]
+        *_, row = table
         assert (row.row, row.label) == (19, int(table.labels[19]))
         row.values["Sload"] = "0"  # a copy: the table keeps its cells
-        assert table[19].values["Sload"] == table.cells["Sload"][19] != "0"
+        assert row.values["Sload"] == table.cells["Sload"][19] != "0"
         with pytest.raises(AttributeError):
             row.label = 1
 

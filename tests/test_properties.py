@@ -18,9 +18,21 @@ from hypothesis import strategies as st
 from checkpoints import rewrite_header
 from flowids import cli
 from flowids.dataio import Dataset, FlowTable, load_checkpoint, load_csv, save_checkpoint, synth, write_csv
-from flowids.errors import FlowidsError
+from flowids.errors import DataError, FlowidsError
 from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
-from flowids.sentencing import NOMINAL, NUMERIC, PROFILES, FeatureSpec, Schema, encode_batch, fit_schema
+from flowids.sentencing import (
+    BOOLEAN,
+    NOMINAL,
+    NUMERIC,
+    PROFILES,
+    TIMESTAMP,
+    FeatureSpec,
+    Schema,
+    encode_batch,
+    fit_schema,
+    parse_cell,
+    parse_column,
+)
 from flowids.training import TrainConfig
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -89,6 +101,48 @@ def test_batch_encoding_matches_record_and_cell_encoding(case):
     assert x.tobytes() == np.array(cells, dtype=np.float64).tobytes()
     assert x.tobytes() == b"".join(encode_batch(records.take([i]), schema)[0].tobytes() for i in range(len(records)))
     assert y.tolist() == [r.label for r in records]
+
+
+# per kind: good cells, cells that do not parse, a missing cell (None) and
+# cells that parse to nan or an infinity; a drawn column repeats them
+CELLS_BY_KIND = {
+    NUMERIC: ["0", "-0", "-1.5", " 7 ", "1e308", "5e-324", "fast", "", None, "nan", "-inf", "1e999"],
+    TIMESTAMP: ["1421927414", "09:12:01", "26-Apr-19", "26/04/2019", "2019-04-26T09:12:01+02:00", "soon", "", None,
+                "nan", "inf"],
+    BOOLEAN: ["true", "off", " YES", "0", "maybe", "2", "", None, "nan"],
+    NOMINAL: ["tcp", "", "nan", None],
+}
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(st.sampled_from(sorted(CELLS_BY_KIND)), st.data())
+def test_parse_column_gives_what_a_per_cell_loop_gives(kind, data):
+    """parse_column's reasons are a parse_cell loop's, cell by cell; where no
+    cell is bad, so are its values, byte for byte (at a bad index a value
+    means nothing)."""
+    cells = data.draw(st.lists(st.sampled_from(CELLS_BY_KIND[kind]), max_size=8))
+    values, reasons = parse_column(cells, kind)
+    expected, why = [], {}
+    for i, cell in enumerate(cells):
+        if cell is None:
+            why[i] = "missing cell"
+        elif kind == NOMINAL:
+            expected.append(cell)
+        else:
+            try:
+                expected.append(parse_cell(cell, kind))
+            except DataError as exc:
+                why[i] = str(exc)
+                continue
+            if not math.isfinite(expected[-1]):
+                why[i] = f"non-finite value {cell!r}"
+    event(f"{kind}, {'bad' if why else 'good'} column")
+    assert reasons == why
+    if not why:
+        if kind == NOMINAL:
+            assert list(values) == expected
+        else:
+            assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 # csv quoting must carry commas, quotes and line breaks inside a nominal cell
