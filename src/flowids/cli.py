@@ -83,7 +83,8 @@ def _write_manifest(command: str, run: Run, started: float, warned: list[str]) -
         "warnings": warned,
         "duration_seconds": round(time.time() - started, 3),
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        # a transformer score of at least this many chunks runs on this many threads
+        # a transformer score of more than one chunk cuts a multiple of this many and runs on this many
+        # threads; the scores' bytes do not depend on it
         "environment": {**_versions(), "scoring_threads": scoring_threads()},
     }
     with open(f"{run.outputs[0]}.manifest.json", "w", encoding="utf-8") as handle:

@@ -52,7 +52,8 @@ class FlowTable:
 
     Built without ``parsed`` (from raw cells, as tests and demos build it),
     every column goes through _parse_columns here, and the first row with a
-    bad cell raises DataError, naming the row and its first bad column.
+    label that is not exactly 0 or 1, or with a bad cell, raises DataError,
+    naming the row and its label or its first bad column.
     load_csv and synth pass the values they already hold. The table is read,
     not changed: take gives a new table, and iterating it gives read-only
     FlowRow views."""
@@ -61,19 +62,21 @@ class FlowTable:
 
     def __init__(self, cells, kinds, labels, rows=None, parsed=None):
         self.cells, self.kinds = dict(cells), dict(kinds)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        n = len(self.labels)
+        given = np.asarray(labels)
+        n = len(given)
         self.rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
         if self.kinds.keys() != self.cells.keys() or len(self.rows) != n or any(
             len(column) != n for column in self.cells.values()
         ):
             raise ContractError("a FlowTable needs one kind per column and n cells, labels and rows")
-        if parsed is None:
-            reasons = {}
+        if parsed is None:  # a row's label is checked first, as load_csv checks it
+            reasons = {i: f"label {str(given[i])!r} is not 0 or 1"
+                       for i in np.flatnonzero((given != 0) & (given != 1)).tolist()}
             parsed = _parse_columns(self.cells, self.kinds, reasons)
             if reasons:
                 i = min(reasons)
                 raise DataError(f"record {self.rows[i]}, {reasons[i]}")
+        self.labels = given.astype(np.int64)
         self.parsed = parsed
 
     def __len__(self) -> int:

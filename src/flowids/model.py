@@ -21,10 +21,10 @@ the generic ops in ``tensor``.
 
 Each model kind is one parameter class owning ``logits``, ``hyper``, its
 layout ``shapes``, its one builder ``from_arrays`` (which both init and
-checkpoint load go through), and how it is scored: ``chunk_rows`` rows per
-inference chunk, and whether ``threaded_chunks`` may spread the chunks over
-threads (see ``training._batched_logits``). ``KINDS`` is the only map from a
-kind name to its class.
+checkpoint load go through), and how it is scored: at most ``chunk_rows``
+rows per inference chunk, and whether ``threaded_chunks`` may spread the
+chunks over threads (see ``training._batched_logits``). ``KINDS`` is the
+only map from a kind name to its class.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ class ModelParams:
     config: EncoderConfig
 
     kind = "transformer"
+    # The most rows in one inference chunk; a call with more rows cuts them
+    # into equal chunks of at most this many (see training._batched_logits).
     # Each chunk hands the GIL between the scoring threads many times, so
     # 128 rows make fewer handoffs per row than 64 did; softmax and
     # layer_norm reuse their temporaries, so a worker thread's heap stays
@@ -174,8 +176,8 @@ class FnnParams:
     b3: Tensor
 
     kind = "fnn"
-    # Too little work per chunk to pay for a thread handoff: chunks run on
-    # the calling thread.
+    # chunk_rows is a cap, as for the transformer. Too little work per chunk
+    # to pay for a thread handoff: chunks run on the calling thread.
     chunk_rows = 128
     threaded_chunks = False
 
@@ -270,9 +272,9 @@ def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
         )
     inputs = (x, params.w1, params.b1, params.w2, params.b2, params.w3, params.b3)
     w1, w2, w3 = params.w1.data, params.w2.data, params.w3.data
-    h1 = np.maximum(np.matmul(x.data, w1) + params.b1.data, 0.0)
-    h2 = np.maximum(np.matmul(h1, w2) + params.b2.data, 0.0)
-    out = Tensor(np.matmul(h2, w3) + params.b3.data)
+    h1 = np.maximum(T.product(x.data, w1) + params.b1.data, 0.0)
+    h2 = np.maximum(T.product(h1, w2) + params.b2.data, 0.0)
+    out = Tensor(T.product(h2, w3) + params.b3.data)
 
     needs = [t.requires_grad for t in inputs]  # x, w1, b1, w2, b2, w3, b3
     # layer k = 1, 2, 3 reads its input acts[k - 1]; for k > 1 that is the ReLU output below it

@@ -283,15 +283,18 @@ class TrainResult:
     test: dataio.Dataset
 
 
-# Inference runs in chunks of the kind's chunk_rows rows. At the default
-# encoder (13 tokens, MLP width 128) a 512-row chunk's float64 activations
-# reach 6.8 MB, more than a core's 2 MiB L2, and temporaries that large go
-# back to the OS and are page-faulted in again on every chunk. A
-# transformer's chunks are independent and their numpy and BLAS work
-# releases the GIL, so they run on up to SCORING_THREADS threads, one per
-# usable core, in a pool kept for the process: each new thread keeps a
-# malloc arena of its own. Two threads is the most that has been measured
-# (time and peak RSS, on a 2-core host); more need measuring first.
+# Inference runs in chunks of at most the kind's chunk_rows rows. At the
+# default encoder (13 tokens, MLP width 128) a 512-row chunk's float64
+# activations reach 6.8 MB, more than a core's 2 MiB L2, and temporaries
+# that large go back to the OS and are page-faulted in again on every chunk.
+# A row's logits have the same bytes in any chunk (see tensor.product), so
+# a call may cut its rows anywhere: it cuts them into equal chunks, as many
+# as the threads can share evenly. A transformer's chunks are independent
+# and their numpy and BLAS work releases the GIL, so they run on up to
+# SCORING_THREADS threads, one per usable core, in a pool kept for the
+# process: each new thread keeps a malloc arena of its own. Two threads is
+# the most that has been measured (time and peak RSS, on a 2-core host);
+# more need measuring first.
 SCORING_THREADS = 2
 _pool = None  # a concurrent.futures.ThreadPoolExecutor, built on first use
 
@@ -312,17 +315,17 @@ def usable_cores() -> int:
 
 
 def scoring_threads() -> int:
-    """Threads that score a transformer's chunks, when it has at least this many."""
+    """W for a transformer: the threads that score its chunks when it has more than one."""
     return min(usable_cores(), SCORING_THREADS)
 
 
-def _score_chunks(params, x: np.ndarray, out: np.ndarray, claim) -> tuple[int, Exception] | None:
-    """Write the logits of each chunk that ``claim()`` hands out into ``out``, until it hands out None.
+def _score_chunks(params, x: np.ndarray, rows: int, out: np.ndarray, claim) -> tuple[int, Exception] | None:
+    """Write the logits of each ``rows``-row chunk that ``claim()`` hands out into ``out``, until it hands out None.
 
     Returns the first failing chunk's start and error, having stopped there."""
     while (i := claim()) is not None:
         try:
-            out[i : i + params.chunk_rows] = params.logits(x[i : i + params.chunk_rows]).data
+            out[i : i + rows] = params.logits(x[i : i + rows]).data
         except Exception as exc:  # the caller raises the lowest failing chunk's, once every thread has stopped
             return i, exc
     return None
@@ -331,18 +334,31 @@ def _score_chunks(params, x: np.ndarray, out: np.ndarray, claim) -> tuple[int, E
 def _batched_logits(params, x: np.ndarray) -> np.ndarray:
     """Raw logits for a whole matrix, computed off-tape in chunks.
 
-    A transformer's chunks run on W = min(scoring_threads(), chunks) threads,
-    the calling thread one of them. Each thread claims the next unscored chunk
-    when it is done with its last, so a thread that the machine slows down
-    scores fewer chunks rather than holding the others up. A chunk computes
-    the same bytes on any thread. Chunks are claimed in order, so every
-    chunk before a failing one is scored; the error raised is the lowest
-    failing chunk's, as on one thread, once every thread has stopped.
+    The n rows are cut into ceil(n / chunk_rows) chunks, a count that, when
+    it is more than one, is first rounded up to a multiple of W, the
+    threads the kind may use: scoring_threads() for a transformer, 1 for
+    the FNN. Each chunk but the last has ceil(n / chunks) rows, so
+    chunk_rows is a cap, and up to chunk_rows rows are one chunk on the
+    calling thread. 400 rows on two threads are 4 chunks of 100.
+
+    A transformer's chunks run on min(W, chunks) threads, the calling thread
+    one of them. Each thread claims the next unscored chunk when it is done
+    with its last, so a thread that the machine slows down scores fewer
+    chunks rather than holding the others up. A chunk computes the same
+    bytes on any thread. Chunks are claimed in order, so every chunk before
+    a failing one is scored; the error raised is the lowest failing chunk's,
+    as on one thread, once every thread has stopped.
     """
     global _pool
-    out = np.empty((x.shape[0], 2))
-    starts = range(0, x.shape[0] or 1, params.chunk_rows)  # zero rows still check the width
-    threads = min(scoring_threads(), len(starts)) if params.threaded_chunks else 1
+    n = x.shape[0]
+    out = np.empty((n, 2))
+    workers = scoring_threads() if params.threaded_chunks else 1
+    chunks = -(-n // params.chunk_rows)  # ceil, in integers
+    if chunks > 1:
+        chunks = -(-chunks // workers) * workers
+    rows = -(-n // chunks) if n else 1
+    starts = range(0, n or 1, rows)  # zero rows still check the width
+    threads = min(workers, len(starts))
     if threads > 1 and _pool is None:
         # imported here: concurrent.futures pulls in logging, 0.65 MB and 7 ms that an unthreaded score need not pay
         from concurrent.futures import ThreadPoolExecutor
@@ -356,10 +372,10 @@ def _batched_logits(params, x: np.ndarray) -> np.ndarray:
 
     with T.no_grad():
         # each task runs in a copy of the caller's context, so np.errstate holds there too
-        futures = [_pool.submit(contextvars.copy_context().run, _score_chunks, params, x, out, claim)
+        futures = [_pool.submit(contextvars.copy_context().run, _score_chunks, params, x, rows, out, claim)
                    for _ in range(threads - 1)]
         try:
-            failures = [_score_chunks(params, x, out, claim)]
+            failures = [_score_chunks(params, x, rows, out, claim)]
         finally:
             for future in futures:  # no worker may still run once grad recording is back on
                 future.exception()  # waits; a task returns its chunk's error rather than raising it

@@ -543,6 +543,34 @@ class TestFlowTable:
         with pytest.raises(ContractError):
             FlowTable({"a": ["1"]}, {"b": "numeric"}, [0])
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1, 0.7, 1.9], "record 12, label '0.7' is not 0 or 1"),  # once read as 0 and 1
+            ([0, 1, 1, 2, -1], "record 13, label '2' is not 0 or 1"),  # once kept, then dropped by split
+            ([1, 0, math.nan], "record 12, label 'nan' is not 0 or 1"),
+        ],
+        ids=["fractions", "out-of-range", "nan"],
+    )
+    def test_raw_labels_must_be_0_or_1(self, labels, message):
+        """Built from raw cells, the table refuses the first row whose label is
+        not exactly 0 or 1, in load_csv's words."""
+        n = len(labels)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            FlowTable({"a": ["1"] * n}, {"a": "numeric"}, labels, np.arange(10, 10 + n))
+
+    def test_raw_labels_exactly_0_or_1_are_kept(self):
+        table = FlowTable({"a": ["1"] * 4}, {"a": "numeric"}, [0, 1.0, True, np.int8(0)])
+        assert table.labels.tolist() == [0, 1, 1, 0] and table.labels.dtype == np.int64
+
+    def test_a_rows_label_is_checked_before_its_cells(self):
+        """As in load_csv: the lowest bad row wins, and within it the label."""
+        cells = {"a": ["1", "fast", "fast"]}
+        with pytest.raises(DataError, match="^record 1, label '2' is not 0 or 1$"):
+            FlowTable(cells, {"a": "numeric"}, [0, 2, 0])
+        with pytest.raises(DataError, match="^record 1, column 'a': cannot parse numeric cell 'fast'$"):
+            FlowTable(cells, {"a": "numeric"}, [0, 0, 2])
+
 
 class TestSplit:
     def test_parts_keep_class_zero_rows_first(self):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import flowids.tensor as T
 from checkpoints import rewrite_header
-from flowids import cli
+from flowids import cli, training
 from flowids.dataio import Dataset, FlowTable, load_checkpoint, load_csv, save_checkpoint, synth, write_csv
 from flowids.errors import DataError, FlowidsError
 from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
@@ -538,3 +539,60 @@ def test_from_arrays_builds_the_layout_of_shapes(synthetic_schema, h, seed):
         save_checkpoint(params, synthetic_schema, {"model": h["kind"]}, first)
         save_checkpoint(load_checkpoint(first).params, synthetic_schema, {"model": h["kind"]}, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+# --- a row's logits do not depend on its chunk ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def scored_rows():
+    """300 encoded noisy synth rows, seed-0 default models of both kinds, and each
+    model's logits of the whole matrix in one forward call, by kind."""
+    ds = synth(300, seed=3, difficulty="noisy")
+    schema = fit_schema(ds.records, ds.profile)
+    x, _ = encode_batch(ds.records, schema)
+    models = {"transformer": init_params(EncoderConfig(), tokens=schema.width, seed=0), "fnn": init_fnn(schema.width, seed=0)}
+    with T.no_grad():
+        return x, {kind: (params, params.logits(x).data) for kind, params in models.items()}
+
+
+spans = st.integers(0, 299).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, 300 - s)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spans)
+@example((0, 1))
+@example((299, 1))
+@example((5, 128))
+@example((5, 129))
+@example((41, 257))
+@example((0, 300))
+def test_transformer_logits_of_a_row_do_not_depend_on_its_chunk(scored_rows, span):
+    """Scoring rows s..s+n alone gives those rows of the whole matrix's logits,
+    byte for byte, however the call chunks them and on however many threads."""
+    x, models = scored_rows
+    params, whole = models["transformer"]
+    s, n = span
+    event("one chunk" if n <= params.chunk_rows else "more than one chunk")
+    assert training._batched_logits(params, x[s : s + n]).tobytes() == whole[s : s + n].tobytes()
+
+
+def test_fnn_logits_of_a_row_do_not_depend_on_its_chunk(scored_rows):
+    """The FNN too, for calls of two rows or more: a 1-row call runs its
+    hidden layers as 1-row flat products, whose bits can differ."""
+    x, models = scored_rows
+    params, whole = models["fnn"]
+    for s, n in [(0, 2), (7, 13), (5, 128), (5, 129), (41, 257), (0, 300), (298, 2)]:
+        assert training._batched_logits(params, x[s : s + n]).tobytes() == whole[s : s + n].tobytes(), (s, n)
+
+
+def test_transformer_scores_are_the_same_bytes_on_one_thread_and_two(scored_rows, monkeypatch):
+    """259 rows are three chunks, starting at rows 0, 87 and 174, on one thread,
+    and four, starting at rows 0, 65, 130 and 195, on two."""
+    x, models = scored_rows
+    params, _ = models["transformer"]
+    scores = []
+    for cores in (1, 2):
+        monkeypatch.setattr(training, "usable_cores", lambda: cores)
+        scores.append(training.predict_scores(params, x[:259]).tobytes())
+    assert scores[0] == scores[1]

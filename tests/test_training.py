@@ -1,6 +1,7 @@
 """Loss, optimizer, and training-loop behavior."""
 
 import dataclasses
+import math
 import os
 import re
 import signal
@@ -594,15 +595,48 @@ class TestParallelScoring:
             scores.append(predict_scores(params, x).tobytes())
         assert scores[0] == scores[1] == scores[2]
 
+    @staticmethod
+    def _starts(n, cap, threads):
+        """Each chunk's first row by the documented rule: ceil(n / cap) chunks, a count
+        rounded up to a multiple of the thread count when it is more than one, of
+        ceil(n / chunks) rows each."""
+        chunks = math.ceil(n / cap)
+        if chunks > 1:
+            chunks = math.ceil(chunks / threads) * threads
+        return list(range(0, n, math.ceil(n / chunks)))
+
     def test_each_chunk_is_scored_once(self, monkeypatch):
+        """Five caps' worth of rows on three threads are six chunks of 107 rows or fewer."""
         params = self._small_transformer()
         x = np.random.default_rng(6).uniform(size=(5 * params.chunk_rows, 5))
         x[:, 0] = np.arange(len(x))
         monkeypatch.setattr(training, "usable_cores", lambda: 3)
         seen, _ = self._spy(monkeypatch, params)
         predict_scores(params, x)
-        assert sorted(start for start, _ in seen) == [k * params.chunk_rows for k in range(5)]
+        starts = self._starts(len(x), params.chunk_rows, 3)
+        assert len(starts) == 6
+        assert sorted(start for start, _ in seen) == starts
         assert len({ident for _, ident in seen}) <= 3
+
+    def test_two_threads_score_equal_shares(self, monkeypatch):
+        """400 rows are four chunks of 100, so each of two threads scores 200
+        rows; 128-row chunks would give one thread 256 and the other 144.
+        Each chunk waits for a chunk on the other thread, so neither thread
+        can score two chunks while the other scores none."""
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(400, 5))
+        monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        rows, meet, real = {}, threading.Barrier(2, timeout=30), params.logits
+
+        def logits(chunk):
+            ident = threading.get_ident()
+            rows[ident] = rows.get(ident, 0) + len(chunk)
+            meet.wait()
+            return real(chunk)
+
+        monkeypatch.setattr(params, "logits", logits)
+        predict_scores(params, x)
+        assert sorted(rows.values()) == [200, 200]
 
     def test_threads_are_capped(self, monkeypatch):
         """However many cores there are, a score uses at most two threads,
@@ -639,23 +673,23 @@ class TestParallelScoring:
     @pytest.mark.parametrize("chunks", [(1,), (0,), (2, 1), (4,)], ids=lambda c: "+".join(map(str, c)))
     def test_a_failing_chunk_raises_as_on_one_thread(self, monkeypatch, chunks):
         """A chunk that raises, in a worker's share or the caller's, raises the
-        lowest failing chunk's error once every share has ended; grad
-        recording is back on and the tape is empty. The failing chunks are
-        given by index, so the cases hold at any chunk size."""
-        errors = []
+        lowest failing chunk's error once every share has ended, on three
+        threads as on one; grad recording is back on and the tape is empty.
+        The failing chunks are given by index, and their first rows follow
+        from the chunk rule for each thread count (five chunks on one
+        thread, six on three), so the cases hold at any chunk size."""
         for cores in (1, 3):
             params = self._small_transformer()
-            fail = tuple(k * params.chunk_rows for k in chunks)
             x = np.random.default_rng(6).uniform(size=(5 * params.chunk_rows, 5))
             x[:, 0] = np.arange(len(x))
+            starts = self._starts(len(x), params.chunk_rows, cores)
             monkeypatch.setattr(training, "usable_cores", lambda: cores)
-            _, running = self._spy(monkeypatch, params, fail=fail, delay=0.01)
+            _, running = self._spy(monkeypatch, params, fail=[starts[k] for k in chunks], delay=0.01)
             with pytest.raises(ValueError) as caught:
                 predict_scores(params, x)
-            errors.append((type(caught.value), str(caught.value)))
+            assert str(caught.value) == f"chunk at row {starts[min(chunks)]}"
             assert running == [0]
             assert T._GRAD_ENABLED and T.active_tape() == []
-        assert errors[0] == errors[1] == (ValueError, f"chunk at row {min(fail)}")
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_a_chunk_failing_on_either_thread_waits_for_the_other(self, monkeypatch, where):
