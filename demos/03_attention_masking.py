@@ -9,7 +9,7 @@ watching which rows move, then peek at the attention pattern itself.
 import numpy as np
 
 from flowids import tensor as T
-from flowids.model import AttentionParams, EncoderConfig, attention, init_params
+from flowids.model import AttentionParams, ModelParams, attention
 from flowids.tensor import Tensor
 
 rng = np.random.default_rng(7)
@@ -67,8 +67,8 @@ for row in weights:
 print()
 print("=== the same mask inside a full encoder ===")
 
-config = EncoderConfig(dim=8, heads=2, blocks=2)
-model = init_params(tokens=tokens, config=config, seed=1)
+hyper = {"kind": "transformer", "dim": 8, "heads": 2, "blocks": 2, "mlp_dim": 32, "tokens": tokens, "mask": True}
+model = ModelParams.init(hyper, seed=1)
 
 x = rng.uniform(size=(1, tokens))
 x_late = x.copy()

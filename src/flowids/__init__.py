@@ -32,7 +32,7 @@ from .errors import (
     VersionError,
 )
 from .metrics import report
-from .model import EncoderConfig, forward, init_fnn, init_params
+from .model import forward
 from .sentencing import Schema, encode_batch, fit_schema
 from .tensor import Tensor
 from .training import TrainConfig, predict_scores, train
@@ -45,7 +45,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "DimensionError",
-    "EncoderConfig",
     "FlowTable",
     "FlowidsError",
     "IncompatibilityError",
@@ -61,8 +60,6 @@ __all__ = [
     "encode_batch",
     "fit_schema",
     "forward",
-    "init_fnn",
-    "init_params",
     "load_checkpoint",
     "load_csv",
     "metrics",

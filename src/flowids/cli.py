@@ -127,7 +127,7 @@ def _build_train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> Run:
-    config, loads = _build_train_config(args), {}
+    config, loads = _build_train_config(args).resolved(), {}  # a config error exits before --data is read
     dataset = _load_dataset(args.data, args.profile, loads)
     result = train(dataset, config)
     for row in result.log.rows:

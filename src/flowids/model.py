@@ -9,9 +9,9 @@ two class logits.
 
 The causal mask restricts position i to attend to positions <= i. It is not
 needed for whole-record classification, but it is part of the architecture
-being reproduced. It is a field of the architecture, ``EncoderConfig.mask``,
-so a model always scores the way it was trained; build with mask=False to
-ablate it.
+being reproduced. It is part of the architecture, the ``mask`` entry of the
+transformer's hyper dict, so a model always scores the way it was trained;
+build with mask false to ablate it.
 
 The MLP baseline (``fnn_forward``) is three dense layers with ReLU between
 them, run as one taped primitive, as ``training.cross_entropy`` is: one
@@ -19,12 +19,16 @@ record per forward pass, whose hand-written backward repeats the generic
 ops' rules so its bytes are the op-by-op graph's. The encoder is built from
 the generic ops in ``tensor``.
 
-Each model kind is one parameter class owning ``logits``, ``hyper``, its
-layout ``shapes``, its one builder ``from_arrays`` (which both init and
-checkpoint load go through), and how it is scored: at most ``chunk_rows``
-rows per inference chunk, and whether ``threaded_chunks`` may spread the
-chunks over threads (see ``training._batched_logits``). ``KINDS`` is the
-only map from a kind name to its class.
+A model's shape has one statement, its hyper dict: the checkpoint's
+``hyper`` header field, what ``TrainConfig.hyper`` gives, and what ``hyper()``
+derives back from a built model's arrays. Each model kind is one parameter
+class owning ``logits``, ``hyper``, its layout ``shapes`` (the kind's one check
+of a hyper dict), its ``init`` from a hyper dict and a seed, its one builder
+``from_arrays`` (which both init and checkpoint load go through), and how it
+is scored: at most ``chunk_rows`` rows per inference chunk, and whether
+``threaded_chunks`` may spread the chunks over threads (see
+``training._batched_logits``). ``KINDS`` is the only map from a kind name to
+its class.
 """
 
 from __future__ import annotations
@@ -38,30 +42,6 @@ from . import tensor as T
 from .errors import ConfigError, IncompatibilityError
 from .sentencing import SentencingParams, sentence
 from .tensor import Tensor
-
-
-@dataclass
-class EncoderConfig:
-    """Shape of the encoder: token dim, head count, block count, MLP width, mask."""
-
-    dim: int = 32
-    heads: int = 4
-    blocks: int = 2
-    mlp_dim: int | None = None  # defaults to 4 * dim
-    mask: bool = True  # causal attention mask on or off
-
-    def resolved_mlp_dim(self) -> int:
-        return 4 * self.dim if self.mlp_dim is None else self.mlp_dim
-
-    def validate(self) -> None:
-        if self.dim < 1 or self.heads < 1 or self.blocks < 1 or self.resolved_mlp_dim() < 1:
-            raise ConfigError(f"encoder sizes must be positive: {self}")
-        if self.dim % self.heads != 0:
-            raise ConfigError(
-                f"head count {self.heads} does not divide token dim {self.dim}"
-            )
-        if not isinstance(self.mask, bool):
-            raise ConfigError(f"mask must be true or false, got {self.mask!r}")
 
 
 @dataclass
@@ -101,7 +81,7 @@ class ModelParams:
     blocks: list[EncoderBlockParams]
     head_w: Tensor  # (tokens * dim, 2)
     head_b: Tensor  # (2,)
-    config: EncoderConfig
+    mask: bool  # causal attention mask on or off
 
     kind = "transformer"
     # The most rows in one inference chunk; a call with more rows cuts them
@@ -121,23 +101,27 @@ class ModelParams:
         return forward(x, self)
 
     def hyper(self) -> dict:
-        return _encoder_hyper(self.config, self.sentencing.width)
+        (tokens, dim), block = self.sentencing.embed.data.shape, self.blocks[0]
+        return {"kind": self.kind, "dim": dim, "heads": block.attn.heads, "blocks": len(self.blocks),
+                "mlp_dim": block.mlp_w1.data.shape[1], "tokens": tokens, "mask": self.mask}
 
     @staticmethod
     def shapes(h: dict):
         """(name, shape) of each parameter that from_arrays(h, ...) builds, in order; checks h
-        at once, then yields the layout lazily, allocating nothing."""
-        cfg = EncoderConfig(h["dim"], h["heads"], h["blocks"], h["mlp_dim"], h["mask"])
-        cfg.validate()  # so that dim // heads is defined
-        t, d, m = h["tokens"], cfg.dim, cfg.resolved_mlp_dim()
-        if t < 1:
-            raise ConfigError(f"token count must be positive, got {t}")
+        at once (sizes positive, heads dividing dim, mask true or false), then yields the
+        layout lazily, allocating nothing."""
+        t, d, heads, blocks, m = h["tokens"], h["dim"], h["heads"], h["blocks"], h["mlp_dim"]
+        _refuse_nonpositive(dim=d, heads=heads, blocks=blocks, mlp_dim=m, tokens=t)
+        if d % heads != 0:  # so that d // heads is the head width
+            raise ConfigError(f"head count {heads} does not divide token dim {d}")
+        if not isinstance(h["mask"], bool):
+            raise ConfigError(f"mask must be true or false, got {h['mask']!r}")
 
         def layout():
             yield from ((f"sentencing.{name}", (t, d)) for name in ("embed", "bias", "position"))
-            for i in range(cfg.blocks):
-                for k in range(cfg.heads):
-                    yield from ((f"block{i}.attn.head{k}.{w}", (d, d // cfg.heads)) for w in ("w_q", "w_k", "w_v"))
+            for i in range(blocks):
+                for k in range(heads):
+                    yield from ((f"block{i}.attn.head{k}.{w}", (d, d // heads)) for w in ("w_q", "w_k", "w_v"))
                 rest = [("attn.w_out", (d, d)), ("mlp_w1", (d, m)), ("mlp_b1", (m,)), ("mlp_w2", (m, d)), ("mlp_b2", (d,))]
                 rest += [(f"ln{k}_{w}", (d,)) for k in (1, 2, 3) for w in ("gamma", "beta")]
                 yield from ((f"block{i}.{name}", shape) for name, shape in rest)
@@ -147,19 +131,37 @@ class ModelParams:
         return layout()
 
     @classmethod
+    def init(cls, h: dict, seed: int) -> "ModelParams":
+        """Glorot-uniform weights, zero biases and positional table, unit layer-norm gains; seed-determined.
+
+        The weights are drawn in this order: the sentencing embedding; per block,
+        every head's w_q, then every head's w_k, then every head's w_v, then
+        w_out, mlp_w1 and mlp_w2; last the head."""
+        layout = cls.shapes(h)  # checks h
+        t, d, m = h["tokens"], h["dim"], h["mlp_dim"]
+        # the layout, counted without walking it: sentencing and head 5td + 2, and per
+        # block the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
+        _refuse_oversized(5 * t * d + 2 + h["blocks"] * (4 * d * d + 2 * d * m + m + 7 * d))
+        drawn = ["sentencing.embed"]
+        for i in range(h["blocks"]):
+            drawn += [f"block{i}.attn.head{k}.{w}" for w in ("w_q", "w_k", "w_v") for k in range(h["heads"])]
+            drawn += [f"block{i}.{name}" for name in ("attn.w_out", "mlp_w1", "mlp_w2")]
+        drawn.append("head.w")
+        return cls.from_arrays(h, _init_arrays(layout, drawn, seed))
+
+    @classmethod
     def from_arrays(cls, h: dict, arrays: dict) -> "ModelParams":
         """The model that shapes(h) lays out, each parameter taken from arrays by its name."""
         named = _parameters(cls.shapes(h), arrays)
         p = dict(named)
-        cfg = EncoderConfig(h["dim"], h["heads"], h["blocks"], h["mlp_dim"], h["mask"])
 
         def block(i: int) -> EncoderBlockParams:
-            heads = [f"block{i}.attn.head{k}." for k in range(cfg.heads)]
+            heads = [f"block{i}.attn.head{k}." for k in range(h["heads"])]
             attn = AttentionParams(*([p[head + w] for head in heads] for w in ("w_q", "w_k", "w_v")), p[f"block{i}.attn.w_out"])
             return EncoderBlockParams(attn, *(p[f"block{i}.{f.name}"] for f in fields(EncoderBlockParams)[1:]))
 
         sent = SentencingParams(*(p[f"sentencing.{f.name}"] for f in fields(SentencingParams)))
-        params = cls(sent, [block(i) for i in range(cfg.blocks)], p["head.w"], p["head.b"], cfg)
+        params = cls(sent, [block(i) for i in range(h["blocks"])], p["head.w"], p["head.b"], h["mask"])
         params._named = named
         return params
 
@@ -193,11 +195,18 @@ class FnnParams:
 
     @staticmethod
     def shapes(h: dict) -> list[tuple[str, tuple]]:
-        """(name, shape) of each parameter, in order: the layout that from_arrays(h, ...) builds."""
+        """(name, shape) of each parameter, in order: the layout that from_arrays(h, ...) builds;
+        checks h first (sizes positive)."""
         features, (h1, h2) = h["features"], h["hidden"]
-        if features < 1 or min(h1, h2) < 1:
-            raise ConfigError(f"layer sizes must be positive: features={features}, hidden={h['hidden']}")
+        _refuse_nonpositive(features=features, hidden=h["hidden"])
         return [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
+
+    @classmethod
+    def init(cls, h: dict, seed: int) -> "FnnParams":
+        """Glorot-uniform weights drawn in the order w1, w2, w3, and zero biases; seed-determined."""
+        layout = cls.shapes(h)  # checks h
+        _refuse_oversized(sum(math.prod(shape) for _, shape in layout))
+        return cls.from_arrays(h, _init_arrays(layout, ["w1", "w2", "w3"], seed))
 
     @classmethod
     def from_arrays(cls, h: dict, arrays: dict) -> "FnnParams":
@@ -235,7 +244,7 @@ def encoder_block(z: Tensor, params: EncoderBlockParams, mask: bool = True) -> T
 
 
 def forward(x: np.ndarray | Tensor, params: ModelParams) -> Tensor:
-    """Encoded batch (batch, features) -> raw logits (batch, 2), masked per params.config.
+    """Encoded batch (batch, features) -> raw logits (batch, 2), masked per params.mask.
 
     Softmax is applied only inside the loss and the score computation,
     never here.
@@ -250,7 +259,7 @@ def forward(x: np.ndarray | Tensor, params: ModelParams) -> Tensor:
         )
     z = sentence(x, params.sentencing)
     for block in params.blocks:
-        z = encoder_block(z, block, params.config.mask)
+        z = encoder_block(z, block, params.mask)
     flat = T.reshape(z, (z.shape[0], z.shape[1] * z.shape[2]))
     return T.add(T.matmul(flat, params.head_w), params.head_b)
 
@@ -301,10 +310,11 @@ def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
     return T.record(out, inputs, back)
 
 
-def _encoder_hyper(config: EncoderConfig, tokens: int) -> dict:
-    """The hyper dict of a transformer of this config over this many tokens."""
-    return {"kind": ModelParams.kind, "dim": config.dim, "heads": config.heads, "blocks": config.blocks,
-            "mlp_dim": config.resolved_mlp_dim(), "tokens": tokens, "mask": config.mask}
+def _refuse_nonpositive(**sizes) -> None:
+    """A ConfigError naming each size below 1, a list when any of its entries is."""
+    bad = [f"{name}={size}" for name, size in sizes.items() if min(size if isinstance(size, list) else [size]) < 1]
+    if bad:
+        raise ConfigError(f"sizes must be positive, got {', '.join(bad)}")
 
 
 def _parameters(layout, arrays: dict) -> list[tuple[str, Tensor]]:
@@ -341,34 +351,6 @@ MAX_PARAMETERS = 2**24
 def _refuse_oversized(total: int) -> None:
     if total > MAX_PARAMETERS:
         raise ConfigError(f"the model would hold {total:,} parameters, more than {MAX_PARAMETERS:,}")
-
-
-def init_params(config: EncoderConfig, tokens: int, seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases and positional table, unit layer-norm gains; seed-determined.
-
-    The weights are drawn in this order: the sentencing embedding; per block,
-    every head's w_q, then every head's w_k, then every head's w_v, then
-    w_out, mlp_w1 and mlp_w2; last the head."""
-    h = _encoder_hyper(config, tokens)
-    layout = ModelParams.shapes(h)  # checks the config and the token count
-    dim, mlp_dim = config.dim, config.resolved_mlp_dim()
-    # the layout, counted without walking it: sentencing and head 5td + 2, and per
-    # block the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
-    _refuse_oversized(5 * tokens * dim + 2 + config.blocks * (4 * dim * dim + 2 * dim * mlp_dim + mlp_dim + 7 * dim))
-    drawn = ["sentencing.embed"]
-    for i in range(config.blocks):
-        drawn += [f"block{i}.attn.head{k}.{w}" for w in ("w_q", "w_k", "w_v") for k in range(config.heads)]
-        drawn += [f"block{i}.{name}" for name in ("attn.w_out", "mlp_w1", "mlp_w2")]
-    drawn.append("head.w")
-    return ModelParams.from_arrays(h, _init_arrays(layout, drawn, seed))
-
-
-def init_fnn(features: int, hidden: tuple[int, int] = (64, 64), seed: int = 0) -> FnnParams:
-    """Glorot-uniform weights drawn in the order w1, w2, w3, and zero biases; seed-determined."""
-    h = {"kind": FnnParams.kind, "features": features, "hidden": list(hidden)}
-    layout = FnnParams.shapes(h)  # checks the sizes
-    _refuse_oversized(sum(math.prod(shape) for _, shape in layout))
-    return FnnParams.from_arrays(h, _init_arrays(layout, ["w1", "w2", "w3"], seed))
 
 
 KINDS: dict[str, type] = {"transformer": ModelParams, "fnn": FnnParams}

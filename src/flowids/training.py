@@ -155,7 +155,8 @@ class TrainConfig:
     """Everything that determines a training run, seeds included.
 
     epochs and lr default per model kind (see MODEL_DEFAULTS) when left as
-    None; resolved() fills them in and validates.
+    None; resolved() fills them in and validates. hyper() maps the fields
+    that shape a model to its kind's hyper dict.
     """
 
     model: str = "transformer"
@@ -193,6 +194,8 @@ class TrainConfig:
                 if (isinstance(item, bool) or not isinstance(item, kind)) and (name, item) != ("mlp_dim", None):
                     wanted = "an integer" if kind is Integral else "a number"
                     raise ConfigError(f"{name}{f'[{at}]' if many else ''} must be {wanted}, got {item!r}")
+        if not isinstance(cfg.mask, bool):
+            raise ConfigError(f"mask must be true or false, got {cfg.mask!r}")
         cfg = replace(cfg, fnn_hidden=tuple(cfg.fnn_hidden), split_fractions=tuple(cfg.split_fractions))
         if cfg.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
@@ -213,12 +216,16 @@ class TrainConfig:
             raise ConfigError(f"split_fractions needs 3 entries, got {cfg.split_fractions}")
         if len(cfg.fnn_hidden) != 2:
             raise ConfigError(f"fnn_hidden needs 2 entries, got {cfg.fnn_hidden}")
-        if cfg.model == "transformer":
-            cfg.encoder().validate()
+        # the kind's own size check, before any data is read: width 1 stands in, and only bad sizes are named
+        M.KINDS[cfg.model].shapes(cfg.hyper(1))
         return cfg
 
-    def encoder(self) -> M.EncoderConfig:
-        return M.EncoderConfig(self.dim, self.heads, self.blocks, self.mlp_dim, self.mask)
+    def hyper(self, width: int) -> dict:
+        """The hyper dict of the model this config trains on inputs of this width; mlp_dim None is 4 * dim."""
+        if self.model == "fnn":
+            return {"kind": self.model, "features": width, "hidden": list(self.fnn_hidden)}
+        return {"kind": self.model, "dim": self.dim, "heads": self.heads, "blocks": self.blocks,
+                "mlp_dim": 4 * self.dim if self.mlp_dim is None else self.mlp_dim, "tokens": width, "mask": self.mask}
 
     def to_dict(self) -> dict:
         """Every field by name, in field order; tuples become JSON lists."""
@@ -403,10 +410,11 @@ def predict_scores(params, x: np.ndarray, *, mask: bool | None = None) -> np.nda
     Zero rows give an empty vector.
 
     ``mask`` only keeps callers of the older signature working: it must agree
-    with a transformer's ``config.mask``; the FNN has no attention and ignores it.
+    with a transformer's ``mask``, the one in its hyper dict; the FNN has no
+    attention and ignores it.
     """
-    if mask is not None and isinstance(params, M.ModelParams) and mask != params.config.mask:
-        raise ContractError(f"mask={mask} asked of a model built with mask={params.config.mask}")
+    if mask is not None and isinstance(params, M.ModelParams) and mask != params.mask:
+        raise ContractError(f"mask={mask} asked of a model built with mask={params.mask}")
     return _scores(_batched_logits(params, x))
 
 
@@ -434,10 +442,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
     x_train, y_train = encode_batch(train_ds.records, schema)
     x_val, y_val = encode_batch(val_ds.records, schema)
 
-    if config.model == "transformer":
-        params = M.init_params(config.encoder(), tokens=schema.width, seed=config.seed)
-    else:
-        params = M.init_fnn(schema.width, hidden=config.fnn_hidden, seed=config.seed)
+    params = M.KINDS[config.model].init(config.hyper(schema.width), config.seed)
     opt = AdamW(
         params.named_parameters(),
         lr=config.lr,

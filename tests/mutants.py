@@ -1,0 +1,143 @@
+"""Mutant census: would the tests notice a wrong program?
+
+Each mutant names one small wrong edit of the package: a file, an exact
+text that occurs there once, the text that replaces it, and the tests that
+should notice. For each mutant the census copies src/, tests/, demos/ and
+pyproject.toml into a temporary directory, applies the edit there, and runs
+``pytest -x`` on the mutant's tests with that copy first on the import path.
+A failing run kills the mutant; a passing run lets it survive. The checkout
+itself is never edited.
+
+Run from the repository root:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # only these
+
+It prints one line per mutant and then the survivors. It exits 0 when every
+mutant is killed, 1 when one survives, and 2 when a mutant's text does not
+occur exactly once in its file, so the census has fallen behind the code.
+pytest does not collect this file (its name does not start with ``test_``);
+a census run takes minutes, because each mutant runs its tests again.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # occurs exactly once in file
+    new: str
+    tests: tuple[str, ...]  # pytest arguments: test files, or node ids within them
+
+
+MUTANTS = [
+    # three survivors of an earlier hand census, each since killed by a test
+    Mutant("accuracy-strict-at-one-half", "src/flowids/training.py",
+           "(_scores(logits) >= 0.5)", "(_scores(logits) > 0.5)", ("tests/test_training.py",)),
+    Mutant("warning-printed-each-time", "src/flowids/cli.py",
+           "        if str(message) not in warned:\n", "        if True:\n", ("tests/test_cli.py::TestWarnings",)),
+    Mutant("unbroadcast-only-long-axes", "src/flowids/tensor.py",
+           "n == 1 and grad.shape[i] != 1", "n == 1 and grad.shape[i] > 2", ("tests/test_tensor.py",)),
+    # the size rules of a hyper dict, each checked by its kind's shapes
+    *(
+        Mutant(f"transformer-{size}-unchecked", "src/flowids/model.py",
+               "_refuse_nonpositive(dim=d, heads=heads, blocks=blocks, mlp_dim=m, tokens=t)",
+               "_refuse_nonpositive(" + ", ".join(
+                   f"{k}={v}" for k, v in (("dim", "d"), ("heads", "heads"), ("blocks", "blocks"),
+                                           ("mlp_dim", "m"), ("tokens", "t")) if k != size) + ")",
+               ("tests/test_model.py",))
+        for size in ("dim", "heads", "blocks", "mlp_dim", "tokens")
+    ),
+    Mutant("heads-need-only-not-exceed-dim", "src/flowids/model.py",
+           "if d % heads != 0:", "if d < heads:", ("tests/test_model.py",)),
+    Mutant("transformer-mask-only-not-none", "src/flowids/model.py",
+           "if not isinstance(h[\"mask\"], bool):", "if h[\"mask\"] is None:", ("tests/test_model.py",)),
+    Mutant("fnn-features-unchecked", "src/flowids/model.py",
+           "_refuse_nonpositive(features=features, hidden=h[\"hidden\"])",
+           "_refuse_nonpositive(hidden=h[\"hidden\"])", ("tests/test_model.py",)),
+    Mutant("fnn-second-hidden-unchecked", "src/flowids/model.py",
+           "_refuse_nonpositive(features=features, hidden=h[\"hidden\"])",
+           "_refuse_nonpositive(features=features, hidden=h[\"hidden\"][:1])", ("tests/test_model.py",)),
+    Mutant("sizes-of-zero-allowed", "src/flowids/model.py",
+           "else [size]) < 1]", "else [size]) < 0]", ("tests/test_model.py",)),
+    # a train config is checked, through shapes, before any data is read
+    Mutant("config-sizes-unchecked", "src/flowids/training.py",
+           "        M.KINDS[cfg.model].shapes(cfg.hyper(1))", "        pass", ("tests/test_training.py",)),
+    Mutant("config-mask-checked-by-transformer-only", "src/flowids/training.py",
+           "        if not isinstance(cfg.mask, bool):\n",
+           "        if cfg.model == \"transformer\" and not isinstance(cfg.mask, bool):\n",
+           ("tests/test_training.py",)),
+    Mutant("config-mlp-dim-default-halved", "src/flowids/training.py",
+           "4 * self.dim if self.mlp_dim is None", "2 * self.dim if self.mlp_dim is None",
+           ("tests/test_training.py",)),
+    Mutant("train-reads-data-before-config", "src/flowids/cli.py",
+           "_build_train_config(args).resolved(), {}", "_build_train_config(args), {}",
+           ("tests/test_cli.py::TestTrain",)),
+]
+
+
+def mutated(mutant: Mutant, root: Path) -> str:
+    """mutant.file under root with the edit made; ValueError unless mutant.old occurs there exactly once."""
+    text = (root / mutant.file).read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the text to replace occurs {text.count(mutant.old)} times in {mutant.file}")
+    return text.replace(mutant.old, mutant.new)
+
+
+def killed(mutant: Mutant) -> bool:
+    """Whether the mutant's tests fail on a mutated copy of the checkout."""
+    with tempfile.TemporaryDirectory(prefix="flowids-mutant-") as tmp:
+        root = Path(tmp)
+        for name in ("src", "tests", "demos"):
+            shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
+        (root / mutant.file).write_text(mutated(mutant, root), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        where = subprocess.run([sys.executable, "-c", "import flowids; print(flowids.__file__)"],
+                               cwd=root, env=env, capture_output=True, text=True, check=True).stdout.strip()
+        if not Path(where).is_relative_to(root):
+            raise RuntimeError(f"the mutated copy imports flowids from {where}, not from {root}")
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+                             cwd=root, env=env, capture_output=True, text=True)
+        if run.returncode not in (0, 1, 2):  # 2: a test module failed to import, which kills the mutant too
+            raise RuntimeError(f"{mutant.name}: pytest exited {run.returncode}, so its tests did not run:\n{run.stdout}")
+        return run.returncode != 0
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    for mutant in chosen:  # every text is checked before any test runs
+        try:
+            mutated(mutant, ROOT)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+    survivors = []
+    for mutant in chosen:
+        started = time.monotonic()
+        dead = killed(mutant)
+        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.name} ({time.monotonic() - started:.0f} s)", flush=True)
+        if not dead:
+            survivors.append(mutant.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed; survivors: {', '.join(survivors) or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -183,16 +183,17 @@ def np_fnn_logits(x, params):
     return h @ params.w3.data + params.b3.data
 
 
-def np_init_arrays(config, tokens, seed):
+def np_init_arrays(h, seed):
     """Initial parameters by name, redrawn from the documented order.
 
-    config is an EncoderConfig, with tokens the token count, or a pair of FNN
-    hidden widths, with tokens the input feature count. One generator seeded
-    with seed draws each weight uniform in +-sqrt(6 / (fan_in + fan_out)) for
-    its (fan_in, fan_out) shape: for the encoder the sentencing embedding,
-    then per block every head's w_q, every head's w_k, every head's w_v,
-    w_out, mlp_w1 and mlp_w2, then the head; for the FNN w1, w2, w3. Layer
-    norm gains are one; biases and the positional table are zero.
+    h is a hyper dict: a transformer's (dim, heads, blocks, mlp_dim and
+    tokens, the token count) or an FNN's (features, the input feature count,
+    and its two hidden widths). One generator seeded with seed draws each
+    weight uniform in +-sqrt(6 / (fan_in + fan_out)) for its (fan_in,
+    fan_out) shape: for the encoder the sentencing embedding, then per block
+    every head's w_q, every head's w_k, every head's w_v, w_out, mlp_w1 and
+    mlp_w2, then the head; for the FNN w1, w2, w3. Layer norm gains are one;
+    biases and the positional table are zero.
     """
     rng = np.random.default_rng(seed)
 
@@ -200,22 +201,22 @@ def np_init_arrays(config, tokens, seed):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    if isinstance(config, tuple):
-        h1, h2 = config
+    if h["kind"] == "fnn":
+        f, (h1, h2) = h["features"], h["hidden"]
         return {
-            "w1": glorot(tokens, h1), "b1": np.zeros(h1),
+            "w1": glorot(f, h1), "b1": np.zeros(h1),
             "w2": glorot(h1, h2), "b2": np.zeros(h2),
             "w3": glorot(h2, 2), "b3": np.zeros(2),
         }
-    d, m = config.dim, config.resolved_mlp_dim()
+    tokens, d, m, heads = h["tokens"], h["dim"], h["mlp_dim"], h["heads"]
     out = {"sentencing.embed": glorot(tokens, d)}
     out["sentencing.bias"] = np.zeros((tokens, d))
     out["sentencing.position"] = np.zeros((tokens, d))
-    for i in range(config.blocks):
+    for i in range(h["blocks"]):
         b = f"block{i}."
         for w in ("w_q", "w_k", "w_v"):
-            for k in range(config.heads):
-                out[f"{b}attn.head{k}.{w}"] = glorot(d, d // config.heads)
+            for k in range(heads):
+                out[f"{b}attn.head{k}.{w}"] = glorot(d, d // heads)
         out[b + "attn.w_out"] = glorot(d, d)
         out[b + "mlp_w1"], out[b + "mlp_b1"] = glorot(d, m), np.zeros(m)
         out[b + "mlp_w2"], out[b + "mlp_b2"] = glorot(m, d), np.zeros(d)

@@ -17,11 +17,12 @@ import flowids.tensor as T
 from flowids import metrics
 from flowids.dataio import load_checkpoint, save_checkpoint, synth
 from flowids.errors import IntegrityError
-from flowids.model import EncoderConfig, encoder_block, forward, init_params
+from flowids.model import encoder_block, forward
 from flowids.sentencing import encode_batch, sentence
 from flowids.tensor import Tensor
 from flowids.training import AdamW, TrainConfig, predict_scores, train
 from fd import central_diff, max_rel_error, taped_mean
+from models import new_transformer
 from oracles import (
     np_auc_pairwise,
     np_encoder_block,
@@ -49,7 +50,7 @@ def test_acceptance_1_full_model_gradient_check():
     """Backprop through sentencing + 2 blocks + head agrees with central
     finite differences on every parameter to 1e-4, within 60 seconds."""
     started = time.time()
-    params = init_params(EncoderConfig(dim=8, heads=2, blocks=2), tokens=13, seed=17)
+    params = new_transformer(13, seed=17, dim=8, heads=2, blocks=2)
     x = np.random.default_rng(18).uniform(size=(2, 13))
     tensors = [t for _, t in params.named_parameters()]
 
@@ -75,14 +76,14 @@ def test_acceptance_2_block_equation_oracle():
     """The block and the full pipeline match an independent straight-line
     numpy transcription to 1e-12, at small and default sizes."""
     worst = 0.0
-    small = init_params(EncoderConfig(dim=4, heads=2, blocks=1), tokens=3, seed=5)
+    small = new_transformer(3, seed=5, dim=4, heads=2, blocks=1)
     z = np.array([[0.3, -1.2, 0.5, 2.0], [1.1, 0.0, -0.7, 0.4], [-0.2, 0.9, 1.5, -1.0]])
     for mask in (True, False):
         got = encoder_block(Tensor(z), small.blocks[0], mask=mask).data
         want = np_encoder_block(z, small.blocks[0], mask=mask)
         worst = max(worst, float(np.max(np.abs(got - want))))
 
-    full = init_params(EncoderConfig(dim=32, heads=4, blocks=2), tokens=13, seed=6)
+    full = new_transformer(13, seed=6, dim=32, heads=4, blocks=2)
     x = np.random.default_rng(7).uniform(size=(4, 13))
     got = forward(x, full).data
     want = np_model_logits(x, full)
@@ -94,7 +95,7 @@ def test_acceptance_2_block_equation_oracle():
 def test_acceptance_3_mask_causality():
     """Across 100 random inputs, perturbing tokens after position i leaves
     encoder-stack rows 0..i bit-for-bit unchanged."""
-    params = init_params(EncoderConfig(dim=8, heads=2, blocks=2), tokens=13, seed=8)
+    params = new_transformer(13, seed=8, dim=8, heads=2, blocks=2)
     rng = np.random.default_rng(9)
 
     def stack(vec):

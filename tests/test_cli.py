@@ -16,7 +16,7 @@ import pytest
 
 from checkpoints import HEADER_DEFECTS, rewrite_header
 from flowids import cli, dataio, training
-from flowids.model import init_fnn
+from models import new_fnn
 
 CMD = [sys.executable, "-m", "flowids"]
 NAN = float("nan")  # json.dumps writes it as NaN, which json.load reads back
@@ -195,10 +195,30 @@ class TestTrain:
         assert field in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            pytest.param(["--heads", "3"], None, id="heads"),
+            pytest.param(["--model", "fnn"], {"fnn_hidden": [0, 4]}, id="fnn-hidden"),
+            pytest.param(["--model", "fnn"], {"mask": "false"}, id="fnn-mask"),
+        ],
+    )
+    def test_config_error_exits_2_before_data_is_read(self, tmp_path, argv, config):
+        """The config is resolved first: a --data file that does not exist is
+        not the error reported (exit 6)."""
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", tmp_path / "cfg.json"]
+        r = run("train", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.ckpt", *argv)
+        assert r.returncode == 2, r.stderr
+        assert "missing.csv" not in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_negative_mlp_dim_flag_is_usage_error(self, workdir, tmp_path):
         r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt", "--mlp-dim", -3)
         assert r.returncode == 2
         assert "mlp_dim=-3" in r.stderr
+        assert "tokens" not in r.stderr  # the input width is not known before the data is read
 
     def test_diverging_training_is_numeric_error(self, workdir, tmp_path):
         """A finite but absurd learning rate passes the config checks and overflows the weights."""
@@ -354,7 +374,7 @@ class TestEval:
         which does not exist, is never opened."""
         schema = dataio.load_checkpoint(workdir / "fnn.ckpt").schema
         bad = tmp_path / "narrow.ckpt"
-        dataio.save_checkpoint(init_fnn(4, hidden=(8, 8), seed=1), schema, {}, bad)
+        dataio.save_checkpoint(new_fnn(4, hidden=(8, 8), seed=1), schema, {}, bad)
         code = cli.main(["eval", "--model", str(bad), "--data", str(tmp_path / "absent.csv")])
         err = capsys.readouterr().err
         assert code == 3

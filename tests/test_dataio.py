@@ -28,8 +28,8 @@ from flowids.dataio import (
     write_csv,
 )
 from flowids.errors import ConfigError, ContractError, DataError, IntegrityError, SchemaError, VersionError
-from flowids.model import EncoderConfig, init_fnn, init_params
 from flowids.sentencing import NOMINAL, encode_batch, fit_schema, parse_column
+from models import new_fnn, new_transformer
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -641,7 +641,7 @@ def _without_hyper_mask(header, arrays):
 class TestCheckpoint:
     def test_transformer_round_trip(self, tmp_path):
         _, schema = _fitted()
-        params = init_params(EncoderConfig(dim=8, heads=2, blocks=2), schema.width, seed=3)
+        params = new_transformer(schema.width, seed=3, dim=8, heads=2, blocks=2)
         config = {"model": "transformer", "lr": 1e-3}
         metrics = {"val_acc": 0.97}
         path = tmp_path / "model.ckpt"
@@ -659,7 +659,7 @@ class TestCheckpoint:
 
     def test_fnn_round_trip(self, tmp_path):
         _, schema = _fitted()
-        params = init_fnn(schema.width, hidden=(16, 16), seed=1)
+        params = new_fnn(schema.width, hidden=(16, 16), seed=1)
         path = tmp_path / "fnn.ckpt"
         save_checkpoint(params, schema, {"model": "fnn"}, path)
         ck = load_checkpoint(path)
@@ -669,8 +669,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(ta.data, tb.data)
 
     @pytest.mark.parametrize("build", [
-        lambda width: init_params(EncoderConfig(dim=4, heads=2, blocks=2), width, seed=3),
-        lambda width: init_fnn(width, hidden=(6, 5), seed=3),
+        lambda width: new_transformer(width, seed=3, dim=4, heads=2, blocks=2),
+        lambda width: new_fnn(width, hidden=(6, 5), seed=3),
     ], ids=["transformer", "fnn"])
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, build):
         """A load builds the model from the file's arrays: it initialises nothing to overwrite."""
@@ -690,7 +690,7 @@ class TestCheckpoint:
 
     def test_save_is_byte_stable(self, tmp_path):
         _, schema = _fitted()
-        params = init_fnn(schema.width, hidden=(8, 8), seed=1)
+        params = new_fnn(schema.width, hidden=(8, 8), seed=1)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(params, schema, {"model": "fnn"}, a)
         save_checkpoint(params, schema, {"model": "fnn"}, b)
@@ -698,7 +698,7 @@ class TestCheckpoint:
 
     def test_flipped_byte_detected(self, tmp_path):
         _, schema = _fitted()
-        params = init_fnn(schema.width, hidden=(8, 8), seed=1)
+        params = new_fnn(schema.width, hidden=(8, 8), seed=1)
         path = tmp_path / "c.ckpt"
         save_checkpoint(params, schema, {"model": "fnn"}, path)
         blob = bytearray(path.read_bytes())
@@ -709,7 +709,7 @@ class TestCheckpoint:
 
     def test_truncation_detected(self, tmp_path):
         _, schema = _fitted()
-        params = init_fnn(schema.width, hidden=(8, 8), seed=1)
+        params = new_fnn(schema.width, hidden=(8, 8), seed=1)
         path = tmp_path / "d.ckpt"
         save_checkpoint(params, schema, {"model": "fnn"}, path)
         blob = path.read_bytes()
@@ -720,7 +720,7 @@ class TestCheckpoint:
     def test_unsupported_version_detected(self, tmp_path):
         """A well-formed file from a future format version is refused."""
         _, schema = _fitted()
-        params = init_fnn(schema.width, hidden=(8, 8), seed=1)
+        params = new_fnn(schema.width, hidden=(8, 8), seed=1)
         path = tmp_path / "e.ckpt"
         save_checkpoint(params, schema, {"model": "fnn"}, path)
         body = bytearray(path.read_bytes()[:-32])
@@ -738,18 +738,18 @@ class TestCheckpoint:
         """Files written before hyper held the mask take it from train_config
         as the CLI read it then (bool(), default true)."""
         _, schema = _fitted()
-        params = init_params(EncoderConfig(dim=4, heads=2, blocks=1), schema.width, seed=3)
+        params = new_transformer(schema.width, seed=3, dim=4, heads=2, blocks=1)
         path = tmp_path / "old.ckpt"
         save_checkpoint(params, schema, train_config, path)
         rewrite_header(path, path, _without_hyper_mask)
-        assert load_checkpoint(path).params.config.mask is mask
+        assert load_checkpoint(path).params.mask is mask
 
     @pytest.mark.parametrize("edit, field", HEADER_DEFECTS)
     def test_malformed_header_detected(self, tmp_path, edit, field):
         """A validly signed file whose header is malformed names the bad field."""
         _, schema = _fitted()
         path = tmp_path / "f.ckpt"
-        save_checkpoint(init_fnn(schema.width, hidden=(8, 8), seed=1), schema, {"model": "fnn"}, path)
+        save_checkpoint(new_fnn(schema.width, hidden=(8, 8), seed=1), schema, {"model": "fnn"}, path)
         rewrite_header(path, path, edit)
         with pytest.raises(IntegrityError, match=re.escape(field)):
             load_checkpoint(path)
@@ -766,7 +766,7 @@ class TestCheckpoint:
         for mlp_dim 20000 when the model was built first)."""
         _, schema = _fitted()
         path, bad = tmp_path / "enc.ckpt", tmp_path / "wide.ckpt"
-        save_checkpoint(init_params(EncoderConfig(), schema.width, seed=0), schema, {}, path)
+        save_checkpoint(new_transformer(schema.width, seed=0), schema, {}, path)
 
         def widen(header, arrays):
             return json.dumps({**header, "hyper": {**header["hyper"], **sizes}}, sort_keys=True).encode(), arrays
@@ -793,9 +793,9 @@ class TestCheckpoint:
         TypeError of multiplying the shape out."""
         _, schema = _fitted()
         if kind == "fnn":
-            params = init_fnn(schema.width, hidden=(8, 8), seed=1)
+            params = new_fnn(schema.width, hidden=(8, 8), seed=1)
         else:
-            params = init_params(EncoderConfig(dim=8, heads=2, blocks=1), schema.width, seed=1)
+            params = new_transformer(schema.width, seed=1, dim=8, heads=2, blocks=1)
         path, bad = tmp_path / "m.ckpt", tmp_path / "bad.ckpt"
         save_checkpoint(params, schema, {}, path)
         width = schema.width
@@ -817,9 +817,9 @@ class TestCheckpoint:
         _, schema = _fitted()
         assert schema.width != 4
         if kind == "fnn":
-            params = init_fnn(4, hidden=(8, 8), seed=1)
+            params = new_fnn(4, hidden=(8, 8), seed=1)
         else:
-            params = init_params(EncoderConfig(dim=8, heads=2, blocks=1), 4, seed=1)
+            params = new_transformer(4, seed=1, dim=8, heads=2, blocks=1)
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, schema, {}, path)
         with pytest.raises(IntegrityError, match=f"schema encodes {schema.width} features but the model takes 4 inputs"):

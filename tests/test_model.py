@@ -8,18 +8,18 @@ from flowids import model
 from flowids.errors import ConfigError, IncompatibilityError
 from flowids.model import (
     KINDS,
-    EncoderConfig,
+    FnnParams,
+    ModelParams,
     attention,
     encoder_block,
     fnn_forward,
     forward,
-    init_fnn,
-    init_params,
 )
 from flowids.sentencing import sentence
 from flowids.tensor import Tensor
 from flowids.training import cross_entropy
 from fd import central_diff, max_rel_error, taped_mean
+from models import new_fnn, new_transformer
 from oracles import (
     np_encoder_block,
     np_fnn_logits,
@@ -37,31 +37,42 @@ def fresh_tape():
 
 
 def _small_params(tokens=3, dim=4, heads=2, blocks=2, seed=3):
-    return init_params(EncoderConfig(dim=dim, heads=heads, blocks=blocks), tokens, seed)
+    return new_transformer(tokens, seed=seed, dim=dim, heads=heads, blocks=blocks)
 
 
-class TestEncoderConfig:
-    def test_mlp_dim_defaults_to_four_dim(self):
-        assert EncoderConfig(dim=32).resolved_mlp_dim() == 128
-        assert EncoderConfig(dim=32, mlp_dim=48).resolved_mlp_dim() == 48
+def _hyper(**sizes):
+    """The default transformer's hyper dict over 13 tokens, with sizes replaced."""
+    return {"kind": "transformer", "dim": 32, "heads": 4, "blocks": 2, "mlp_dim": 128, "tokens": 13, "mask": True, **sizes}
+
+
+class TestShapes:
+    """shapes(h) is each kind's one check of a hyper dict, run before it lays anything out."""
 
     @pytest.mark.parametrize("mask", ["false", 0, None])
     def test_non_bool_mask_rejected(self, mask):
         with pytest.raises(ConfigError, match="mask"):
-            EncoderConfig(mask=mask).validate()
+            ModelParams.shapes(_hyper(mask=mask))
 
     def test_heads_must_divide_dim(self):
-        with pytest.raises(ConfigError, match="divide"):
-            EncoderConfig(dim=10, heads=4).validate()
+        with pytest.raises(ConfigError, match="head count 4 does not divide token dim 10"):
+            ModelParams.shapes(_hyper(dim=10, heads=4))
 
-    def test_sizes_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(dim=0).validate()
-        with pytest.raises(ConfigError):
-            EncoderConfig(blocks=-1).validate()
-        for mlp_dim in (0, -3):
-            with pytest.raises(ConfigError, match="mlp_dim"):
-                EncoderConfig(mlp_dim=mlp_dim).validate()
+    @pytest.mark.parametrize("name, value", [
+        ("dim", 0), ("heads", 0), ("blocks", -1), ("mlp_dim", 0), ("mlp_dim", -3), ("tokens", 0),
+    ])
+    def test_sizes_must_be_positive(self, name, value):
+        """The message names the sizes below 1 and no other."""
+        with pytest.raises(ConfigError, match=f"^sizes must be positive, got {name}={value}$"):
+            ModelParams.shapes(_hyper(**{name: value}))
+
+    @pytest.mark.parametrize("h, bad", [
+        ({"features": 0, "hidden": [4, 4]}, "features=0"),
+        ({"features": 5, "hidden": [0, 4]}, r"hidden=\[0, 4\]"),
+        ({"features": 5, "hidden": [4, -1]}, r"hidden=\[4, -1\]"),
+    ], ids=["features", "hidden-first", "hidden-second"])
+    def test_fnn_sizes_must_be_positive(self, h, bad):
+        with pytest.raises(ConfigError, match=f"^sizes must be positive, got {bad}$"):
+            FnnParams.shapes({"kind": "fnn", **h})
 
 
 class TestInit:
@@ -72,20 +83,17 @@ class TestInit:
             assert name_a == name_b
             np.testing.assert_array_equal(ta.data, tb.data)
 
-    @pytest.mark.parametrize("config, tokens, seed", [
-        (EncoderConfig(dim=6, heads=3, blocks=2, mlp_dim=5), 4, 7),
-        (EncoderConfig(dim=4, heads=1, blocks=3, mask=False), 2, 0),
-        (EncoderConfig(dim=8, heads=2, blocks=1), 13, 3),
-        ((5, 3), 7, 11),
+    @pytest.mark.parametrize("h, seed", [
+        (_hyper(dim=6, heads=3, blocks=2, mlp_dim=5, tokens=4), 7),
+        (_hyper(dim=4, heads=1, blocks=3, mlp_dim=16, tokens=2, mask=False), 0),
+        (_hyper(dim=8, heads=2, blocks=1, mlp_dim=32), 3),
+        ({"kind": "fnn", "features": 7, "hidden": [5, 3]}, 11),
     ], ids=["heads3-blocks2", "heads1-blocks3", "heads2-blocks1", "fnn"])
-    def test_init_matches_documented_draw_order(self, config, tokens, seed):
+    def test_init_matches_documented_draw_order(self, h, seed):
         """Every initial array, bit for bit, is the oracle's independent redraw;
         uniform draws make no BLAS call, so the bits are the same on any machine."""
-        if isinstance(config, tuple):
-            params = init_fnn(tokens, hidden=config, seed=seed)
-        else:
-            params = init_params(config, tokens, seed)
-        want = np_init_arrays(config, tokens, seed)
+        params = KINDS[h["kind"]].init(h, seed)
+        want = np_init_arrays(h, seed)
         assert sorted(want) == sorted(name for name, _ in params.named_parameters())
         for name, t in params.named_parameters():
             np.testing.assert_array_equal(t.data, want[name], err_msg=name)
@@ -132,18 +140,18 @@ class TestInit:
         assert sum(t.data.size for _, t in p.named_parameters()) == expected
 
     def test_fnn_parameter_count(self):
-        p = init_fnn(13, hidden=(64, 64), seed=0)
+        p = new_fnn(13, hidden=(64, 64), seed=0)
         assert sum(t.data.size for _, t in p.named_parameters()) == 13 * 64 + 64 + 64 * 64 + 64 + 64 * 2 + 2
 
     def test_invalid_head_split_rejected(self):
         with pytest.raises(ConfigError):
-            init_params(EncoderConfig(dim=10, heads=4), tokens=3, seed=0)
+            new_transformer(3, seed=0, dim=10, heads=4)
 
     @pytest.mark.parametrize("build", [
-        lambda: init_params(EncoderConfig(dim=4, heads=2, blocks=1, mlp_dim=2**64), tokens=3, seed=0),
-        lambda: init_params(EncoderConfig(dim=2, heads=1, blocks=2**40), tokens=3, seed=0),
-        lambda: init_params(EncoderConfig(dim=2**12, heads=1, blocks=1), tokens=2**12, seed=0),
-        lambda: init_fnn(13, hidden=(2**64, 4)),
+        lambda: new_transformer(3, seed=0, dim=4, heads=2, blocks=1, mlp_dim=2**64),
+        lambda: new_transformer(3, seed=0, dim=2, heads=1, blocks=2**40),
+        lambda: new_transformer(2**12, seed=0, dim=2**12, heads=1, blocks=1),
+        lambda: new_fnn(13, hidden=(2**64, 4)),
     ], ids=["mlp_dim-2**64", "blocks-2**40", "tokens-times-dim", "fnn-hidden-2**64"])
     def test_oversized_model_is_refused_before_allocating(self, build):
         """A size numpy cannot index, or a model past MAX_PARAMETERS, is a
@@ -152,8 +160,8 @@ class TestInit:
             build()
 
     @pytest.mark.parametrize("build", [
-        lambda: init_params(EncoderConfig(dim=6, heads=3, blocks=2, mlp_dim=5), tokens=4, seed=0),
-        lambda: init_fnn(7, hidden=(5, 3)),
+        lambda: new_transformer(4, seed=0, dim=6, heads=3, blocks=2, mlp_dim=5),
+        lambda: new_fnn(7, hidden=(5, 3)),
     ], ids=["transformer", "fnn"])
     def test_size_limit_counts_the_parameters_built(self, build, monkeypatch):
         """The count checked before building is the count built: a model of
@@ -265,7 +273,7 @@ class TestForward:
         """The same weights built with mask=False give other logits: forward
         takes the mask from the model's config."""
         p = _small_params(tokens=6, dim=4, heads=2, blocks=1)
-        unmasked = init_params(EncoderConfig(dim=4, heads=2, blocks=1, mask=False), 6, seed=3)
+        unmasked = new_transformer(6, seed=3, dim=4, heads=2, blocks=1, mask=False)
         x = np.random.default_rng(5).uniform(size=(2, 6))
         masked = forward(x, p).data
         free = forward(x, unmasked).data
@@ -291,7 +299,7 @@ class TestForward:
         whatever rows share its chunk: a prefix of a scoring chunk gives
         the chunk's first rows, and a permuted chunk gives permuted rows."""
         rows = model.ModelParams.chunk_rows
-        p = init_params(EncoderConfig(), tokens=13, seed=21)
+        p = new_transformer(13, seed=21)
         rng = np.random.default_rng(22)
         x = rng.uniform(size=(rows, 13))
 
@@ -299,7 +307,7 @@ class TestForward:
             with T.no_grad():
                 z = sentence(Tensor(v), p.sentencing)
                 for block in p.blocks:
-                    z = encoder_block(z, block, p.config.mask)
+                    z = encoder_block(z, block, p.mask)
             return z.data
 
         whole = body(x)
@@ -321,7 +329,7 @@ def op_fnn(x, p):
 
 def fnn_step(forward_fn, rows, x_grad=False, frozen=()):
     """Logits and the gradient of each FNN input after one cross-entropy backward pass."""
-    p = init_fnn(13, hidden=(64, 64), seed=4)
+    p = new_fnn(13, hidden=(64, 64), seed=4)
     for name in frozen:
         getattr(p, name).requires_grad = False
     rng = np.random.default_rng(rows)
@@ -340,20 +348,20 @@ def same_bytes(a, b) -> bool:
 
 class TestFnn:
     def test_matches_transcription(self):
-        p = init_fnn(5, hidden=(8, 8), seed=1)
+        p = new_fnn(5, hidden=(8, 8), seed=1)
         x = np.random.default_rng(6).uniform(size=(4, 5))
         np.testing.assert_allclose(
             fnn_forward(x, p).data, np_fnn_logits(x, p), rtol=1e-12, atol=1e-12
         )
 
     def test_width_mismatch_rejected(self):
-        p = init_fnn(5, hidden=(8, 8), seed=1)
+        p = new_fnn(5, hidden=(8, 8), seed=1)
         with pytest.raises(IncompatibilityError):
             fnn_forward(np.zeros((2, 7)), p)
 
     def test_gradient_check(self):
         """End-to-end finite differences across all six parameter tensors."""
-        p = init_fnn(5, hidden=(8, 8), seed=2)
+        p = new_fnn(5, hidden=(8, 8), seed=2)
         x = np.random.default_rng(7).uniform(size=(4, 5))
         tensors = [t for _, t in p.named_parameters()]
 
@@ -392,13 +400,13 @@ class TestFnn:
             assert same_bytes(g, ref), name
 
     def test_no_grad_records_nothing(self):
-        p = init_fnn(5, hidden=(8, 8), seed=1)
+        p = new_fnn(5, hidden=(8, 8), seed=1)
         with T.no_grad():
             out = fnn_forward(np.ones((3, 5)), p)
         assert T.active_tape() == [] and not out.requires_grad
 
     def test_training_step_records_the_fnn_and_the_loss(self):
-        p = init_fnn(5, hidden=(8, 8), seed=1)
+        p = new_fnn(5, hidden=(8, 8), seed=1)
         T.backward(cross_entropy(p.logits(np.ones((16, 5))), np.zeros(16, dtype=np.int64)))
         assert len(T.active_tape()) == 2
         assert all(t.grad is not None for _, t in p.named_parameters())
@@ -409,9 +417,9 @@ class TestKindInterface:
         "params, oracle",
         [
             (_small_params(tokens=5, seed=8), np_model_logits),
-            (init_fnn(5, hidden=(8, 6), seed=8), np_fnn_logits),
+            (new_fnn(5, hidden=(8, 6), seed=8), np_fnn_logits),
             (
-                init_params(EncoderConfig(dim=4, heads=2, blocks=2, mask=False), 5, seed=8),
+                new_transformer(5, seed=8, dim=4, heads=2, blocks=2, mask=False),
                 lambda x, p: np_model_logits(x, p, mask=False),
             ),
         ],

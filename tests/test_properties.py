@@ -20,7 +20,7 @@ from checkpoints import rewrite_header
 from flowids import cli, training
 from flowids.dataio import Dataset, FlowTable, load_checkpoint, load_csv, save_checkpoint, synth, write_csv
 from flowids.errors import DataError, FlowidsError
-from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
+from flowids.model import KINDS
 from flowids.sentencing import (
     BOOLEAN,
     NOMINAL,
@@ -35,6 +35,7 @@ from flowids.sentencing import (
     parse_column,
 )
 from flowids.training import TrainConfig
+from models import new_fnn, new_transformer
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -413,8 +414,8 @@ def checkpoint_bytes(synthetic_schema):
     """The bytes of a small transformer checkpoint and a small FNN checkpoint, by kind."""
     schema = synthetic_schema
     models = {
-        "transformer": init_params(EncoderConfig(dim=4, heads=2, blocks=1), schema.width, seed=0),
-        "fnn": init_fnn(schema.width, hidden=(4, 4), seed=0),
+        "transformer": new_transformer(schema.width, seed=0, dim=4, heads=2, blocks=1),
+        "fnn": new_fnn(schema.width, hidden=(4, 4), seed=0),
     }
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt"
@@ -523,15 +524,16 @@ small_hypers = st.one_of(
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_hypers, st.integers(0, 2**32 - 1))
 def test_from_arrays_builds_the_layout_of_shapes(synthetic_schema, h, seed):
-    """from_arrays(h, arrays) has hyper h and parameters named and shaped as shapes(h)
-    lists them. With its input width set to the fitted synthetic schema's 13, a
-    checkpoint of it saves, loads and saves to the same bytes."""
+    """from_arrays(h, arrays) and init(h, seed) have hyper h, derived back from
+    their arrays, and parameters named and shaped as shapes(h) lists them. With
+    its input width set to the fitted synthetic schema's 13, a checkpoint of it
+    saves, loads and saves to the same bytes."""
     kind = KINDS[h["kind"]]
     rng = np.random.default_rng(seed)
     arrays = {name: rng.normal(size=shape) for name, shape in kind.shapes(h)}
-    params = kind.from_arrays(h, arrays)
-    assert params.hyper() == h
-    assert [(name, t.data.shape) for name, t in params.named_parameters()] == list(kind.shapes(h))
+    for params in (kind.from_arrays(h, arrays), kind.init(h, seed)):
+        assert params.hyper() == h
+        assert [(name, t.data.shape) for name, t in params.named_parameters()] == list(kind.shapes(h))
     h = {**h, ("tokens" if h["kind"] == "transformer" else "features"): synthetic_schema.width}
     params = kind.from_arrays(h, {name: rng.normal(size=shape) for name, shape in kind.shapes(h)})
     with tempfile.TemporaryDirectory() as tmp:
@@ -551,7 +553,7 @@ def scored_rows():
     ds = synth(300, seed=3, difficulty="noisy")
     schema = fit_schema(ds.records, ds.profile)
     x, _ = encode_batch(ds.records, schema)
-    models = {"transformer": init_params(EncoderConfig(), tokens=schema.width, seed=0), "fnn": init_fnn(schema.width, seed=0)}
+    models = {"transformer": new_transformer(schema.width, seed=0), "fnn": new_fnn(schema.width, seed=0)}
     with T.no_grad():
         return x, {kind: (params, params.logits(x).data) for kind, params in models.items()}
 

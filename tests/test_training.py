@@ -17,7 +17,7 @@ import pytest
 import flowids.tensor as T
 from flowids import dataio, metrics, training
 from flowids.errors import ConfigError, ContractError, DataError, IncompatibilityError, NumericError
-from flowids.model import KINDS, EncoderConfig, init_fnn, init_params
+from flowids.model import KINDS
 from flowids.sentencing import encode_batch, fit_schema
 from flowids.tensor import Tensor
 from flowids.training import (
@@ -30,12 +30,13 @@ from flowids.training import (
     train,
 )
 from fd import central_diff, max_rel_error
+from models import new_fnn, new_transformer
 from oracles import np_adamw, np_fnn_logits, np_model_logits, np_softmax
 
 
 def _default_step_inputs(batch: int):
     """The default encoder (dim 32, 4 heads, 2 blocks, 13 tokens) and one random batch."""
-    params = init_params(EncoderConfig(dim=32, heads=4, blocks=2), tokens=13, seed=0)
+    params = new_transformer(13, seed=0, dim=32, heads=4, blocks=2)
     rng = np.random.default_rng(7)
     return params, rng.uniform(size=(batch, 13)), rng.integers(0, 2, size=batch)
 
@@ -278,10 +279,37 @@ class TestTrainConfig:
         }
         assert list(d) == [f.name for f in dataclasses.fields(TrainConfig)]
 
-    def test_non_bool_mask_rejected(self):
-        """A JSON config's "mask": "false" would otherwise mask silently."""
-        with pytest.raises(ConfigError, match="mask"):
-            TrainConfig(mask="false").resolved()
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_non_bool_mask_rejected(self, kind):
+        """A JSON config's "mask": "false" would otherwise mask silently, or,
+        for the FNN, be recorded as the string in its checkpoint's train_config."""
+        with pytest.raises(ConfigError, match="mask must be true or false, got 'false'"):
+            TrainConfig(model=kind, mask="false").resolved()
+
+    def test_hyper_mlp_dim_defaults_to_four_dim(self):
+        assert TrainConfig(dim=32).hyper(13)["mlp_dim"] == 128
+        assert TrainConfig(dim=32, mlp_dim=48).hyper(13)["mlp_dim"] == 48
+
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_hyper_is_the_hyper_of_the_model_trained(self, kind):
+        res = train(dataio.synth(40, seed=2), _tiny_cfg(model=kind, dim=4, epochs=1))
+        assert res.config.hyper(res.schema.width) == res.params.hyper()
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            pytest.param({"fnn_hidden": (0, 4)}, r"sizes must be positive, got hidden=\[0, 4\]$", id="fnn-hidden-zero"),
+            pytest.param({"model": "transformer", "mlp_dim": -3}, "sizes must be positive, got mlp_dim=-3$", id="mlp-dim"),
+            pytest.param({"model": "transformer", "dim": 0, "mlp_dim": 8}, "sizes must be positive, got dim=0$", id="dim"),
+            pytest.param({"model": "transformer", "heads": 3}, "head count 3 does not divide token dim 32", id="heads"),
+        ],
+    )
+    def test_model_sizes_are_checked_before_any_data(self, overrides, error):
+        """resolved() runs the kind's own size check, shapes, so a size that
+        cannot build fails before the split and the fit; the message names
+        only the sizes at fault, never the input width, which is not known yet."""
+        with pytest.raises(ConfigError, match=error):
+            TrainConfig(**{"model": "fnn", **overrides}).resolved()
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -404,10 +432,7 @@ class TestTrainLoop:
         res = train(ds, _tiny_cfg(model=kind, dim=4, epochs=1, lr=1e-2, seed=1, batch_size=1000))
         x, y = encode_batch(res.train.records, res.schema)
         cfg = res.config
-        if kind == "transformer":
-            fresh = init_params(cfg.encoder(), tokens=res.schema.width, seed=cfg.seed)
-        else:
-            fresh = init_fnn(res.schema.width, hidden=cfg.fnn_hidden, seed=cfg.seed)
+        fresh = KINDS[kind].init(cfg.hyper(res.schema.width), cfg.seed)
         _, before = evaluate(fresh, x, y)
         _, after = evaluate(res.params, x, y)
         assert before != after  # the one step moved the accuracy, so the two readings differ
@@ -484,9 +509,9 @@ class TestTrainLoop:
         """A zero head scores every row exactly 0.5, which evaluate counts as
         class 1, as metrics does with score >= threshold."""
         if kind == "transformer":
-            params = init_params(EncoderConfig(dim=4, heads=2, blocks=1), tokens=5, seed=1)
+            params = new_transformer(5, seed=1, dim=4, heads=2, blocks=1)
         else:
-            params = init_fnn(5, hidden=(4, 4), seed=1)
+            params = new_fnn(5, hidden=(4, 4), seed=1)
         for _, t in params.named_parameters()[-2:]:  # the head's weight and bias
             t.data[...] = 0.0
         x, y = np.random.default_rng(7).uniform(size=(6, 5)), np.array([1, 1, 1, 1, 1, 0])
@@ -501,9 +526,9 @@ class TestInference:
         """Two full inference chunks of the kind plus a 3-row tail score as
         one softmax over the straight-line transcription of the model."""
         if kind == "transformer":
-            params = init_params(EncoderConfig(dim=8, heads=2, blocks=2), tokens=5, seed=1)
+            params = new_transformer(5, seed=1, dim=8, heads=2, blocks=2)
         else:
-            params = init_fnn(5, hidden=(8, 8), seed=1)
+            params = new_fnn(5, hidden=(8, 8), seed=1)
         x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows + 3, 5))
         logits = np_model_logits(x, params) if kind == "transformer" else np_fnn_logits(x, params)
         want = np_softmax(logits, axis=1)[:, 1]
@@ -524,11 +549,11 @@ class TestInference:
 
     def test_legacy_mask_argument_must_agree_with_the_model(self):
         x = np.random.default_rng(2).uniform(size=(4, 5))
-        params = init_params(EncoderConfig(dim=4, heads=2, blocks=1, mask=False), tokens=5, seed=1)
+        params = new_transformer(5, seed=1, dim=4, heads=2, blocks=1, mask=False)
         np.testing.assert_array_equal(predict_scores(params, x, mask=False), predict_scores(params, x))
         with pytest.raises(ContractError, match="mask"):
             predict_scores(params, x, mask=True)
-        fnn = init_fnn(5, hidden=(8, 8), seed=1)
+        fnn = new_fnn(5, hidden=(8, 8), seed=1)
         np.testing.assert_array_equal(predict_scores(fnn, x, mask=False), predict_scores(fnn, x))
 
     def test_default_training_step_records_103_ops(self):
@@ -555,7 +580,7 @@ class TestParallelScoring:
 
     @staticmethod
     def _small_transformer():
-        return init_params(EncoderConfig(dim=8, heads=2, blocks=2), tokens=5, seed=1)
+        return new_transformer(5, seed=1, dim=8, heads=2, blocks=2)
 
     @staticmethod
     def _spy(monkeypatch, params, fail=(), delay=0.0):
@@ -585,7 +610,7 @@ class TestParallelScoring:
             ds = dataio.synth(4000, seed=3, difficulty="noisy")
             schema = fit_schema(ds.records, ds.profile)
             x, _ = encode_batch(ds.records, schema)
-            params = init_params(EncoderConfig(), tokens=schema.width, seed=0)
+            params = new_transformer(schema.width, seed=0)
         else:
             params = self._small_transformer()
             x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows + 3, 5))
@@ -729,7 +754,7 @@ class TestParallelScoring:
         assert T._GRAD_ENABLED and T.active_tape() == []
 
     def test_fnn_chunks_run_on_the_calling_thread(self, monkeypatch):
-        params = init_fnn(5, hidden=(8, 8), seed=1)
+        params = new_fnn(5, hidden=(8, 8), seed=1)
         x = np.random.default_rng(6).uniform(size=(4 * params.chunk_rows + 3, 5))
         x[:, 0] = np.arange(len(x))
         monkeypatch.setattr(training, "usable_cores", lambda: 3)
@@ -744,9 +769,9 @@ class TestParallelScoring:
         code = (
             "import sys, numpy as np\n"
             "from flowids import cli, training\n"
-            "from flowids.model import EncoderConfig, init_fnn, init_params\n"
-            "training.predict_scores(init_fnn(5, hidden=(8, 8), seed=1), np.zeros((300, 5)))\n"
-            "params = init_params(EncoderConfig(dim=8, heads=2, blocks=1), tokens=5, seed=1)\n"
+            "from models import new_fnn, new_transformer\n"
+            "training.predict_scores(new_fnn(5, hidden=(8, 8), seed=1), np.zeros((300, 5)))\n"
+            "params = new_transformer(5, seed=1, dim=8, heads=2, blocks=1)\n"
             "training.predict_scores(params, np.zeros((params.chunk_rows, 5)))\n"
             "assert 'concurrent.futures' not in sys.modules, 'imported'\n"
         )
@@ -806,7 +831,7 @@ class TestParallelScoring:
         """No rows: an empty score vector, and (nan, nan) from evaluate, as
         train logs for an empty validation split, without a warning. The
         width is checked as for any other input."""
-        params = self._small_transformer() if kind == "transformer" else init_fnn(5, hidden=(8, 8), seed=1)
+        params = self._small_transformer() if kind == "transformer" else new_fnn(5, hidden=(8, 8), seed=1)
         scores = predict_scores(params, np.empty((0, 5)))
         assert scores.shape == (0,) and scores.dtype == np.float64
         loss, acc = evaluate(params, np.empty((0, 5)), np.empty(0, dtype=np.int64))
