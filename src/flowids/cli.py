@@ -128,6 +128,7 @@ def _build_train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> Run:
     config, loads = _build_train_config(args).resolved(), {}  # a config error exits before --data is read
+    M.KINDS[config.model].shapes(config.hyper(len(PROFILES[args.profile]["features"])))  # so does a size error
     dataset = _load_dataset(args.data, args.profile, loads)
     result = train(dataset, config)
     for row in result.log.rows:

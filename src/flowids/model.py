@@ -9,9 +9,9 @@ two class logits.
 
 The causal mask restricts position i to attend to positions <= i. It is not
 needed for whole-record classification, but it is part of the architecture
-being reproduced. It is part of the architecture, the ``mask`` entry of the
-transformer's hyper dict, so a model always scores the way it was trained;
-build with mask false to ablate it.
+being reproduced. It is the ``mask`` entry of the transformer's hyper dict,
+so a model always scores the way it was trained; build with mask false to
+ablate it.
 
 The MLP baseline (``fnn_forward``) is three dense layers with ReLU between
 them, run as one taped primitive, as ``training.cross_entropy`` is: one
@@ -22,13 +22,14 @@ the generic ops in ``tensor``.
 A model's shape has one statement, its hyper dict: the checkpoint's
 ``hyper`` header field, what ``TrainConfig.hyper`` gives, and what ``hyper()``
 derives back from a built model's arrays. Each model kind is one parameter
-class owning ``logits``, ``hyper``, its layout ``shapes`` (the kind's one check
-of a hyper dict), its ``init`` from a hyper dict and a seed, its one builder
-``from_arrays`` (which both init and checkpoint load go through), and how it
-is scored: at most ``chunk_rows`` rows per inference chunk, and whether
-``threaded_chunks`` may spread the chunks over threads (see
-``training._batched_logits``). ``KINDS`` is the only map from a kind name to
-its class.
+class owning ``logits``, ``hyper``, its layout ``shapes``, its ``init`` from a
+hyper dict and a seed, its one builder ``from_arrays`` (which both init and
+checkpoint load go through), and whether ``threaded_chunks`` may spread its
+inference chunks over threads (see ``training._batched_logits``). ``shapes``
+is the only home of a kind's size rules: every size a positive integer (a
+bool is none), the kind's own rules, and at most ``MAX_PARAMETERS``
+parameters, counted without allocating. ``KINDS`` is the only map from a kind
+name to its class.
 """
 
 from __future__ import annotations
@@ -84,14 +85,6 @@ class ModelParams:
     mask: bool  # causal attention mask on or off
 
     kind = "transformer"
-    # The most rows in one inference chunk; a call with more rows cuts them
-    # into equal chunks of at most this many (see training._batched_logits).
-    # Each chunk hands the GIL between the scoring threads many times, so
-    # 128 rows make fewer handoffs per row than 64 did; softmax and
-    # layer_norm reuse their temporaries, so a worker thread's heap stays
-    # near one chunk's working set. 256 rows scored no faster and raised
-    # the benchmark's peak RSS by 6.5 MB (9%) over 128.
-    chunk_rows = 128
     threaded_chunks = True
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -108,14 +101,17 @@ class ModelParams:
     @staticmethod
     def shapes(h: dict):
         """(name, shape) of each parameter that from_arrays(h, ...) builds, in order; checks h
-        at once (sizes positive, heads dividing dim, mask true or false), then yields the
-        layout lazily, allocating nothing."""
+        at once (sizes positive integers, heads dividing dim, mask true or false, the
+        parameter budget), then yields the layout lazily, allocating nothing."""
         t, d, heads, blocks, m = h["tokens"], h["dim"], h["heads"], h["blocks"], h["mlp_dim"]
         _refuse_nonpositive(dim=d, heads=heads, blocks=blocks, mlp_dim=m, tokens=t)
         if d % heads != 0:  # so that d // heads is the head width
             raise ConfigError(f"head count {heads} does not divide token dim {d}")
         if not isinstance(h["mask"], bool):
             raise ConfigError(f"mask must be true or false, got {h['mask']!r}")
+        # the layout, counted without walking it: sentencing and head 5td + 2, and per
+        # block the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
+        _refuse_oversized(5 * t * d + 2 + blocks * (4 * d * d + 2 * d * m + m + 7 * d))
 
         def layout():
             yield from ((f"sentencing.{name}", (t, d)) for name in ("embed", "bias", "position"))
@@ -138,10 +134,6 @@ class ModelParams:
         every head's w_q, then every head's w_k, then every head's w_v, then
         w_out, mlp_w1 and mlp_w2; last the head."""
         layout = cls.shapes(h)  # checks h
-        t, d, m = h["tokens"], h["dim"], h["mlp_dim"]
-        # the layout, counted without walking it: sentencing and head 5td + 2, and per
-        # block the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
-        _refuse_oversized(5 * t * d + 2 + h["blocks"] * (4 * d * d + 2 * d * m + m + 7 * d))
         drawn = ["sentencing.embed"]
         for i in range(h["blocks"]):
             drawn += [f"block{i}.attn.head{k}.{w}" for w in ("w_q", "w_k", "w_v") for k in range(h["heads"])]
@@ -178,10 +170,7 @@ class FnnParams:
     b3: Tensor
 
     kind = "fnn"
-    # chunk_rows is a cap, as for the transformer. Too little work per chunk
-    # to pay for a thread handoff: chunks run on the calling thread.
-    chunk_rows = 128
-    threaded_chunks = False
+    threaded_chunks = False  # too little work per chunk to pay for a thread handoff
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._named)  # in shapes order, recorded by from_arrays
@@ -196,17 +185,17 @@ class FnnParams:
     @staticmethod
     def shapes(h: dict) -> list[tuple[str, tuple]]:
         """(name, shape) of each parameter, in order: the layout that from_arrays(h, ...) builds;
-        checks h first (sizes positive)."""
+        checks h first (sizes positive integers, the parameter budget)."""
         features, (h1, h2) = h["features"], h["hidden"]
         _refuse_nonpositive(features=features, hidden=h["hidden"])
-        return [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
+        layout = [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
+        _refuse_oversized(sum(math.prod(shape) for _, shape in layout))
+        return layout
 
     @classmethod
     def init(cls, h: dict, seed: int) -> "FnnParams":
         """Glorot-uniform weights drawn in the order w1, w2, w3, and zero biases; seed-determined."""
-        layout = cls.shapes(h)  # checks h
-        _refuse_oversized(sum(math.prod(shape) for _, shape in layout))
-        return cls.from_arrays(h, _init_arrays(layout, ["w1", "w2", "w3"], seed))
+        return cls.from_arrays(h, _init_arrays(cls.shapes(h), ["w1", "w2", "w3"], seed))
 
     @classmethod
     def from_arrays(cls, h: dict, arrays: dict) -> "FnnParams":
@@ -311,10 +300,12 @@ def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
 
 
 def _refuse_nonpositive(**sizes) -> None:
-    """A ConfigError naming each size below 1, a list when any of its entries is."""
-    bad = [f"{name}={size}" for name, size in sizes.items() if min(size if isinstance(size, list) else [size]) < 1]
+    """A ConfigError naming, by its repr, each size that is not an int of at least 1 (a bool is
+    not one), a list when any of its entries is not."""
+    bad = [f"{name}={size!r}" for name, size in sizes.items()
+           if not all(type(n) is int and n >= 1 for n in (size if isinstance(size, list) else [size]))]
     if bad:
-        raise ConfigError(f"sizes must be positive, got {', '.join(bad)}")
+        raise ConfigError(f"sizes must be positive integers, got {', '.join(bad)}")
 
 
 def _parameters(layout, arrays: dict) -> list[tuple[str, Tensor]]:

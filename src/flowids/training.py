@@ -22,7 +22,7 @@ from . import dataio
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, ContractError, DataError, NumericError
-from .sentencing import Schema, encode_batch, fit_schema
+from .sentencing import Schema, encode_batch, fit_schema, profile_columns
 from .tensor import Tensor
 
 # Per-model defaults. The transformer settings mirror the reproduced
@@ -155,8 +155,11 @@ class TrainConfig:
     """Everything that determines a training run, seeds included.
 
     epochs and lr default per model kind (see MODEL_DEFAULTS) when left as
-    None; resolved() fills them in and validates. hyper() maps the fields
-    that shape a model to its kind's hyper dict.
+    None; resolved() fills them in and validates each field's type and
+    range. hyper() maps the fields that shape a model to its kind's hyper
+    dict, whose size rules only the kind's shapes checks, at the input
+    width: train() builds the model before it splits, and the CLI checks
+    at the profile's width before it opens --data.
     """
 
     model: str = "transformer"
@@ -216,8 +219,6 @@ class TrainConfig:
             raise ConfigError(f"split_fractions needs 3 entries, got {cfg.split_fractions}")
         if len(cfg.fnn_hidden) != 2:
             raise ConfigError(f"fnn_hidden needs 2 entries, got {cfg.fnn_hidden}")
-        # the kind's own size check, before any data is read: width 1 stands in, and only bad sizes are named
-        M.KINDS[cfg.model].shapes(cfg.hyper(1))
         return cfg
 
     def hyper(self, width: int) -> dict:
@@ -290,10 +291,15 @@ class TrainResult:
     test: dataio.Dataset
 
 
-# Inference runs in chunks of at most the kind's chunk_rows rows. At the
-# default encoder (13 tokens, MLP width 128) a 512-row chunk's float64
+# Inference runs in chunks of at most CHUNK_ROWS rows, for either kind. At
+# the default encoder (13 tokens, MLP width 128) a 512-row chunk's float64
 # activations reach 6.8 MB, more than a core's 2 MiB L2, and temporaries
 # that large go back to the OS and are page-faulted in again on every chunk.
+# Each transformer chunk hands the GIL between the scoring threads many
+# times, so 128 rows make fewer handoffs per row than 64 did; softmax and
+# layer_norm reuse their temporaries, so a worker thread's heap stays near
+# one chunk's working set. 256 rows scored no faster and raised the
+# benchmark's peak RSS by 6.5 MB (9%) over 128.
 # A row's logits have the same bytes in any chunk (see tensor.product), so
 # a call may cut its rows anywhere: it cuts them into equal chunks, as many
 # as the threads can share evenly. A transformer's chunks are independent
@@ -302,6 +308,7 @@ class TrainResult:
 # process: each new thread keeps a malloc arena of its own. Two threads is
 # the most that has been measured (time and peak RSS, on a 2-core host);
 # more need measuring first.
+CHUNK_ROWS = 128
 SCORING_THREADS = 2
 _pool = None  # a concurrent.futures.ThreadPoolExecutor, built on first use
 
@@ -341,11 +348,11 @@ def _score_chunks(params, x: np.ndarray, rows: int, out: np.ndarray, claim) -> t
 def _batched_logits(params, x: np.ndarray) -> np.ndarray:
     """Raw logits for a whole matrix, computed off-tape in chunks.
 
-    The n rows are cut into ceil(n / chunk_rows) chunks, a count that, when
+    The n rows are cut into ceil(n / CHUNK_ROWS) chunks, a count that, when
     it is more than one, is first rounded up to a multiple of W, the
     threads the kind may use: scoring_threads() for a transformer, 1 for
     the FNN. Each chunk but the last has ceil(n / chunks) rows, so
-    chunk_rows is a cap, and up to chunk_rows rows are one chunk on the
+    CHUNK_ROWS is a cap, and up to CHUNK_ROWS rows are one chunk on the
     calling thread. 400 rows on two threads are 4 chunks of 100.
 
     A transformer's chunks run on min(W, chunks) threads, the calling thread
@@ -360,7 +367,7 @@ def _batched_logits(params, x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     out = np.empty((n, 2))
     workers = scoring_threads() if params.threaded_chunks else 1
-    chunks = -(-n // params.chunk_rows)  # ceil, in integers
+    chunks = -(-n // CHUNK_ROWS)  # ceil, in integers
     if chunks > 1:
         chunks = -(-chunks // workers) * workers
     rows = -(-n // chunks) if n else 1
@@ -429,12 +436,14 @@ def evaluate(params, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainResult:
-    """Split, fit the schema on the train part only, and optimize.
+    """Build the model, split, fit the schema on the train part only, and optimize.
 
     Fully deterministic for a given (dataset, config): init, shuffling and
     splitting all derive from config.seed.
     """
     config = (config or TrainConfig()).resolved()
+    # built first, at the profile's width, so a size that cannot build is refused before the split
+    params = M.KINDS[config.model].init(config.hyper(len(profile_columns(dataset.profile)["features"])), config.seed)
     train_ds, val_ds, test_ds = dataio.split(dataset, config.split_fractions, config.seed)
     if not len(train_ds):
         raise ConfigError("training split is empty; dataset too small for the fractions")
@@ -442,7 +451,6 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
     x_train, y_train = encode_batch(train_ds.records, schema)
     x_val, y_val = encode_batch(val_ds.records, schema)
 
-    params = M.KINDS[config.model].init(config.hyper(schema.width), config.seed)
     opt = AdamW(
         params.named_parameters(),
         lr=config.lr,

@@ -51,6 +51,21 @@ def _arrays(h: dict, edit) -> bytes:
     return _dump({**h, "arrays": [edit(a) for a in h["arrays"]]})
 
 
+# a small model of each kind over the synthetic profile's 13 features
+_HYPERS = {
+    "fnn": {"kind": "fnn", "features": 13, "hidden": [8, 8]},
+    "transformer": {"kind": "transformer", "dim": 8, "heads": 2, "blocks": 1, "mlp_dim": 32, "tokens": 13, "mask": True},
+}
+
+
+def _hyper(h: dict, kind: str, **sizes) -> bytes:
+    """The header declaring a `kind` model with `sizes` replaced, whatever kind it declared before.
+
+    The hyper dict is checked before the manifest, so a size that is no size
+    is what the load reports, on a checkpoint of either kind."""
+    return _dump({**h, "model_kind": kind, "hyper": {**_HYPERS[kind], **sizes}})
+
+
 # (edit of the decoded header and the array bytes -> new header and array
 # bytes, literal text the error must contain)
 HEADER_DEFECTS = [
@@ -124,6 +139,16 @@ HEADER_DEFECTS = [
         _header(lambda h: _dump({**h, "hyper": {**h["hyper"], "mask": "false"}})),
         "hyper.mask",
         id="hyper-mask-not-bool",
+    ),
+    # sizes that are not ints, named with their values' reprs
+    pytest.param(_header(lambda h: _hyper(h, "fnn", features=None)), "features=None", id="fnn-features-null"),
+    pytest.param(_header(lambda h: _hyper(h, "fnn", features=True)), "features=True", id="fnn-features-bool"),
+    pytest.param(_header(lambda h: _hyper(h, "fnn", hidden=[8, "8"])), "hidden=[8, '8']", id="fnn-hidden-string"),
+    pytest.param(_header(lambda h: _hyper(h, "fnn", hidden=[8.0, 8])), "hidden=[8.0, 8]", id="fnn-hidden-float"),
+    *(
+        pytest.param(_header(lambda h, v=value: _hyper(h, "transformer", mlp_dim=v)), f"mlp_dim={value!r}",
+                     id=f"transformer-mlp-dim-{name}")
+        for name, value in (("null", None), ("string", "4"), ("bool", True), ("float", 2.0))
     ),
     pytest.param(
         _header(lambda h: _arrays(h, lambda a: {"name": a["name"]})), "arrays[0].shape", id="arrays-no-shape"

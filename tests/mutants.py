@@ -71,10 +71,25 @@ MUTANTS = [
            "_refuse_nonpositive(features=features, hidden=h[\"hidden\"])",
            "_refuse_nonpositive(features=features, hidden=h[\"hidden\"][:1])", ("tests/test_model.py",)),
     Mutant("sizes-of-zero-allowed", "src/flowids/model.py",
-           "else [size]) < 1]", "else [size]) < 0]", ("tests/test_model.py",)),
-    # a train config is checked, through shapes, before any data is read
-    Mutant("config-sizes-unchecked", "src/flowids/training.py",
-           "        M.KINDS[cfg.model].shapes(cfg.hyper(1))", "        pass", ("tests/test_training.py",)),
+           "type(n) is int and n >= 1", "type(n) is int and n >= 0", ("tests/test_model.py",)),
+    Mutant("bool-accepted-as-size", "src/flowids/model.py",
+           "type(n) is int", "isinstance(n, int)", ("tests/test_model.py",)),
+    Mutant("transformer-budget-unchecked", "src/flowids/model.py",
+           "_refuse_oversized(5 * t * d + 2 + blocks * (4 * d * d + 2 * d * m + m + 7 * d))", "pass",
+           ("tests/test_model.py",)),
+    Mutant("fnn-budget-unchecked", "src/flowids/model.py",
+           "_refuse_oversized(sum(math.prod(shape) for _, shape in layout))", "pass", ("tests/test_model.py",)),
+    # a train config's sizes are checked, through shapes, at the profile's width before any data is read
+    Mutant("cli-sizes-unchecked", "src/flowids/cli.py",
+           "M.KINDS[config.model].shapes(config.hyper(len(PROFILES[args.profile][\"features\"])))", "pass",
+           ("tests/test_cli.py::TestTrain",)),
+    Mutant("train-splits-before-init", "src/flowids/training.py",
+           "    params = M.KINDS[config.model].init(config.hyper(len(profile_columns(dataset.profile)[\"features\"])), "
+           "config.seed)\n    train_ds, val_ds, test_ds = dataio.split(dataset, config.split_fractions, config.seed)\n",
+           "    train_ds, val_ds, test_ds = dataio.split(dataset, config.split_fractions, config.seed)\n"
+           "    params = M.KINDS[config.model].init(config.hyper(len(profile_columns(dataset.profile)[\"features\"])), "
+           "config.seed)\n",
+           ("tests/test_training.py::TestTrainConfig",)),
     Mutant("config-mask-checked-by-transformer-only", "src/flowids/training.py",
            "        if not isinstance(cfg.mask, bool):\n",
            "        if cfg.model == \"transformer\" and not isinstance(cfg.mask, bool):\n",
@@ -85,6 +100,8 @@ MUTANTS = [
     Mutant("train-reads-data-before-config", "src/flowids/cli.py",
            "_build_train_config(args).resolved(), {}", "_build_train_config(args), {}",
            ("tests/test_cli.py::TestTrain",)),
+    # the exit-code table
+    Mutant("data-error-exits-2", "src/flowids/cli.py", "    DataError: 3,", "    DataError: 2,", ("tests/test_cli.py",)),
 ]
 
 

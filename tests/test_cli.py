@@ -196,29 +196,35 @@ class TestTrain:
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize(
-        "argv, config",
+        "argv, config, said",
         [
-            pytest.param(["--heads", "3"], None, id="heads"),
-            pytest.param(["--model", "fnn"], {"fnn_hidden": [0, 4]}, id="fnn-hidden"),
-            pytest.param(["--model", "fnn"], {"mask": "false"}, id="fnn-mask"),
+            pytest.param(["--heads", "3"], None, "head count 3", id="heads"),
+            pytest.param(["--model", "fnn"], {"fnn_hidden": [0, 4]}, "hidden=[0, 4]", id="fnn-hidden"),
+            pytest.param(["--model", "fnn"], {"mask": "false"}, "mask must be true or false", id="fnn-mask"),
+            pytest.param(["--blocks", "1099511627776"], None, "13,897,826,975,090,722 parameters",
+                         id="blocks-over-budget"),
+            # 6,291,461 parameters over one input, 31,457,285 over the synthetic profile's 13
+            pytest.param(["--model", "fnn"], {"fnn_hidden": [2097152, 1]}, "31,457,285 parameters",
+                         id="fnn-over-budget-at-width"),
         ],
     )
-    def test_config_error_exits_2_before_data_is_read(self, tmp_path, argv, config):
-        """The config is resolved first: a --data file that does not exist is
-        not the error reported (exit 6)."""
+    def test_config_error_exits_2_before_data_is_read(self, tmp_path, argv, config, said):
+        """The config is resolved, and its sizes checked at the profile's width,
+        first: a --data file that does not exist is not the error reported (exit 6)."""
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv = [*argv, "--config", tmp_path / "cfg.json"]
         r = run("train", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.ckpt", *argv)
         assert r.returncode == 2, r.stderr
-        assert "missing.csv" not in r.stderr
+        assert said in r.stderr
+        assert "missing.csv" not in r.stderr and "loaded" not in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_negative_mlp_dim_flag_is_usage_error(self, workdir, tmp_path):
         r = run("train", "--data", workdir / "flows.csv", "--out", tmp_path / "m.ckpt", "--mlp-dim", -3)
         assert r.returncode == 2
         assert "mlp_dim=-3" in r.stderr
-        assert "tokens" not in r.stderr  # the input width is not known before the data is read
+        assert "tokens" not in r.stderr  # only the sizes at fault are named
 
     def test_diverging_training_is_numeric_error(self, workdir, tmp_path):
         """A finite but absurd learning rate passes the config checks and overflows the weights."""

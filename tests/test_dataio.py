@@ -788,9 +788,9 @@ class TestCheckpoint:
         ids=["fnn-null", "transformer-null", "bool", "float", "object"],
     )
     def test_declared_size_that_is_not_an_int_is_refused(self, tmp_path, kind, field, value):
-        """A re-signed header whose hyper size is not a non-negative int, and
-        whose manifest shapes agree with it, raises IntegrityError, not the
-        TypeError of multiplying the shape out."""
+        """A re-signed header whose hyper size is not an int, and whose manifest
+        shapes agree with it, raises IntegrityError naming the size and its
+        value, not the TypeError of comparing or multiplying it."""
         _, schema = _fitted()
         if kind == "fnn":
             params = new_fnn(schema.width, hidden=(8, 8), seed=1)
@@ -807,7 +807,8 @@ class TestCheckpoint:
             return json.dumps({**header, "hyper": hyper, "arrays": manifest}, sort_keys=True).encode(), arrays
 
         rewrite_header(path, bad, resize)
-        with pytest.raises(IntegrityError, match="header field hyper"):
+        with pytest.raises(IntegrityError, match=re.escape(f"header field hyper does not describe a model "
+                                                           f"(sizes must be positive integers, got {field}={value!r})")):
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("kind", ["transformer", "fnn"])

@@ -1,5 +1,7 @@
 """Encoder architecture: shapes, masking, init, and oracle agreement."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from flowids.model import (
 )
 from flowids.sentencing import sentence
 from flowids.tensor import Tensor
-from flowids.training import cross_entropy
+from flowids.training import CHUNK_ROWS, cross_entropy
 from fd import central_diff, max_rel_error, taped_mean
 from models import new_fnn, new_transformer
 from oracles import (
@@ -62,7 +64,7 @@ class TestShapes:
     ])
     def test_sizes_must_be_positive(self, name, value):
         """The message names the sizes below 1 and no other."""
-        with pytest.raises(ConfigError, match=f"^sizes must be positive, got {name}={value}$"):
+        with pytest.raises(ConfigError, match=f"^sizes must be positive integers, got {name}={value}$"):
             ModelParams.shapes(_hyper(**{name: value}))
 
     @pytest.mark.parametrize("h, bad", [
@@ -71,8 +73,22 @@ class TestShapes:
         ({"features": 5, "hidden": [4, -1]}, r"hidden=\[4, -1\]"),
     ], ids=["features", "hidden-first", "hidden-second"])
     def test_fnn_sizes_must_be_positive(self, h, bad):
-        with pytest.raises(ConfigError, match=f"^sizes must be positive, got {bad}$"):
+        with pytest.raises(ConfigError, match=f"^sizes must be positive integers, got {bad}$"):
             FnnParams.shapes({"kind": "fnn", **h})
+
+    @pytest.mark.parametrize("value", [True, 2.0, "8", None], ids=["bool", "float", "string", "null"])
+    @pytest.mark.parametrize("kind, name, at", [
+        *(("transformer", name, None) for name in ("dim", "heads", "blocks", "mlp_dim", "tokens")),
+        ("fnn", "features", None), ("fnn", "hidden", 0), ("fnn", "hidden", 1),
+    ], ids=["dim", "heads", "blocks", "mlp_dim", "tokens", "features", "hidden-first", "hidden-second"])
+    def test_size_that_is_not_an_int_is_refused(self, kind, name, at, value):
+        """A JSON header's true, 2.0, "8" or null is no size, whichever size it
+        stands for: the message names the size with the value's repr, and no
+        comparison or arithmetic on the value is reached."""
+        h = _hyper() if kind == "transformer" else {"kind": "fnn", "features": 5, "hidden": [4, 4]}
+        size = value if at is None else [value if i == at else n for i, n in enumerate(h[name])]
+        with pytest.raises(ConfigError, match=f"^sizes must be positive integers, got {re.escape(f'{name}={size!r}')}$"):
+            list(KINDS[kind].shapes({**h, name: size}))
 
 
 class TestInit:
@@ -298,7 +314,7 @@ class TestForward:
         """Everything before the head computes a row with the same bytes
         whatever rows share its chunk: a prefix of a scoring chunk gives
         the chunk's first rows, and a permuted chunk gives permuted rows."""
-        rows = model.ModelParams.chunk_rows
+        rows = CHUNK_ROWS
         p = new_transformer(13, seed=21)
         rng = np.random.default_rng(22)
         x = rng.uniform(size=(rows, 13))

@@ -575,7 +575,7 @@ def test_transformer_logits_of_a_row_do_not_depend_on_its_chunk(scored_rows, spa
     x, models = scored_rows
     params, whole = models["transformer"]
     s, n = span
-    event("one chunk" if n <= params.chunk_rows else "more than one chunk")
+    event("one chunk" if n <= training.CHUNK_ROWS else "more than one chunk")
     assert training._batched_logits(params, x[s : s + n]).tobytes() == whole[s : s + n].tobytes()
 
 

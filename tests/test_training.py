@@ -298,18 +298,24 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "overrides, error",
         [
-            pytest.param({"fnn_hidden": (0, 4)}, r"sizes must be positive, got hidden=\[0, 4\]$", id="fnn-hidden-zero"),
-            pytest.param({"model": "transformer", "mlp_dim": -3}, "sizes must be positive, got mlp_dim=-3$", id="mlp-dim"),
-            pytest.param({"model": "transformer", "dim": 0, "mlp_dim": 8}, "sizes must be positive, got dim=0$", id="dim"),
+            pytest.param({"fnn_hidden": (0, 4)}, r"sizes must be positive integers, got hidden=\[0, 4\]$",
+                         id="fnn-hidden-zero"),
+            pytest.param({"model": "transformer", "mlp_dim": -3}, "sizes must be positive integers, got mlp_dim=-3$",
+                         id="mlp-dim"),
+            pytest.param({"model": "transformer", "dim": 0, "mlp_dim": 8}, "sizes must be positive integers, got dim=0$",
+                         id="dim"),
             pytest.param({"model": "transformer", "heads": 3}, "head count 3 does not divide token dim 32", id="heads"),
+            # 6,291,461 parameters over one input, 31,457,285 over the profile's 13
+            pytest.param({"fnn_hidden": (2097152, 1)}, "would hold 31,457,285 parameters", id="fnn-budget"),
         ],
     )
-    def test_model_sizes_are_checked_before_any_data(self, overrides, error):
-        """resolved() runs the kind's own size check, shapes, so a size that
-        cannot build fails before the split and the fit; the message names
-        only the sizes at fault, never the input width, which is not known yet."""
+    def test_model_sizes_are_checked_before_any_data(self, overrides, error, monkeypatch):
+        """train() builds the model, and so runs its kind's size check, shapes,
+        at the profile's width before it splits: a size that cannot build fails
+        before the split and the fit, and the message names only what is at fault."""
+        monkeypatch.setattr(dataio, "split", _split_too_soon)
         with pytest.raises(ConfigError, match=error):
-            TrainConfig(**{"model": "fnn", **overrides}).resolved()
+            train(dataio.synth(40, seed=2), TrainConfig(**{"model": "fnn", **overrides}))
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -360,9 +366,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"model": "fnn", "momentum": 0.9})
 
-    def test_indivisible_heads_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(model="transformer", dim=10, heads=4).resolved()
+    def test_indivisible_heads_rejected(self, monkeypatch):
+        monkeypatch.setattr(dataio, "split", _split_too_soon)
+        with pytest.raises(ConfigError, match="head count 4 does not divide token dim 10"):
+            train(dataio.synth(40, seed=2), TrainConfig(model="transformer", dim=10, heads=4))
+
+
+def _split_too_soon(*_):
+    raise AssertionError("the data was split before the model's sizes were checked")
 
 
 def _tiny_cfg(**overrides):
@@ -529,7 +540,7 @@ class TestInference:
             params = new_transformer(5, seed=1, dim=8, heads=2, blocks=2)
         else:
             params = new_fnn(5, hidden=(8, 8), seed=1)
-        x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows + 3, 5))
+        x = np.random.default_rng(6).uniform(size=(2 * training.CHUNK_ROWS + 3, 5))
         logits = np_model_logits(x, params) if kind == "transformer" else np_fnn_logits(x, params)
         want = np_softmax(logits, axis=1)[:, 1]
         np.testing.assert_allclose(predict_scores(params, x), want, rtol=0, atol=1e-12)
@@ -613,7 +624,7 @@ class TestParallelScoring:
             params = new_transformer(schema.width, seed=0)
         else:
             params = self._small_transformer()
-            x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows + 3, 5))
+            x = np.random.default_rng(6).uniform(size=(2 * training.CHUNK_ROWS + 3, 5))
         scores = []
         for cores in (3, 2, 1):  # the pool gets 2 threads
             monkeypatch.setattr(training, "usable_cores", lambda: cores)
@@ -633,12 +644,12 @@ class TestParallelScoring:
     def test_each_chunk_is_scored_once(self, monkeypatch):
         """Five caps' worth of rows on three threads are six chunks of 107 rows or fewer."""
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(5 * params.chunk_rows, 5))
+        x = np.random.default_rng(6).uniform(size=(5 * training.CHUNK_ROWS, 5))
         x[:, 0] = np.arange(len(x))
         monkeypatch.setattr(training, "usable_cores", lambda: 3)
         seen, _ = self._spy(monkeypatch, params)
         predict_scores(params, x)
-        starts = self._starts(len(x), params.chunk_rows, 3)
+        starts = self._starts(len(x), training.CHUNK_ROWS, 3)
         assert len(starts) == 6
         assert sorted(start for start, _ in seen) == starts
         assert len({ident for _, ident in seen}) <= 3
@@ -669,7 +680,7 @@ class TestParallelScoring:
         monkeypatch.setattr(training, "SCORING_THREADS", 2)
         monkeypatch.setattr(training, "usable_cores", lambda: 8)
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(8 * params.chunk_rows, 5))
+        x = np.random.default_rng(6).uniform(size=(8 * training.CHUNK_ROWS, 5))
         x[:, 0] = np.arange(len(x))
         seen, _ = self._spy(monkeypatch, params, delay=0.01)
         predict_scores(params, x)
@@ -680,7 +691,7 @@ class TestParallelScoring:
         """Threads claim chunks as they go: while a pool thread sleeps 0.1 s
         in each of its chunks, the caller scores more than its half of 20."""
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(20 * params.chunk_rows, 5))
+        x = np.random.default_rng(6).uniform(size=(20 * training.CHUNK_ROWS, 5))
         x[:, 0] = np.arange(len(x))
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
         caller, seen, real = threading.get_ident(), [], params.logits
@@ -705,9 +716,9 @@ class TestParallelScoring:
         thread, six on three), so the cases hold at any chunk size."""
         for cores in (1, 3):
             params = self._small_transformer()
-            x = np.random.default_rng(6).uniform(size=(5 * params.chunk_rows, 5))
+            x = np.random.default_rng(6).uniform(size=(5 * training.CHUNK_ROWS, 5))
             x[:, 0] = np.arange(len(x))
-            starts = self._starts(len(x), params.chunk_rows, cores)
+            starts = self._starts(len(x), training.CHUNK_ROWS, cores)
             monkeypatch.setattr(training, "usable_cores", lambda: cores)
             _, running = self._spy(monkeypatch, params, fail=[starts[k] for k in chunks], delay=0.01)
             with pytest.raises(ValueError) as caught:
@@ -722,7 +733,7 @@ class TestParallelScoring:
         raises; the other thread is still scoring. The error comes out once
         it has stopped, with grad recording back on and the tape empty."""
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(8 * params.chunk_rows, 5))
+        x = np.random.default_rng(6).uniform(size=(8 * training.CHUNK_ROWS, 5))
         x[:, 0] = np.arange(len(x))
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
         caller, failed, running, real = threading.get_ident(), [], [0], params.logits
@@ -747,7 +758,7 @@ class TestParallelScoring:
 
     def test_scoring_with_grad_enabled_leaves_the_tape_empty(self, monkeypatch):
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(3 * params.chunk_rows, 5))
+        x = np.random.default_rng(6).uniform(size=(3 * training.CHUNK_ROWS, 5))
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
         assert T._GRAD_ENABLED
         predict_scores(params, x)
@@ -755,7 +766,7 @@ class TestParallelScoring:
 
     def test_fnn_chunks_run_on_the_calling_thread(self, monkeypatch):
         params = new_fnn(5, hidden=(8, 8), seed=1)
-        x = np.random.default_rng(6).uniform(size=(4 * params.chunk_rows + 3, 5))
+        x = np.random.default_rng(6).uniform(size=(4 * training.CHUNK_ROWS + 3, 5))
         x[:, 0] = np.arange(len(x))
         monkeypatch.setattr(training, "usable_cores", lambda: 3)
         seen, _ = self._spy(monkeypatch, params)
@@ -772,7 +783,7 @@ class TestParallelScoring:
             "from models import new_fnn, new_transformer\n"
             "training.predict_scores(new_fnn(5, hidden=(8, 8), seed=1), np.zeros((300, 5)))\n"
             "params = new_transformer(5, seed=1, dim=8, heads=2, blocks=1)\n"
-            "training.predict_scores(params, np.zeros((params.chunk_rows, 5)))\n"
+            "training.predict_scores(params, np.zeros((training.CHUNK_ROWS, 5)))\n"
             "assert 'concurrent.futures' not in sys.modules, 'imported'\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -783,8 +794,8 @@ class TestParallelScoring:
         """An inf cell in the second chunk, a worker's, makes layer_norm
         compute inf - inf; the caller's errstate turns that into an error."""
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(2 * params.chunk_rows, 5))
-        x[params.chunk_rows + 1, 2] = np.inf
+        x = np.random.default_rng(6).uniform(size=(2 * training.CHUNK_ROWS, 5))
+        x[training.CHUNK_ROWS + 1, 2] = np.inf
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
         with np.errstate(invalid="raise"):
             with pytest.raises(FloatingPointError):
@@ -794,7 +805,7 @@ class TestParallelScoring:
         """Six threads on the available cores, switching every microsecond,
         write each chunk's rows once and nothing else."""
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(20 * params.chunk_rows + 5, 5))
+        x = np.random.default_rng(6).uniform(size=(20 * training.CHUNK_ROWS + 5, 5))
         monkeypatch.setattr(training, "usable_cores", lambda: 1)
         want = predict_scores(params, x).tobytes()
         monkeypatch.setattr(training, "usable_cores", lambda: 6)
@@ -811,7 +822,7 @@ class TestParallelScoring:
         """The child of a fork has none of the pool's threads; scoring there
         would wait for them forever unless the pool is dropped at the fork."""
         params = self._small_transformer()
-        x = np.random.default_rng(6).uniform(size=(3 * params.chunk_rows, 5))
+        x = np.random.default_rng(6).uniform(size=(3 * training.CHUNK_ROWS, 5))
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
         want = predict_scores(params, x).tobytes()
         assert training._pool is not None
