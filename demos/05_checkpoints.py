@@ -1,7 +1,8 @@
 """Round-trip a trained model through the binary checkpoint format.
 
-The file layout is: magic, format version, a JSON header describing the
-model and its arrays, the raw float64 array bytes, then a SHA-256 over
+The file layout is: magic, format version, a JSON header whose `hyper`
+field states the model's shape, every parameter's float64 values as one
+block in the order that shape lays them out, then a SHA-256 over
 everything before it. Loading verifies the checksum first, so any bit
 damage surfaces as IntegrityError before bytes are interpreted.
 """

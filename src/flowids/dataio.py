@@ -2,16 +2,16 @@
 
 Real flow CSVs are supplied by the user; nothing here downloads anything.
 The synthetic generator exists so the whole pipeline can be exercised and
-verified at desk scale with known ground truth. Checkpoints are a custom
-length-prefixed binary container: JSON metadata header followed by named
-little-endian float64 arrays, with a whole-file SHA-256 at the end.
+verified at desk scale with known ground truth. Checkpoints are a binary
+container: a JSON header whose ``hyper`` field states the model's shape, then
+every parameter's values as one block of little-endian float64 in the order
+that the kind's ``shapes`` lays them out, with a whole-file SHA-256 at the end.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -442,7 +442,7 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
 # --------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"FIDC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -457,34 +457,20 @@ class Checkpoint:
         return self.params.kind
 
 
-_HEADER_KEYS = ("model_kind", "hyper", "schema", "train_config", "metrics", "arrays")
+_HEADER_KEYS = ("hyper", "schema", "train_config", "metrics")
 
 
 def save_checkpoint(params, schema: Schema, config: dict, path, metrics: dict | None = None) -> None:
-    """Serialize params + schema + config; byte-stable given equal inputs."""
-    named = params.named_parameters()
-    header = {
-        "model_kind": params.kind,
-        "hyper": params.hyper(),
-        "schema": schema.to_dict(),
-        "train_config": config,
-        "metrics": metrics,
-        "arrays": [{"name": name, "shape": list(t.data.shape)} for name, t in named],
-    }
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
+    """Serialize params + schema + config; byte-stable given equal inputs. The body, every
+    parameter's values in shapes(hyper) order, is written as one block."""
+    header = {"hyper": params.hyper(), "schema": schema.to_dict(), "train_config": config, "metrics": metrics}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<Q", len(header_bytes)))
-    buf.write(header_bytes)
-    for _, t in named:
-        raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-        buf.write(struct.pack("<Q", len(raw)))
-        buf.write(raw)
-    body = buf.getvalue()
+    values = np.concatenate([t.data.ravel() for _, t in params.named_parameters()]).astype("<f8", copy=False)
+    blob = b"".join([CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)), header_bytes,
+                     values.tobytes()])
     with open(path, "wb") as handle:
-        handle.write(body)
-        handle.write(hashlib.sha256(body).digest())
+        handle.write(blob)
+        handle.write(hashlib.sha256(blob).digest())
 
 
 def _why(exc: Exception) -> str:
@@ -495,11 +481,12 @@ def _why(exc: Exception) -> str:
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of save_checkpoint; verifies the checksum before trusting anything.
 
-    Every array's declared shape and byte length is checked before it is read, so
-    a load allocates no more than the file holds, and a schema whose width is
-    not the model's input width is refused, so no caller encodes data for a
-    model that cannot read it. The model is built from the file's arrays,
-    with no initialisation to overwrite."""
+    The header is checked first, and the layout that shapes(hyper) gives is walked
+    no further than the body's values reach, so a body of the wrong length is
+    refused before any value is copied and a load allocates no more than the
+    file holds. A schema whose width is not the model's input width is refused,
+    so no caller encodes data for a model that cannot read it. The model is
+    built from the body's values, with no initialisation to overwrite."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 4 + 4 + 8 + 32:
@@ -509,21 +496,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: checksum mismatch (corrupt or truncated file)")
     if body[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack("<I", body[4:8])
+    version, header_len = struct.unpack("<IQ", body[4:16])
     if version != CHECKPOINT_VERSION:
         raise VersionError(
             f"{path}: format version {version} is not supported (expected {CHECKPOINT_VERSION})"
         )
-    offset = 8
-    (header_len,) = struct.unpack("<Q", body[offset : offset + 8])
-    offset += 8
-    if offset + header_len > len(body):
+    offset = 16 + header_len
+    if offset > len(body):
         raise IntegrityError(f"{path}: truncated header")
     try:
-        header = json.loads(str(body[offset : offset + header_len], "utf-8"))
+        header = json.loads(str(body[16:offset], "utf-8"))
     except ValueError as exc:
         raise IntegrityError(f"{path}: header is not valid JSON ({exc})")
-    offset += header_len
     if not isinstance(header, dict):
         raise IntegrityError(f"{path}: header is not a JSON object")
     for key in _HEADER_KEYS:
@@ -535,70 +519,38 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(
             f"{path}: header field hyper.kind is {kind!r}, expected one of {sorted(M.KINDS)}"
         )
-    if header["model_kind"] != kind:
-        raise IntegrityError(
-            f"{path}: header field model_kind is {header['model_kind']!r} but hyper.kind is {kind!r}"
-        )
     config = header["train_config"]
     if not isinstance(config, dict):
         raise IntegrityError(f"{path}: header field train_config is not a JSON object")
-    # files written before the mask moved into hyper hold it only in
-    # train_config, where the CLI read it with bool()
-    mask = hyper.get("mask", bool(config.get("mask", True)))
-    if not isinstance(mask, bool):
-        raise IntegrityError(f"{path}: header field hyper.mask is {mask!r}, not true or false")
     try:
         schema = Schema.from_dict(header["schema"])
     except ValueError as exc:  # its text begins with the bad field's path
         raise IntegrityError(f"{path}: header field {exc}")
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"{path}: header field schema is malformed ({_why(exc)})")
-    manifest = header["arrays"]
-    if not isinstance(manifest, list):
-        raise IntegrityError(f"{path}: header field arrays is not a list")
-    for i, meta in enumerate(manifest):
-        if not isinstance(meta, dict):
-            raise IntegrityError(f"{path}: header field arrays[{i}] is not an object")
-        for key in ("name", "shape"):
-            if key not in meta:
-                raise IntegrityError(f"{path}: header field arrays[{i}].{key} is missing")
-    hyper = {**hyper, "mask": mask}
-    try:  # no more of the declared layout than the manifest could match
-        declared = list(itertools.islice(M.KINDS[kind].shapes(hyper), len(manifest) + 1))
+    size = len(body) - offset
+    try:
+        entries = iter(M.KINDS[kind].shapes(hyper))
+        first = next(entries)
+        need = 0  # the declared values, counted no further than the body reaches
+        for _, shape in itertools.chain([first], entries):
+            need += math.prod(shape)
+            if 8 * need > size:
+                break
+        more = next(entries, None) is not None
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise IntegrityError(f"{path}: header field hyper does not describe a model ({_why(exc)})")
-    if [m["name"] for m in manifest] != [name for name, _ in declared]:
-        raise IntegrityError(f"{path}: parameter manifest does not match the declared model")
-    arrays = {}  # each array by name, read once its shape and byte length are checked
-    for meta, (name, shape) in zip(manifest, declared):
-        if offset + 8 > len(body):
-            raise IntegrityError(f"{path}: truncated length prefix of array {name!r}")
-        (nbytes,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        if offset + nbytes > len(body):
-            raise IntegrityError(f"{path}: truncated array {name!r}")
-        if nbytes % 8:
-            raise IntegrityError(
-                f"{path}: array {name!r} has {nbytes} bytes, not a multiple of 8"
-            )
-        if meta["shape"] != list(shape):
-            raise IntegrityError(
-                f"{path}: array {name!r} has shape {meta['shape']!r}, model needs {list(shape)}"
-            )
-        if nbytes != 8 * math.prod(shape):
-            raise IntegrityError(f"{path}: array {name!r} has wrong length")
-        arrays[name] = np.frombuffer(body[offset : offset + nbytes], dtype="<f8").reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(body):
-        raise IntegrityError(f"{path}: {len(body) - offset} trailing bytes")
-    width = declared[0][1][0]  # every kind's first parameter, the embedding or w1, is (input width, ...)
+    width = first[1][0]  # every kind's first parameter, the embedding or w1, is (input width, ...)
     if width != schema.width:
         raise IntegrityError(
             f"{path}: the schema encodes {schema.width} features but the model takes {width} inputs"
         )
-    return Checkpoint(
-        params=M.KINDS[kind].from_arrays(hyper, arrays),
-        schema=schema,
-        config=config,
-        metrics=header["metrics"],
-    )
+    if more or 8 * need != size:
+        or_more = " or more" if more else ""
+        raise IntegrityError(f"{path}: the body holds {size:,} bytes, "
+                             f"but the model's {need:,}{or_more} parameters take {8 * need:,}{or_more}")
+    layout = list(M.KINDS[kind].shapes(hyper))
+    values = np.frombuffer(body, dtype="<f8", offset=offset).astype(np.float64)  # the one copy of the body
+    parts = np.split(values, list(itertools.accumulate(math.prod(shape) for _, shape in layout[:-1])))
+    arrays = {name: part.reshape(shape) for (name, shape), part in zip(layout, parts)}
+    return Checkpoint(M.KINDS[kind].from_arrays(hyper, arrays), schema, config, header["metrics"])

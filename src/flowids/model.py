@@ -26,10 +26,10 @@ class owning ``logits``, ``hyper``, its layout ``shapes``, its ``init`` from a
 hyper dict and a seed, its one builder ``from_arrays`` (which both init and
 checkpoint load go through), and whether ``threaded_chunks`` may spread its
 inference chunks over threads (see ``training._batched_logits``). ``shapes``
-is the only home of a kind's size rules: every size a positive integer (a
-bool is none), the kind's own rules, and at most ``MAX_PARAMETERS``
-parameters, counted without allocating. ``KINDS`` is the only map from a kind
-name to its class.
+is the only home of a kind's size rules: no field but the kind's own, every
+size a positive integer (a bool is none), the kind's own rules, and at most
+``MAX_PARAMETERS`` parameters, counted without allocating. ``KINDS`` is the
+only map from a kind name to its class.
 """
 
 from __future__ import annotations
@@ -101,14 +101,14 @@ class ModelParams:
     @staticmethod
     def shapes(h: dict):
         """(name, shape) of each parameter that from_arrays(h, ...) builds, in order; checks h
-        at once (sizes positive integers, heads dividing dim, mask true or false, the
-        parameter budget), then yields the layout lazily, allocating nothing."""
-        t, d, heads, blocks, m = h["tokens"], h["dim"], h["heads"], h["blocks"], h["mlp_dim"]
+        at once (no field but its own, sizes positive integers, heads dividing dim, mask true
+        or false, the parameter budget), then yields the layout lazily, allocating nothing."""
+        t, d, heads, blocks, m, mask = _fields(h, "tokens", "dim", "heads", "blocks", "mlp_dim", "mask")
         _refuse_nonpositive(dim=d, heads=heads, blocks=blocks, mlp_dim=m, tokens=t)
         if d % heads != 0:  # so that d // heads is the head width
             raise ConfigError(f"head count {heads} does not divide token dim {d}")
-        if not isinstance(h["mask"], bool):
-            raise ConfigError(f"mask must be true or false, got {h['mask']!r}")
+        if not isinstance(mask, bool):
+            raise ConfigError(f"mask must be true or false, got {mask!r}")
         # the layout, counted without walking it: sentencing and head 5td + 2, and per
         # block the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
         _refuse_oversized(5 * t * d + 2 + blocks * (4 * d * d + 2 * d * m + m + 7 * d))
@@ -184,10 +184,13 @@ class FnnParams:
 
     @staticmethod
     def shapes(h: dict) -> list[tuple[str, tuple]]:
-        """(name, shape) of each parameter, in order: the layout that from_arrays(h, ...) builds;
-        checks h first (sizes positive integers, the parameter budget)."""
-        features, (h1, h2) = h["features"], h["hidden"]
-        _refuse_nonpositive(features=features, hidden=h["hidden"])
+        """(name, shape) of each parameter, in order: the layout that from_arrays(h, ...) builds; checks
+        h first (no field but its own, hidden a list of two sizes, sizes positive integers, the budget)."""
+        features, hidden = _fields(h, "features", "hidden")
+        if not (isinstance(hidden, list) and len(hidden) == 2):
+            raise ConfigError(f"hidden must be a list of two sizes, got hidden={hidden!r}")
+        _refuse_nonpositive(features=features, hidden=hidden)
+        h1, h2 = hidden
         layout = [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
         _refuse_oversized(sum(math.prod(shape) for _, shape in layout))
         return layout
@@ -297,6 +300,15 @@ def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
         return grads
 
     return T.record(out, inputs, back)
+
+
+def _fields(h: dict, *names: str) -> list:
+    """h's values at names, in that order; a ConfigError naming the first field of h that is
+    neither kind nor one of names, and a KeyError for a name that h lacks."""
+    unknown = sorted(h.keys() - {"kind", *names})
+    if unknown:
+        raise ConfigError(f"{unknown[0]!r} is not a field of a {h.get('kind')!r} model")
+    return [h[name] for name in names]
 
 
 def _refuse_nonpositive(**sizes) -> None:

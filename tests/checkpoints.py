@@ -1,8 +1,8 @@
 """Checkpoint header surgery for the corruption tests.
 
-Each defect rewrites the JSON header of a valid checkpoint, or the array
-bytes after it, and re-signs the file, so the checksum passes and only
-validation of the header and the array layout can catch it.
+Each defect rewrites the JSON header of a valid checkpoint, or the body of
+float64 values after it, and re-signs the file, so the checksum passes and
+only validation of the header and of the body's length can catch it.
 """
 
 import hashlib
@@ -16,13 +16,9 @@ def _dump(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
-def _other_kind(header: dict) -> str:
-    return {"transformer": "fnn", "fnn": "transformer"}[header["model_kind"]]
-
-
 def _header(edit):
-    """A defect of the header alone: the array bytes stay as they are."""
-    return lambda h, arrays: (edit(h), arrays)
+    """A defect of the header alone: the body stays as it is."""
+    return lambda h, body: (edit(h), body)
 
 
 def _schema(h: dict, **fields) -> bytes:
@@ -46,11 +42,6 @@ def _vocab(h: dict, j: int, edit) -> bytes:
     return _feature(h, j, vocab=dict(zip(vocab, edit(list(vocab.values())))))
 
 
-def _arrays(h: dict, edit) -> bytes:
-    """The header with `edit` applied to each entry of its array manifest."""
-    return _dump({**h, "arrays": [edit(a) for a in h["arrays"]]})
-
-
 # a small model of each kind over the synthetic profile's 13 features
 _HYPERS = {
     "fnn": {"kind": "fnn", "features": 13, "hidden": [8, 8]},
@@ -61,12 +52,21 @@ _HYPERS = {
 def _hyper(h: dict, kind: str, **sizes) -> bytes:
     """The header declaring a `kind` model with `sizes` replaced, whatever kind it declared before.
 
-    The hyper dict is checked before the manifest, so a size that is no size
-    is what the load reports, on a checkpoint of either kind."""
-    return _dump({**h, "model_kind": kind, "hyper": {**_HYPERS[kind], **sizes}})
+    The hyper dict is checked before the body, so a size that is no size is
+    what the load reports, on a checkpoint of either kind."""
+    return _dump({**h, "hyper": {**_HYPERS[kind], **sizes}})
 
 
-# (edit of the decoded header and the array bytes -> new header and array
+# the small FNN's 13 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2 parameters
+_FNN_VALUES = 202
+
+
+def _fnn_body(size: int):
+    """A defect of the body's length: the header declares the small FNN, the body holds `size` bytes."""
+    return lambda h, body: (_hyper(h, "fnn"), bytes(size))
+
+
+# (edit of the decoded header and the body bytes -> new header and body
 # bytes, literal text the error must contain)
 HEADER_DEFECTS = [
     pytest.param(_header(lambda h: b"{not json"), "not valid JSON", id="not-json"),
@@ -78,9 +78,6 @@ HEADER_DEFECTS = [
         _header(lambda h: _dump({**h, "hyper": {**h["hyper"], "kind": "rnn"}})),
         "hyper.kind",
         id="unknown-kind",
-    ),
-    pytest.param(
-        _header(lambda h: _dump({**h, "model_kind": _other_kind(h)})), "model_kind", id="kind-mismatch"
     ),
     pytest.param(
         _header(lambda h: _dump({**h, "hyper": {"kind": h["hyper"]["kind"]}})), "hyper", id="hyper-no-sizes"
@@ -136,47 +133,45 @@ HEADER_DEFECTS = [
         id="feature-vocab-index-repeated",
     ),
     pytest.param(
-        _header(lambda h: _dump({**h, "hyper": {**h["hyper"], "mask": "false"}})),
-        "hyper.mask",
+        _header(lambda h: _hyper(h, "transformer", mask="false")),
+        "mask must be true or false, got 'false'",
         id="hyper-mask-not-bool",
+    ),
+    # a field that the kind does not have, named
+    pytest.param(
+        _header(lambda h: _hyper(h, "fnn", mask=True)), "'mask' is not a field of a 'fnn' model", id="fnn-hyper-mask"
     ),
     # sizes that are not ints, named with their values' reprs
     pytest.param(_header(lambda h: _hyper(h, "fnn", features=None)), "features=None", id="fnn-features-null"),
     pytest.param(_header(lambda h: _hyper(h, "fnn", features=True)), "features=True", id="fnn-features-bool"),
     pytest.param(_header(lambda h: _hyper(h, "fnn", hidden=[8, "8"])), "hidden=[8, '8']", id="fnn-hidden-string"),
     pytest.param(_header(lambda h: _hyper(h, "fnn", hidden=[8.0, 8])), "hidden=[8.0, 8]", id="fnn-hidden-float"),
+    # hidden is a list of two sizes, or it is named by its repr
+    *(
+        pytest.param(_header(lambda h, v=value: _hyper(h, "fnn", hidden=v)),
+                     f"hidden must be a list of two sizes, got hidden={value!r}", id=f"fnn-hidden-{name}")
+        for name, value in (("three", [8, 8, 8]), ("int", 8), ("null", None))
+    ),
     *(
         pytest.param(_header(lambda h, v=value: _hyper(h, "transformer", mlp_dim=v)), f"mlp_dim={value!r}",
                      id=f"transformer-mlp-dim-{name}")
         for name, value in (("null", None), ("string", "4"), ("bool", True), ("float", 2.0))
     ),
-    pytest.param(
-        _header(lambda h: _arrays(h, lambda a: {"name": a["name"]})), "arrays[0].shape", id="arrays-no-shape"
-    ),
-    pytest.param(
-        _header(lambda h: _arrays(h, lambda a: a["name"])),
-        "arrays[0] is not an object",
-        id="arrays-entry-not-object",
-    ),
-    pytest.param(
-        _header(lambda h: _dump({**h, "arrays": {a["name"]: a["shape"] for a in h["arrays"]}})),
-        "arrays is not a list",
-        id="arrays-not-list",
-    ),
-    # the body ends 3 bytes into the first array's 8-byte length prefix
-    pytest.param(lambda h, arrays: (_dump(h), arrays[:3]), "length prefix", id="cut-length-prefix"),
-    # the first array declares 4 bytes, half a float64
-    pytest.param(
-        lambda h, arrays: (_dump(h), struct.pack("<Q", 4) + bytes(4)), "multiple of 8", id="odd-byte-length"
+    # a body that is not exactly the declared model's float64 values, whose message gives both counts
+    *(
+        pytest.param(_fnn_body(size), f"the body holds {size:,} bytes, but the model's {_FNN_VALUES} parameters "
+                                      f"take {8 * _FNN_VALUES:,}", id=f"body-{name}")
+        for name, size in (("one-value-short", 8 * (_FNN_VALUES - 1)), ("one-value-extra", 8 * (_FNN_VALUES + 1)),
+                           ("cut-inside-a-value", 8 * _FNN_VALUES - 3))
     ),
 ]
 
 
 def rewrite_header(src, dst, edit) -> None:
-    """Copy checkpoint `src` to `dst`, header and array bytes replaced by `edit(header, arrays)`."""
-    body = src.read_bytes()[:-32]
-    (header_len,) = struct.unpack("<Q", body[8:16])
-    header = json.loads(body[16 : 16 + header_len])
-    new, arrays = edit(header, body[16 + header_len :])
-    body = body[:8] + struct.pack("<Q", len(new)) + new + arrays
-    dst.write_bytes(body + hashlib.sha256(body).digest())
+    """Copy checkpoint `src` to `dst`, header and body replaced by `edit(header, body)`."""
+    blob = src.read_bytes()[:-32]
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    new, body = edit(header, blob[16 + header_len :])
+    blob = blob[:8] + struct.pack("<Q", len(new)) + new + body
+    dst.write_bytes(blob + hashlib.sha256(blob).digest())

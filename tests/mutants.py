@@ -63,13 +63,19 @@ MUTANTS = [
     Mutant("heads-need-only-not-exceed-dim", "src/flowids/model.py",
            "if d % heads != 0:", "if d < heads:", ("tests/test_model.py",)),
     Mutant("transformer-mask-only-not-none", "src/flowids/model.py",
-           "if not isinstance(h[\"mask\"], bool):", "if h[\"mask\"] is None:", ("tests/test_model.py",)),
+           "if not isinstance(mask, bool):", "if mask is None:", ("tests/test_model.py",)),
     Mutant("fnn-features-unchecked", "src/flowids/model.py",
-           "_refuse_nonpositive(features=features, hidden=h[\"hidden\"])",
-           "_refuse_nonpositive(hidden=h[\"hidden\"])", ("tests/test_model.py",)),
+           "_refuse_nonpositive(features=features, hidden=hidden)",
+           "_refuse_nonpositive(hidden=hidden)", ("tests/test_model.py",)),
     Mutant("fnn-second-hidden-unchecked", "src/flowids/model.py",
-           "_refuse_nonpositive(features=features, hidden=h[\"hidden\"])",
-           "_refuse_nonpositive(features=features, hidden=h[\"hidden\"][:1])", ("tests/test_model.py",)),
+           "_refuse_nonpositive(features=features, hidden=hidden)",
+           "_refuse_nonpositive(features=features, hidden=hidden[:1])", ("tests/test_model.py",)),
+    Mutant("fnn-hidden-unpacked-early", "src/flowids/model.py",
+           "        features, hidden = _fields(h, \"features\", \"hidden\")\n",
+           "        features, hidden = _fields(h, \"features\", \"hidden\")\n        h1, h2 = hidden\n",
+           ("tests/test_model.py",)),
+    Mutant("unknown-hyper-field-allowed", "src/flowids/model.py",
+           "    if unknown:\n", "    if False:\n", ("tests/test_model.py",)),
     Mutant("sizes-of-zero-allowed", "src/flowids/model.py",
            "type(n) is int and n >= 1", "type(n) is int and n >= 0", ("tests/test_model.py",)),
     Mutant("bool-accepted-as-size", "src/flowids/model.py",
@@ -100,6 +106,14 @@ MUTANTS = [
     Mutant("train-reads-data-before-config", "src/flowids/cli.py",
            "_build_train_config(args).resolved(), {}", "_build_train_config(args), {}",
            ("tests/test_cli.py::TestTrain",)),
+    # the checks of load_checkpoint that no hyper dict makes: version, schema width, body length
+    Mutant("checkpoint-version-only-not-newer", "src/flowids/dataio.py",
+           "if version != CHECKPOINT_VERSION:", "if version > CHECKPOINT_VERSION:",
+           ("tests/test_dataio.py::TestCheckpoint",)),
+    Mutant("checkpoint-schema-width-unchecked", "src/flowids/dataio.py",
+           "if width != schema.width:", "if False:", ("tests/test_dataio.py::TestCheckpoint",)),
+    Mutant("checkpoint-body-only-not-short", "src/flowids/dataio.py",
+           "if more or 8 * need != size:", "if more or 8 * need > size:", ("tests/test_dataio.py::TestCheckpoint",)),
     # the exit-code table
     Mutant("data-error-exits-2", "src/flowids/cli.py", "    DataError: 3,", "    DataError: 2,", ("tests/test_cli.py",)),
 ]

@@ -351,6 +351,15 @@ class TestEval:
         assert field in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_version_1_checkpoint_exits_4_before_data_is_read(self, tmp_path):
+        """A file written by format version 1 is refused by version, without a
+        traceback, before the --data file (which does not exist) is opened."""
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "fnn_v1.ckpt"
+        r = run("eval", "--model", fixture, "--data", tmp_path / "missing.csv")
+        assert r.returncode == 4, r.stderr
+        assert "format version 1 is not supported (expected 2)" in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("checkpoint", ["enc.ckpt", "fnn.ckpt"])
     def test_header_errors_print_the_fields_own_text(self, workdir, tmp_path, capsys, checkpoint):
         """Each malformed header's message names its field in plain text, never an exception's repr."""

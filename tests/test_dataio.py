@@ -633,11 +633,6 @@ def _fitted(n=30, seed=0):
     return ds, schema
 
 
-def _without_hyper_mask(header, arrays):
-    hyper = {k: v for k, v in header["hyper"].items() if k != "mask"}
-    return json.dumps({**header, "hyper": hyper}, sort_keys=True).encode("utf-8"), arrays
-
-
 class TestCheckpoint:
     def test_transformer_round_trip(self, tmp_path):
         _, schema = _fitted()
@@ -729,20 +724,53 @@ class TestCheckpoint:
         with pytest.raises(VersionError, match="99"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize(
-        "train_config, mask",
-        [({"mask": False}, False), ({}, True), ({"mask": True}, True), ({"mask": "false"}, True)],
-        ids=["config-false", "config-absent", "config-true", "config-string"],
-    )
-    def test_header_without_mask_reads_train_config(self, tmp_path, train_config, mask):
-        """Files written before hyper held the mask take it from train_config
-        as the CLI read it then (bool(), default true)."""
+    def test_version_1_file_is_refused(self):
+        """A file written by format version 1's save_checkpoint (an FNN with hidden
+        (8, 8) over the synthetic profile) names both versions."""
+        with pytest.raises(VersionError, match=re.escape("format version 1 is not supported (expected 2)")):
+            load_checkpoint(FIXTURES / "fnn_v1.ckpt")
+
+    @pytest.mark.parametrize("build", [
+        lambda width: new_transformer(width, seed=3, dim=4, heads=2, blocks=2),
+        lambda width: new_fnn(width, hidden=(6, 5), seed=3),
+    ], ids=["transformer", "fnn"])
+    def test_body_is_the_parameters_in_layout_order(self, tmp_path, build):
+        """The body after the header is every parameter's values as little-endian
+        float64, in shapes(hyper) order, and nothing else."""
         _, schema = _fitted()
-        params = new_transformer(schema.width, seed=3, dim=4, heads=2, blocks=1)
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(params, schema, train_config, path)
-        rewrite_header(path, path, _without_hyper_mask)
-        assert load_checkpoint(path).params.mask is mask
+        params = build(schema.width)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, schema, {}, path)
+        blob = path.read_bytes()[:-32]
+        assert blob[:8] == b"FIDC" + struct.pack("<I", 2)
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        assert sorted(json.loads(blob[16 : 16 + header_len])) == ["hyper", "metrics", "schema", "train_config"]
+        arrays = dict(params.named_parameters())
+        layout = model.KINDS[params.kind].shapes(params.hyper())
+        assert blob[16 + header_len :] == b"".join(arrays[name].data.astype("<f8").tobytes() for name, _ in layout)
+
+    @pytest.mark.parametrize("cut", [-8, 8, -3], ids=["one-value-short", "one-value-extra", "cut-inside-a-value"])
+    @pytest.mark.parametrize("kind", ["transformer", "fnn"])
+    def test_body_of_the_wrong_length_names_both_counts(self, tmp_path, kind, cut):
+        """A checkpoint's own body, one value short, one value long or cut
+        inside its last value, is refused with its byte count and the
+        model's parameter count."""
+        _, schema = _fitted()
+        if kind == "fnn":
+            params = new_fnn(schema.width, hidden=(8, 8), seed=1)
+        else:
+            params = new_transformer(schema.width, seed=1, dim=8, heads=2, blocks=1)
+        count = sum(t.data.size for _, t in params.named_parameters())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, schema, {}, path)
+
+        def resize(header, body):
+            return json.dumps(header, sort_keys=True).encode(), body[:cut] if cut < 0 else body + bytes(cut)
+
+        rewrite_header(path, path, resize)
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"the body holds {8 * count + cut:,} bytes, but the model's {count:,} parameters take {8 * count:,}")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, field", HEADER_DEFECTS)
     def test_malformed_header_detected(self, tmp_path, edit, field):
@@ -755,23 +783,31 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "sizes, error",
-        [({"mlp_dim": 20000}, "'block0.mlp_w1' has shape"), ({"blocks": 1000}, "manifest does not match")],
-        ids=["mlp-dim", "blocks"],
+        "build, hyper",
+        [(new_transformer, lambda h: {**h, "mlp_dim": 20000}), (new_transformer, lambda h: {**h, "blocks": 1000}),
+         (new_fnn, lambda h: {"kind": "transformer", "dim": 2, "heads": 2, "mlp_dim": 1, "blocks": 470000,
+                              "tokens": 13, "mask": True})],
+        ids=["mlp-dim", "blocks", "fnn-body-under-a-long-encoder"],
     )
-    def test_declared_sizes_are_checked_before_anything_is_built(self, tmp_path, sizes, error):
-        """A default encoder checkpoint re-signed with hyper.mlp_dim 20000, or
-        1000 blocks, is refused before the model it declares is built: the
-        load's tracemalloc peak stays under twice the file's size (21.4 MB
-        for mlp_dim 20000 when the model was built first)."""
+    def test_declared_sizes_are_checked_before_anything_is_built(self, tmp_path, build, hyper):
+        """A default checkpoint re-signed with a hyper dict that declares more
+        parameters than its body holds is refused before any value is copied:
+        the load's tracemalloc peak stays under twice the file's size. An
+        encoder's mlp_dim 20000 took 21.4 MB when the model was built first.
+        The last case, re-signed onto the default FNN's 43 KB body, declares
+        16,450,132 parameters, within the budget, over about 8 million layout
+        entries; the layout is walked no further than the body reaches."""
         _, schema = _fitted()
-        path, bad = tmp_path / "enc.ckpt", tmp_path / "wide.ckpt"
-        save_checkpoint(new_transformer(schema.width, seed=0), schema, {}, path)
+        params = build(schema.width, seed=0)
+        count = sum(t.data.size for _, t in params.named_parameters())
+        path, bad = tmp_path / "m.ckpt", tmp_path / "wide.ckpt"
+        save_checkpoint(params, schema, {}, path)
 
-        def widen(header, arrays):
-            return json.dumps({**header, "hyper": {**header["hyper"], **sizes}}, sort_keys=True).encode(), arrays
+        def widen(header, body):
+            return json.dumps({**header, "hyper": hyper(header["hyper"])}, sort_keys=True).encode(), body
 
         rewrite_header(path, bad, widen)
+        error = re.escape(f"the body holds {8 * count:,} bytes, but the model's ") + "[0-9,]+ or more parameters"
         tracemalloc.start()
         try:
             with pytest.raises(IntegrityError, match=error):
@@ -788,9 +824,9 @@ class TestCheckpoint:
         ids=["fnn-null", "transformer-null", "bool", "float", "object"],
     )
     def test_declared_size_that_is_not_an_int_is_refused(self, tmp_path, kind, field, value):
-        """A re-signed header whose hyper size is not an int, and whose manifest
-        shapes agree with it, raises IntegrityError naming the size and its
-        value, not the TypeError of comparing or multiplying it."""
+        """A re-signed header whose hyper size is not an int raises IntegrityError
+        naming the size and its value, not the TypeError of comparing or
+        multiplying it: the hyper dict is checked before the body's length."""
         _, schema = _fitted()
         if kind == "fnn":
             params = new_fnn(schema.width, hidden=(8, 8), seed=1)
@@ -798,13 +834,9 @@ class TestCheckpoint:
             params = new_transformer(schema.width, seed=1, dim=8, heads=2, blocks=1)
         path, bad = tmp_path / "m.ckpt", tmp_path / "bad.ckpt"
         save_checkpoint(params, schema, {}, path)
-        width = schema.width
 
-        def resize(header, arrays):
-            shapes = [[value if n == width else n for n in meta["shape"]] for meta in header["arrays"]]
-            manifest = [{**meta, "shape": shape} for meta, shape in zip(header["arrays"], shapes)]
-            hyper = {**header["hyper"], field: value}
-            return json.dumps({**header, "hyper": hyper, "arrays": manifest}, sort_keys=True).encode(), arrays
+        def resize(header, body):
+            return json.dumps({**header, "hyper": {**header["hyper"], field: value}}, sort_keys=True).encode(), body
 
         rewrite_header(path, bad, resize)
         with pytest.raises(IntegrityError, match=re.escape(f"header field hyper does not describe a model "

@@ -76,6 +76,22 @@ class TestShapes:
         with pytest.raises(ConfigError, match=f"^sizes must be positive integers, got {bad}$"):
             FnnParams.shapes({"kind": "fnn", **h})
 
+    @pytest.mark.parametrize("hidden", [[8, 8, 8], [8], 8, None, (8, 8)], ids=["three", "one", "int", "null", "tuple"])
+    def test_fnn_hidden_is_a_list_of_two_sizes(self, hidden):
+        """Any other hidden is named by its repr, before it is unpacked."""
+        with pytest.raises(ConfigError, match=f"^hidden must be a list of two sizes, got hidden={re.escape(repr(hidden))}$"):
+            FnnParams.shapes({"kind": "fnn", "features": 5, "hidden": hidden})
+
+    @pytest.mark.parametrize("kind, h", [
+        ("transformer", _hyper(hidden=[4, 4])),
+        ("fnn", {"kind": "fnn", "features": 5, "hidden": [4, 4], "mask": True}),
+    ], ids=["transformer", "fnn"])
+    def test_field_of_another_kind_is_refused(self, kind, h):
+        """A hyper dict holds the kind's own fields and no other: an FNN has no mask, an encoder no hidden."""
+        other = "hidden" if kind == "transformer" else "mask"
+        with pytest.raises(ConfigError, match=f"^'{other}' is not a field of a '{kind}' model$"):
+            list(KINDS[kind].shapes(h))
+
     @pytest.mark.parametrize("value", [True, 2.0, "8", None], ids=["bool", "float", "string", "null"])
     @pytest.mark.parametrize("kind, name, at", [
         *(("transformer", name, None) for name in ("dim", "heads", "blocks", "mlp_dim", "tokens")),

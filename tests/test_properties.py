@@ -458,16 +458,16 @@ hyper_sizes = {
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(kinds.flatmap(lambda kind: st.tuples(st.just(kind), hyper_sizes[kind], st.none() | edits)))
 def test_resigned_checkpoint_raises_only_flowids_errors(checkpoint_bytes, case):
-    """A header re-signed with other hyper sizes, over array bytes that are
-    intact or flipped, inserted into or truncated, passes the checksum, so
-    only validation stands between it and the model."""
-    kind, sizes, array_edits = case
+    """A header re-signed with other hyper sizes, over a body that is intact
+    or flipped, inserted into or truncated, passes the checksum, so only
+    validation stands between it and the model."""
+    kind, sizes, body_edits = case
 
-    def edit(header, arrays):
+    def edit(header, body):
         header = {**header, "hyper": {**header["hyper"], **sizes}}
-        if array_edits is not None:
-            arrays = mutate(arrays, array_edits)
-        return json.dumps(header, sort_keys=True).encode(), arrays
+        if body_edits is not None:
+            body = mutate(body, body_edits)
+        return json.dumps(header, sort_keys=True).encode(), body
 
     with tempfile.TemporaryDirectory() as tmp:
         src, path = Path(tmp) / "src.ckpt", Path(tmp) / "m.ckpt"
@@ -493,11 +493,11 @@ def test_resigned_schema_of_any_json_values_never_exits_1(flows, schema_fields, 
     code, never in a traceback."""
     data, model = flows
 
-    def edit(header, arrays):
+    def edit(header, body):
         schema = header["schema"]
         features = [dict(f, **feature_fields) if i == j else f for i, f in enumerate(schema["features"])]
         header = {**header, "schema": {**schema, **schema_fields, "features": features}}
-        return json.dumps(header, sort_keys=True).encode(), arrays
+        return json.dumps(header, sort_keys=True).encode(), body
 
     with tempfile.TemporaryDirectory() as tmp:
         path, csv_path = Path(tmp) / "m.ckpt", Path(tmp) / "flows.csv"
@@ -525,22 +525,34 @@ small_hypers = st.one_of(
 @given(small_hypers, st.integers(0, 2**32 - 1))
 def test_from_arrays_builds_the_layout_of_shapes(synthetic_schema, h, seed):
     """from_arrays(h, arrays) and init(h, seed) have hyper h, derived back from
-    their arrays, and parameters named and shaped as shapes(h) lists them. With
-    its input width set to the fitted synthetic schema's 13, a checkpoint of it
-    saves, loads and saves to the same bytes."""
+    their arrays, and parameters named and shaped as shapes(h) lists them."""
     kind = KINDS[h["kind"]]
     rng = np.random.default_rng(seed)
     arrays = {name: rng.normal(size=shape) for name, shape in kind.shapes(h)}
     for params in (kind.from_arrays(h, arrays), kind.init(h, seed)):
         assert params.hyper() == h
         assert [(name, t.data.shape) for name, t in params.named_parameters()] == list(kind.shapes(h))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_hypers, st.integers(0, 2**32 - 1))
+def test_checkpoint_save_load_save_is_byte_identical(synthetic_schema, h, seed):
+    """A model of either kind, its input width set to the fitted synthetic
+    schema's 13, saves, loads and saves to the same bytes, and loads with
+    the hyper dict and the arrays it was saved with."""
+    kind = KINDS[h["kind"]]
     h = {**h, ("tokens" if h["kind"] == "transformer" else "features"): synthetic_schema.width}
+    rng = np.random.default_rng(seed)
     params = kind.from_arrays(h, {name: rng.normal(size=shape) for name, shape in kind.shapes(h)})
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
         save_checkpoint(params, synthetic_schema, {"model": h["kind"]}, first)
-        save_checkpoint(load_checkpoint(first).params, synthetic_schema, {"model": h["kind"]}, second)
+        loaded = load_checkpoint(first).params
+        save_checkpoint(loaded, synthetic_schema, {"model": h["kind"]}, second)
         assert first.read_bytes() == second.read_bytes()
+    assert loaded.hyper() == h
+    for (name, saved), (_, read) in zip(params.named_parameters(), loaded.named_parameters(), strict=True):
+        assert saved.data.tobytes() == read.data.tobytes(), name
 
 
 # --- a row's logits do not depend on its chunk ---------------------------------
