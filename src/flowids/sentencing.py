@@ -144,7 +144,7 @@ def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
         return cells, ({i: MISSING_CELL for i, cell in enumerate(cells) if cell is None} if None in cells else {})
     if kind != BOOLEAN:
         try:
-            values = np.array(list(map(float, cells)), dtype=np.float64)
+            values = np.fromiter(map(float, cells), np.float64, count=len(cells))
             if np.isfinite(values).all():
                 return values, {}
         except (TypeError, ValueError):
@@ -176,7 +176,7 @@ class FeatureSpec:
     def encode_column(self, column) -> np.ndarray:
         """Map a checked column into [0, 1] using the fitted state: raw cells if nominal, else parse_column's values."""
         if self.kind == NOMINAL:
-            index = np.array([self.vocab.get(str(cell), 0) for cell in column], dtype=np.float64)
+            index = np.fromiter((self.vocab.get(str(cell), 0) for cell in column), np.float64, count=len(column))
             return index / len(self.vocab) if self.vocab else index  # 0 = unseen
         values = np.asarray(column, dtype=np.float64)
         if self.hi == self.lo:
@@ -207,7 +207,10 @@ class FeatureSpec:
 
 @dataclass
 class Schema:
-    """Ordered feature specs (label excluded) for one dataset profile."""
+    """Ordered feature specs (label excluded) for one dataset profile.
+
+    Only from_dict, which reads a checkpoint's schema, checks a schema against its profile. A schema
+    built by hand is not checked, so it may name some of the profile's columns only, on purpose."""
 
     profile: str
     features: list[FeatureSpec]

@@ -116,6 +116,20 @@ MUTANTS = [
            "if more or 8 * need != size:", "if more or 8 * need > size:", ("tests/test_dataio.py::TestCheckpoint",)),
     # the exit-code table
     Mutant("data-error-exits-2", "src/flowids/cli.py", "    DataError: 3,", "    DataError: 2,", ("tests/test_cli.py",)),
+    # the ingest rules of load_csv, parse_column and encode_column
+    Mutant("short-row-not-marked-short", "src/flowids/dataio.py",
+           "                        short = True\n", "                        pass\n",
+           ("tests/test_dataio.py::TestLoadCsvReadsLikeDictReader", "tests/test_dataio.py::TestMissingCells")),
+    Mutant("blank-rows-kept", "src/flowids/dataio.py",
+           "rows = [row for row in block if row]", "rows = block",
+           ("tests/test_dataio.py::TestLoadCsvReadsLikeDictReader",)),
+    Mutant("repeated-header-takes-first-column", "src/flowids/dataio.py",
+           "at = {name: i for i, name in enumerate(header)}", "at = {name: header.index(name) for name in header}",
+           ("tests/test_dataio.py::TestLoadCsvReadsLikeDictReader",)),
+    Mutant("float-pass-finite-unchecked", "src/flowids/sentencing.py",
+           "if np.isfinite(values).all():", "if True:", ("tests/test_sentencing.py",)),
+    Mutant("unseen-value-index-one", "src/flowids/sentencing.py",
+           "self.vocab.get(str(cell), 0)", "self.vocab.get(str(cell), 1)", ("tests/test_sentencing.py",)),
 ]
 
 

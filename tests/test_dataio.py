@@ -385,6 +385,17 @@ class TestLoadCsvBlocks:
         assert summary.rows_loaded == len(rows) and summary.rows_rejected == len(rejects)
         assert summary.rejects == rejects[:20]
 
+    def test_a_block_of_blank_rows_only_is_skipped(self, tmp_path):
+        """Blank rows that fill whole blocks, between rows and at the end of the
+        file, are skipped; a file of blank rows only has no valid rows."""
+        header = ",".join(NUMERIC_FIRST)
+        lines = [header] + [_row()] * BLOCK + [""] * (2 * BLOCK + 3) + [_row(dur="4.0")] + [""] * BLOCK
+        ds, summary = _load_lines(tmp_path, lines)
+        assert ds.records.rows.tolist() == list(range(2, BLOCK + 3)) and summary.rows_rejected == 0
+        assert ds.records.cells["dur"][-2:] == ["3.9", "4.0"]
+        with pytest.raises(DataError, match="no valid rows"):
+            _load_lines(tmp_path, [header] + [""] * BLOCK)
+
     def test_reading_starts_no_older_generation_collection(self, tmp_path):
         """Each block's rows are dropped once their cells are in the columns,
         so a load of twenty blocks starts no collection of an older generation."""

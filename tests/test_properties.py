@@ -105,6 +105,24 @@ def test_batch_encoding_matches_record_and_cell_encoding(case):
     assert y.tolist() == [r.label for r in records]
 
 
+# vocabulary keys, some of them what str() makes of an int cell
+nominal_key = st.sampled_from(["tcp", "udp", "", "0", "1", "-2"])
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(st.lists(nominal_key, unique=True, max_size=4),
+       st.lists(nominal_key | st.sampled_from(["icmp", "01"]) | st.integers(-3, 3), max_size=8))
+def test_nominal_encoding_is_a_per_cell_vocabulary_lookup(keys, column):
+    """A nominal column encodes, byte for byte, as vocab.get(str(cell), 0) cell
+    by cell over the vocabulary's size: str cells and int cells (a raw-cell
+    FlowTable may hold ints), seen and unseen values, an empty vocabulary."""
+    vocab = {key: i for i, key in enumerate(keys, start=1)}
+    out = FeatureSpec("f", NOMINAL, vocab=vocab).encode_column(column)
+    expected = [vocab.get(str(cell), 0) / len(vocab) if vocab else 0.0 for cell in column]
+    event(f"a seen value: {any(expected)}, an unseen value: {0.0 in expected}")
+    assert out.dtype == np.float64 and out.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
 # per kind: good cells, cells that do not parse, a missing cell (None) and
 # cells that parse to nan or an infinity; a drawn column repeats them
 CELLS_BY_KIND = {
