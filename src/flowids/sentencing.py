@@ -80,7 +80,7 @@ _FALSE = {"0", "false", "f", "off", "no"}
 def parse_number(cell: str) -> float:
     try:
         return float(cell)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"cannot parse numeric cell {cell!r}")
 
 
@@ -93,7 +93,7 @@ def parse_timestamp(cell: str) -> float:
     """Convert a timestamp cell to epoch seconds (or seconds within a day); no offset means UTC."""
     try:
         return float(cell)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     text = str(cell).strip()
     try:
@@ -147,7 +147,7 @@ def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
             values = np.fromiter(map(float, cells), np.float64, count=len(cells))
             if np.isfinite(values).all():
                 return values, {}
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     values, reasons = np.zeros(len(cells), dtype=np.float64), {}
     for i, cell in enumerate(cells):

@@ -215,17 +215,22 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.matmul(a, b)``, with a narrow product's rows independent of the other rows.
+    """``np.matmul(a, b)``, with each row of a 2-D product independent of the other rows.
 
     A 2-D ``a`` times a weight of fewer than four columns is taken row by
     row, one (1, d) @ (d, k) product per row: under OpenBLAS a flat product
     that narrow changes a row's last bits with the number of rows in the
     call. A flat product with 4 to 128 columns over at most 128 inputs
-    changed them only in a 1-row call, and one over a leading batch axis
-    runs a fixed matrix per leading index, so neither is split.
+    changed them only in a 1-row call, so a 1-row ``a`` is stacked on
+    itself and its product is the first row of that 2-row product: it runs
+    the same flat GEMM as every larger call. A product over a leading batch
+    axis runs a fixed matrix per leading index and is not split.
     """
-    if a.ndim == 2 and b.ndim == 2 and b.shape[1] < 4:
-        return np.matmul(a[:, None, :], b)[:, 0, :]
+    if a.ndim == 2 and b.ndim == 2:
+        if b.shape[1] < 4:
+            return np.matmul(a[:, None, :], b)[:, 0, :]
+        if len(a) == 1:
+            return np.matmul(np.vstack((a, a)), b)[:1]
     return np.matmul(a, b)
 
 

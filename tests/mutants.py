@@ -130,6 +130,14 @@ MUTANTS = [
            "if np.isfinite(values).all():", "if True:", ("tests/test_sentencing.py",)),
     Mutant("unseen-value-index-one", "src/flowids/sentencing.py",
            "self.vocab.get(str(cell), 0)", "self.vocab.get(str(cell), 1)", ("tests/test_sentencing.py",)),
+    # a row's logits do not depend on its call, and an int cell beyond the float range is a bad cell
+    Mutant("one-row-product-not-stacked", "src/flowids/tensor.py",
+           "        if len(a) == 1:\n            return np.matmul(np.vstack((a, a)), b)[:1]\n", "",
+           ("tests/test_properties.py::test_fnn_logits_of_a_row_do_not_depend_on_its_chunk",)),
+    Mutant("parse-number-overflow-uncaught", "src/flowids/sentencing.py",
+           "    except (TypeError, ValueError, OverflowError):\n        raise DataError(f\"cannot parse numeric",
+           "    except (TypeError, ValueError):\n        raise DataError(f\"cannot parse numeric",
+           ("tests/test_sentencing.py",)),
 ]
 
 

@@ -87,7 +87,7 @@ class TestLoadCsv:
 
     def test_labels_parsed(self):
         ds, _ = load_csv(FIXTURES / "unsw_tiny.csv", "unsw")
-        assert sorted(set(r.label for r in ds.records)) == [0, 1]
+        assert sorted(set(ds.records.labels.tolist())) == [0, 1]
 
     def test_ton_counts(self):
         ds, summary = load_csv(FIXTURES / "ton_tiny.csv", "ton")
@@ -125,9 +125,8 @@ class TestLoadCsv:
         back, summary = load_csv(path, "synthetic")
         assert summary.rows_rejected == 0
         assert len(back) == 40
-        for a, b in zip(ds.records, back.records):
-            assert a.values == b.values
-            assert a.label == b.label
+        assert back.records.cells == ds.records.cells
+        assert back.records.labels.tolist() == ds.records.labels.tolist()
 
     def test_non_finite_cells_rejected(self, tmp_path):
         """nan, inf and -inf in numeric or timestamp columns reject the row,
@@ -286,7 +285,8 @@ class TestLoadCsvReadsLikeDictReader:
         header = ",".join(NUMERIC_FIRST)
         lines = [header, _row(), "", _row(label="2"), "", "", _row(dur="4.0")]
         ds, summary = _load_lines(tmp_path, lines, prefix=prefix)
-        assert [(r.row, r.values["dur"]) for r in ds.records][prefix:] == [(2 + prefix, "3.9"), (4 + prefix, "4.0")]
+        assert ds.records.rows.tolist()[prefix:] == [2 + prefix, 4 + prefix]
+        assert ds.records.cells["dur"][prefix:] == ["3.9", "4.0"]
         assert summary.rejects == [(3 + prefix, "label '2' is not 0 or 1")]
 
     def test_short_row_reads_missing_cells_as_none(self, tmp_path, prefix):
@@ -301,7 +301,7 @@ class TestLoadCsvReadsLikeDictReader:
             (2 + prefix, "column 'dstip': missing cell"),
             (3 + prefix, "column 'srcip': missing cell"),
         ]
-        assert [r.row for r in ds.records][prefix:] == [4 + prefix]
+        assert ds.records.rows.tolist()[prefix:] == [4 + prefix]
 
     def test_extra_cells_are_ignored(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
@@ -321,7 +321,7 @@ class TestLoadCsvReadsLikeDictReader:
         ds, summary = _load_lines(tmp_path, [header, _row(proto='"tcp\nv2"'), _row(label="x"), _row()], prefix=prefix)
         assert ds.records.cells["proto"][prefix] == "tcp\nv2"
         assert summary.rejects == [(3 + prefix, "label: cannot parse numeric cell 'x'")]
-        assert [r.row for r in ds.records][prefix:] == [2 + prefix, 4 + prefix]
+        assert ds.records.rows.tolist()[prefix:] == [2 + prefix, 4 + prefix]
 
     def test_more_than_twenty_rejects_are_counted_not_listed(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
@@ -418,20 +418,20 @@ class TestLoadCsvBlocks:
 
 
 def _labels(ds):
-    return np.array([r.label for r in ds.records])
+    return ds.records.labels
 
 
 class TestSynth:
     def test_deterministic(self):
         a = synth(60, seed=5)
         b = synth(60, seed=5)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.values == rb.values and ra.label == rb.label
+        assert a.records.cells == b.records.cells
+        assert a.records.labels.tolist() == b.records.labels.tolist()
 
     def test_seed_matters(self):
         a = synth(60, seed=5)
         b = synth(60, seed=6)
-        assert any(ra.values != rb.values for ra, rb in zip(a.records, b.records))
+        assert a.records.cells != b.records.cells
 
     def test_balanced_labels(self):
         ds = synth(101, seed=1)
@@ -440,7 +440,7 @@ class TestSynth:
     def test_separable_by_single_threshold(self):
         """Sload alone classifies a separable set perfectly, with margin."""
         ds = synth(500, seed=2, difficulty="separable")
-        sload = np.array([float(r.values["Sload"]) for r in ds.records])
+        sload = ds.records.parsed["Sload"]
         labels = _labels(ds)
         assert np.array_equal((sload > SEPARABLE_THRESHOLD).astype(int), labels)
         gap = np.abs(sload - SEPARABLE_THRESHOLD).min()
@@ -449,7 +449,7 @@ class TestSynth:
     def test_noisy_bayes_rate(self):
         """The documented optimal threshold errs at about the target rate."""
         ds = synth(10000, seed=3, difficulty="noisy", bayes_error=0.1)
-        sload = np.array([float(r.values["Sload"]) for r in ds.records])
+        sload = ds.records.parsed["Sload"]
         labels = _labels(ds)
         cut = oracles.noisy_sload_threshold(0.1)
         acc = np.mean((sload > cut).astype(int) == labels)
@@ -461,7 +461,7 @@ class TestSynth:
         ds = synth(8000, seed=4, difficulty="noisy")
         labels = _labels(ds)
         for name in ("Dload", "Spkts", "Dpkts", "dur"):
-            values = np.array([float(r.values[name]) for r in ds.records])
+            values = ds.records.parsed[name]
             for cls in (0, 1):
                 dist = dataio.SYNTH_DISTS["noisy"][name]["normal" if cls == 0 else "attack"]
                 mean, var = oracles.dist_mean_var(dist)
@@ -471,13 +471,12 @@ class TestSynth:
 
     def test_start_times_monotone(self):
         ds = synth(50, seed=5)
-        stime = [float(r.values["Stime"]) for r in ds.records]
-        assert all(b > a for a, b in zip(stime, stime[1:]))
+        stime = ds.records.parsed["Stime"]
+        assert (stime[1:] > stime[:-1]).all()
 
     def test_end_after_start(self):
         ds = synth(50, seed=5)
-        for r in ds.records:
-            assert float(r.values["Ltime"]) > float(r.values["Stime"])
+        assert (ds.records.parsed["Ltime"] > ds.records.parsed["Stime"]).all()
 
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError, match=">= 10"):
@@ -538,15 +537,10 @@ class TestFlowTable:
                 if kind != NOMINAL:
                     assert table.parsed[name].tobytes() == values.tobytes(), name
 
-    def test_rows_are_read_only_views(self):
-        table = synth(20, seed=1).records
-        assert len(table) == len(list(table)) == 20
-        *_, row = table
-        assert (row.row, row.label) == (19, int(table.labels[19]))
-        row.values["Sload"] = "0"  # a copy: the table keeps its cells
-        assert row.values["Sload"] == table.cells["Sload"][19] != "0"
-        with pytest.raises(AttributeError):
-            row.label = 1
+    def test_iterating_gives_the_source_rows_as_ints(self):
+        table = synth(20, seed=1).records.take([19, 3, 7])
+        assert list(table) == [19, 3, 7]
+        assert all(type(row) is int for row in table)
 
     def test_columns_must_agree_in_length(self):
         with pytest.raises(ContractError):
@@ -605,22 +599,22 @@ class TestSplit:
     def test_partition_is_exact(self):
         ds = synth(75, seed=7)
         parts = split(ds, (0.6, 0.2, 0.2), seed=0)
-        seen = [r.row for p in parts for r in p.records]
+        seen = [row for p in parts for row in p.records.rows.tolist()]
         assert len(seen) == 75
-        assert set(seen) == {r.row for r in ds.records}
+        assert set(seen) == set(ds.records.rows.tolist())
 
     def test_deterministic(self):
         ds = synth(60, seed=7)
         a = split(ds, (0.6, 0.2, 0.2), seed=1)
         b = split(ds, (0.6, 0.2, 0.2), seed=1)
         for pa, pb in zip(a, b):
-            assert [r.row for r in pa.records] == [r.row for r in pb.records]
+            assert pa.records.rows.tolist() == pb.records.rows.tolist()
 
     def test_seed_changes_membership(self):
         ds = synth(60, seed=7)
         a = split(ds, (0.6, 0.2, 0.2), seed=1)
         b = split(ds, (0.6, 0.2, 0.2), seed=2)
-        assert [r.row for r in a[0].records] != [r.row for r in b[0].records]
+        assert a[0].records.rows.tolist() != b[0].records.rows.tolist()
 
     def test_bad_fractions_rejected(self):
         ds = synth(60, seed=7)

@@ -99,10 +99,10 @@ def test_batch_encoding_matches_record_and_cell_encoding(case):
     schema, records = case
     x, y = encode_batch(records, schema)
     assert x.shape == (len(records), schema.width)
-    cells = [[scalar_encode(s, r.values[s.name]) for s in schema.features] for r in records]
+    cells = [[scalar_encode(s, records.cells[s.name][i]) for s in schema.features] for i in range(len(records))]
     assert x.tobytes() == np.array(cells, dtype=np.float64).tobytes()
     assert x.tobytes() == b"".join(encode_batch(records.take([i]), schema)[0].tobytes() for i in range(len(records)))
-    assert y.tolist() == [r.label for r in records]
+    assert y.tolist() == records.labels.tolist()
 
 
 # vocabulary keys, some of them what str() makes of an int cell
@@ -183,7 +183,8 @@ def test_csv_round_trip_keeps_values_labels_and_order(rows):
         write_csv(Dataset(records=records, profile="synthetic"), path)
         back, summary = load_csv(path, "synthetic")
     assert summary.rows_rejected == 0
-    assert [(r.values, r.label) for r in back.records] == rows
+    assert back.records.cells == cells
+    assert back.records.labels.tolist() == [label for _, label in rows]
 
 
 # --- the CLI never ends in a traceback (exit 1) ------------------------------
@@ -610,11 +611,10 @@ def test_transformer_logits_of_a_row_do_not_depend_on_its_chunk(scored_rows, spa
 
 
 def test_fnn_logits_of_a_row_do_not_depend_on_its_chunk(scored_rows):
-    """The FNN too, for calls of two rows or more: a 1-row call runs its
-    hidden layers as 1-row flat products, whose bits can differ."""
+    """The FNN too, a call of one row included."""
     x, models = scored_rows
     params, whole = models["fnn"]
-    for s, n in [(0, 2), (7, 13), (5, 128), (5, 129), (41, 257), (0, 300), (298, 2)]:
+    for s, n in [(0, 1), (150, 1), (299, 1), (0, 2), (7, 13), (5, 128), (5, 129), (41, 257), (0, 300), (298, 2)]:
         assert training._batched_logits(params, x[s : s + n]).tobytes() == whole[s : s + n].tobytes(), (s, n)
 
 

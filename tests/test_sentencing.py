@@ -256,10 +256,13 @@ class TestEncode:
     def test_bad_cell_error_names_row_and_column(self):
         """fit_schema's and load_csv's rule: a cell that does not parse or is not finite is never encoded."""
         schema = fit_schema(_records(), "unsw")
-        cases = [("fast", "cannot parse"), ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite")]
-        for cell, reason in cases:
-            with pytest.raises(DataError, match=f"record 41, column 'Sload': {reason}"):
-                encode_batch(_table(_rows() + [_rec(41, Sload=cell)]), schema)
+        cases = [("Sload", "fast", "cannot parse"), ("Sload", "nan", "non-finite"), ("Sload", "inf", "non-finite"),
+                 ("Sload", "-inf", "non-finite"),
+                 ("Sload", 10**400, "cannot parse numeric cell 1000"),  # an int beyond the float range
+                 ("Stime", 10**400, "cannot parse timestamp cell 1000")]
+        for column, cell, reason in cases:
+            with pytest.raises(DataError, match=f"record 41, column '{column}': {reason}"):
+                encode_batch(_table(_rows() + [_rec(41, **{column: cell})]), schema)
 
     def test_fit_and_encode_name_the_same_cell(self):
         """The table that both read is checked as it is built: the first

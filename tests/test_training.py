@@ -423,7 +423,7 @@ class TestTrainLoop:
         """Values seen only outside the train split stay out of the vocab."""
         ds = dataio.synth(60, seed=5, difficulty="separable")
         res = train(ds, _tiny_cfg(dim=4, epochs=1))
-        train_values = {r.values["srcip"] for r in res.train.records}
+        train_values = set(res.train.records.cells["srcip"])
         vocab = next(f for f in res.schema.features if f.name == "srcip").vocab
         assert set(vocab) == train_values
 
