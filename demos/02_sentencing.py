@@ -53,18 +53,17 @@ print("srcip never seen at fit time encodes to", x2[0], "(index 0 fallback)")
 print()
 print("=== the sentence lift ===")
 
+# the three (width, dim) tables that a transformer holds as sentencing.embed,
+# sentencing.bias and sentencing.position, and passes to sentence by name
 dim = 6
-params = sentencing.SentencingParams(
-    embed=Tensor(rng.normal(size=(schema.width, dim)), requires_grad=True),
-    bias=Tensor(rng.normal(size=(schema.width, dim)), requires_grad=True),
-    position=Tensor(rng.normal(size=(schema.width, dim)), requires_grad=True),
-)
+tables = {name: Tensor(rng.normal(size=(schema.width, dim)), requires_grad=True)
+          for name in ("embed", "bias", "position")}
 
 
 def lift(vec):
     """Sentencing for one encoded record, outside any gradient tape."""
     with T.no_grad():
-        return sentencing.sentence(Tensor(vec), params).data
+        return sentencing.sentence(Tensor(vec), **tables).data
 
 
 tokens = lift(x)
@@ -75,7 +74,7 @@ print("first token:", np.round(tokens[0], 4))
 x_zero = x.copy()
 x_zero[0] = 0.0
 t0 = lift(x_zero)[0]
-expected = params.bias.data[0] + params.position.data[0]
+expected = tables["bias"].data[0] + tables["position"].data[0]
 print("zeroed scalar leaves bias + position:", np.allclose(t0, expected))
 
 # each feature only touches its own token row

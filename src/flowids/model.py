@@ -20,83 +20,70 @@ ops' rules so its bytes are the op-by-op graph's. The encoder is built from
 the generic ops in ``tensor``.
 
 A model's shape has one statement, its hyper dict: the checkpoint's
-``hyper`` header field, what ``TrainConfig.hyper`` gives, and what ``hyper()``
-derives back from a built model's arrays. Each model kind is one parameter
-class owning ``logits``, ``hyper``, its layout ``shapes``, its ``init`` from a
-hyper dict and a seed, its one builder ``from_arrays`` (which both init and
-checkpoint load go through), and whether ``threaded_chunks`` may spread its
-inference chunks over threads (see ``training._batched_logits``). ``shapes``
-is the only home of a kind's size rules: no field but the kind's own, every
-size a positive integer (a bool is none), the kind's own rules, and at most
-``MAX_PARAMETERS`` parameters, counted without allocating. ``KINDS`` is the
-only map from a kind name to its class.
+``hyper`` header field, what ``TrainConfig.hyper`` gives, and what a built
+model's ``hyper()`` returns, a copy of the dict it was built from. Its
+parameters have one statement too, its kind's layout ``shapes``: a built model
+is its hyper dict plus ``tensors``, one dict from each layout name to its
+Tensor in layout order, and the forward code reads each parameter by that name.
+The base class ``Params`` holds both, with ``hyper``, ``named_parameters`` and
+the one builder ``from_arrays`` (which both init and checkpoint load go
+through). Each model kind is one subclass owning ``logits``, its ``shapes``,
+its ``init`` from a hyper dict and a seed, and whether ``threaded_chunks`` may
+spread its inference chunks over threads (see ``training._batched_logits``).
+``shapes`` is the only home of a kind's size rules: no field but the kind's
+own, every size a positive integer (a bool is none), the kind's own rules, and
+at most ``MAX_PARAMETERS`` parameters, counted without allocating. ``KINDS`` is
+the only map from a kind name to its class.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IncompatibilityError
-from .sentencing import SentencingParams, sentence
+from .sentencing import sentence
 from .tensor import Tensor
 
 
-@dataclass
-class AttentionParams:
-    """Per-head query/key/value projections plus the output mix."""
+class Params:
+    """A built model: the hyper dict it was built from, and its parameters by layout name.
 
-    w_q: list[Tensor]  # each (dim, dim // heads)
-    w_k: list[Tensor]
-    w_v: list[Tensor]
-    w_out: Tensor  # (dim, dim)
+    ``tensors`` maps each name that ``shapes(h)`` lays out to its trainable Tensor, in
+    that order. Each kind is a subclass giving ``kind``, ``threaded_chunks``, ``shapes``,
+    ``init`` and ``logits``."""
 
-    @property
-    def heads(self) -> int:
-        return len(self.w_q)
+    kind: str
+    threaded_chunks: bool
 
+    def __init__(self, h: dict, tensors: dict[str, Tensor]):
+        self._hyper = copy.deepcopy({**h, "kind": self.kind})
+        self.tensors = tensors
 
-@dataclass
-class EncoderBlockParams:
-    attn: AttentionParams
-    mlp_w1: Tensor  # (dim, mlp_dim)
-    mlp_b1: Tensor
-    mlp_w2: Tensor  # (mlp_dim, dim)
-    mlp_b2: Tensor
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    ln3_gamma: Tensor
-    ln3_beta: Tensor
+    def hyper(self) -> dict:
+        """A copy of the hyper dict the model was built from, its kind set to the class's."""
+        return copy.deepcopy(self._hyper)
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return list(self.tensors.items())
+
+    @classmethod
+    def from_arrays(cls, h: dict, arrays: dict):
+        """The model that shapes(h) lays out, each parameter taken from arrays by its name."""
+        return cls(h, _parameters(cls.shapes(h), arrays))
 
 
-@dataclass
-class ModelParams:
-    """Every learned weight of the token encoder pipeline."""
-
-    sentencing: SentencingParams
-    blocks: list[EncoderBlockParams]
-    head_w: Tensor  # (tokens * dim, 2)
-    head_b: Tensor  # (2,)
-    mask: bool  # causal attention mask on or off
+class ModelParams(Params):
+    """The token encoder: sentencing, a stack of pre-norm blocks, and a linear head."""
 
     kind = "transformer"
     threaded_chunks = True
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self._named)  # in shapes order, recorded by from_arrays
-
     def logits(self, x: np.ndarray | Tensor) -> Tensor:
         return forward(x, self)
-
-    def hyper(self) -> dict:
-        (tokens, dim), block = self.sentencing.embed.data.shape, self.blocks[0]
-        return {"kind": self.kind, "dim": dim, "heads": block.attn.heads, "blocks": len(self.blocks),
-                "mlp_dim": block.mlp_w1.data.shape[1], "tokens": tokens, "mask": self.mask}
 
     @staticmethod
     def shapes(h: dict):
@@ -141,46 +128,15 @@ class ModelParams:
         drawn.append("head.w")
         return cls.from_arrays(h, _init_arrays(layout, drawn, seed))
 
-    @classmethod
-    def from_arrays(cls, h: dict, arrays: dict) -> "ModelParams":
-        """The model that shapes(h) lays out, each parameter taken from arrays by its name."""
-        named = _parameters(cls.shapes(h), arrays)
-        p = dict(named)
 
-        def block(i: int) -> EncoderBlockParams:
-            heads = [f"block{i}.attn.head{k}." for k in range(h["heads"])]
-            attn = AttentionParams(*([p[head + w] for head in heads] for w in ("w_q", "w_k", "w_v")), p[f"block{i}.attn.w_out"])
-            return EncoderBlockParams(attn, *(p[f"block{i}.{f.name}"] for f in fields(EncoderBlockParams)[1:]))
-
-        sent = SentencingParams(*(p[f"sentencing.{f.name}"] for f in fields(SentencingParams)))
-        params = cls(sent, [block(i) for i in range(h["blocks"])], p["head.w"], p["head.b"], h["mask"])
-        params._named = named
-        return params
-
-
-@dataclass
-class FnnParams:
+class FnnParams(Params):
     """Three linear layers with ReLU between them; runs on encoded vectors."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    w3: Tensor
-    b3: Tensor
 
     kind = "fnn"
     threaded_chunks = False  # too little work per chunk to pay for a thread handoff
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self._named)  # in shapes order, recorded by from_arrays
-
     def logits(self, x: np.ndarray | Tensor) -> Tensor:
         return fnn_forward(x, self)
-
-    def hyper(self) -> dict:
-        (features, h1), h2 = self.w1.data.shape, self.w2.data.shape[1]
-        return {"kind": self.kind, "features": features, "hidden": [h1, h2]}
 
     @staticmethod
     def shapes(h: dict) -> list[tuple[str, tuple]]:
@@ -200,60 +156,58 @@ class FnnParams:
         """Glorot-uniform weights drawn in the order w1, w2, w3, and zero biases; seed-determined."""
         return cls.from_arrays(h, _init_arrays(cls.shapes(h), ["w1", "w2", "w3"], seed))
 
-    @classmethod
-    def from_arrays(cls, h: dict, arrays: dict) -> "FnnParams":
-        """The model that shapes(h) lays out, each parameter taken from arrays by its name."""
-        named = _parameters(cls.shapes(h), arrays)
-        params = cls(**dict(named))
-        params._named = named
-        return params
 
-
-def attention(z: Tensor, params: AttentionParams, mask: bool = True) -> Tensor:
-    """Multi-head scaled dot-product attention on (..., tokens, dim)."""
-    head_dim = params.w_q[0].data.shape[1]
+def attention(z: Tensor, tensors: dict[str, Tensor], prefix: str, heads: int, mask: bool) -> Tensor:
+    """Multi-head scaled dot-product attention on (..., tokens, dim), its weights named
+    prefix + "head{k}.w_q" (and w_k, w_v) for each head k, and prefix + "w_out"."""
+    head_dim = tensors[prefix + "head0.w_q"].data.shape[1]
     inv_scale = 1.0 / math.sqrt(head_dim)
     head_outputs = []
-    for h in range(params.heads):
-        q = T.matmul(z, params.w_q[h])
-        k = T.matmul(z, params.w_k[h])
-        v = T.matmul(z, params.w_v[h])
+    for h in range(heads):
+        q = T.matmul(z, tensors[f"{prefix}head{h}.w_q"])
+        k = T.matmul(z, tensors[f"{prefix}head{h}.w_k"])
+        v = T.matmul(z, tensors[f"{prefix}head{h}.w_v"])
         scores = T.scale(T.matmul(q, T.transpose(k)), inv_scale)
         if mask:
             scores = T.causal_mask(scores)
         weights = T.softmax(scores)
         head_outputs.append(T.matmul(weights, v))
-    return T.matmul(T.concat_last_axis(head_outputs), params.w_out)
+    return T.matmul(T.concat_last_axis(head_outputs), tensors[prefix + "w_out"])
 
 
-def encoder_block(z: Tensor, params: EncoderBlockParams, mask: bool = True) -> Tensor:
-    """One pre-norm block: masked attention, MLP, each with residual, then LN."""
-    attended = attention(T.layer_norm(z, params.ln1_gamma, params.ln1_beta), params.attn, mask)
+def encoder_block(z: Tensor, tensors: dict[str, Tensor], prefix: str, heads: int, mask: bool) -> Tensor:
+    """One pre-norm block, its tensors named prefix + their layout name (as "attn.w_out",
+    "mlp_w1" or "ln1_gamma"): masked attention, MLP, each with residual, then LN."""
+
+    def p(name: str) -> Tensor:
+        return tensors[prefix + name]
+
+    attended = attention(T.layer_norm(z, p("ln1_gamma"), p("ln1_beta")), tensors, prefix + "attn.", heads, mask)
     z = T.add(attended, z)
-    hidden = T.relu(T.add(T.matmul(T.layer_norm(z, params.ln2_gamma, params.ln2_beta), params.mlp_w1), params.mlp_b1))
-    z = T.add(T.add(T.matmul(hidden, params.mlp_w2), params.mlp_b2), z)
-    return T.layer_norm(z, params.ln3_gamma, params.ln3_beta)
+    hidden = T.relu(T.add(T.matmul(T.layer_norm(z, p("ln2_gamma"), p("ln2_beta")), p("mlp_w1")), p("mlp_b1")))
+    z = T.add(T.add(T.matmul(hidden, p("mlp_w2")), p("mlp_b2")), z)
+    return T.layer_norm(z, p("ln3_gamma"), p("ln3_beta"))
 
 
 def forward(x: np.ndarray | Tensor, params: ModelParams) -> Tensor:
-    """Encoded batch (batch, features) -> raw logits (batch, 2), masked per params.mask.
+    """Encoded batch (batch, features) -> raw logits (batch, 2), masked as the hyper dict's mask says.
 
     Softmax is applied only inside the loss and the score computation,
     never here.
     """
+    h, p = params._hyper, params.tensors
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 2:
         raise IncompatibilityError(f"forward expects a (batch, features) matrix, got {x.shape}")
-    if x.data.shape[1] != params.sentencing.width:
+    if x.data.shape[1] != h["tokens"]:
         raise IncompatibilityError(
-            f"input has {x.data.shape[1]} features but the model was built for "
-            f"{params.sentencing.width}"
+            f"input has {x.data.shape[1]} features but the model was built for {h['tokens']}"
         )
-    z = sentence(x, params.sentencing)
-    for block in params.blocks:
-        z = encoder_block(z, block, params.mask)
+    z = sentence(x, p["sentencing.embed"], p["sentencing.bias"], p["sentencing.position"])
+    for i in range(h["blocks"]):
+        z = encoder_block(z, p, f"block{i}.", h["heads"], h["mask"])
     flat = T.reshape(z, (z.shape[0], z.shape[1] * z.shape[2]))
-    return T.add(T.matmul(flat, params.head_w), params.head_b)
+    return T.add(T.matmul(flat, p["head.w"]), p["head.b"])
 
 
 def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
@@ -266,16 +220,13 @@ def fnn_forward(x: np.ndarray | Tensor, params: FnnParams) -> Tensor:
     for an input that requires one.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != params.w1.data.shape[0]:
-        raise IncompatibilityError(
-            f"input shape {x.shape} does not match first layer "
-            f"{params.w1.data.shape}"
-        )
-    inputs = (x, params.w1, params.b1, params.w2, params.b2, params.w3, params.b3)
-    w1, w2, w3 = params.w1.data, params.w2.data, params.w3.data
-    h1 = np.maximum(T.product(x.data, w1) + params.b1.data, 0.0)
-    h2 = np.maximum(T.product(h1, w2) + params.b2.data, 0.0)
-    out = Tensor(T.product(h2, w3) + params.b3.data)
+    inputs = (x, *(params.tensors[name] for name in ("w1", "b1", "w2", "b2", "w3", "b3")))
+    w1, b1, w2, b2, w3, b3 = (t.data for t in inputs[1:])
+    if x.data.ndim != 2 or x.data.shape[1] != w1.shape[0]:
+        raise IncompatibilityError(f"input shape {x.shape} does not match first layer {w1.shape}")
+    h1 = np.maximum(T.product(x.data, w1) + b1, 0.0)
+    h2 = np.maximum(T.product(h1, w2) + b2, 0.0)
+    out = Tensor(T.product(h2, w3) + b3)
 
     needs = [t.requires_grad for t in inputs]  # x, w1, b1, w2, b2, w3, b3
     # layer k = 1, 2, 3 reads its input acts[k - 1]; for k > 1 that is the ReLU output below it
@@ -320,14 +271,14 @@ def _refuse_nonpositive(**sizes) -> None:
         raise ConfigError(f"sizes must be positive integers, got {', '.join(bad)}")
 
 
-def _parameters(layout, arrays: dict) -> list[tuple[str, Tensor]]:
-    """(name, trainable Tensor over arrays[name]) for each entry of layout, in its order; no array is copied."""
-    named = []
+def _parameters(layout, arrays: dict) -> dict[str, Tensor]:
+    """{name: trainable Tensor over arrays[name]} for each entry of layout, in its order; no array is copied."""
+    tensors = {}
     for name, shape in layout:
         if arrays[name].shape != shape:
             raise ConfigError(f"array {name!r} has shape {arrays[name].shape}, the layout needs {shape}")
-        named.append((name, Tensor(arrays[name], requires_grad=True)))
-    return named
+        tensors[name] = Tensor(arrays[name], requires_grad=True)
+    return tensors
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:  # shape is (fan_in, fan_out)

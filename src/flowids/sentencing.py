@@ -4,7 +4,9 @@ Each feature of a record is treated as one word: the record's J feature
 values become J scalars in [0, 1], and each scalar is lifted into a learned
 C-dimensional token (scalar times a per-feature embedding row, plus a
 per-feature bias and a positional row). The resulting J x C matrix is what
-the encoder stack consumes.
+the encoder stack consumes. ``sentence`` takes the three (J, C) tables as
+they are: the transformer's ``sentencing.embed``, ``sentencing.bias`` and
+``sentencing.position`` parameters, which ``model.forward`` reads by name.
 
 Encoder state (nominal vocabularies, numeric min/max ranges) is fitted on
 training-split records only and never mutated afterwards.
@@ -202,6 +204,8 @@ class FeatureSpec:
             v = getattr(spec, key)  # an int beyond the float range fails abs(v) <= max too
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
                 raise ValueError(f"{where}.{key} is {v!r}, not a finite number")
+        if spec.kind != NOMINAL and spec.lo > spec.hi:  # lo == hi marks a constant feature
+            raise ValueError(f"{where} has lo {spec.lo!r} above hi {spec.hi!r}")
         return spec
 
 
@@ -285,25 +289,12 @@ def encode_batch(records, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
     return x, records.labels.copy()
 
 
-@dataclass
-class SentencingParams:
-    """Learned lift from scalar features to tokens.
+def sentence(x: Tensor, embed: Tensor, bias: Tensor, position: Tensor) -> Tensor:
+    """Lift encoded vectors (..., width) into token sequences (..., width, dim).
 
-    token_j = x_j * embed[j] + bias[j] + position[j]. The bias keeps
-    zero-valued features from collapsing onto the positional row alone.
+    token_j = x_j * embed[j] + bias[j] + position[j], each table (width, dim). The bias
+    keeps zero-valued features from collapsing onto the positional row alone.
     """
-
-    embed: Tensor  # (width, dim)
-    bias: Tensor
-    position: Tensor
-
-    @property
-    def width(self) -> int:
-        return self.embed.data.shape[0]
-
-
-def sentence(x: Tensor, params: SentencingParams) -> Tensor:
-    """Lift encoded vectors (..., width) into token sequences (..., width, dim)."""
     expanded = T.reshape(x, x.shape + (1,))
-    scaled = T.mul(expanded, params.embed)  # broadcasts embed over the batch
-    return T.add(T.add(scaled, params.bias), params.position)
+    scaled = T.mul(expanded, embed)  # broadcasts embed over the batch
+    return T.add(T.add(scaled, bias), position)

@@ -420,8 +420,8 @@ def predict_scores(params, x: np.ndarray, *, mask: bool | None = None) -> np.nda
     with a transformer's ``mask``, the one in its hyper dict; the FNN has no
     attention and ignores it.
     """
-    if mask is not None and isinstance(params, M.ModelParams) and mask != params.mask:
-        raise ContractError(f"mask={mask} asked of a model built with mask={params.mask}")
+    if mask is not None and isinstance(params, M.ModelParams) and mask != params.hyper()["mask"]:
+        raise ContractError(f"mask={mask} asked of a model built with mask={params.hyper()['mask']}")
     return _scores(_batched_logits(params, x))
 
 

@@ -113,6 +113,12 @@ HEADER_DEFECTS = [
         id="feature-kind-swapped",
     ),
     pytest.param(_header(lambda h: _feature(h, 3, lo="x")), "schema.features[3].lo", id="feature-lo-not-number"),
+    # a reversed range would flip the feature's encoding; lo == hi stays legal, a constant feature
+    pytest.param(
+        _header(lambda h: _feature(h, 3, lo=h["schema"]["features"][3]["hi"], hi=h["schema"]["features"][3]["lo"])),
+        "schema.features[3] has lo",
+        id="feature-range-reversed",
+    ),
     pytest.param(
         _header(lambda h: _feature(h, 3, kind="weird")), "schema.features[3].kind", id="feature-unknown-kind"
     ),

@@ -85,6 +85,9 @@ MUTANTS = [
            ("tests/test_model.py",)),
     Mutant("fnn-budget-unchecked", "src/flowids/model.py",
            "_refuse_oversized(sum(math.prod(shape) for _, shape in layout))", "pass", ("tests/test_model.py",)),
+    # a built model's hyper dict records its kind, whatever dict it was built from
+    Mutant("model-kind-not-stamped", "src/flowids/model.py",
+           "copy.deepcopy({**h, \"kind\": self.kind})", "copy.deepcopy(h)", ("tests/test_model.py::TestKindInterface",)),
     # a train config's sizes are checked, through shapes, at the profile's width before any data is read
     Mutant("cli-sizes-unchecked", "src/flowids/cli.py",
            "M.KINDS[config.model].shapes(config.hyper(len(PROFILES[args.profile][\"features\"])))", "pass",
@@ -106,7 +109,7 @@ MUTANTS = [
     Mutant("train-reads-data-before-config", "src/flowids/cli.py",
            "_build_train_config(args).resolved(), {}", "_build_train_config(args), {}",
            ("tests/test_cli.py::TestTrain",)),
-    # the checks of load_checkpoint that no hyper dict makes: version, schema width, body length
+    # the checks of load_checkpoint that no hyper dict makes: version, schema width, body length, feature range
     Mutant("checkpoint-version-only-not-newer", "src/flowids/dataio.py",
            "if version != CHECKPOINT_VERSION:", "if version > CHECKPOINT_VERSION:",
            ("tests/test_dataio.py::TestCheckpoint",)),
@@ -114,6 +117,8 @@ MUTANTS = [
            "if width != schema.width:", "if False:", ("tests/test_dataio.py::TestCheckpoint",)),
     Mutant("checkpoint-body-only-not-short", "src/flowids/dataio.py",
            "if more or 8 * need != size:", "if more or 8 * need > size:", ("tests/test_dataio.py::TestCheckpoint",)),
+    Mutant("feature-range-unchecked", "src/flowids/sentencing.py",
+           "if spec.kind != NOMINAL and spec.lo > spec.hi:", "if False:", ("tests/test_dataio.py::TestCheckpoint",)),
     # the exit-code table
     Mutant("data-error-exits-2", "src/flowids/cli.py", "    DataError: 3,", "    DataError: 2,", ("tests/test_cli.py",)),
     # the ingest rules of load_csv, parse_column and encode_column

@@ -97,34 +97,32 @@ def np_attention(z, w_q, w_k, w_v, w_out, mask=True):
     return np.concatenate(heads, axis=-1) @ w_out
 
 
-def np_encoder_block(z, block, mask=True):
-    """Pre-norm block: LN, masked attention, residual; LN, MLP, residual; LN."""
+def np_encoder_block(z, tensors, prefix, mask=True):
+    """Pre-norm block over the tensors named prefix + their layout name ("attn.w_out",
+    "mlp_w1", ...): LN, masked attention, residual; LN, MLP, residual; LN."""
+    w = {name[len(prefix):]: t.data for name, t in tensors.items() if name.startswith(prefix)}
+    heads = sum(name.endswith(".w_q") for name in w)
     a = np_attention(
-        np_layer_norm(z, block.ln1_gamma.data, block.ln1_beta.data),
-        [t.data for t in block.attn.w_q],
-        [t.data for t in block.attn.w_k],
-        [t.data for t in block.attn.w_v],
-        block.attn.w_out.data,
+        np_layer_norm(z, w["ln1_gamma"], w["ln1_beta"]),
+        *([w[f"attn.head{k}.{m}"] for k in range(heads)] for m in ("w_q", "w_k", "w_v")),
+        w["attn.w_out"],
         mask,
     )
     z = a + z
-    h = np.maximum(
-        np_layer_norm(z, block.ln2_gamma.data, block.ln2_beta.data) @ block.mlp_w1.data
-        + block.mlp_b1.data,
-        0.0,
-    )
-    z = h @ block.mlp_w2.data + block.mlp_b2.data + z
-    return np_layer_norm(z, block.ln3_gamma.data, block.ln3_beta.data)
+    h = np.maximum(np_layer_norm(z, w["ln2_gamma"], w["ln2_beta"]) @ w["mlp_w1"] + w["mlp_b1"], 0.0)
+    z = h @ w["mlp_w2"] + w["mlp_b2"] + z
+    return np_layer_norm(z, w["ln3_gamma"], w["ln3_beta"])
 
 
 def np_model_logits(x, params, mask=True):
-    """Whole pipeline: sentencing, block stack, flatten, linear head."""
-    sent = params.sentencing
-    z = x[..., None] * sent.embed.data + sent.bias.data + sent.position.data
-    for block in params.blocks:
-        z = np_encoder_block(z, block, mask)
+    """Whole pipeline over params.tensors by name: sentencing, block stack, flatten, linear head."""
+    tensors = params.tensors
+    w = {name: t.data for name, t in tensors.items()}
+    z = x[..., None] * w["sentencing.embed"] + w["sentencing.bias"] + w["sentencing.position"]
+    for i in range(sum(name.endswith(".attn.w_out") for name in w)):
+        z = np_encoder_block(z, tensors, f"block{i}.", mask)
     flat = z.reshape(x.shape[0], -1)
-    return flat @ params.head_w.data + params.head_b.data
+    return flat @ w["head.w"] + w["head.b"]
 
 
 def ref_softmax(x):
@@ -178,9 +176,10 @@ def ref_replay(tape, loss):
 
 
 def np_fnn_logits(x, params):
-    h = np.maximum(x @ params.w1.data + params.b1.data, 0.0)
-    h = np.maximum(h @ params.w2.data + params.b2.data, 0.0)
-    return h @ params.w3.data + params.b3.data
+    w = {name: t.data for name, t in params.tensors.items()}
+    h = np.maximum(x @ w["w1"] + w["b1"], 0.0)
+    h = np.maximum(h @ w["w2"] + w["b2"], 0.0)
+    return h @ w["w3"] + w["b3"]
 
 
 def np_init_arrays(h, seed):

@@ -79,8 +79,8 @@ def test_acceptance_2_block_equation_oracle():
     small = new_transformer(3, seed=5, dim=4, heads=2, blocks=1)
     z = np.array([[0.3, -1.2, 0.5, 2.0], [1.1, 0.0, -0.7, 0.4], [-0.2, 0.9, 1.5, -1.0]])
     for mask in (True, False):
-        got = encoder_block(Tensor(z), small.blocks[0], mask=mask).data
-        want = np_encoder_block(z, small.blocks[0], mask=mask)
+        got = encoder_block(Tensor(z), small.tensors, "block0.", 2, mask=mask).data
+        want = np_encoder_block(z, small.tensors, "block0.", mask=mask)
         worst = max(worst, float(np.max(np.abs(got - want))))
 
     full = new_transformer(13, seed=6, dim=32, heads=4, blocks=2)
@@ -99,10 +99,11 @@ def test_acceptance_3_mask_causality():
     rng = np.random.default_rng(9)
 
     def stack(vec):
+        t = params.tensors
         with T.no_grad():
-            z = sentence(Tensor(vec), params.sentencing)
-            for block in params.blocks:
-                z = encoder_block(z, block, mask=True)
+            z = sentence(Tensor(vec), t["sentencing.embed"], t["sentencing.bias"], t["sentencing.position"])
+            for i in range(2):
+                z = encoder_block(z, t, f"block{i}.", 2, mask=True)
         return z.data
 
     ok = True

@@ -659,12 +659,14 @@ class TestCheckpoint:
 
     def test_fnn_round_trip(self, tmp_path):
         _, schema = _fitted()
+        schema.features[3].hi = schema.features[3].lo  # a feature constant in training loads; only lo > hi is refused
         params = new_fnn(schema.width, hidden=(16, 16), seed=1)
         path = tmp_path / "fnn.ckpt"
         save_checkpoint(params, schema, {"model": "fnn"}, path)
         ck = load_checkpoint(path)
         assert ck.kind == "fnn"
         assert ck.metrics is None
+        assert ck.schema == schema
         for (_, ta), (_, tb) in zip(params.named_parameters(), ck.params.named_parameters()):
             np.testing.assert_array_equal(ta.data, tb.data)
 

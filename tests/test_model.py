@@ -1,5 +1,6 @@
 """Encoder architecture: shapes, masking, init, and oracle agreement."""
 
+import copy
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import flowids.tensor as T
 from flowids import model
+from flowids.dataio import load_checkpoint, save_checkpoint, synth
 from flowids.errors import ConfigError, IncompatibilityError
 from flowids.model import (
     KINDS,
@@ -17,7 +19,7 @@ from flowids.model import (
     fnn_forward,
     forward,
 )
-from flowids.sentencing import sentence
+from flowids.sentencing import fit_schema, sentence
 from flowids.tensor import Tensor
 from flowids.training import CHUNK_ROWS, cross_entropy
 from fd import central_diff, max_rel_error, taped_mean
@@ -133,29 +135,27 @@ class TestInit:
     def test_seed_changes_weights(self):
         a = _small_params(seed=1)
         b = _small_params(seed=2)
-        assert np.any(a.head_w.data != b.head_w.data)
+        assert np.any(a.tensors["head.w"].data != b.tensors["head.w"].data)
 
     def test_shapes(self):
         p = _small_params(tokens=5, dim=8, heads=2, blocks=2)
-        block = p.blocks[0]
-        assert block.attn.heads == 2
+        t = p.tensors
+        assert "block0.attn.head2.w_q" not in t
         for h in range(2):
-            assert block.attn.w_q[h].data.shape == (8, 4)
-            assert block.attn.w_k[h].data.shape == (8, 4)
-            assert block.attn.w_v[h].data.shape == (8, 4)
-        assert block.attn.w_out.data.shape == (8, 8)
-        assert block.mlp_w1.data.shape == (8, 32)
-        assert block.mlp_w2.data.shape == (32, 8)
-        assert p.head_w.data.shape == (5 * 8, 2)
-        assert p.head_b.data.shape == (2,)
+            for w in ("w_q", "w_k", "w_v"):
+                assert t[f"block0.attn.head{h}.{w}"].data.shape == (8, 4)
+        assert t["block0.attn.w_out"].data.shape == (8, 8)
+        assert t["block0.mlp_w1"].data.shape == (8, 32)
+        assert t["block0.mlp_w2"].data.shape == (32, 8)
+        assert t["head.w"].data.shape == (5 * 8, 2)
+        assert t["head.b"].data.shape == (2,)
 
     def test_affine_and_bias_initial_values(self):
-        p = _small_params()
-        block = p.blocks[0]
-        np.testing.assert_array_equal(block.ln1_gamma.data, np.ones(4))
-        np.testing.assert_array_equal(block.ln1_beta.data, np.zeros(4))
-        np.testing.assert_array_equal(block.mlp_b1.data, np.zeros(16))
-        np.testing.assert_array_equal(p.sentencing.position.data, np.zeros((3, 4)))
+        t = _small_params().tensors
+        np.testing.assert_array_equal(t["block0.ln1_gamma"].data, np.ones(4))
+        np.testing.assert_array_equal(t["block0.ln1_beta"].data, np.zeros(4))
+        np.testing.assert_array_equal(t["block0.mlp_b1"].data, np.zeros(16))
+        np.testing.assert_array_equal(t["sentencing.position"].data, np.zeros((3, 4)))
 
     def test_parameter_count_arithmetic(self):
         """Count matches the layer-by-layer formula."""
@@ -208,36 +208,33 @@ class TestInit:
 class TestAttention:
     def test_single_token_is_value_projection(self):
         """With one token the softmax weight is 1, so output = v @ w_out."""
-        p = _small_params(tokens=1, dim=4, heads=2, blocks=1)
-        attn = p.blocks[0].attn
+        t = _small_params(tokens=1, dim=4, heads=2, blocks=1).tensors
         z = np.random.default_rng(0).normal(size=(1, 4))
-        out = attention(Tensor(z), attn)
-        v = np.concatenate([z @ w.data for w in attn.w_v], axis=-1)
-        np.testing.assert_allclose(out.data, v @ attn.w_out.data, rtol=1e-12, atol=1e-12)
+        out = attention(Tensor(z), t, "block0.attn.", 2, mask=True)
+        v = np.concatenate([z @ t[f"block0.attn.head{k}.w_v"].data for k in range(2)], axis=-1)
+        np.testing.assert_allclose(out.data, v @ t["block0.attn.w_out"].data, rtol=1e-12, atol=1e-12)
 
     def test_mask_blocks_future_bit_exactly(self):
         """Perturbing tokens after position i leaves rows <= i unchanged."""
-        p = _small_params(tokens=6, dim=4, heads=2, blocks=1)
-        attn = p.blocks[0].attn
+        t = _small_params(tokens=6, dim=4, heads=2, blocks=1).tensors
         rng = np.random.default_rng(7)
         for _ in range(10):
             z = rng.normal(size=(6, 4))
-            base = attention(Tensor(z), attn, mask=True).data
+            base = attention(Tensor(z), t, "block0.attn.", 2, mask=True).data
             i = int(rng.integers(0, 5))
             poked = z.copy()
             poked[i + 1 :] += rng.normal(size=(5 - i, 4))
-            out = attention(Tensor(poked), attn, mask=True).data
+            out = attention(Tensor(poked), t, "block0.attn.", 2, mask=True).data
             np.testing.assert_array_equal(out[: i + 1], base[: i + 1])
 
     def test_unmasked_attention_sees_future(self):
-        p = _small_params(tokens=6, dim=4, heads=2, blocks=1)
-        attn = p.blocks[0].attn
+        t = _small_params(tokens=6, dim=4, heads=2, blocks=1).tensors
         rng = np.random.default_rng(8)
         z = rng.normal(size=(6, 4))
         poked = z.copy()
         poked[5] += 1.0
-        base = attention(Tensor(z), attn, mask=False).data
-        out = attention(Tensor(poked), attn, mask=False).data
+        base = attention(Tensor(z), t, "block0.attn.", 2, mask=False).data
+        out = attention(Tensor(poked), t, "block0.attn.", 2, mask=False).data
         assert np.any(out[0] != base[0])
 
 
@@ -254,8 +251,8 @@ class TestBlockOracle:
             ]
         )
         for mask in (True, False):
-            got = encoder_block(Tensor(z), p.blocks[0], mask=mask).data
-            want = np_encoder_block(z, p.blocks[0], mask=mask)
+            got = encoder_block(Tensor(z), p.tensors, "block0.", 2, mask=mask).data
+            want = np_encoder_block(z, p.tensors, "block0.", mask=mask)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_full_model_matches_transcription(self):
@@ -273,13 +270,22 @@ class TestBlockOracle:
             name: np.zeros_like(t.data) if name.startswith(("block0.attn.", "block0.mlp_")) else t.data
             for name, t in p.named_parameters()
         }
-        block = KINDS["transformer"].from_arrays(p.hyper(), arrays).blocks[0]
-        assert not any(np.any(t.data) for t in block.attn.w_q + block.attn.w_k + block.attn.w_v)
+        zeroed = KINDS["transformer"].from_arrays(p.hyper(), arrays).tensors
+        assert not any(np.any(t.data) for name, t in zeroed.items() if name.startswith("block0.attn.head"))
         z = np.random.default_rng(3).normal(size=(3, 4))
-        got = encoder_block(Tensor(z), block).data
+        got = encoder_block(Tensor(z), zeroed, "block0.", 2, mask=True).data
         np.testing.assert_allclose(
             got, np_layer_norm(z, np.ones(4), np.zeros(4)), rtol=1e-12, atol=1e-12
         )
+
+
+def _body(p, v):
+    """The token matrix before the head: sentencing and the block stack, masked as p was built."""
+    h, t = p.hyper(), p.tensors
+    z = sentence(Tensor(v), t["sentencing.embed"], t["sentencing.bias"], t["sentencing.position"])
+    for i in range(h["blocks"]):
+        z = encoder_block(z, t, f"block{i}.", h["heads"], h["mask"])
+    return z.data
 
 
 class TestForward:
@@ -319,12 +325,7 @@ class TestForward:
         poked = x.copy()
         poked[0, 3:] += 0.25
         with T.no_grad():
-            def stack(v):
-                z = sentence(Tensor(v), p.sentencing)
-                for block in p.blocks:
-                    z = encoder_block(z, block, mask=True)
-                return z.data
-            np.testing.assert_array_equal(stack(x)[0, :3], stack(poked)[0, :3])
+            np.testing.assert_array_equal(_body(p, x)[0, :3], _body(p, poked)[0, :3])
 
     def test_body_rows_do_not_depend_on_the_chunk(self):
         """Everything before the head computes a row with the same bytes
@@ -337,10 +338,7 @@ class TestForward:
 
         def body(v):
             with T.no_grad():
-                z = sentence(Tensor(v), p.sentencing)
-                for block in p.blocks:
-                    z = encoder_block(z, block, p.mask)
-            return z.data
+                return _body(p, v)
 
         whole = body(x)
         differ = [n for n in range(1, rows) if body(x[:n]).tobytes() != whole[:n].tobytes()]
@@ -354,22 +352,23 @@ FNN_INPUTS = ("x", "w1", "b1", "w2", "b2", "w3", "b3")
 
 def op_fnn(x, p):
     """The FNN as the op-by-op graph: 8 records, each with the generic rule."""
-    h = T.relu(T.add(T.matmul(x, p.w1), p.b1))
-    h = T.relu(T.add(T.matmul(h, p.w2), p.b2))
-    return T.add(T.matmul(h, p.w3), p.b3)
+    t = p.tensors
+    h = T.relu(T.add(T.matmul(x, t["w1"]), t["b1"]))
+    h = T.relu(T.add(T.matmul(h, t["w2"]), t["b2"]))
+    return T.add(T.matmul(h, t["w3"]), t["b3"])
 
 
 def fnn_step(forward_fn, rows, x_grad=False, frozen=()):
     """Logits and the gradient of each FNN input after one cross-entropy backward pass."""
     p = new_fnn(13, hidden=(64, 64), seed=4)
     for name in frozen:
-        getattr(p, name).requires_grad = False
+        p.tensors[name].requires_grad = False
     rng = np.random.default_rng(rows)
     x = Tensor(rng.uniform(size=(rows, 13)), requires_grad=x_grad)
     T.clear_tape()
     logits = forward_fn(x, p)
     T.backward(cross_entropy(logits, rng.integers(0, 2, size=rows)))
-    return logits.data, [x.grad] + [getattr(p, name).grad for name in FNN_INPUTS[1:]]
+    return logits.data, [x.grad] + [p.tensors[name].grad for name in FNN_INPUTS[1:]]
 
 
 def same_bytes(a, b) -> bool:
@@ -448,28 +447,45 @@ class TestKindInterface:
     @pytest.mark.parametrize(
         "params, oracle",
         [
-            (_small_params(tokens=5, seed=8), np_model_logits),
-            (new_fnn(5, hidden=(8, 6), seed=8), np_fnn_logits),
+            (_small_params(tokens=13, seed=8), np_model_logits),
+            (new_fnn(13, hidden=(8, 6), seed=8), np_fnn_logits),
             (
-                new_transformer(5, seed=8, dim=4, heads=2, blocks=2, mask=False),
+                new_transformer(13, seed=8, dim=4, heads=2, blocks=2, mask=False),
                 lambda x, p: np_model_logits(x, p, mask=False),
             ),
         ],
         ids=["transformer", "fnn", "transformer-unmasked"],
     )
-    def test_hyper_round_trip_and_logits(self, params, oracle):
+    def test_hyper_round_trip_and_logits(self, params, oracle, tmp_path):
         """from_arrays(hyper(), arrays) rebuilds the same model from its named arrays, in
-        the layout that shapes(hyper()) names without building it; logits() is the forward pass."""
+        the layout that shapes(hyper()) names without building it; logits() is the forward pass.
+        A hyper dict without kind builds the class's kind, which its checkpoint records, and
+        the model keeps its own copy of the dict: no edit of the dict passed in, or of one
+        that hyper() returned, reaches it."""
         arrays = {n: t.data for n, t in params.named_parameters()}
-        rebuilt = KINDS[params.kind].from_arrays(params.hyper(), arrays)
+        h = params.hyper()
+        rebuilt = KINDS[params.kind].from_arrays(h, arrays)
         assert type(rebuilt) is type(params)
-        assert rebuilt.hyper() == params.hyper()
+        assert rebuilt.hyper() == h
         layout = [(n, t.data.shape) for n, t in params.named_parameters()]
         assert [(n, t.data.shape) for n, t in rebuilt.named_parameters()] == layout
-        assert list(KINDS[params.kind].shapes(params.hyper())) == layout
-        x = np.random.default_rng(9).uniform(size=(4, 5))
+        assert list(KINDS[params.kind].shapes(h)) == layout
+        x = np.random.default_rng(9).uniform(size=(4, 13))
         np.testing.assert_array_equal(rebuilt.logits(x).data, params.logits(x).data)
         np.testing.assert_allclose(params.logits(x).data, oracle(x, params), rtol=1e-12, atol=1e-12)
+
+        given = {k: v for k, v in copy.deepcopy(h).items() if k != "kind"}
+        bare = KINDS[params.kind].from_arrays(given, arrays)
+        assert bare.hyper() == h
+        save_checkpoint(bare, fit_schema(synth(30, seed=0).records, "synthetic"), {}, tmp_path / "bare.ckpt")
+        assert load_checkpoint(tmp_path / "bare.ckpt").params.hyper() == h
+        for edited in (given, bare.hyper()):
+            for value in edited.values():
+                if isinstance(value, list):
+                    value[0] = -1
+            edited.clear()
+            edited["kind"] = "rnn"
+        assert bare.hyper() == h
 
 
 class TestEncoderGradient:

@@ -543,8 +543,8 @@ small_hypers = st.one_of(
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_hypers, st.integers(0, 2**32 - 1))
 def test_from_arrays_builds_the_layout_of_shapes(synthetic_schema, h, seed):
-    """from_arrays(h, arrays) and init(h, seed) have hyper h, derived back from
-    their arrays, and parameters named and shaped as shapes(h) lists them."""
+    """from_arrays(h, arrays) and init(h, seed) have hyper h, the dict they were
+    built from, and parameters named and shaped as shapes(h) lists them."""
     kind = KINDS[h["kind"]]
     rng = np.random.default_rng(seed)
     arrays = {name: rng.normal(size=shape) for name, shape in kind.shapes(h)}

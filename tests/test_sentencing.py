@@ -6,7 +6,6 @@ import pathlib
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from flowids.errors import DataError, SchemaError
 from flowids.sentencing import (
     FeatureSpec,
     Schema,
-    SentencingParams,
     encode_batch,
     fit_schema,
     parse_boolean,
@@ -330,44 +328,41 @@ class TestEncode:
 
 
 def _params(width=4, dim=3, seed=0):
+    """The transformer's three sentencing tables by name, as sentence takes them: embed, bias, position."""
     rng = np.random.default_rng(seed)
-    return SentencingParams(
-        embed=Tensor(rng.normal(size=(width, dim)), requires_grad=True),
-        bias=Tensor(rng.normal(size=(width, dim)), requires_grad=True),
-        position=Tensor(rng.normal(size=(width, dim)), requires_grad=True),
-    )
+    return {name: Tensor(rng.normal(size=(width, dim)), requires_grad=True) for name in ("embed", "bias", "position")}
 
 
 class TestSentence:
     def test_zero_vector_gives_bias_plus_position(self):
         """With x = 0 the embedding term vanishes."""
         p = _params()
-        out = sentence(Tensor(np.zeros(4)), p)
-        np.testing.assert_allclose(out.data, p.bias.data + p.position.data, rtol=0, atol=0)
+        out = sentence(Tensor(np.zeros(4)), **p)
+        np.testing.assert_allclose(out.data, p["bias"].data + p["position"].data, rtol=0, atol=0)
 
     def test_token_formula(self):
         """token_j = x_j * embed_j + bias_j + position_j, row by row."""
         p = _params()
         x = np.array([0.1, 0.7, 0.0, 1.0])
-        out = sentence(Tensor(x), p)
-        expected = x[:, None] * p.embed.data + p.bias.data + p.position.data
+        out = sentence(Tensor(x), **p)
+        expected = x[:, None] * p["embed"].data + p["bias"].data + p["position"].data
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=0)
 
     def test_batch_shape(self):
         p = _params(width=13, dim=32)
         x = np.random.default_rng(1).uniform(size=(5, 13))
-        out = sentence(Tensor(x), p)
+        out = sentence(Tensor(x), **p)
         assert out.shape == (5, 13, 32)
 
     def test_per_feature_locality(self):
         """Changing feature j moves token j only."""
         p = _params()
         x = np.array([0.2, 0.4, 0.6, 0.8])
-        base = sentence(Tensor(x), p).data
+        base = sentence(Tensor(x), **p).data
         for j in range(4):
             bumped = x.copy()
             bumped[j] += 0.05
-            out = sentence(Tensor(bumped), p).data
+            out = sentence(Tensor(bumped), **p).data
             changed = np.any(out != base, axis=1)
             assert changed[j]
             assert not np.any(changed[np.arange(4) != j])
@@ -375,9 +370,8 @@ class TestSentence:
     def test_gradients_reach_all_parameters(self):
         p = _params()
         x = Tensor(np.array([0.1, 0.7, 0.3, 1.0]))
-        loss = taped_mean(T.mul(sentence(x, p), sentence(x, p)))
+        loss = taped_mean(T.mul(sentence(x, **p), sentence(x, **p)))
         T.backward(loss)
-        for f in fields(p):
-            t = getattr(p, f.name)
+        for t in p.values():
             assert t.grad is not None
             assert np.all(np.isfinite(t.grad))

@@ -411,7 +411,7 @@ class TestTrainLoop:
         ds = dataio.synth(80, seed=3, difficulty="separable")
         a = train(ds, _tiny_cfg(dim=4, epochs=1, seed=0))
         b = train(ds, _tiny_cfg(dim=4, epochs=1, seed=1))
-        assert np.any(a.params.head_w.data != b.params.head_w.data)
+        assert np.any(a.params.tensors["head.w"].data != b.params.tensors["head.w"].data)
 
     def test_loss_decreases_across_seeds(self):
         ds = dataio.synth(120, seed=11, difficulty="separable")
