@@ -297,28 +297,19 @@ class TrainResult:
 # that large go back to the OS and are page-faulted in again on every chunk.
 # Each transformer chunk hands the GIL between the scoring threads many
 # times, so 128 rows make fewer handoffs per row than 64 did; softmax and
-# layer_norm reuse their temporaries, so a worker thread's heap stays near
+# layer_norm reuse their temporaries, so a helper thread's heap stays near
 # one chunk's working set. 256 rows scored no faster and raised the
 # benchmark's peak RSS by 6.5 MB (9%) over 128.
 # A row's logits have the same bytes in any chunk (see tensor.product), so
 # a call may cut its rows anywhere: it cuts them into equal chunks, as many
 # as the threads can share evenly. A transformer's chunks are independent
 # and their numpy and BLAS work releases the GIL, so they run on up to
-# SCORING_THREADS threads, one per usable core, in a pool kept for the
-# process: each new thread keeps a malloc arena of its own. Two threads is
-# the most that has been measured (time and peak RSS, on a 2-core host);
-# more need measuring first.
+# SCORING_THREADS threads, one per usable core: the caller's and helpers
+# that the call starts and joins, at under 0.1 ms a helper against 10 ms or
+# more for a threaded call's chunks. Two threads is the most that has been
+# measured (time and peak RSS, on a 2-core host); more need measuring first.
 CHUNK_ROWS = 128
 SCORING_THREADS = 2
-_pool = None  # a concurrent.futures.ThreadPoolExecutor, built on first use
-
-
-def _drop_pool() -> None:
-    global _pool
-    _pool = None  # a forked child has none of the pool's threads
-
-
-os.register_at_fork(after_in_child=_drop_pool)
 
 
 def usable_cores() -> int:
@@ -333,18 +324,6 @@ def scoring_threads() -> int:
     return min(usable_cores(), SCORING_THREADS)
 
 
-def _score_chunks(params, x: np.ndarray, rows: int, out: np.ndarray, claim) -> tuple[int, Exception] | None:
-    """Write the logits of each ``rows``-row chunk that ``claim()`` hands out into ``out``, until it hands out None.
-
-    Returns the first failing chunk's start and error, having stopped there."""
-    while (i := claim()) is not None:
-        try:
-            out[i : i + rows] = params.logits(x[i : i + rows]).data
-        except Exception as exc:  # the caller raises the lowest failing chunk's, once every thread has stopped
-            return i, exc
-    return None
-
-
 def _batched_logits(params, x: np.ndarray) -> np.ndarray:
     """Raw logits for a whole matrix, computed off-tape in chunks.
 
@@ -355,15 +334,15 @@ def _batched_logits(params, x: np.ndarray) -> np.ndarray:
     CHUNK_ROWS is a cap, and up to CHUNK_ROWS rows are one chunk on the
     calling thread. 400 rows on two threads are 4 chunks of 100.
 
-    A transformer's chunks run on min(W, chunks) threads, the calling thread
-    one of them. Each thread claims the next unscored chunk when it is done
-    with its last, so a thread that the machine slows down scores fewer
-    chunks rather than holding the others up. A chunk computes the same
-    bytes on any thread. Chunks are claimed in order, so every chunk before
-    a failing one is scored; the error raised is the lowest failing chunk's,
-    as on one thread, once every thread has stopped.
+    A transformer's chunks run on min(W, chunks) threads: the calling thread
+    and helpers that the call starts and joins. Each thread claims the next
+    unscored chunk when it is done with its last, so a thread that the
+    machine slows down scores fewer chunks rather than holding the others
+    up. A chunk computes the same bytes on any thread. Chunks are claimed in
+    order, so every chunk before a failing one is scored; the error raised
+    is the lowest failing chunk's, as on one thread, once every thread has
+    stopped.
     """
-    global _pool
     n = x.shape[0]
     out = np.empty((n, 2))
     workers = scoring_threads() if params.threaded_chunks else 1
@@ -372,31 +351,34 @@ def _batched_logits(params, x: np.ndarray) -> np.ndarray:
         chunks = -(-chunks // workers) * workers
     rows = -(-n // chunks) if n else 1
     starts = range(0, n or 1, rows)  # zero rows still check the width
-    threads = min(workers, len(starts))
-    if threads > 1 and _pool is None:
-        # imported here: concurrent.futures pulls in logging, 0.65 MB and 7 ms that an unthreaded score need not pay
-        from concurrent.futures import ThreadPoolExecutor
+    unclaimed, lock, failures = iter(starts), threading.Lock(), {}
 
-        _pool = ThreadPoolExecutor(SCORING_THREADS - 1, thread_name_prefix="flowids-score")
-    unclaimed, lock = iter(starts), threading.Lock()
-
-    def claim() -> int | None:
-        with lock:
-            return next(unclaimed, None)
+    def score() -> None:
+        while True:
+            with lock:
+                i = next(unclaimed, None)
+            if i is None:
+                return
+            try:
+                out[i : i + rows] = params.logits(x[i : i + rows]).data
+            except BaseException as exc:  # SystemExit too: a helper it ended would leave its chunk unwritten
+                failures[i] = exc  # the caller raises the lowest failing chunk's, once every thread has stopped
+                return
 
     with T.no_grad():
-        # each task runs in a copy of the caller's context, so np.errstate holds there too
-        futures = [_pool.submit(contextvars.copy_context().run, _score_chunks, params, x, rows, out, claim)
-                   for _ in range(threads - 1)]
+        helpers = []
         try:
-            failures = [_score_chunks(params, x, rows, out, claim)]
+            for _ in range(min(workers, len(starts)) - 1):
+                # each helper runs in a copy of the caller's context, so np.errstate holds there too
+                helper = threading.Thread(target=contextvars.copy_context().run, args=(score,), name="flowids-score")
+                helper.start()
+                helpers.append(helper)
+            score()
         finally:
-            for future in futures:  # no worker may still run once grad recording is back on
-                future.exception()  # waits; a task returns its chunk's error rather than raising it
-        failures += [future.result() for future in futures]
-    failed = [failure for failure in failures if failure is not None]
-    if failed:
-        raise min(failed, key=lambda failure: failure[0])[1]
+            for helper in helpers:  # no helper may still run once grad recording is back on
+                helper.join()
+    if failures:
+        raise failures[min(failures)]
     return out
 
 

@@ -119,6 +119,22 @@ MUTANTS = [
            "if more or 8 * need != size:", "if more or 8 * need > size:", ("tests/test_dataio.py::TestCheckpoint",)),
     Mutant("feature-range-unchecked", "src/flowids/sentencing.py",
            "if spec.kind != NOMINAL and spec.lo > spec.hi:", "if False:", ("tests/test_dataio.py::TestCheckpoint",)),
+    # the chunk rule of _batched_logits and the threads that score a transformer's chunks
+    Mutant("chunk-count-not-rounded-to-threads", "src/flowids/training.py",
+           "        chunks = -(-chunks // workers) * workers\n", "        pass\n",
+           ("tests/test_training.py::TestParallelScoring",)),
+    Mutant("highest-failing-chunk-raised", "src/flowids/training.py",
+           "raise failures[min(failures)]", "raise failures[max(failures)]",
+           ("tests/test_training.py::TestParallelScoring",)),
+    Mutant("scoring-helpers-not-joined", "src/flowids/training.py",
+           "                helper.join()\n", "                pass\n",
+           ("tests/test_training.py::TestParallelScoring",)),
+    Mutant("scoring-helper-outside-callers-context", "src/flowids/training.py",
+           "target=contextvars.copy_context().run, args=(score,)", "target=score",
+           ("tests/test_training.py::TestParallelScoring",)),
+    Mutant("scoring-helper-catches-only-exception", "src/flowids/training.py",
+           "except BaseException as exc:", "except Exception as exc:",
+           ("tests/test_training.py::TestParallelScoring",)),
     # the exit-code table
     Mutant("data-error-exits-2", "src/flowids/cli.py", "    DataError: 3,", "    DataError: 2,", ("tests/test_cli.py",)),
     # the ingest rules of load_csv, parse_column and encode_column

@@ -1,5 +1,6 @@
 """Loss, optimizer, and training-loop behavior."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -578,16 +579,11 @@ class TestInference:
 class TestParallelScoring:
     """A transformer's chunks run on up to one thread per usable core, here
     set by monkeypatching training.usable_cores with the cap raised to 6 (2 in
-    use, checked below); the FNN's run on the caller's. Each test builds its
-    own pool, sized when first used, and shuts it down."""
+    use, checked below); the FNN's run on the caller's."""
 
     @pytest.fixture(autouse=True)
-    def own_pool(self, monkeypatch):
-        monkeypatch.setattr(training, "_pool", None)
+    def raised_cap(self, monkeypatch):
         monkeypatch.setattr(training, "SCORING_THREADS", 6)
-        yield
-        if training._pool is not None:
-            training._pool.shutdown()
 
     @staticmethod
     def _small_transformer():
@@ -626,7 +622,7 @@ class TestParallelScoring:
             params = self._small_transformer()
             x = np.random.default_rng(6).uniform(size=(2 * training.CHUNK_ROWS + 3, 5))
         scores = []
-        for cores in (3, 2, 1):  # the pool gets 2 threads
+        for cores in (3, 2, 1):  # 3 cores still give 2 threads
             monkeypatch.setattr(training, "usable_cores", lambda: cores)
             scores.append(predict_scores(params, x).tobytes())
         assert scores[0] == scores[1] == scores[2]
@@ -684,11 +680,11 @@ class TestParallelScoring:
         x[:, 0] = np.arange(len(x))
         seen, _ = self._spy(monkeypatch, params, delay=0.01)
         predict_scores(params, x)
-        assert training.scoring_threads() == 2 and training._pool._max_workers == 1
+        assert training.scoring_threads() == 2
         assert len(seen) == 8 and len({ident for _, ident in seen}) == 2
 
     def test_a_slow_thread_scores_fewer_chunks(self, monkeypatch):
-        """Threads claim chunks as they go: while a pool thread sleeps 0.1 s
+        """Threads claim chunks as they go: while a helper thread sleeps 0.1 s
         in each of its chunks, the caller scores more than its half of 20."""
         params = self._small_transformer()
         x = np.random.default_rng(6).uniform(size=(20 * training.CHUNK_ROWS, 5))
@@ -727,11 +723,13 @@ class TestParallelScoring:
             assert running == [0]
             assert T._GRAD_ENABLED and T.active_tape() == []
 
+    @pytest.mark.parametrize("error", [ValueError, SystemExit])
     @pytest.mark.parametrize("where", ["caller", "worker"])
-    def test_a_chunk_failing_on_either_thread_waits_for_the_other(self, monkeypatch, where):
-        """The first chunk scored on the caller's thread, or on a pool thread,
+    def test_a_chunk_failing_on_either_thread_waits_for_the_other(self, monkeypatch, where, error):
+        """The first chunk scored on the caller's thread, or on a helper thread,
         raises; the other thread is still scoring. The error comes out once
-        it has stopped, with grad recording back on and the tape empty."""
+        it has stopped, with grad recording back on and the tape empty. A
+        SystemExit, which is no Exception, comes out too."""
         params = self._small_transformer()
         x = np.random.default_rng(6).uniform(size=(8 * training.CHUNK_ROWS, 5))
         x[:, 0] = np.arange(len(x))
@@ -744,13 +742,13 @@ class TestParallelScoring:
                 time.sleep(0.01)
                 if (threading.get_ident() == caller) == (where == "caller") and not failed:
                     failed.append(int(chunk[0, 0]))
-                    raise ValueError(f"chunk at row {failed[0]}")
+                    raise error(f"chunk at row {failed[0]}")
                 return real(chunk)
             finally:
                 running[0] -= 1
 
         monkeypatch.setattr(params, "logits", logits)
-        with pytest.raises(ValueError) as caught:
+        with pytest.raises(error) as caught:
             predict_scores(params, x)
         assert str(caught.value) == f"chunk at row {failed[0]}"
         assert running == [0]
@@ -776,7 +774,8 @@ class TestParallelScoring:
 
     def test_an_unthreaded_score_imports_no_pool(self):
         """concurrent.futures, and the logging it imports, cost 0.65 MB of RSS:
-        a process that scores only FNNs, or one transformer chunk, never loads them."""
+        a process that scores FNNs, one transformer chunk or two transformer
+        chunks on two threads never loads them."""
         code = (
             "import sys, numpy as np\n"
             "from flowids import cli, training\n"
@@ -784,22 +783,54 @@ class TestParallelScoring:
             "training.predict_scores(new_fnn(5, hidden=(8, 8), seed=1), np.zeros((300, 5)))\n"
             "params = new_transformer(5, seed=1, dim=8, heads=2, blocks=1)\n"
             "training.predict_scores(params, np.zeros((training.CHUNK_ROWS, 5)))\n"
-            "assert 'concurrent.futures' not in sys.modules, 'imported'\n"
+            "training.usable_cores = lambda: 2\n"
+            "training.predict_scores(params, np.zeros((2 * training.CHUNK_ROWS, 5)))\n"
+            "assert not {'concurrent.futures', 'logging'} & set(sys.modules), 'imported'\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert r.returncode == 0, r.stderr
 
     def test_callers_errstate_holds_in_the_workers(self, monkeypatch):
-        """An inf cell in the second chunk, a worker's, makes layer_norm
-        compute inf - inf; the caller's errstate turns that into an error."""
+        """An inf cell in each of two chunks makes layer_norm compute inf - inf;
+        the caller's errstate turns that into an error on either thread. Each
+        chunk waits for the other, so the helper thread scores one of them."""
         params = self._small_transformer()
         x = np.random.default_rng(6).uniform(size=(2 * training.CHUNK_ROWS, 5))
-        x[training.CHUNK_ROWS + 1, 2] = np.inf
+        x[[1, training.CHUNK_ROWS + 1], 2] = np.inf
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        raised, meet, real = [], threading.Barrier(2, timeout=30), params.logits
+
+        def logits(chunk):
+            meet.wait()
+            try:
+                return real(chunk)
+            except FloatingPointError:
+                raised.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(params, "logits", logits)
         with np.errstate(invalid="raise"):
             with pytest.raises(FloatingPointError):
                 predict_scores(params, x)
+        assert len(set(raised)) == 2 and threading.get_ident() in raised
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_thread_outlives_a_call(self, monkeypatch, fails):
+        """Both threads score chunks, and the helper has ended when the score
+        returns, or raises for its failing second chunk."""
+        params = self._small_transformer()
+        x = np.random.default_rng(6).uniform(size=(3 * training.CHUNK_ROWS, 5))
+        x[:, 0] = np.arange(len(x))
+        monkeypatch.setattr(training, "usable_cores", lambda: 2)
+        starts = self._starts(len(x), training.CHUNK_ROWS, 2)
+        seen, _ = self._spy(monkeypatch, params, fail=starts[1:2] if fails else (), delay=0.01)
+        before = threading.active_count()
+        with pytest.raises(ValueError) if fails else contextlib.nullcontext():
+            predict_scores(params, x)
+        scorers = {ident for _, ident in seen}
+        assert len(scorers) == 2 and scorers & {t.ident for t in threading.enumerate()} == {threading.get_ident()}
+        assert threading.active_count() == before
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         """Six threads on the available cores, switching every microsecond,
@@ -818,17 +849,16 @@ class TestParallelScoring:
             sys.setswitchinterval(interval)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
-        """The child of a fork has none of the pool's threads; scoring there
-        would wait for them forever unless the pool is dropped at the fork."""
+    def test_a_forked_child_scores_the_parents_bytes(self, monkeypatch):
+        """A process forked after a threaded score scores on two threads of
+        its own, and writes the bytes its parent wrote."""
         params = self._small_transformer()
         x = np.random.default_rng(6).uniform(size=(3 * training.CHUNK_ROWS, 5))
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
         want = predict_scores(params, x).tobytes()
-        assert training._pool is not None
         pid = os.fork()
         if pid == 0:
-            os._exit(0 if training._pool is None and predict_scores(params, x).tobytes() == want else 1)
+            os._exit(0 if predict_scores(params, x).tobytes() == want else 1)
         deadline = time.monotonic() + 30
         while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
             time.sleep(0.05)
