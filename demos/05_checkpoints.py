@@ -1,9 +1,10 @@
 """Round-trip a trained model through the binary checkpoint format.
 
-The file layout is: magic, format version, a JSON header whose `hyper`
-field states the model's shape, every parameter's float64 values as one
-block in the order that shape lays them out, then a SHA-256 over
-everything before it. Loading verifies the checksum first, so any bit
+The file layout is: magic, format version, a JSON header (the model's
+shape in `hyper`, each column's fitted state in `schema`, and the training
+recipe, `TrainConfig.recipe()`, in `train_config`), every parameter's
+float64 values as one block in the order that shape lays them out, then a
+SHA-256 over everything before it. Loading verifies the checksum first, so any bit
 damage surfaces as IntegrityError before bytes are interpreted.
 """
 
@@ -23,7 +24,7 @@ print("trained a small encoder, final val acc:", f"{result.log.final().val_acc:.
 workdir = tempfile.mkdtemp()
 path = os.path.join(workdir, "model.ckpt")
 
-dataio.save_checkpoint(result.params, result.schema, cfg.to_dict(), path)
+dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), path)
 size = os.path.getsize(path)
 print("saved", size, "bytes to", path)
 
@@ -46,7 +47,7 @@ print("scores identical after round trip:", bool(np.array_equal(before, after)))
 
 # same inputs, same bytes: saves are deterministic
 path2 = os.path.join(workdir, "again.ckpt")
-dataio.save_checkpoint(result.params, result.schema, cfg.to_dict(), path2)
+dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), path2)
 print("second save is byte-identical:",
       open(path, "rb").read() == open(path2, "rb").read())
 

@@ -142,9 +142,7 @@ def cmd_train(args) -> Run:
         "val_loss": final.val_loss if np.isfinite(final.val_loss) else None,
         "val_acc": final.val_acc if np.isfinite(final.val_acc) else None,
     }
-    dataio.save_checkpoint(
-        result.params, result.schema, result.config.to_dict(), args.out, metrics=val_metrics
-    )
+    dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), args.out, metrics=val_metrics)
     outputs = [args.out]
     if args.log:
         result.log.to_csv(args.log)

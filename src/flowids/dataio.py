@@ -3,9 +3,9 @@
 Real flow CSVs are supplied by the user; nothing here downloads anything.
 The synthetic generator exists so the whole pipeline can be exercised and
 verified at desk scale with known ground truth. Checkpoints are a binary
-container: a JSON header whose ``hyper`` field states the model's shape, then
-every parameter's values as one block of little-endian float64 in the order
-that the kind's ``shapes`` lays them out, with a whole-file SHA-256 at the end.
+container: a JSON header (the model's shape in ``hyper``, each column's fitted
+state, the training recipe and metrics), then every parameter's little-endian
+float64 values as one block in ``shapes`` order, then a whole-file SHA-256.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
 # --------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"FIDC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -440,8 +440,8 @@ _HEADER_KEYS = ("hyper", "schema", "train_config", "metrics")
 
 
 def save_checkpoint(params, schema: Schema, config: dict, path, metrics: dict | None = None) -> None:
-    """Serialize params + schema + config; byte-stable given equal inputs. The body, every
-    parameter's values in shapes(hyper) order, is written as one block."""
+    """Serialize params + schema + config (a JSON object: the CLI saves TrainConfig.recipe()); byte-stable
+    given equal inputs. The body, every parameter's values in shapes(hyper) order, is written as one block."""
     header = {"hyper": params.hyper(), "schema": schema.to_dict(), "train_config": config, "metrics": metrics}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     values = np.concatenate([t.data.ravel() for _, t in params.named_parameters()]).astype("<f8", copy=False)
@@ -460,10 +460,10 @@ def _why(exc: Exception) -> str:
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of save_checkpoint; verifies the checksum before trusting anything.
 
-    The header is checked first, and the layout that shapes(hyper) gives is walked
-    no further than the body's values reach, so a body of the wrong length is
-    refused before any value is copied and a load allocates no more than the
-    file holds. A schema whose width is not the model's input width is refused,
+    The header is checked first, a field the format does not have refused by name, and
+    the layout that shapes(hyper) gives is walked no further than the body's values reach,
+    so a body of the wrong length is refused before any value is copied and a load
+    allocates no more than the file holds. A schema not as wide as the model's input is refused,
     so no caller encodes data for a model that cannot read it. The model is
     built from the body's values, with no initialisation to overwrite."""
     with open(path, "rb") as handle:
@@ -489,9 +489,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: header is not valid JSON ({exc})")
     if not isinstance(header, dict):
         raise IntegrityError(f"{path}: header is not a JSON object")
-    for key in _HEADER_KEYS:
-        if key not in header:
-            raise IntegrityError(f"{path}: header field {key!r} is missing")
+    for key in sorted(header.keys() ^ set(_HEADER_KEYS)):  # the first field missing or unknown
+        why = f"not a field of format version {version}" if key in header else "missing"
+        raise IntegrityError(f"{path}: header field {key!r} is {why}")
     hyper = header["hyper"]
     kind = hyper.get("kind") if isinstance(hyper, dict) else None
     if not isinstance(kind, str) or kind not in M.KINDS:
@@ -505,8 +505,6 @@ def load_checkpoint(path) -> Checkpoint:
         schema = Schema.from_dict(header["schema"])
     except ValueError as exc:  # its text begins with the bad field's path
         raise IntegrityError(f"{path}: header field {exc}")
-    except (KeyError, TypeError) as exc:
-        raise IntegrityError(f"{path}: header field schema is malformed ({_why(exc)})")
     size = len(body) - offset
     try:
         entries = iter(M.KINDS[kind].shapes(hyper))

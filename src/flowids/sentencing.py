@@ -8,8 +8,8 @@ the encoder stack consumes. ``sentence`` takes the three (J, C) tables as
 they are: the transformer's ``sentencing.embed``, ``sentencing.bias`` and
 ``sentencing.position`` parameters, which ``model.forward`` reads by name.
 
-Encoder state (nominal vocabularies, numeric min/max ranges) is fitted on
-training-split records only and never mutated afterwards.
+Encoder state (nominal vocabularies, other columns' [lo, hi] ranges) is fitted
+on training-split records only, never mutated, and saved as Schema.to_dict.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,8 +31,8 @@ NUMERIC = "numeric"
 TIMESTAMP = "timestamp"
 BOOLEAN = "boolean"
 
-# Column layouts keyed by dataset profile. Order is load-bearing: it fixes
-# token positions and is persisted with every checkpoint.
+# Column layouts keyed by dataset profile. Order is load-bearing: it fixes token
+# positions, and a checkpoint keeps each column's fitted state at its position.
 PROFILES: dict[str, dict] = {
     "unsw": {
         "features": [
@@ -191,60 +191,58 @@ class FeatureSpec:
         # clamp as min(max(v, 0.0), 1.0) does: -0.0 and nan stay (np.maximum makes -0.0 0.0)
         return np.where(scaled < 0.0, 0.0, np.where(scaled > 1.0, 1.0, scaled))
 
+    def state(self) -> list:
+        """The fitted state a checkpoint keeps: the vocabulary in index order if nominal, else [lo, hi]."""
+        return sorted(self.vocab, key=self.vocab.get) if self.kind == NOMINAL else [self.lo, self.hi]
+
     @classmethod
-    def from_dict(cls, d: dict, where: str = "feature") -> "FeatureSpec":
-        """Inverse of asdict for a kind Schema.from_dict has checked; a ValueError names (after `where`) a bad field."""
-        spec = cls(name=d["name"], kind=d["kind"], vocab=d["vocab"], lo=d["lo"], hi=d["hi"])
-        vocab = spec.vocab if spec.kind == NOMINAL else {}
-        if not isinstance(vocab, dict) or not all(type(k) is str and type(v) is int for k, v in vocab.items()):
-            raise ValueError(f"{where}.vocab is {spec.vocab!r}, not an object of strings to integers")
-        if sorted(vocab.values()) != list(range(1, len(vocab) + 1)):  # 0 is the unseen-value index
-            raise ValueError(f"{where}.vocab indices are not 1..{len(vocab)}, each used once")
-        for key in ("lo", "hi") if spec.kind != NOMINAL else ():
-            v = getattr(spec, key)  # an int beyond the float range fails abs(v) <= max too
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-                raise ValueError(f"{where}.{key} is {v!r}, not a finite number")
-        if spec.kind != NOMINAL and spec.lo > spec.hi:  # lo == hi marks a constant feature
-            raise ValueError(f"{where} has lo {spec.lo!r} above hi {spec.hi!r}")
-        return spec
+    def from_state(cls, name: str, kind: str, state, where: str) -> "FeatureSpec":
+        """Inverse of state for the profile's column ``name``; a ValueError names (after ``where``) a bad state."""
+        if kind == NOMINAL:
+            if type(state) is not list or not all(type(cell) is str for cell in state) or len(set(state)) < len(state):
+                raise ValueError(f"{where} is not a list of distinct strings, the vocabulary of column {name!r}")
+            return cls(name, kind, vocab={cell: i for i, cell in enumerate(state, start=1)})  # 0 is unseen
+        if type(state) is not list or len(state) != 2 or not all(  # an int beyond the float range fails too
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in state):
+            raise ValueError(f"{where} is not [lo, hi], two finite numbers, the range of column {name!r}")
+        lo, hi = state
+        if lo > hi:  # lo == hi marks a constant feature
+            raise ValueError(f"{where} has lo {lo!r} above hi {hi!r}")
+        return cls(name, kind, lo=lo, hi=hi)
 
 
 @dataclass
 class Schema:
-    """Ordered feature specs (label excluded) for one dataset profile.
+    """Ordered feature specs (label excluded) for one dataset profile, whose names and kinds they take.
 
     Only from_dict, which reads a checkpoint's schema, checks a schema against its profile. A schema
     built by hand is not checked, so it may name some of the profile's columns only, on purpose."""
 
     profile: str
     features: list[FeatureSpec]
-    label: str = "label"
 
     @property
     def width(self) -> int:
         return len(self.features)
 
     def to_dict(self) -> dict:
-        return asdict(self)  # the feature specs become dicts of their fields
+        return {"profile": self.profile, "features": [spec.state() for spec in self.features]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        """Inverse of to_dict; a ValueError names the first field that does not restate its profile's columns."""
-        profile, label, features = d["profile"], d["label"], d["features"]
+        """Inverse of to_dict; a ValueError names the first field that is unknown or bad for its profile."""
+        if type(d) is not dict:
+            raise ValueError("schema is not a JSON object")
+        for key in sorted(d.keys() ^ {"profile", "features"}):  # the first field missing or unknown
+            raise ValueError(f"schema.{key} is " + ("not a field of a schema" if key in d else "missing"))
+        profile, features = d["profile"], d["features"]
         if type(profile) is not str or profile not in PROFILES:
             raise ValueError(f"schema.profile is {profile!r}, not one of {sorted(PROFILES)}")
-        layout = PROFILES[profile]
-        if label != layout["label"]:
-            raise ValueError(f"schema.label is {label!r}; profile {profile!r} has {layout['label']!r}")
-        columns = layout["features"]
+        columns = PROFILES[profile]["features"]
         if type(features) is not list or len(features) != len(columns):
             raise ValueError(f"schema.features is not a list of the {len(columns)} features of profile {profile!r}")
-        for i, (f, column) in enumerate(zip(features, columns)):
-            for key, want in zip(("name", "kind"), column):
-                if f[key] != want:
-                    where = f"schema.features[{i}].{key}"
-                    raise ValueError(f"{where} is {f[key]!r}; profile {profile!r} has {want!r} there")
-        return cls(profile, [FeatureSpec.from_dict(f, f"schema.features[{i}]") for i, f in enumerate(features)], label)
+        return cls(profile, [FeatureSpec.from_state(name, kind, state, f"schema.features[{j}]")
+                             for j, ((name, kind), state) in enumerate(zip(columns, features))])
 
 
 def profile_columns(profile: str) -> dict:
@@ -277,7 +275,7 @@ def fit_schema(records, profile: str) -> Schema:
             if lo == hi:
                 warnings.warn(f"feature {name!r} is constant in the training split")
             specs.append(FeatureSpec(name=name, kind=kind, lo=lo, hi=hi))
-    return Schema(profile=profile, features=specs, label=layout["label"])
+    return Schema(profile=profile, features=specs)
 
 
 def encode_batch(records, schema: Schema) -> tuple[np.ndarray, np.ndarray]:

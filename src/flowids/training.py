@@ -145,6 +145,8 @@ class AdamW:
             w[sl], m[sl], v[sl] = kw, km, kv
 
 
+# The TrainConfig fields that shape the model: a checkpoint keeps them in hyper, and the recipe as train_config.
+SHAPE_FIELDS = ("model", "dim", "heads", "blocks", "mlp_dim", "fnn_hidden", "mask")
 # Numeric TrainConfig fields (each entry, for the tuples) by type; bools are neither.
 _INTEGER_FIELDS = ("epochs", "batch_size", "seed", "dim", "heads", "blocks", "mlp_dim", "fnn_hidden")
 _REAL_FIELDS = ("lr", "beta1", "beta2", "eps", "weight_decay", "split_fractions")
@@ -231,6 +233,10 @@ class TrainConfig:
     def to_dict(self) -> dict:
         """Every field by name, in field order; tuples become JSON lists."""
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+    def recipe(self) -> dict:
+        """to_dict without SHAPE_FIELDS: how the model was trained, which a checkpoint keeps as its train_config."""
+        return {k: v for k, v in self.to_dict().items() if k not in SHAPE_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -26,20 +26,14 @@ def _schema(h: dict, **fields) -> bytes:
     return _dump({**h, "schema": {**h["schema"], **fields}})
 
 
-def _feature(h: dict, j: int, **fields) -> bytes:
-    """The header with `fields` set in feature `j` of its schema."""
-    return _schema(h, features=[dict(f, **fields) if i == j else f for i, f in enumerate(h["schema"]["features"])])
-
-
 def _features(h: dict, edit) -> bytes:
     """The header with the feature list of its schema replaced by `edit(features)`."""
     return _schema(h, features=edit(h["schema"]["features"]))
 
 
-def _vocab(h: dict, j: int, edit) -> bytes:
-    """The header with the vocab indices of feature `j` replaced by `edit(indices)`."""
-    vocab = h["schema"]["features"][j]["vocab"]
-    return _feature(h, j, vocab=dict(zip(vocab, edit(list(vocab.values())))))
+def _state(h: dict, j: int, edit) -> bytes:
+    """The header with the state of feature `j` of its schema replaced by `edit(state)`."""
+    return _features(h, lambda fs: [edit(f) if i == j else f for i, f in enumerate(fs)])
 
 
 # a small model of each kind over the synthetic profile's 13 features
@@ -82,61 +76,49 @@ HEADER_DEFECTS = [
     pytest.param(
         _header(lambda h: _dump({**h, "hyper": {"kind": h["hyper"]["kind"]}})), "hyper", id="hyper-no-sizes"
     ),
-    pytest.param(_header(lambda h: _dump({**h, "schema": {}})), "schema", id="schema-empty"),
+    pytest.param(_header(lambda h: _dump({**h, "schema": {}})), "schema.features is missing", id="schema-empty"),
+    pytest.param(_header(lambda h: _dump({**h, "schema": [1]})), "schema is not a JSON object", id="schema-not-object"),
     pytest.param(
         _header(lambda h: _dump({**h, "train_config": [1]})), "train_config", id="train-config-not-object"
     ),
-    # the schema restates its profile: the synthetic profile is unsw's 13 columns and label
+    # names, kinds and the label come from the profile: the synthetic profile is unsw's 13 columns
     pytest.param(_header(lambda h: _schema(h, profile=[])), "schema.profile", id="profile-not-string"),
     pytest.param(_header(lambda h: _schema(h, profile="nosuch")), "schema.profile", id="profile-unknown"),
     pytest.param(
         _header(lambda h: _schema(h, profile="ton")), "not a list of the 11 features", id="profile-of-another-width"
     ),
-    pytest.param(_header(lambda h: _schema(h, label="Label")), "schema.label", id="label-not-the-profiles"),
     pytest.param(
         _header(lambda h: _features(h, lambda fs: fs[:-1])), "not a list of the 13 features", id="feature-dropped"
     ),
     pytest.param(
         _header(lambda h: _features(h, lambda fs: fs + fs[3:4])), "not a list of the 13 features", id="feature-added"
     ),
-    # features[0] is srcip (nominal), features[3] is Sload (numeric) and features[4] is Dload (numeric)
+    # a field the format does not have, named
     pytest.param(
-        _header(lambda h: _features(h, lambda fs: fs[:3] + [fs[4], fs[3]] + fs[5:])),
-        "schema.features[3].name is 'Dload'",
-        id="features-swapped",
+        _header(lambda h: _dump({**h, "unknown": 1})),
+        "header field 'unknown' is not a field of format version 3",
+        id="header-unknown-field",
     ),
-    pytest.param(_header(lambda h: _feature(h, 0, name=[])), "schema.features[0].name", id="feature-name-not-string"),
-    pytest.param(_header(lambda h: _feature(h, 3, name="sload")), "schema.features[3].name", id="feature-renamed"),
     pytest.param(
-        _header(lambda h: _feature(h, 3, kind="timestamp")),
-        "schema.features[3].kind is 'timestamp'; profile 'synthetic' has 'numeric' there",
-        id="feature-kind-swapped",
+        _header(lambda h: _schema(h, unknown=1)), "schema.unknown is not a field of a schema", id="schema-unknown-field"
     ),
-    pytest.param(_header(lambda h: _feature(h, 3, lo="x")), "schema.features[3].lo", id="feature-lo-not-number"),
+    # features[0] is srcip (nominal), features[3] is Sload (numeric): a vocabulary and a range [lo, hi]
+    *(
+        pytest.param(_header(lambda h, e=edit: _state(h, 3, e)),
+                     "schema.features[3] is not [lo, hi], two finite numbers, the range of column 'Sload'", id=name)
+        for name, edit in (("feature-lo-not-number", lambda s: ["x", s[1]]), ("feature-range-one-number", lambda s: s[:1]),
+                           ("feature-range-three-numbers", lambda s: s + [0.0]),
+                           ("feature-range-as-object", lambda s: {"lo": s[0], "hi": s[1]}))
+    ),
     # a reversed range would flip the feature's encoding; lo == hi stays legal, a constant feature
-    pytest.param(
-        _header(lambda h: _feature(h, 3, lo=h["schema"]["features"][3]["hi"], hi=h["schema"]["features"][3]["lo"])),
-        "schema.features[3] has lo",
-        id="feature-range-reversed",
-    ),
-    pytest.param(
-        _header(lambda h: _feature(h, 3, kind="weird")), "schema.features[3].kind", id="feature-unknown-kind"
-    ),
-    pytest.param(
-        _header(lambda h: _feature(h, 0, vocab=[1, 2])), "schema.features[0].vocab", id="feature-vocab-not-object"
-    ),
-    pytest.param(
-        _header(lambda h: _vocab(h, 0, lambda ix: ix[:-1] + [len(ix) + 1])),
-        "schema.features[0].vocab",
-        id="feature-vocab-index-out-of-range",
-    ),
-    pytest.param(
-        _header(lambda h: _vocab(h, 0, lambda ix: [0] + ix[1:])), "schema.features[0].vocab", id="feature-vocab-index-zero"
-    ),
-    pytest.param(
-        _header(lambda h: _vocab(h, 0, lambda ix: [ix[1]] + ix[1:])),
-        "schema.features[0].vocab",
-        id="feature-vocab-index-repeated",
+    pytest.param(_header(lambda h: _state(h, 3, lambda s: s[::-1])), "schema.features[3] has lo",
+                 id="feature-range-reversed"),
+    *(
+        pytest.param(_header(lambda h, e=edit: _state(h, 0, e)),
+                     "schema.features[0] is not a list of distinct strings, the vocabulary of column 'srcip'", id=name)
+        for name, edit in (("feature-vocab-not-strings", lambda s: [1, 2]),
+                           ("feature-vocab-cell-repeated", lambda s: s + s[:1]),
+                           ("feature-vocab-as-object", lambda s: {cell: i for i, cell in enumerate(s, start=1)}))
     ),
     pytest.param(
         _header(lambda h: _hyper(h, "transformer", mask="false")),
@@ -173,11 +155,20 @@ HEADER_DEFECTS = [
 ]
 
 
+def _parts(blob: bytes) -> tuple[dict, bytes]:
+    """The decoded header and the body of a checkpoint's bytes, checksum excluded."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16 : 16 + header_len]), blob[16 + header_len : -32]
+
+
+def read_header(src) -> dict:
+    """The decoded JSON header of checkpoint `src`."""
+    return _parts(src.read_bytes())[0]
+
+
 def rewrite_header(src, dst, edit) -> None:
     """Copy checkpoint `src` to `dst`, header and body replaced by `edit(header, body)`."""
-    blob = src.read_bytes()[:-32]
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + header_len])
-    new, body = edit(header, blob[16 + header_len :])
+    blob = src.read_bytes()
+    new, body = edit(*_parts(blob))
     blob = blob[:8] + struct.pack("<Q", len(new)) + new + body
     dst.write_bytes(blob + hashlib.sha256(blob).digest())

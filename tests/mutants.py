@@ -118,7 +118,16 @@ MUTANTS = [
     Mutant("checkpoint-body-only-not-short", "src/flowids/dataio.py",
            "if more or 8 * need != size:", "if more or 8 * need > size:", ("tests/test_dataio.py::TestCheckpoint",)),
     Mutant("feature-range-unchecked", "src/flowids/sentencing.py",
-           "if spec.kind != NOMINAL and spec.lo > spec.hi:", "if False:", ("tests/test_dataio.py::TestCheckpoint",)),
+           "if lo > hi:", "if False:", ("tests/test_dataio.py::TestCheckpoint",)),
+    # the v3 header states each fact once: a vocabulary cell, a header field and a schema field are each known
+    Mutant("vocab-repeated-cell-accepted", "src/flowids/sentencing.py",
+           " or len(set(state)) < len(state)", "", ("tests/test_dataio.py::TestCheckpoint",)),
+    Mutant("unknown-header-key-accepted", "src/flowids/dataio.py",
+           "sorted(header.keys() ^ set(_HEADER_KEYS))", "sorted(set(_HEADER_KEYS) - header.keys())",
+           ("tests/test_dataio.py::TestCheckpoint",)),
+    Mutant("unknown-schema-key-accepted", "src/flowids/sentencing.py",
+           "sorted(d.keys() ^ {\"profile\", \"features\"})", "sorted({\"profile\", \"features\"} - d.keys())",
+           ("tests/test_dataio.py::TestCheckpoint",)),
     # the chunk rule of _batched_logits and the threads that score a transformer's chunks
     Mutant("chunk-count-not-rounded-to-threads", "src/flowids/training.py",
            "        chunks = -(-chunks // workers) * workers\n", "        pass\n",

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, via subprocesses unless in-process state is the point."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -124,6 +125,16 @@ class TestTrain:
         assert cfg["lr"] == 1e-3
         assert cfg["epochs"] == 30  # explicit flag, not the default 100
         assert cfg["fnn_hidden"] == [64, 64]
+
+    @pytest.mark.parametrize("checkpoint", ["enc.ckpt", "fnn.ckpt"])
+    def test_checkpoint_keeps_the_recipe_and_the_manifest_the_whole_config(self, workdir, checkpoint):
+        """The shape lives in the checkpoint's hyper alone: its train_config is the
+        manifest's config without the fields that shape the model."""
+        config = json.loads((workdir / f"{checkpoint}.manifest.json").read_text())["config"]
+        assert set(config) == {f.name for f in dataclasses.fields(training.TrainConfig)}
+        kept = dataio.load_checkpoint(workdir / checkpoint).config
+        assert kept == {k: v for k, v in config.items() if k not in training.SHAPE_FIELDS}
+        assert not {"model", "dim", "heads", "blocks", "mlp_dim", "fnn_hidden", "mask"} & set(kept)
 
     def test_epoch_log_csv(self, workdir):
         lines = (workdir / "log.csv").read_text().strip().splitlines()
@@ -357,7 +368,15 @@ class TestEval:
         fixture = pathlib.Path(__file__).parent / "fixtures" / "fnn_v1.ckpt"
         r = run("eval", "--model", fixture, "--data", tmp_path / "missing.csv")
         assert r.returncode == 4, r.stderr
-        assert "format version 1 is not supported (expected 2)" in r.stderr
+        assert "format version 1 is not supported (expected 3)" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_version_2_checkpoint_exits_4_before_data_is_read(self, tmp_path):
+        """A file written by format version 2 is refused by version, as version 1 is."""
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "fnn_v2.ckpt"
+        r = run("eval", "--model", fixture, "--data", tmp_path / "missing.csv")
+        assert r.returncode == 4, r.stderr
+        assert "format version 2 is not supported (expected 3)" in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("checkpoint", ["enc.ckpt", "fnn.ckpt"])

@@ -734,8 +734,14 @@ class TestCheckpoint:
     def test_version_1_file_is_refused(self):
         """A file written by format version 1's save_checkpoint (an FNN with hidden
         (8, 8) over the synthetic profile) names both versions."""
-        with pytest.raises(VersionError, match=re.escape("format version 1 is not supported (expected 2)")):
+        with pytest.raises(VersionError, match=re.escape("format version 1 is not supported (expected 3)")):
             load_checkpoint(FIXTURES / "fnn_v1.ckpt")
+
+    def test_version_2_file_is_refused(self):
+        """A file written by format version 2's save_checkpoint (an FNN with hidden
+        (8, 8) over the synthetic profile) names both versions."""
+        with pytest.raises(VersionError, match=re.escape("format version 2 is not supported (expected 3)")):
+            load_checkpoint(FIXTURES / "fnn_v2.ckpt")
 
     @pytest.mark.parametrize("build", [
         lambda width: new_transformer(width, seed=3, dim=4, heads=2, blocks=2),
@@ -749,7 +755,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, schema, {}, path)
         blob = path.read_bytes()[:-32]
-        assert blob[:8] == b"FIDC" + struct.pack("<I", 2)
+        assert blob[:8] == b"FIDC" + struct.pack("<I", 3)
         (header_len,) = struct.unpack("<Q", blob[8:16])
         assert sorted(json.loads(blob[16 : 16 + header_len])) == ["hyper", "metrics", "schema", "train_config"]
         arrays = dict(params.named_parameters())

@@ -501,22 +501,25 @@ any_json = json_value | st.dictionaries(st.text(max_size=2), json_value, max_siz
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(
-    st.dictionaries(st.sampled_from(["profile", "label"]), any_json),
-    st.integers(0, 12),
-    st.dictionaries(st.sampled_from(["name", "kind"]), any_json, max_size=1),
-)
-def test_resigned_schema_of_any_json_values_never_exits_1(flows, schema_fields, j, feature_fields):
-    """A checkpoint re-signed with any JSON value as its schema's profile or
-    label, or as one feature's name or kind, ends eval in a documented exit
-    code, never in a traceback."""
+@given(st.one_of(
+    st.tuples(st.just("profile"), any_json),
+    # a feature's state: the vocabulary list of a nominal column, or [lo, hi]
+    st.tuples(st.integers(0, 12), any_json | st.lists(st.text(max_size=2) | st.floats() | small, max_size=3)),
+))
+def test_resigned_schema_of_any_json_values_never_exits_1(flows, field):
+    """A checkpoint re-signed with any JSON value as its schema's profile, or
+    as one feature's state, ends eval in a documented exit code, never in a
+    traceback."""
     data, model = flows
+    where, value = field
 
     def edit(header, body):
-        schema = header["schema"]
-        features = [dict(f, **feature_fields) if i == j else f for i, f in enumerate(schema["features"])]
-        header = {**header, "schema": {**schema, **schema_fields, "features": features}}
-        return json.dumps(header, sort_keys=True).encode(), body
+        schema = dict(header["schema"])
+        if where == "profile":
+            schema["profile"] = value
+        else:
+            schema["features"] = [value if i == where else f for i, f in enumerate(schema["features"])]
+        return json.dumps({**header, "schema": schema}, sort_keys=True).encode(), body
 
     with tempfile.TemporaryDirectory() as tmp:
         path, csv_path = Path(tmp) / "m.ckpt", Path(tmp) / "flows.csv"
