@@ -32,11 +32,14 @@ for spec in schema.features[:5]:
 print("  ...")
 print()
 
-# ds.records is a table by column; a one-row take of it holds that row's cells as read
+# ds.records is a table by column, each column one array: a nominal column's codes
+# into its levels (its distinct cells), any other column's float64 values
 first = ds.records.take([0])
-print("one raw record:")
+record = {name: first.levels[name][column[0]] if name in first.levels else column[0].item()
+          for name, column in first.columns.items()}
+print("one record, a level for each nominal column and a parsed value for any other:")
 for name in ("srcip", "proto", "Sload", "Stime"):
-    print(f"  {name:6s} = {first.cells[name][0]}")
+    print(f"  {name:6s} = {record[name]}")
 
 (x,), _ = sentencing.encode_batch(first, schema)  # the one row of a (1, width) matrix
 print()
@@ -45,7 +48,8 @@ print(" ", np.round(x, 4))
 
 # unseen nominal values fall back to index 0 rather than failing
 # (a table built from raw cells checks every cell as it is built)
-stranger = dataio.FlowTable(dict(first.cells, srcip=["10.99.99.99"]), first.kinds, first.labels)
+cells = {name: [cell] for name, cell in record.items()} | {"srcip": ["10.99.99.99"]}
+stranger = dataio.FlowTable.from_cells(cells, first.kinds, first.labels)
 (x2,), _ = sentencing.encode_batch(stranger, schema)
 print()
 print("srcip never seen at fit time encodes to", x2[0], "(index 0 fallback)")

@@ -21,46 +21,46 @@ cfg = training.TrainConfig(model="transformer", dim=8, heads=2, blocks=1, lr=1e-
 result = training.train(ds, cfg)
 print("trained a small encoder, final val acc:", f"{result.log.final().val_acc:.4f}")
 
-workdir = tempfile.mkdtemp()
-path = os.path.join(workdir, "model.ckpt")
+with tempfile.TemporaryDirectory() as workdir:  # removed, with every file in it, when the demo ends
+    path = os.path.join(workdir, "model.ckpt")
 
-dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), path)
-size = os.path.getsize(path)
-print("saved", size, "bytes to", path)
+    dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), path)
+    size = os.path.getsize(path)
+    print("saved", size, "bytes to", path)
 
-with open(path, "rb") as fh:
-    head = fh.read(16)
-print("file starts with magic + version:", head[:4], "...")
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+    print("file starts with magic + version:", head[:4], "...")
 
-print()
-print("=== reload and compare ===")
+    print()
+    print("=== reload and compare ===")
 
-ckpt = dataio.load_checkpoint(path)
-print("model kind :", ckpt.kind)
-print("config     : lr =", ckpt.config["lr"], ", epochs =", ckpt.config["epochs"])
-print("schema     :", ckpt.schema.width, "features")
+    ckpt = dataio.load_checkpoint(path)
+    print("model kind :", ckpt.kind)
+    print("config     : lr =", ckpt.config["lr"], ", epochs =", ckpt.config["epochs"])
+    print("schema     :", ckpt.schema.width, "features")
 
-x, y = sentencing.encode_batch(result.test.records, result.schema)  # the test split's column table
-before = training.predict_scores(result.params, x)
-after = training.predict_scores(ckpt.params, x)
-print("scores identical after round trip:", bool(np.array_equal(before, after)))
+    x, y = sentencing.encode_batch(result.test.records, result.schema)  # the test split's column table
+    before = training.predict_scores(result.params, x)
+    after = training.predict_scores(ckpt.params, x)
+    print("scores identical after round trip:", bool(np.array_equal(before, after)))
 
-# same inputs, same bytes: saves are deterministic
-path2 = os.path.join(workdir, "again.ckpt")
-dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), path2)
-print("second save is byte-identical:",
-      open(path, "rb").read() == open(path2, "rb").read())
+    # same inputs, same bytes: saves are deterministic
+    path2 = os.path.join(workdir, "again.ckpt")
+    dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), path2)
+    print("second save is byte-identical:",
+          open(path, "rb").read() == open(path2, "rb").read())
 
-print()
-print("=== corruption is caught before anything is parsed ===")
+    print()
+    print("=== corruption is caught before anything is parsed ===")
 
-blob = bytearray(open(path, "rb").read())
-blob[size // 2] ^= 0x01  # flip one bit in the middle
-broken = os.path.join(workdir, "broken.ckpt")
-with open(broken, "wb") as fh:
-    fh.write(blob)
+    blob = bytearray(open(path, "rb").read())
+    blob[size // 2] ^= 0x01  # flip one bit in the middle
+    broken = os.path.join(workdir, "broken.ckpt")
+    with open(broken, "wb") as fh:
+        fh.write(blob)
 
-try:
-    dataio.load_checkpoint(broken)
-except IntegrityError as exc:
-    print("load_checkpoint raised IntegrityError:", exc)
+    try:
+        dataio.load_checkpoint(broken)
+    except IntegrityError as exc:
+        print("load_checkpoint raised IntegrityError:", exc)

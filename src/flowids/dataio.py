@@ -32,6 +32,7 @@ from .errors import (
     VersionError,
 )
 from .sentencing import (
+    MISSING_CELL,
     NOMINAL,
     NUMERIC,
     PROFILES,
@@ -42,41 +43,38 @@ from .sentencing import (
 
 
 class FlowTable:
-    """Flow rows by column: the table that load_csv, synth and split build.
+    """Flow rows by column, each column one array: the table that load_csv, synth and split build.
 
-    ``cells[name]`` is a column's cells as read, ``parsed[name]`` the float64
-    values of each non-nominal column as sentencing.parse_column gives them,
-    ``labels`` the int64 labels and ``rows`` the source row of each row, for
-    error messages. ``kinds[name]`` is the kind each column was parsed as.
+    ``columns[name]`` holds a nominal column's int64 code per row into ``levels[name]``, the
+    column's distinct cells in first-appearance order, and any other column's float64 values as
+    sentencing.parse_column gives them. ``kinds[name]`` is the kind each column was read as,
+    ``labels`` the int64 labels and ``rows`` the source row of each row, for error messages.
+    The table is read by column, not changed: take gives a new table, and iterating it gives each
+    row's source row number (``rows``) as a plain int. from_cells builds one from raw cells."""
 
-    Built without ``parsed`` (from raw cells, as tests and demos build it),
-    every column goes through _parse_columns here, and the first row with a
-    label that is not exactly 0 or 1, or with a bad cell, raises DataError,
-    naming the row and its label or its first bad column.
-    load_csv and synth pass the values they already hold. The table is read
-    by column, not changed: take gives a new table, and iterating it gives
-    each row's source row number (``rows``) as a plain int."""
+    __slots__ = ("columns", "levels", "kinds", "labels", "rows")
 
-    __slots__ = ("cells", "kinds", "parsed", "labels", "rows")
+    def __init__(self, columns, levels, kinds, labels, rows):
+        self.columns, self.levels, self.kinds, self.labels, self.rows = columns, levels, kinds, labels, rows
 
-    def __init__(self, cells, kinds, labels, rows=None, parsed=None):
-        self.cells, self.kinds = dict(cells), dict(kinds)
-        given = np.asarray(labels)
-        n = len(given)
-        self.rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-        if self.kinds.keys() != self.cells.keys() or len(self.rows) != n or any(
-            len(column) != n for column in self.cells.values()
-        ):
+    @classmethod
+    def from_cells(cls, cells, kinds, labels, rows=None) -> "FlowTable":
+        """A table of raw cells by column, as tests and demos build it, checked as load_csv checks a file.
+
+        A nominal cell is keyed by str(cell); a missing one (None) stays missing. The first row with
+        a bad label or cell raises DataError, naming the row and its first reason in load_csv's words."""
+        cells, kinds, labels = dict(cells), dict(kinds), np.asarray(labels).tolist()
+        rows = np.arange(len(labels)) if rows is None else np.asarray(rows, dtype=np.int64)
+        if kinds.keys() != cells.keys() or any(len(column) != len(labels) for column in [rows, *cells.values()]):
             raise ContractError("a FlowTable needs one kind per column and n cells, labels and rows")
-        if parsed is None:  # a row's label is checked first, as load_csv checks it
-            reasons = {i: f"label {str(given[i])!r} is not 0 or 1"
-                       for i in np.flatnonzero((given != 0) & (given != 1)).tolist()}
-            parsed = _parse_columns(self.cells, self.kinds, reasons)
-            if reasons:
-                i = min(reasons)
-                raise DataError(f"record {self.rows[i]}, {reasons[i]}")
-        self.labels = given.astype(np.int64)
-        self.parsed = parsed
+        for name, column in cells.items():
+            if kinds[name] == NOMINAL:
+                cells[name] = [None if cell is None else str(cell) for cell in column]
+        labels, columns, levels, reasons = _checked(labels, cells, kinds)
+        if reasons:
+            i = min(reasons)
+            raise DataError(f"record {rows[i]}, {reasons[i]}")
+        return cls(columns, levels, kinds, labels, rows)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -85,28 +83,22 @@ class FlowTable:
         return iter(self.rows.tolist())
 
     def take(self, index) -> "FlowTable":
-        """The rows at ``index``, in that order, as a new table."""
+        """The rows at ``index``, in that order, as a new table that shares this one's levels."""
         index = np.asarray(index, dtype=np.intp)
-        at = index.tolist()
-        return FlowTable(
-            {name: [column[i] for i in at] for name, column in self.cells.items()},
-            self.kinds,
-            self.labels[index],
-            self.rows[index],
-            {name: values[index] for name, values in self.parsed.items()},
-        )
+        columns = {name: column[index] for name, column in self.columns.items()}
+        return FlowTable(columns, self.levels, self.kinds, self.labels[index], self.rows[index])
 
-    def column(self, name: str, kind: str):
-        """A column as encoding reads it: its cells if ``kind`` is nominal, else its float64 values.
+    def column(self, name: str, kind: str) -> np.ndarray:
+        """A column as encoding reads it: its codes into levels[name] if ``kind`` is nominal, else its values.
 
-        A column is read only as the kind it was parsed as; asked for another, it raises SchemaError."""
-        if name not in self.cells:
+        A column is read only as the kind it was read as; asked for another, it raises SchemaError."""
+        if name not in self.columns:
             if not len(self):
-                return [] if kind == NOMINAL else np.empty(0)
+                return np.empty(0, dtype=np.int64 if kind == NOMINAL else np.float64)
             raise SchemaError(f"record {self.rows[0]} is missing column {name!r}")
         if self.kinds[name] != kind:
             raise SchemaError(f"column {name!r} was parsed as {self.kinds[name]!r}, not as {kind!r}")
-        return self.cells[name] if kind == NOMINAL else self.parsed[name]
+        return self.columns[name]
 
 
 @dataclass
@@ -138,19 +130,36 @@ class LoadSummary:
         return "\n".join(lines)
 
 
-def _parse_columns(columns: dict, kinds: dict, reasons: dict[int, str]) -> dict[str, np.ndarray]:
-    """sentencing.parse_column over each column, in order: the values of the non-nominal ones, by name.
+def _coded(cells) -> tuple[np.ndarray, dict]:
+    """A nominal column's int64 code per cell, and its distinct cells in first-appearance order -> their codes."""
+    index = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
+    return np.fromiter(map(index.__getitem__, cells), np.int64, count=len(cells)), index
 
-    Each row's first bad cell goes into ``reasons`` (row index -> why) as ``column 'name':
-    <parse_column's reason>``; a row already in ``reasons`` keeps what it has."""
-    parsed = {}
-    for name, cells in columns.items():
-        values, bad = parse_column(cells, kinds[name])
-        if kinds[name] != NOMINAL:
-            parsed[name] = values
+
+def _checked(label: list, cells: dict[str, list], kinds: dict) -> tuple[np.ndarray, dict, dict, dict[int, str]]:
+    """The one check of raw cells, load_csv's and FlowTable.from_cells's: the int64 labels, each column
+    as one array, each nominal column's levels, and each bad row's first reason, by row index.
+
+    The label is a numeric cell that must be 0 or 1: ``label: <parse_column's reason>`` or ``label '2'
+    is not 0 or 1``. Then each column, in order: a nominal one is coded, and only a missing cell (None)
+    is bad there; any other goes through sentencing.parse_column. Its reasons read ``column 'name':
+    <reason>``, and a row already bad keeps its first reason."""
+    values, bad = parse_column(label, NUMERIC)
+    reasons = {i: f"label: {reason}" for i, reason in bad.items()}
+    for i in np.flatnonzero((values != 0.0) & (values != 1.0)).tolist():
+        reasons.setdefault(i, f"label {str(label[i])!r} is not 0 or 1")
+    columns, levels = {}, {}
+    for name, column in cells.items():
+        if kinds[name] == NOMINAL:
+            columns[name], index = _coded(column)
+            levels[name] = list(index)
+            missing = np.flatnonzero(columns[name] == index[None]).tolist() if None in index else []
+            bad = dict.fromkeys(missing, MISSING_CELL)
+        else:
+            columns[name], bad = parse_column(column, kinds[name])
         for i, reason in bad.items():
             reasons.setdefault(i, f"column {name!r}: {reason}")
-    return parsed
+    return (values == 1.0).astype(np.int64), columns, levels, reasons
 
 
 # Rows load_csv reads from csv.reader at a time. Each row costs one object
@@ -168,21 +177,21 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
 
     Rows read as with csv.DictReader: blank rows are skipped and not numbered, missing cells
     are None, extra cells are ignored, a repeated header name takes its last column. A leading
-    byte-order mark is dropped. Every cell is checked by sentencing.parse_column, the label as
-    a numeric cell that must also be 0 or 1. A row with a bad cell is rejected with the first
-    reason (label, then columns in profile order) in the summary: ``label: <reason>``,
-    ``label '2' is not 0 or 1`` or ``column 'name': <reason>``, where a missing cell's reason is
-    ``missing cell``, whatever its kind. Each column is parsed once: the table keeps the values
-    that found the rejects.
+    byte-order mark is dropped. The cells are checked as FlowTable.from_cells checks them: the
+    label as a numeric cell that must also be 0 or 1, then each column by sentencing.parse_column,
+    or coded if nominal. A row with a bad cell is rejected with the first reason (label, then
+    columns in profile order) in the summary: ``label: <reason>``, ``label '2' is not 0 or 1`` or
+    ``column 'name': <reason>``, where a missing cell's reason is ``missing cell``, whatever its
+    kind. Each column is read once: the table keeps the values and codes that found the rejects.
 
     The file is read BLOCK_ROWS rows at a time. Each block is transposed once and each profile
     column extends its list from its own file column, so no list per row outlives its block.
-    On a 200,000-row synth CSV, with 2 vCPUs, a load takes a median 0.93 s against 1.7 s for a
-    whole-file row list, and its tracemalloc peak is 195 MB against 255 MB."""
+    The cell text is dropped once the columns are arrays. On a 200,000-row noisy synth CSV, with
+    2 vCPUs, the loaded table holds 24 MB (tracemalloc) where a table that kept its cell text
+    held 190 MB."""
     layout = profile_columns(profile)
     names = [name for name, _ in layout["features"]] + [layout["label"]]
-    columns = [[] for _ in names]  # the cells of each profile column, label last
-    short = False
+    cells = [[] for _ in names]  # the cells of each profile column, label last
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -197,29 +206,21 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
                 for row in rows:
                     if len(row) < width:
                         row.extend([None] * (width - len(row)))
-                        short = True
                 if rows:  # transposed once: the block's cells by file column, as far as its shortest row
                     fields = list(zip(*rows))
-                    for column, i in zip(columns, index):
+                    for column, i in zip(cells, index):
                         column.extend(fields[i])
         except UnicodeDecodeError:  # raised for a whole decoded block, which can span many lines
             raise DataError(f"{path}: not UTF-8 text at line {_first_non_utf8_line(path)}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), which stays as it is
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    label = columns[-1]
-    n = len(label)
-    values, bad = parse_column(label, NUMERIC)  # the label is a numeric cell that must be 0 or 1
-    reasons = {i: f"label: {reason}" for i, reason in bad.items()}  # row index -> first reason
-    for i in np.flatnonzero((values != 0.0) & (values != 1.0)).tolist():
-        reasons.setdefault(i, f"label {label[i]!r} is not 0 or 1")
-    kinds = dict(layout["features"])
-    cells = dict(zip(kinds, columns))
-    # a nominal cell can be bad only when its row was short
-    parsed = _parse_columns({name: cells[name] for name in cells if short or kinds[name] != NOMINAL}, kinds, reasons)
+    kinds, n = dict(layout["features"]), len(cells[-1])
+    labels, columns, levels, reasons = _checked(cells.pop(), dict(zip(kinds, cells)), kinds)
+    del cells  # the cell text: the table keeps only arrays
     summary, rejected = LoadSummary(), sorted(reasons)
     for i in rejected:
         summary.note(i + 2, reasons[i])
-    table = FlowTable(cells, kinds, (values == 1.0).astype(np.int64), np.arange(2, n + 2), parsed)
+    table = FlowTable(columns, levels, kinds, labels, np.arange(2, n + 2))
     if rejected:
         table = table.take(np.delete(np.arange(n), rejected))
     summary.rows_loaded = len(table)
@@ -243,14 +244,20 @@ def _first_non_utf8_line(path) -> int:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write the profile's columns, cells as read, then the label."""
+    """Write the profile's columns, then the label: a nominal column's cells, any other column's values
+    as repr(v).removesuffix(".0"), text that parses back to the same float64, bit for bit, for every kind."""
     layout = profile_columns(dataset.profile)
-    names = [name for name, _ in layout["features"]]
-    table = dataset.records
+    table, columns = dataset.records, []
+    for name, kind in layout["features"]:
+        column = table.columns[name].tolist()
+        if kind == NOMINAL:
+            columns.append(map(table.levels[name].__getitem__, column))
+        else:
+            columns.append([repr(v).removesuffix(".0") for v in column])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(names + [layout["label"]])
-        writer.writerows(zip(*[table.cells[name] for name in names], table.labels.tolist()))
+        writer.writerow([name for name, _ in layout["features"]] + [layout["label"]])
+        writer.writerows(zip(*columns, table.labels.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -366,24 +373,17 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
     start = 1.4e9 + np.arange(n, dtype=np.float64)  # monotone counter
     end = start + numeric["dur"]
 
-    # each column's cells as write_csv writes them, and the float64 values
-    # that parsing those cells gives back: repr() of a float and str() of an
-    # integer both parse to the value they were made from
-    floats = {name: numeric[name] for name in ("Sload", "Dload", "dur")} | {"Stime": start, "Ltime": end}
-    ints = {name: numeric[name] for name in ("Spkts", "Dpkts")} | {"srcport": srcport.astype(np.float64)}
-    cells, parsed = {}, {}
-    for name, kind in PROFILES["synthetic"]["features"]:
-        if name in floats:
-            parsed[name] = floats[name]
-            cells[name] = [repr(v) for v in floats[name].tolist()]
-        elif name in ints:
-            parsed[name] = ints[name]
-            cells[name] = [str(int(v)) for v in ints[name].tolist()]
-        else:
-            cells[name] = categorical[name].tolist()
-            if kind != NOMINAL:  # dstport and sttl draw their cells from a pool of numerals
-                parsed[name] = np.array(list(map(float, cells[name])), dtype=np.float64)
-    table = FlowTable(cells, dict(PROFILES["synthetic"]["features"]), labels, parsed=parsed)
+    numbers = numeric | {"Stime": start, "Ltime": end, "srcport": srcport.astype(np.float64)}
+    kinds, columns, levels = dict(PROFILES["synthetic"]["features"]), {}, {}
+    for name, kind in kinds.items():
+        if name in numbers:
+            columns[name] = numbers[name]
+        elif kind == NOMINAL:
+            columns[name], index = _coded(categorical[name].tolist())
+            levels[name] = list(index)
+        else:  # dstport and sttl draw from a pool of numerals
+            columns[name] = categorical[name].astype(np.float64)
+    table = FlowTable(columns, levels, kinds, labels, np.arange(n))
     return Dataset(records=table, profile="synthetic")
 
 

@@ -133,17 +133,14 @@ def parse_cell(cell: str, kind: str) -> float:
     raise ValueError(f"parse_cell does not handle kind {kind!r}")
 
 
-def parse_column(cells, kind: str) -> tuple[np.ndarray | list, dict[int, str]]:
-    """The column as encoding reads it, plus why each bad cell is bad, by index.
+def parse_column(cells, kind: str) -> tuple[np.ndarray, dict[int, str]]:
+    """A non-nominal column's float64 values as encoding reads them, plus why each bad cell is bad, by index.
 
-    A missing cell (None: its row ended before it) is bad as MISSING_CELL, whatever the kind,
-    and that is the only way a nominal cell is bad: a nominal column is its cells. Any other
-    column is each cell parsed for its kind, and a present cell is bad when it does not parse
-    or is nan or infinite. One float() pass serves a column that parses whole and is finite;
-    only otherwise is each cell parsed for its kind. The values are meaningful only where no
-    cell is bad; a cell that does not parse reads 0.0, so comparing them raises no float flag."""
-    if kind == NOMINAL:
-        return cells, ({i: MISSING_CELL for i, cell in enumerate(cells) if cell is None} if None in cells else {})
+    Each cell is parsed for its kind, and a cell is bad when it is missing (None: its row ended
+    before it), as MISSING_CELL, or when it does not parse or is nan or infinite. One float()
+    pass serves a column that parses whole and is finite; only otherwise is each cell parsed for
+    its kind. The values are meaningful only where no cell is bad; a cell that does not parse
+    reads 0.0, so comparing them raises no float flag."""
     if kind != BOOLEAN:
         try:
             values = np.fromiter(map(float, cells), np.float64, count=len(cells))
@@ -175,11 +172,11 @@ class FeatureSpec:
     lo: float | None = None  # numeric/timestamp/boolean only
     hi: float | None = None
 
-    def encode_column(self, column) -> np.ndarray:
-        """Map a checked column into [0, 1] using the fitted state: raw cells if nominal, else parse_column's values."""
+    def encode_column(self, column, levels=()) -> np.ndarray:
+        """Map a checked column into [0, 1] by the fitted state: nominal codes into ``levels``, else values."""
         if self.kind == NOMINAL:
-            index = np.fromiter((self.vocab.get(str(cell), 0) for cell in column), np.float64, count=len(column))
-            return index / len(self.vocab) if self.vocab else index  # 0 = unseen
+            lookup = np.fromiter((self.vocab.get(level, 0) for level in levels), np.float64, count=len(levels))
+            return (lookup / len(self.vocab) if self.vocab else lookup)[column]  # 0 = unseen
         values = np.asarray(column, dtype=np.float64)
         if self.hi == self.lo:
             return np.full(values.shape, 0.5)  # constant feature in training: center it
@@ -256,8 +253,9 @@ def fit_schema(records, profile: str) -> Schema:
     """Fit nominal vocabularies and numeric ranges from training records only.
 
     ``records`` is a dataio.FlowTable, whose cells were checked when it was built, so
-    fitting reads its columns and parses nothing. Nominal vocabularies index values by
-    first appearance, starting at 1; index 0 stays reserved for values unseen during fitting.
+    fitting reads its columns and parses nothing. A nominal vocabulary indexes the levels
+    that occur in ``records`` by their first appearance there, starting at 1; index 0 stays
+    reserved for values unseen during fitting.
     """
     layout = profile_columns(profile)
     if not len(records):
@@ -266,8 +264,9 @@ def fit_schema(records, profile: str) -> Schema:
     specs = []
     for (name, kind), column in zip(layout["features"], columns):
         if kind == NOMINAL:
-            # dict keys keep first appearance order
-            vocab = {cell: i for i, cell in enumerate(dict.fromkeys(map(str, column)), start=1)}
+            first = np.sort(np.unique(column, return_index=True)[1])  # each code's first row, in row order
+            levels = records.levels[name]
+            vocab = {levels[code]: i for i, code in enumerate(column[first].tolist(), start=1)}
             specs.append(FeatureSpec(name=name, kind=kind, vocab=vocab))
         else:
             values = column.tolist()  # builtin min and max keep the first of tied 0.0 and -0.0
@@ -283,7 +282,7 @@ def encode_batch(records, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
     columns = [records.column(spec.name, spec.kind) for spec in schema.features]
     x = np.empty((len(records), schema.width), dtype=np.float64)
     for j, (spec, column) in enumerate(zip(schema.features, columns)):
-        x[:, j] = spec.encode_column(column)
+        x[:, j] = spec.encode_column(column, records.levels.get(spec.name, ()))
     return x, records.labels.copy()
 
 

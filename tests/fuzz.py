@@ -1,19 +1,22 @@
-"""Header census: does every re-signed checkpoint header end in its exit code, and is any field inert?
+"""Outside-input census: checkpoint headers and flow CSVs, each variant run through the CLI.
 
-The census trains a small transformer and a small FNN through the CLI on a
-200-row synth CSV, then walks every path of each checkpoint's JSON header.
-It does not know the format: it visits every key of every object and every
-entry of every list (a list of more than SAMPLE_OVER entries at its first
-three entries and its last). At each path it tries each of SUBSTITUTES,
-then deletes the entry. At each object it adds the key ADDED_KEY. Each
-variant is re-signed over the original body and run through
-``cli.main(["eval", ...])`` in this process:
+Two families of variants run through ``cli.main`` in this process. Each
+run's output is swallowed; what the CLI scored and what its ``load_csv``
+gave or raised are recorded where the CLI takes them from the package.
+
+**Header family.** The census trains a small transformer and a small FNN
+through the CLI on a 200-row synth CSV, then walks every path of each
+checkpoint's JSON header. It does not know the format: it visits every key
+of every object and every entry of every list (a list of more than
+SAMPLE_OVER entries at its first three entries and its last). At each path
+it tries each of SUBSTITUTES, then deletes the entry. At each object it
+adds the key ADDED_KEY. Each variant is re-signed over the original body
+and run through ``eval``:
 
 - first with a --data file that does not exist, so a header refusal ends
   the run before any data is read, and a header that loads exits 6;
 - then, if it loaded, on the CSV the checkpoint was trained on, so every
-  vocabulary cell occurs in it. The scores are read where the CLI takes
-  them from ``predict_scores``.
+  vocabulary cell occurs in it.
 
 Its oracles:
 
@@ -26,11 +29,26 @@ Its oracles:
   marks a field that the format does not need. ``train_config`` and
   ``metrics`` are provenance records, exempt from this oracle only.
 
+**CSV family.** The unsw and ton fixtures and the synth CSV are each
+mutated: one cell of one row at a time, in every column of the file, to
+each of BAD_CELLS (empty, NUL, quotes, numbers out of range, nan, full-width
+digits, 5,000-character cells and timestamp look-alikes); rows cut short
+and rows made long; a byte-order mark; the header repeated among the rows;
+the bytes truncated; bytes that are not UTF-8. Each variant runs through
+``eval`` with an FNN trained on the unmutated file, and one in TRAIN_EVERY
+through ``train`` as well. Its oracles:
+
+- **Exit code.** ``eval`` ends in 0 or 3 and ``train`` in 0, 2 or 3.
+- **As DictReader reads it.** Where the load succeeds, its kept rows,
+  labels, nominal cells and values, and its rejects, are what
+  ``tests/oracles.py::dictreader_load`` reads from the file; where the
+  oracle keeps a row, the load succeeds.
+
 Run from the repository root:
 
     python tests/fuzz.py
 
-It prints each kind's tally of exit codes and then every finding, and
+It prints each family's tally of exit codes and then every finding, and
 exits 0 when there is none, 1 otherwise. It starts no child process and
 takes well under a minute. pytest does not collect this file (its name does
 not start with ``test_``).
@@ -51,8 +69,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+import oracles  # noqa: E402
 from checkpoints import read_header, rewrite_header  # noqa: E402
-from flowids import cli  # noqa: E402
+from flowids import cli, dataio  # noqa: E402
+from flowids.sentencing import NOMINAL, PROFILES, parse_cell  # noqa: E402
 
 # one value of each JSON type, and numbers at the edges of what a size or a range may hold
 SUBSTITUTES = [None, True, False, 0, 1, -1, 0.5, 2**63, 1e308, -1e308, math.nan, math.inf, "", "x", [], {}]
@@ -123,38 +144,48 @@ def variants(header):
         yield path + (ADDED_KEY,), "added", edited(header, path + (ADDED_KEY,), 1)
 
 
-class Eval:
-    """cli.main(["eval", ...]) in this process, quiet, with the scores it computed."""
+class Cli:
+    """cli.main in this process, quiet, with the scores it computed and what its load_csv gave or raised."""
 
     def __init__(self):
-        self.scores = None
-        score = cli.predict_scores
+        self.scores = self.loaded = None
+        score, load = cli.predict_scores, dataio.load_csv
 
-        def recording(*args, **kwargs):
+        def scoring(*args, **kwargs):
             scores = score(*args, **kwargs)
             self.scores = scores.tobytes()
             return scores
 
-        cli.predict_scores = recording
+        def loading(*args, **kwargs):
+            try:
+                self.loaded = load(*args, **kwargs)
+            except Exception as exc:
+                self.loaded = exc
+                raise
+            return self.loaded
 
-    def __call__(self, model, data) -> tuple[int | str, bytes | None]:
-        self.scores = None
+        cli.predict_scores, dataio.load_csv = scoring, loading
+
+    def __call__(self, *argv) -> int | str:
+        self.scores = self.loaded = None
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = cli.main(["eval", "--model", str(model), "--data", str(data)])
+                return cli.main([str(arg) for arg in argv])
             except BaseException as exc:  # noqa: BLE001 -- an escaped exception is a finding
-                code = f"{type(exc).__name__}: {exc}"
+                return f"{type(exc).__name__}: {exc}"
+
+    def eval(self, model, data) -> tuple[int | str, bytes | None]:
+        code = self("eval", "--model", model, "--data", data)
         return code, self.scores
 
 
-def census(kind: str, run: Eval) -> tuple[collections.Counter, list[str]]:
+def census(kind: str, run: Cli) -> tuple[collections.Counter, list[str]]:
     """The tally of exit codes and the findings of every variant of a ``kind`` checkpoint's header."""
     model, data, missing, variant = Path(f"{kind}.ckpt"), "flows.csv", "missing.csv", Path("variant.ckpt")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["train", "--data", data, *TRAIN[kind], "--out", str(model)])
+    code = run("train", "--data", data, *TRAIN[kind], "--out", model)
     if code != 0:
         raise RuntimeError(f"training the {kind} checkpoint exited {code}")
-    code, original = run(model, data)
+    code, original = run.eval(model, data)
     if code != 0 or original is None:  # with no scores seen, no field could be found inert
         raise RuntimeError(f"the unedited {kind} checkpoint exits {code}, scores seen: {original is not None}")
     header = read_header(model)
@@ -163,10 +194,10 @@ def census(kind: str, run: Eval) -> tuple[collections.Counter, list[str]]:
     for path, how, new in variants(header):
         dumped = json.dumps(new, sort_keys=True).encode("utf-8")
         rewrite_header(model, variant, lambda h, body, d=dumped: (d, body))
-        code, _ = run(variant, missing)
+        code, _ = run.eval(variant, missing)
         stage = "before --data"
         if code == 6:  # the header loaded: score the real data
-            code, scores = run(variant, data)
+            code, scores = run.eval(variant, data)
             stage = "on --data"
             if code == 0 and scores == original and path[0] not in PROVENANCE:
                 inert[name(path)].append(how)
@@ -180,19 +211,116 @@ def census(kind: str, run: Eval) -> tuple[collections.Counter, list[str]]:
     return tally, findings
 
 
+# the raw text written in place of one cell: empty, NUL, quotes, numbers out of range or not finite,
+# full-width digits, 5,000-character cells and timestamp look-alikes
+BAD_CELLS = [
+    "", "\x00", "1\x00", '"', '""', '"a,b"', 'a"b', '"x""y"', '"1\n2"', "1e400", "-1e400", "nan", "-inf",
+    "\uff11\uff12\uff13", "\uff10", "9" * 5000, "x" * 5000, "2019-04-26T09:12:01", "2019-04-26 09:12:01+02:00",
+    "26-Apr-19", "09:12:01", "26/04/2019", "24:00:00", "2019-02-30", " 1421927414 ", "1421927414.5e0", "\ufeff1",
+]
+# (file, profile) for each CSV the family mutates; flows.csv is the header family's synth CSV
+FIXTURES = ROOT / "tests" / "fixtures"
+CSV_SOURCES = [(FIXTURES / "unsw_tiny.csv", "unsw"), (FIXTURES / "ton_tiny.csv", "ton"),
+               (Path("flows.csv"), "synthetic")]
+TRAIN_EVERY = 8
+
+
+def csv_variants(data: bytes):
+    """(description, bytes) for every variant of a CSV's bytes, whose rows hold no quoted cell."""
+    text = data.decode("utf-8")
+    lines = text.splitlines()
+    header, rows = lines[0].split(","), lines[1:]
+
+    def with_row(i, row):
+        return "\n".join(lines[: i + 1] + [row] + lines[i + 2:]).encode("utf-8") + b"\n"
+
+    k = 0
+    for j, column in enumerate(header):  # one row in turn, one cell of it at a time
+        for cell in BAD_CELLS:
+            i, k = k % len(rows), k + 1
+            cells = rows[i].split(",")
+            cells[j] = cell
+            yield f"row {i + 2} {column} = {cell[:12]!r}", with_row(i, ",".join(cells))
+    for i in range(0, len(rows), max(1, len(rows) // 4)):
+        cells = rows[i].split(",")
+        for keep in (1, len(cells) // 2, len(cells) - 1):
+            yield f"row {i + 2} cut to {keep} cells", with_row(i, ",".join(cells[:keep]))
+        yield f"row {i + 2} with 3 more cells", with_row(i, ",".join(cells + ["x", "1", '"y"']))
+        yield f"header repeated after row {i + 2}", with_row(i, rows[i] + "\n" + lines[0])
+    yield "a byte-order mark", b"\xef\xbb\xbf" + data
+    for at in (len(data) // 3, len(data) // 2, len(data) - 2, len(data) - 1):
+        yield f"truncated at byte {at}", data[:at]
+    for at in (len(lines[0]) // 2, len(data) // 2, len(data) - 2):
+        for bad in (b"\xff", b"\xc3", b"\xe3\x80"):
+            yield f"{bad!r} at byte {at}", data[:at] + bad + data[at:]
+
+
+def unlike_dictreader(loaded, path: Path, profile: str) -> str | None:
+    """How what load_csv gave or raised for ``path`` differs from the DictReader oracle's reading, or None."""
+    layout = PROFILES[profile]
+    try:
+        rows, cells, labels, values, rejects = oracles.dictreader_load(
+            path, layout["features"], layout["label"], lambda cell, kind: oracles.checked_cell(cell, kind, parse_cell))
+    except Exception:  # noqa: BLE001 -- a file the oracle cannot read keeps no rows
+        rows = []
+    if not isinstance(loaded, tuple):
+        return f"load_csv raised {loaded!r}, the oracle keeps {len(rows)} rows" if rows else None
+    if not rows:
+        return f"load_csv keeps {len(loaded[0])} rows, the oracle none"
+    table, summary = loaded[0].records, loaded[1]
+    if table.rows.tolist() != rows or table.labels.tolist() != labels:
+        return "the kept rows or their labels differ"
+    for name, kind in layout["features"]:
+        if kind == NOMINAL and oracles.nominal_cells(table, name) != cells[name]:
+            return f"column {name!r}: the kept cells differ"
+        if kind != NOMINAL and table.columns[name].tobytes() != np.array(values[name], np.float64).tobytes():
+            return f"column {name!r}: the kept values differ"
+    if (summary.rows_loaded, summary.rows_rejected, summary.rejects) != (len(rows), len(rejects), rejects[:20]):
+        return f"the summary differs: {summary.describe()!r}"
+    return None
+
+
+def csv_census(run: Cli) -> tuple[collections.Counter, list[str]]:
+    """The tally of exit codes and the findings of every variant of each of CSV_SOURCES."""
+    tally, findings, variant, count = collections.Counter(), [], Path("variant.csv"), 0
+    for source, profile in CSV_SOURCES:
+        model = Path(f"{profile}.ckpt")
+        code = run("train", "--data", source, "--profile", profile, *TRAIN["fnn"], "--out", model)
+        if code != 0:
+            raise RuntimeError(f"training on {source.name} exited {code}")
+        for how, data in csv_variants(source.read_bytes()):
+            variant.write_bytes(data)
+            code, _ = run.eval(model, variant)
+            tally[f"eval exit {code}"] += 1
+            if code not in (0, 3):
+                findings.append(f"{source.name} {how}: eval ends in {code!r}, not 0 or 3")
+            if (why := unlike_dictreader(run.loaded, variant, profile)) is not None:
+                findings.append(f"{source.name} {how}: {why}")
+            count += 1
+            if count % TRAIN_EVERY == 0:
+                code = run("train", "--data", variant, "--profile", profile, *TRAIN["fnn"], "--out", "trained.ckpt")
+                tally[f"train exit {code}"] += 1
+                if code not in (0, 2, 3):
+                    findings.append(f"{source.name} {how}: train ends in {code!r}, not 0, 2 or 3")
+    return tally, findings
+
+
 def main() -> int:
     started = time.monotonic()
     findings = []
     with tempfile.TemporaryDirectory(prefix="flowids-fuzz-") as tmp, contextlib.chdir(tmp):
         Path("fnn.json").write_text('{"fnn_hidden": [8, 8]}', encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            cli.main(["synth", "--n", "200", "--seed", "4", "--difficulty", "noisy", "--out", "flows.csv"])
-        run = Eval()
+        run = Cli()
+        run("synth", "--n", "200", "--seed", "4", "--difficulty", "noisy", "--out", "flows.csv")
         for kind in TRAIN:
             tally, found = census(kind, run)
-            print(f"{kind}: {sum(tally.values())} variants; "
+            print(f"header, {kind}: {sum(tally.values())} variants; "
                   + ", ".join(f"{count} {what}" for what, count in sorted(tally.items())))
             findings += found
+        tally, found = csv_census(run)
+        print(f"csv: {sum(n for what, n in tally.items() if what.startswith('eval'))} variants; "
+              + ", ".join(f"{count} {what}" for what, count in sorted(tally.items())))
+        findings += found
     for finding in findings:
         print(finding)
     print(f"{len(findings)} findings ({time.monotonic() - started:.0f} s)")

@@ -147,8 +147,8 @@ MUTANTS = [
     # the exit-code table
     Mutant("data-error-exits-2", "src/flowids/cli.py", "    DataError: 3,", "    DataError: 2,", ("tests/test_cli.py",)),
     # the ingest rules of load_csv, parse_column and encode_column
-    Mutant("short-row-not-marked-short", "src/flowids/dataio.py",
-           "                        short = True\n", "                        pass\n",
+    Mutant("missing-nominal-cell-not-rejected", "src/flowids/dataio.py",
+           "bad = dict.fromkeys(missing, MISSING_CELL)", "bad = {}",
            ("tests/test_dataio.py::TestLoadCsvReadsLikeDictReader", "tests/test_dataio.py::TestMissingCells")),
     Mutant("blank-rows-kept", "src/flowids/dataio.py",
            "rows = [row for row in block if row]", "rows = block",
@@ -159,7 +159,18 @@ MUTANTS = [
     Mutant("float-pass-finite-unchecked", "src/flowids/sentencing.py",
            "if np.isfinite(values).all():", "if True:", ("tests/test_sentencing.py",)),
     Mutant("unseen-value-index-one", "src/flowids/sentencing.py",
-           "self.vocab.get(str(cell), 0)", "self.vocab.get(str(cell), 1)", ("tests/test_sentencing.py",)),
+           "self.vocab.get(level, 0)", "self.vocab.get(level, 1)", ("tests/test_sentencing.py",)),
+    # each column is one array: nominal codes into levels, keyed by str on the hand-built path, a vocabulary
+    # in first-appearance order within the table fitted, and values written as text that reads back
+    Mutant("vocab-ordered-by-level-index", "src/flowids/sentencing.py",
+           "np.sort(np.unique(column, return_index=True)[1])", "np.unique(column, return_index=True)[1]",
+           ("tests/test_sentencing.py",)),
+    Mutant("hand-built-nominal-cell-not-str", "src/flowids/dataio.py",
+           "[None if cell is None else str(cell) for cell in column]", "list(column)",
+           ("tests/test_dataio.py::TestFlowTable",)),
+    Mutant("write-csv-values-as-repr", "src/flowids/dataio.py",
+           "[repr(v).removesuffix(\".0\") for v in column]", "[repr(v) for v in column]",
+           ("tests/test_properties.py::test_csv_round_trip_keeps_values_labels_and_order",)),
     # a row's logits do not depend on its call, and an int cell beyond the float range is a bad cell
     Mutant("one-row-product-not-stacked", "src/flowids/tensor.py",
            "        if len(a) == 1:\n            return np.matmul(np.vstack((a, a)), b)[:1]\n", "",

@@ -19,6 +19,33 @@ import statistics
 import numpy as np
 
 from flowids.dataio import NOISY_SLOAD_BASE, NOISY_SLOAD_SD
+from flowids.errors import DataError
+
+
+def checked_cell(cell, kind, parse_cell):
+    """A cell's value and why it is bad, by ``parse_cell(cell, kind)``: (value, reason or None).
+
+    A missing cell is bad as "missing cell", whatever its kind; a nominal cell is its own value."""
+    if cell is None:
+        return (None if kind == "nominal" else math.nan), "missing cell"
+    if kind == "nominal":
+        return cell, None
+    try:
+        value = parse_cell(cell, kind)
+    except DataError as exc:
+        return math.nan, str(exc)
+    return value, None if math.isfinite(value) else f"non-finite value {cell!r}"
+
+
+def nominal_cells(table, name) -> list:
+    """A FlowTable's nominal column as cells: its codes read through its levels."""
+    return [table.levels[name][code] for code in table.columns[name].tolist()]
+
+
+def table_content(table) -> dict:
+    """A FlowTable's columns by name, to compare: a nominal column's cells, any other's float64 bytes."""
+    return {name: nominal_cells(table, name) if table.kinds[name] == "nominal" else column.tobytes()
+            for name, column in table.columns.items()}
 
 
 def dictreader_load(path, features, label, parse_cell):

@@ -53,7 +53,7 @@ class TestLoadCsv:
     def test_extra_columns_ignored(self):
         """The fixture's svc column is not in the profile and must not leak."""
         ds, _ = load_csv(FIXTURES / "unsw_tiny.csv", "unsw")
-        assert "svc" not in ds.records.cells
+        assert "svc" not in ds.records.columns
 
     def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -125,7 +125,7 @@ class TestLoadCsv:
         back, summary = load_csv(path, "synthetic")
         assert summary.rows_rejected == 0
         assert len(back) == 40
-        assert back.records.cells == ds.records.cells
+        assert oracles.table_content(back.records) == oracles.table_content(ds.records)
         assert back.records.labels.tolist() == ds.records.labels.tolist()
 
     def test_non_finite_cells_rejected(self, tmp_path):
@@ -153,8 +153,7 @@ class TestLoadCsv:
         write_csv(synth(200, seed=3), plain)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         (a, sa), (b, sb) = load_csv(plain, "synthetic"), load_csv(marked, "synthetic")
-        assert sa == sb and a.records.cells == b.records.cells
-        assert all(a.records.parsed[name].tobytes() == b.records.parsed[name].tobytes() for name in a.records.parsed)
+        assert sa == sb and oracles.table_content(a.records) == oracles.table_content(b.records)
         assert a.records.labels.tolist() == b.records.labels.tolist()
         assert a.records.rows.tolist() == b.records.rows.tolist()
 
@@ -172,7 +171,7 @@ class TestLoadCsv:
 
     def test_each_column_is_parsed_once(self, tmp_path, monkeypatch):
         """load_csv parses each non-nominal column and the label once, rejects
-        and all; fit_schema and encode_batch read its values and parse nothing."""
+        and all; fit_schema and encode_batch read its values and codes and parse nothing."""
         path = tmp_path / "flows.csv"
         write_csv(synth(200, seed=3), path)
         path.write_text(path.read_text().replace(",tcp,", ",tcp,fast", 2))  # two rows' Sload is rejected
@@ -188,14 +187,18 @@ class TestLoadCsv:
         assert summary.rows_rejected == 2
         features = sentencing.PROFILES["synthetic"]["features"]
         parsed = [k for _, k in features if k != NOMINAL] + [sentencing.NUMERIC]  # the label is a numeric column
-        assert sorted(kind for kind in calls if kind != NOMINAL) == sorted(parsed)
+        assert sorted(calls) == sorted(parsed)
         calls.clear()
         schema = fit_schema(ds.records, ds.profile)
         encode_batch(ds.records, schema)
         assert calls == []
-        for name, kind in features:  # the kept values are what parsing the kept cells gives
+        rows = set(ds.records.rows.tolist())
+        with open(path, newline="") as handle:  # the kept values are what parsing the kept rows' cells gives
+            kept = [row for i, row in enumerate(csv.DictReader(handle), start=2) if i in rows]
+        for name, kind in features:
             if kind != NOMINAL:
-                assert ds.records.parsed[name].tobytes() == real(ds.records.cells[name], kind)[0].tobytes()
+                expected = real([row[name] for row in kept], kind)[0]
+                assert ds.records.columns[name].tobytes() == expected.tobytes()
 
     def test_summary_describe_mentions_rows(self):
         _, summary = load_csv(FIXTURES / "unsw_tiny.csv", "unsw")
@@ -256,20 +259,6 @@ def _load_lines(tmp_path, lines, profile="unsw", prefix=0):
     return load_csv(path, profile)
 
 
-def _oracle_cell(cell, kind):
-    """A cell's value and why it is bad, by sentencing.parse_cell: (value, reason or None).
-    A missing cell is bad as "missing cell", whatever its kind."""
-    if cell is None:
-        return (None if kind == NOMINAL else math.nan), "missing cell"
-    if kind == NOMINAL:
-        return cell, None
-    try:
-        value = sentencing.parse_cell(cell, kind)
-    except DataError as exc:
-        return math.nan, str(exc)
-    return value, None if math.isfinite(value) else f"non-finite value {cell!r}"
-
-
 BLOCK = dataio.BLOCK_ROWS
 
 
@@ -286,7 +275,7 @@ class TestLoadCsvReadsLikeDictReader:
         lines = [header, _row(), "", _row(label="2"), "", "", _row(dur="4.0")]
         ds, summary = _load_lines(tmp_path, lines, prefix=prefix)
         assert ds.records.rows.tolist()[prefix:] == [2 + prefix, 4 + prefix]
-        assert ds.records.cells["dur"][prefix:] == ["3.9", "4.0"]
+        assert ds.records.columns["dur"][prefix:].tolist() == [3.9, 4.0]
         assert summary.rejects == [(3 + prefix, "label '2' is not 0 or 1")]
 
     def test_short_row_reads_missing_cells_as_none(self, tmp_path, prefix):
@@ -307,19 +296,19 @@ class TestLoadCsvReadsLikeDictReader:
         header = ",".join(NUMERIC_FIRST)
         ds, summary = _load_lines(tmp_path, [header, _row() + ",x,y,9", _row()], prefix=prefix)
         assert summary.rows_rejected == 0
-        assert all(column[prefix] == column[prefix + 1] for column in ds.records.cells.values())
+        assert all(column[prefix] == column[prefix + 1] for column in ds.records.columns.values())
 
     def test_repeated_header_name_takes_the_last_column(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST + ["Sload", "Dload"])
         # the second row ends before the last Dload column
         ds, summary = _load_lines(tmp_path, [header, _row() + ",7.5,8.5", _row() + ",7.5"], prefix=prefix)
-        assert (ds.records.cells["Sload"][prefix], ds.records.cells["Dload"][prefix]) == ("7.5", "8.5")
+        assert (ds.records.columns["Sload"][prefix], ds.records.columns["Dload"][prefix]) == (7.5, 8.5)
         assert summary.rejects == [(3 + prefix, "column 'Dload': missing cell")]
 
     def test_quoted_newline_stays_in_its_cell(self, tmp_path, prefix):
         header = ",".join(NUMERIC_FIRST)
         ds, summary = _load_lines(tmp_path, [header, _row(proto='"tcp\nv2"'), _row(label="x"), _row()], prefix=prefix)
-        assert ds.records.cells["proto"][prefix] == "tcp\nv2"
+        assert oracles.nominal_cells(ds.records, "proto")[prefix] == "tcp\nv2"
         assert summary.rejects == [(3 + prefix, "label: cannot parse numeric cell 'x'")]
         assert ds.records.rows.tolist()[prefix:] == [2 + prefix, 4 + prefix]
 
@@ -373,15 +362,14 @@ class TestLoadCsvBlocks:
         ds, summary = load_csv(path, "unsw")
         layout = sentencing.profile_columns("unsw")
         rows, cells, labels, values, rejects = oracles.dictreader_load(
-            path, layout["features"], layout["label"], _oracle_cell
+            path, layout["features"], layout["label"],
+            lambda cell, kind: oracles.checked_cell(cell, kind, sentencing.parse_cell),
         )
         assert rows[-1] > 2 * BLOCK + 1 and len(rejects) > BLOCK // 2
         table = ds.records
         assert table.rows.tolist() == rows and table.labels.tolist() == labels
-        assert {name: list(column) for name, column in table.cells.items()} == cells
-        assert table.parsed.keys() == values.keys()
-        for name, column in values.items():
-            assert table.parsed[name].tobytes() == np.array(column, dtype=np.float64).tobytes()
+        assert oracles.table_content(table) == {name: np.array(values[name], dtype=np.float64).tobytes() if name in values
+                                   else cells[name] for name in cells}
         assert summary.rows_loaded == len(rows) and summary.rows_rejected == len(rejects)
         assert summary.rejects == rejects[:20]
 
@@ -392,7 +380,7 @@ class TestLoadCsvBlocks:
         lines = [header] + [_row()] * BLOCK + [""] * (2 * BLOCK + 3) + [_row(dur="4.0")] + [""] * BLOCK
         ds, summary = _load_lines(tmp_path, lines)
         assert ds.records.rows.tolist() == list(range(2, BLOCK + 3)) and summary.rows_rejected == 0
-        assert ds.records.cells["dur"][-2:] == ["3.9", "4.0"]
+        assert ds.records.columns["dur"][-2:].tolist() == [3.9, 4.0]
         with pytest.raises(DataError, match="no valid rows"):
             _load_lines(tmp_path, [header] + [""] * BLOCK)
 
@@ -425,13 +413,13 @@ class TestSynth:
     def test_deterministic(self):
         a = synth(60, seed=5)
         b = synth(60, seed=5)
-        assert a.records.cells == b.records.cells
+        assert oracles.table_content(a.records) == oracles.table_content(b.records)
         assert a.records.labels.tolist() == b.records.labels.tolist()
 
     def test_seed_matters(self):
         a = synth(60, seed=5)
         b = synth(60, seed=6)
-        assert a.records.cells != b.records.cells
+        assert oracles.table_content(a.records) != oracles.table_content(b.records)
 
     def test_balanced_labels(self):
         ds = synth(101, seed=1)
@@ -440,7 +428,7 @@ class TestSynth:
     def test_separable_by_single_threshold(self):
         """Sload alone classifies a separable set perfectly, with margin."""
         ds = synth(500, seed=2, difficulty="separable")
-        sload = ds.records.parsed["Sload"]
+        sload = ds.records.columns["Sload"]
         labels = _labels(ds)
         assert np.array_equal((sload > SEPARABLE_THRESHOLD).astype(int), labels)
         gap = np.abs(sload - SEPARABLE_THRESHOLD).min()
@@ -449,7 +437,7 @@ class TestSynth:
     def test_noisy_bayes_rate(self):
         """The documented optimal threshold errs at about the target rate."""
         ds = synth(10000, seed=3, difficulty="noisy", bayes_error=0.1)
-        sload = ds.records.parsed["Sload"]
+        sload = ds.records.columns["Sload"]
         labels = _labels(ds)
         cut = oracles.noisy_sload_threshold(0.1)
         acc = np.mean((sload > cut).astype(int) == labels)
@@ -461,7 +449,7 @@ class TestSynth:
         ds = synth(8000, seed=4, difficulty="noisy")
         labels = _labels(ds)
         for name in ("Dload", "Spkts", "Dpkts", "dur"):
-            values = ds.records.parsed[name]
+            values = ds.records.columns[name]
             for cls in (0, 1):
                 dist = dataio.SYNTH_DISTS["noisy"][name]["normal" if cls == 0 else "attack"]
                 mean, var = oracles.dist_mean_var(dist)
@@ -471,12 +459,12 @@ class TestSynth:
 
     def test_start_times_monotone(self):
         ds = synth(50, seed=5)
-        stime = ds.records.parsed["Stime"]
+        stime = ds.records.columns["Stime"]
         assert (stime[1:] > stime[:-1]).all()
 
     def test_end_after_start(self):
         ds = synth(50, seed=5)
-        assert (ds.records.parsed["Ltime"] > ds.records.parsed["Stime"]).all()
+        assert (ds.records.columns["Ltime"] > ds.records.columns["Stime"]).all()
 
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError, match=">= 10"):
@@ -527,15 +515,36 @@ class TestSynth:
 
 
 class TestFlowTable:
-    def test_synth_values_are_its_cells_parsed(self):
-        """synth hands over the values it drew; they are what parsing its cells gives, bit for bit."""
+    def test_each_column_is_one_array(self, tmp_path):
+        """synth's table and a loaded one hold float64 values, or int64 codes into the column's
+        distinct cells in first-appearance order, and no cell text; written and loaded, synth's
+        table reads back bit for bit."""
         for difficulty in ("separable", "noisy"):
-            table = synth(300, seed=4, difficulty=difficulty).records
-            for name, kind in table.kinds.items():
-                values, reasons = parse_column(table.cells[name], kind)
-                assert reasons == {}
-                if kind != NOMINAL:
-                    assert table.parsed[name].tobytes() == values.tobytes(), name
+            ds = synth(300, seed=4, difficulty=difficulty)
+            path = tmp_path / f"{difficulty}.csv"
+            write_csv(ds, path)
+            back = load_csv(path, "synthetic")[0].records
+            assert oracles.table_content(back) == oracles.table_content(ds.records)
+            for table in (ds.records, back):
+                for name, kind in table.kinds.items():
+                    column = table.columns[name]
+                    assert column.dtype == (np.int64 if kind == NOMINAL else np.float64), name
+                    if kind == NOMINAL:
+                        assert table.levels[name] == list(dict.fromkeys(oracles.nominal_cells(table, name)))
+                assert table.levels.keys() == {name for name, kind in table.kinds.items() if kind == NOMINAL}
+
+    def test_take_indexes_the_arrays_and_shares_the_levels(self):
+        table = synth(40, seed=2).records
+        part = table.take([5, 0, 5])
+        assert part.levels is table.levels
+        assert all(part.columns[name].tolist() == column[[5, 0, 5]].tolist() for name, column in table.columns.items())
+
+    def test_hand_built_nominal_cells_are_keyed_by_str(self):
+        """An int cell and its text are one level, as encoding keys them; a missing cell stays missing."""
+        table = FlowTable.from_cells({"port": [80, "80", 7, "7"]}, {"port": NOMINAL}, [0, 1, 0, 1])
+        assert table.levels["port"] == ["80", "7"] and table.columns["port"].tolist() == [0, 0, 1, 1]
+        with pytest.raises(DataError, match="^record 1, column 'port': missing cell$"):
+            FlowTable.from_cells({"port": [80, None]}, {"port": NOMINAL}, [0, 1])
 
     def test_iterating_gives_the_source_rows_as_ints(self):
         table = synth(20, seed=1).records.take([19, 3, 7])
@@ -544,37 +553,37 @@ class TestFlowTable:
 
     def test_columns_must_agree_in_length(self):
         with pytest.raises(ContractError):
-            FlowTable({"a": ["1", "2"]}, {"a": "numeric"}, [0])
+            FlowTable.from_cells({"a": ["1", "2"]}, {"a": "numeric"}, [0])
         with pytest.raises(ContractError):
-            FlowTable({"a": ["1"]}, {"b": "numeric"}, [0])
+            FlowTable.from_cells({"a": ["1"]}, {"b": "numeric"}, [0])
 
     @pytest.mark.parametrize(
         "labels, message",
         [
             ([0, 1, 0.7, 1.9], "record 12, label '0.7' is not 0 or 1"),  # once read as 0 and 1
             ([0, 1, 1, 2, -1], "record 13, label '2' is not 0 or 1"),  # once kept, then dropped by split
-            ([1, 0, math.nan], "record 12, label 'nan' is not 0 or 1"),
+            ([1, 0, math.nan], "record 12, label: non-finite value nan"),
         ],
         ids=["fractions", "out-of-range", "nan"],
     )
     def test_raw_labels_must_be_0_or_1(self, labels, message):
         """Built from raw cells, the table refuses the first row whose label is
-        not exactly 0 or 1, in load_csv's words."""
+        not exactly 0 or 1, in load_csv's words: a label is a numeric cell."""
         n = len(labels)
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            FlowTable({"a": ["1"] * n}, {"a": "numeric"}, labels, np.arange(10, 10 + n))
+            FlowTable.from_cells({"a": ["1"] * n}, {"a": "numeric"}, labels, np.arange(10, 10 + n))
 
     def test_raw_labels_exactly_0_or_1_are_kept(self):
-        table = FlowTable({"a": ["1"] * 4}, {"a": "numeric"}, [0, 1.0, True, np.int8(0)])
+        table = FlowTable.from_cells({"a": ["1"] * 4}, {"a": "numeric"}, [0, 1.0, True, np.int8(0)])
         assert table.labels.tolist() == [0, 1, 1, 0] and table.labels.dtype == np.int64
 
     def test_a_rows_label_is_checked_before_its_cells(self):
         """As in load_csv: the lowest bad row wins, and within it the label."""
         cells = {"a": ["1", "fast", "fast"]}
         with pytest.raises(DataError, match="^record 1, label '2' is not 0 or 1$"):
-            FlowTable(cells, {"a": "numeric"}, [0, 2, 0])
+            FlowTable.from_cells(cells, {"a": "numeric"}, [0, 2, 0])
         with pytest.raises(DataError, match="^record 1, column 'a': cannot parse numeric cell 'fast'$"):
-            FlowTable(cells, {"a": "numeric"}, [0, 0, 2])
+            FlowTable.from_cells(cells, {"a": "numeric"}, [0, 0, 2])
 
 
 class TestSplit:

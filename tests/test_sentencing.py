@@ -63,7 +63,7 @@ def _table(recs, without=()):
     """The records as a unsw FlowTable, less the columns named in ``without``; checked as it is built."""
     kinds = {name: kind for name, kind in profile_columns("unsw")["features"] if name not in without}
     cells = {name: [values[name] for _, _, values in recs] for name in kinds}
-    return FlowTable(cells, kinds, [label for _, label, _ in recs], [row for row, _, _ in recs])
+    return FlowTable.from_cells(cells, kinds, [label for _, label, _ in recs], [row for row, _, _ in recs])
 
 
 def _records():
@@ -157,6 +157,15 @@ class TestFitSchema:
         proto = schema.features[2]
         assert proto.vocab == {"tcp": 1, "udp": 2, "icmp": 3}
 
+    def test_vocab_holds_the_levels_of_the_table_fitted_in_their_first_appearance_there(self):
+        """A taken table shares its source's levels (srcip's are .1, .2, .3); its vocabulary holds
+        only the levels that occur in it, in the order they first occur there, not in level order."""
+        part = _records().take([3, 1, 3])
+        assert part.levels["srcip"] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        with pytest.warns(UserWarning, match="constant"):  # three rows of one class hold constant columns
+            schema = fit_schema(part, "unsw")
+        assert schema.features[0].vocab == {"10.0.0.3": 1, "10.0.0.2": 2}
+
     def test_numeric_range_is_train_min_max(self):
         schema = fit_schema(_records(), "unsw")
         sload = next(f for f in schema.features if f.name == "Sload")
@@ -201,7 +210,7 @@ class TestFitSchema:
 
 def _encode(spec, *cells):
     """The encodings of raw cells under one fitted spec, through encode_batch."""
-    records = FlowTable({spec.name: list(cells)}, {spec.name: spec.kind}, [0] * len(cells))
+    records = FlowTable.from_cells({spec.name: list(cells)}, {spec.name: spec.kind}, [0] * len(cells))
     return encode_batch(records, Schema("unsw", [spec]))[0][:, 0].tolist()
 
 
