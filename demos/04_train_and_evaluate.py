@@ -25,7 +25,7 @@ results = {}
 for name, cfg in configs.items():
     print(f"\n--- training {name} ---")
     result = training.train(ds, cfg)
-    for row in result.log.rows:
+    for row in result.log:
         print(
             f"epoch {row.epoch:3d}  train loss {row.train_loss:.4f}  "
             f"running train acc {row.train_acc:.4f}  val acc {row.val_acc:.4f}"

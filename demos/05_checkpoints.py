@@ -19,7 +19,7 @@ from flowids.errors import IntegrityError
 ds = dataio.synth(400, seed=9)
 cfg = training.TrainConfig(model="transformer", dim=8, heads=2, blocks=1, lr=1e-3, epochs=4)
 result = training.train(ds, cfg)
-print("trained a small encoder, final val acc:", f"{result.log.final().val_acc:.4f}")
+print("trained a small encoder, final val acc:", f"{result.log[-1].val_acc:.4f}")
 
 with tempfile.TemporaryDirectory() as workdir:  # removed, with every file in it, when the demo ends
     path = os.path.join(workdir, "model.ckpt")
@@ -36,7 +36,7 @@ with tempfile.TemporaryDirectory() as workdir:  # removed, with every file in it
     print("=== reload and compare ===")
 
     ckpt = dataio.load_checkpoint(path)
-    print("model kind :", ckpt.kind)
+    print("model kind :", ckpt.params.kind)
     print("config     : lr =", ckpt.config["lr"], ", epochs =", ckpt.config["epochs"])
     print("schema     :", ckpt.schema.width, "features")
 

@@ -4,7 +4,9 @@ Pipeline: tabular flow records are encoded feature-by-feature into [0, 1]
 scalars, lifted into learned token sequences ("sentences"), classified by
 a causally masked transformer encoder trained with a small reverse-mode
 autodiff engine, and scored with a full binary-metrics suite. Everything
-runs on numpy float64; no deep-learning framework involved.
+runs on numpy float64; no deep-learning framework involved. Each name
+lives in its module (``flowids.training.train``, ``flowids.errors.DataError``);
+the package only imports the modules.
 
 The usual round trip:
 
@@ -17,59 +19,3 @@ The usual round trip:
 """
 
 from . import dataio, metrics, model, sentencing, tensor, training
-from .dataio import Dataset, FlowTable, load_checkpoint, load_csv, save_checkpoint, synth
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DimensionError,
-    FlowidsError,
-    IncompatibilityError,
-    IntegrityError,
-    MetricUndefinedError,
-    NumericError,
-    SchemaError,
-    VersionError,
-)
-from .metrics import report
-from .model import forward
-from .sentencing import Schema, encode_batch, fit_schema
-from .tensor import Tensor
-from .training import TrainConfig, predict_scores, train
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "ContractError",
-    "DataError",
-    "Dataset",
-    "DimensionError",
-    "FlowTable",
-    "FlowidsError",
-    "IncompatibilityError",
-    "IntegrityError",
-    "MetricUndefinedError",
-    "NumericError",
-    "Schema",
-    "SchemaError",
-    "Tensor",
-    "TrainConfig",
-    "VersionError",
-    "dataio",
-    "encode_batch",
-    "fit_schema",
-    "forward",
-    "load_checkpoint",
-    "load_csv",
-    "metrics",
-    "model",
-    "predict_scores",
-    "report",
-    "save_checkpoint",
-    "sentencing",
-    "synth",
-    "tensor",
-    "train",
-    "training",
-]

@@ -32,7 +32,7 @@ from . import dataio, metrics
 from . import model as M
 from .errors import ConfigError, DataError, IncompatibilityError, IntegrityError, NumericError, SchemaError
 from .sentencing import PROFILES, encode_batch
-from .training import TrainConfig, predict_scores, scoring_threads, train
+from .training import TrainConfig, predict_scores, scoring_threads, train, write_log
 
 # Exit code per error class; no class here subclasses another entry, so order does not matter.
 EXIT_CODES = {
@@ -131,13 +131,10 @@ def cmd_train(args) -> Run:
     M.KINDS[config.model].shapes(config.hyper(len(PROFILES[args.profile]["features"])))  # so does a size error
     dataset = _load_dataset(args.data, args.profile, loads)
     result = train(dataset, config)
-    for row in result.log.rows:
-        print(
-            f"epoch {row.epoch}/{result.config.epochs}"
-            f" train_loss={row.train_loss:.4f} train_acc={row.train_acc:.4f}"
-            f" val_loss={row.val_loss:.4f} val_acc={row.val_acc:.4f}"
-        )
-    final = result.log.final()
+    for row in result.log:
+        figures = "".join(f" {f.name}={getattr(row, f.name):.4f}" for f in fields(row)[1:])
+        print(f"epoch {row.epoch}/{result.config.epochs}{figures}")
+    final = result.log[-1]
     val_metrics = {
         "val_loss": final.val_loss if np.isfinite(final.val_loss) else None,
         "val_acc": final.val_acc if np.isfinite(final.val_acc) else None,
@@ -145,7 +142,7 @@ def cmd_train(args) -> Run:
     dataio.save_checkpoint(result.params, result.schema, result.config.recipe(), args.out, metrics=val_metrics)
     outputs = [args.out]
     if args.log:
-        result.log.to_csv(args.log)
+        write_log(result.log, args.log)
         outputs.append(args.log)
     print(f"saved checkpoint to {args.out}")
     print(f"final validation accuracy: {final.val_acc:.4f}")
@@ -167,7 +164,7 @@ def cmd_eval(args) -> Run:
     outputs = []
     if args.out:
         payload = rep.to_dict()
-        payload["model_kind"] = checkpoint.kind
+        payload["model_kind"] = checkpoint.params.kind
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -175,7 +172,7 @@ def cmd_eval(args) -> Run:
     if args.roc:
         rep.roc_csv(args.roc)
         outputs.append(args.roc)
-    config = {"threshold": args.threshold, "model_kind": checkpoint.kind}
+    config = {"threshold": args.threshold, "model_kind": checkpoint.params.kind}
     return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=outputs, loads=loads)
 
 
@@ -187,7 +184,7 @@ def cmd_predict(args) -> Run:
         for row, score in zip(dataset.records.rows.tolist(), scores):
             handle.write(f"{row},{score:.9f},{int(score >= args.threshold)}\n")
     print(f"wrote {len(scores)} predictions to {args.out}")
-    config = {"threshold": args.threshold, "model_kind": checkpoint.kind}
+    config = {"threshold": args.threshold, "model_kind": checkpoint.params.kind}
     return Run(config, checkpoint.config.get("seed"), inputs=[args.model, args.data], outputs=[args.out], loads=loads)
 
 
@@ -204,7 +201,7 @@ def cmd_report(args) -> Run:
             encoded.append((schema, xy))
         x, truths = xy
         rep = metrics.report(predict_scores(checkpoint.params, x), truths, threshold=args.threshold)
-        rows.append((f"{checkpoint.kind}:{model_path}", rep))
+        rows.append((f"{checkpoint.params.kind}:{model_path}", rep))
     text = metrics.render_table(rows)
     print(text)
     if args.out:

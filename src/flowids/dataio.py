@@ -333,6 +333,12 @@ def noisy_sload_dists(bayes_error: float) -> dict[str, tuple]:
     }
 
 
+# The most rows synth makes. synth and write_csv together peak at about 845 bytes
+# a row (tracemalloc, at 100,000 and 200,000 rows), 890 MB at this count; a
+# larger n is refused before anything is allocated.
+MAX_SYNTH_ROWS = 2**20
+
+
 def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float = 0.1) -> Dataset:
     """Deterministic synthetic flows, balanced 50/50 normal vs attack.
 
@@ -343,6 +349,8 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
     """
     if n < 10:
         raise ConfigError(f"synthetic datasets need n >= 10, got {n}")
+    if n > MAX_SYNTH_ROWS:
+        raise ConfigError(f"synthetic datasets need n <= {MAX_SYNTH_ROWS:,}, got {n:,}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if difficulty not in SYNTH_DISTS:
@@ -430,10 +438,6 @@ class Checkpoint:
     schema: Schema
     config: dict
     metrics: dict | None
-
-    @property
-    def kind(self) -> str:
-        return self.params.kind
 
 
 _HEADER_KEYS = ("hyper", "schema", "train_config", "metrics")

@@ -137,20 +137,8 @@ class MetricsReport:
         return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "threshold": self.threshold,
-            "counts": {"tp": self.counts.tp, "tn": self.counts.tn, "fp": self.counts.fp, "fn": self.counts.fn},
-            "metrics": {
-                "accuracy": self.metrics.accuracy,
-                "precision": self.metrics.precision,
-                "recall": self.metrics.recall,
-                "f1": self.metrics.f1,
-                "fnr": self.metrics.fnr,
-                "auc": self.auc,
-                "mcc": self.metrics.mcc,
-            },
-        }
+        return {"n": self.n, "threshold": self.threshold, "counts": self.counts._asdict(),
+                "metrics": {**self.metrics._asdict(), "auc": self.auc}}
 
     def table(self, label: str = "model") -> str:
         return render_table([(label, self)])

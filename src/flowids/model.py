@@ -93,12 +93,13 @@ class ModelParams(Params):
         t, d, heads, blocks, m, mask = _fields(h, "tokens", "dim", "heads", "blocks", "mlp_dim", "mask")
         _refuse_nonpositive(dim=d, heads=heads, blocks=blocks, mlp_dim=m, tokens=t)
         if d % heads != 0:  # so that d // heads is the head width
-            raise ConfigError(f"head count {heads} does not divide token dim {d}")
+            raise ConfigError(f"heads {heads} does not divide dim {d}")
         if not isinstance(mask, bool):
             raise ConfigError(f"mask must be true or false, got {mask!r}")
         # the layout, counted without walking it: sentencing and head 5td + 2, and per
         # block the heads' 3d^2, w_out d^2, the MLP 2dm + m + d and the layer norms 6d
-        _refuse_oversized(5 * t * d + 2 + blocks * (4 * d * d + 2 * d * m + m + 7 * d))
+        _refuse_oversized(5 * t * d + 2 + blocks * (4 * d * d + 2 * d * m + m + 7 * d),
+                          dim=d, blocks=blocks, mlp_dim=m, tokens=t)
 
         def layout():
             yield from ((f"sentencing.{name}", (t, d)) for name in ("embed", "bias", "position"))
@@ -148,7 +149,7 @@ class FnnParams(Params):
         _refuse_nonpositive(features=features, hidden=hidden)
         h1, h2 = hidden
         layout = [("w1", (features, h1)), ("b1", (h1,)), ("w2", (h1, h2)), ("b2", (h2,)), ("w3", (h2, 2)), ("b3", (2,))]
-        _refuse_oversized(sum(math.prod(shape) for _, shape in layout))
+        _refuse_oversized(sum(math.prod(shape) for _, shape in layout), features=features, hidden=hidden)
         return layout
 
     @classmethod
@@ -302,9 +303,11 @@ def _init_arrays(layout, drawn: list[str], seed: int) -> dict[str, np.ndarray]:
 MAX_PARAMETERS = 2**24
 
 
-def _refuse_oversized(total: int) -> None:
+def _refuse_oversized(total: int, **sizes) -> None:
+    """A ConfigError giving the count and naming each size it comes from, if it is over the budget."""
     if total > MAX_PARAMETERS:
-        raise ConfigError(f"the model would hold {total:,} parameters, more than {MAX_PARAMETERS:,}")
+        named = ", ".join(f"{name}={size!r}" for name, size in sizes.items())
+        raise ConfigError(f"{named} would make a model of {total:,} parameters, more than {MAX_PARAMETERS:,}")
 
 
 KINDS: dict[str, type] = {"transformer": ModelParams, "fnn": FnnParams}

@@ -13,7 +13,7 @@ import csv
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -216,7 +216,7 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(f"{name} must be {wanted}, got {getattr(cfg, name)!r}")
         if cfg.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {cfg.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
         if len(cfg.split_fractions) != 3:
             raise ConfigError(f"split_fractions needs 3 entries, got {cfg.split_fractions}")
         if len(cfg.fnn_hidden) != 2:
@@ -253,7 +253,8 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
-    """One training-log row.
+    """One training-log row. Its fields, in order, are the log's one statement of its columns: the
+    header that write_log writes and the figures of the CLI's epoch line.
 
     train_loss and train_acc are running figures over the epoch's steps:
     each training row counts with the logits of the step that trained on
@@ -268,22 +269,12 @@ class EpochStats:
     val_acc: float
 
 
-@dataclass
-class TrainLog:
-    rows: list[EpochStats] = field(default_factory=list)
-
-    def append(self, row: EpochStats) -> None:
-        self.rows.append(row)
-
-    def final(self) -> EpochStats:
-        return self.rows[-1]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-            for r in self.rows:
-                writer.writerow([r.epoch, r.train_loss, r.train_acc, r.val_loss, r.val_acc])
+def write_log(rows: list[EpochStats], path) -> None:
+    """The training log as CSV: a header of EpochStats' field names, then one line per row."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f.name for f in fields(EpochStats)])
+        writer.writerows(astuple(row) for row in rows)
 
 
 @dataclass
@@ -291,7 +282,7 @@ class TrainResult:
     params: M.ModelParams | M.FnnParams
     schema: Schema
     config: TrainConfig
-    log: TrainLog
+    log: list[EpochStats]
     train: dataio.Dataset
     validation: dataio.Dataset
     test: dataio.Dataset
@@ -448,7 +439,7 @@ def train(dataset: dataio.Dataset, config: TrainConfig | None = None) -> TrainRe
         weight_decay=config.weight_decay,
     )
     rng = np.random.default_rng(config.seed + 1)
-    log = TrainLog()
+    log = []
     n = len(y_train)
     train_logits = np.empty((n, 2))
     for epoch in range(1, config.epochs + 1):

@@ -1,8 +1,9 @@
-"""Outside-input census: checkpoint headers and flow CSVs, each variant run through the CLI.
+"""Outside-input census: checkpoint headers, flow CSVs and train configs, each variant run through the CLI.
 
-Two families of variants run through ``cli.main`` in this process. Each
+Three families of variants run through ``cli.main`` in this process. Each
 run's output is swallowed; what the CLI scored and what its ``load_csv``
-gave or raised are recorded where the CLI takes them from the package.
+gave or raised are recorded where the CLI takes them from the package, and
+its ``error:`` line is kept.
 
 **Header family.** The census trains a small transformer and a small FNN
 through the CLI on a 200-row synth CSV, then walks every path of each
@@ -44,6 +45,15 @@ through ``train`` as well. Its oracles:
   ``tests/oracles.py::dictreader_load`` reads from the file; where the
   oracle keeps a row, the load succeeds.
 
+**Config family.** BASE_CONFIG, a small train config (dim 8, 2 heads, one
+block, one epoch, FNN hidden widths 8 and 8) of each kind, has each
+``TrainConfig`` field replaced in turn by each of SUBSTITUTES, and each
+variant trains through ``train --config`` on the synth CSV. Only an
+``epochs`` of 2**63 is skipped: a valid run that would not end. Its oracles:
+
+- **Exit code.** ``train`` ends in 0, 2, 3 or 5.
+- **Named.** An exit 2's message names the field that was replaced.
+
 Run from the repository root:
 
     python tests/fuzz.py
@@ -58,6 +68,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -74,6 +85,7 @@ import oracles  # noqa: E402
 from checkpoints import read_header, rewrite_header  # noqa: E402
 from flowids import cli, dataio  # noqa: E402
 from flowids.sentencing import NOMINAL, PROFILES, parse_cell  # noqa: E402
+from flowids.training import TrainConfig  # noqa: E402
 
 # one value of each JSON type, and numbers at the edges of what a size or a range may hold
 SUBSTITUTES = [None, True, False, 0, 1, -1, 0.5, 2**63, 1e308, -1e308, math.nan, math.inf, "", "x", [], {}]
@@ -149,6 +161,7 @@ class Cli:
 
     def __init__(self):
         self.scores = self.loaded = None
+        self.error = ""  # the last run's `error:` line, or ""
         score, load = cli.predict_scores, dataio.load_csv
 
         def scoring(*args, **kwargs):
@@ -168,11 +181,14 @@ class Cli:
 
     def __call__(self, *argv) -> int | str:
         self.scores = self.loaded = None
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 return cli.main([str(arg) for arg in argv])
             except BaseException as exc:  # noqa: BLE001 -- an escaped exception is a finding
                 return f"{type(exc).__name__}: {exc}"
+            finally:
+                self.error = next((line for line in err.getvalue().splitlines() if line.startswith("error: ")), "")
 
     def eval(self, model, data) -> tuple[int | str, bytes | None]:
         code = self("eval", "--model", model, "--data", data)
@@ -305,6 +321,29 @@ def csv_census(run: Cli) -> tuple[collections.Counter, list[str]]:
     return tally, findings
 
 
+# a small train config of either kind; each variant replaces one TrainConfig field by one of SUBSTITUTES
+BASE_CONFIG = {"dim": 8, "heads": 2, "blocks": 1, "epochs": 1, "fnn_hidden": [8, 8]}
+
+
+def config_census(run: Cli) -> tuple[collections.Counter, list[str]]:
+    """The tally of exit codes and the findings of every one-field variant of BASE_CONFIG, for each kind."""
+    tally, findings, variant = collections.Counter(), [], Path("variant.json")
+    for kind in TRAIN:
+        for field in dataclasses.fields(TrainConfig):
+            for value in SUBSTITUTES:
+                if field.name == "epochs" and value == 2**63:  # a valid run that would not end
+                    continue
+                variant.write_text(json.dumps({**BASE_CONFIG, "model": kind, field.name: value}), encoding="utf-8")
+                code = run("train", "--data", "flows.csv", "--config", variant, "--out", "trained.ckpt")
+                tally[f"exit {code}"] += 1
+                how = f"{kind} config {field.name} = {json.dumps(value)}"
+                if code not in (0, 2, 3, 5):
+                    findings.append(f"{how}: train ends in {code!r}, not 0, 2, 3 or 5")
+                elif code == 2 and field.name not in run.error:
+                    findings.append(f"{how}: exit 2 does not name the field: {run.error!r}")
+    return tally, findings
+
+
 def main() -> int:
     started = time.monotonic()
     findings = []
@@ -319,6 +358,10 @@ def main() -> int:
             findings += found
         tally, found = csv_census(run)
         print(f"csv: {sum(n for what, n in tally.items() if what.startswith('eval'))} variants; "
+              + ", ".join(f"{count} {what}" for what, count in sorted(tally.items())))
+        findings += found
+        tally, found = config_census(run)
+        print(f"config: {sum(tally.values())} variants; "
               + ", ".join(f"{count} {what}" for what, count in sorted(tally.items())))
         findings += found
     for finding in findings:

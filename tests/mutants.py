@@ -2,7 +2,9 @@
 
 Each mutant names one small wrong edit of the package: a file, an exact
 text that occurs there once, the text that replaces it, and the tests that
-should notice. For each mutant the census copies src/, tests/, demos/ and
+should notice. A mutant may instead be marked equivalent, with the reason
+why the edit changes nothing the program does; its tests must then pass.
+For each mutant the census copies src/, tests/, demos/ and
 pyproject.toml into a temporary directory, applies the edit there, and runs
 ``pytest -x`` on the mutant's tests with that copy first on the import path.
 A failing run kills the mutant; a passing run lets it survive. The checkout
@@ -14,8 +16,9 @@ Run from the repository root:
     python tests/mutants.py NAME ...     # only these
 
 It prints one line per mutant and then the survivors. It exits 0 when every
-mutant is killed, 1 when one survives, and 2 when a mutant's text does not
-occur exactly once in its file, so the census has fallen behind the code.
+mutant is killed and every equivalent one survives, 1 when a mutant survives
+or an equivalent one is killed, and 2 when a mutant's text does not occur
+exactly once in its file, so the census has fallen behind the code.
 pytest does not collect this file (its name does not start with ``test_``);
 a census run takes minutes, because each mutant runs its tests again.
 """
@@ -40,6 +43,7 @@ class Mutant(NamedTuple):
     old: str  # occurs exactly once in file
     new: str
     tests: tuple[str, ...]  # pytest arguments: test files, or node ids within them
+    equivalent: str = ""  # "equivalent, because ...": the edit changes nothing, so the tests must pass
 
 
 MUTANTS = [
@@ -81,10 +85,12 @@ MUTANTS = [
     Mutant("bool-accepted-as-size", "src/flowids/model.py",
            "type(n) is int", "isinstance(n, int)", ("tests/test_model.py",)),
     Mutant("transformer-budget-unchecked", "src/flowids/model.py",
-           "_refuse_oversized(5 * t * d + 2 + blocks * (4 * d * d + 2 * d * m + m + 7 * d))", "pass",
+           "_refuse_oversized(5 * t * d + 2 + blocks * (4 * d * d + 2 * d * m + m + 7 * d),\n"
+           "                          dim=d, blocks=blocks, mlp_dim=m, tokens=t)", "pass",
            ("tests/test_model.py",)),
     Mutant("fnn-budget-unchecked", "src/flowids/model.py",
-           "_refuse_oversized(sum(math.prod(shape) for _, shape in layout))", "pass", ("tests/test_model.py",)),
+           "_refuse_oversized(sum(math.prod(shape) for _, shape in layout), features=features, hidden=hidden)", "pass",
+           ("tests/test_model.py",)),
     # a built model's hyper dict records its kind, whatever dict it was built from
     Mutant("model-kind-not-stamped", "src/flowids/model.py",
            "copy.deepcopy({**h, \"kind\": self.kind})", "copy.deepcopy(h)", ("tests/test_model.py::TestKindInterface",)),
@@ -179,6 +185,20 @@ MUTANTS = [
            "    except (TypeError, ValueError, OverflowError):\n        raise DataError(f\"cannot parse numeric",
            "    except (TypeError, ValueError):\n        raise DataError(f\"cannot parse numeric",
            ("tests/test_sentencing.py",)),
+    # each name stated once: the log's columns are EpochStats' fields, a report's figures its tuples' fields
+    Mutant("log-header-loses-a-field", "src/flowids/training.py",
+           "[f.name for f in fields(EpochStats)]", "[f.name for f in fields(EpochStats)][:-1]",
+           ("tests/test_training.py::TestTrainLoop::test_log_csv_round_trip",)),
+    Mutant("report-dict-loses-auc", "src/flowids/metrics.py",
+           "{**self.metrics._asdict(), \"auc\": self.auc}", "self.metrics._asdict()", ("tests/test_metrics.py",)),
+    # a synthetic table past its row bound is refused before anything is allocated
+    Mutant("synth-rows-unbounded", "src/flowids/dataio.py",
+           "    if n > MAX_SYNTH_ROWS:\n", "    if False:\n", ("tests/test_dataio.py::TestSynth",)),
+    # equivalent edits: each must pass its tests
+    Mutant("roc-order-not-stable", "src/flowids/metrics.py",
+           "np.argsort(-scores, kind=\"stable\")", "np.argsort(-scores)", ("tests/test_metrics.py",),
+           equivalent="equivalent, because the curve takes a point only at the end of each run of equal scores, "
+                      "where the sum over the run does not depend on the order within it"),
 ]
 
 
@@ -222,15 +242,18 @@ def main(names: list[str]) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-    survivors = []
+    wrong = []  # a mutant that survived, or an equivalent one that was killed
     for mutant in chosen:
         started = time.monotonic()
         dead = killed(mutant)
-        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.name} ({time.monotonic() - started:.0f} s)", flush=True)
-        if not dead:
-            survivors.append(mutant.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed; survivors: {', '.join(survivors) or 'none'}")
-    return 1 if survivors else 0
+        verdict = ("KILLED  " if dead else "survived") if mutant.equivalent else ("killed  " if dead else "SURVIVED")
+        print(f"{verdict} {mutant.name} ({time.monotonic() - started:.0f} s)", flush=True)
+        if dead == bool(mutant.equivalent):
+            wrong.append(mutant.name)
+    equivalent = sum(bool(m.equivalent) for m in chosen)
+    print(f"{len(chosen) - len(wrong)} of {len(chosen)} mutants killed, or survived if equivalent "
+          f"({equivalent} equivalent); wrong: {', '.join(wrong) or 'none'}")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

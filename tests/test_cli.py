@@ -209,7 +209,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "argv, config, said",
         [
-            pytest.param(["--heads", "3"], None, "head count 3", id="heads"),
+            pytest.param(["--heads", "3"], None, "heads 3 does not divide dim 32", id="heads"),
             pytest.param(["--model", "fnn"], {"fnn_hidden": [0, 4]}, "hidden=[0, 4]", id="fnn-hidden"),
             pytest.param(["--model", "fnn"], {"mask": "false"}, "mask must be true or false", id="fnn-mask"),
             pytest.param(["--blocks", "1099511627776"], None, "13,897,826,975,090,722 parameters",

@@ -470,6 +470,17 @@ class TestSynth:
         with pytest.raises(ConfigError, match=">= 10"):
             synth(5, seed=0)
 
+    def test_one_row_over_the_bound_rejected_before_any_draw(self, monkeypatch):
+        """n above MAX_SYNTH_ROWS is refused, naming n and the bound, before
+        synth seeds its generator, so before it allocates a column."""
+        def seeded(*_):
+            raise AssertionError("synth seeded its generator")
+
+        monkeypatch.setattr(np.random, "default_rng", seeded)
+        n = dataio.MAX_SYNTH_ROWS + 1
+        with pytest.raises(ConfigError, match=f"n <= {dataio.MAX_SYNTH_ROWS:,}, got {n:,}"):
+            synth(n, seed=0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             synth(100, seed=-1)
@@ -657,7 +668,7 @@ class TestCheckpoint:
         save_checkpoint(params, schema, config, path, metrics=metrics)
         ck = load_checkpoint(path)
         assert isinstance(ck, Checkpoint)
-        assert ck.kind == "transformer"
+        assert ck.params.kind == "transformer"
         assert ck.config == config
         assert ck.metrics == metrics
         assert ck.schema == schema
@@ -673,7 +684,7 @@ class TestCheckpoint:
         path = tmp_path / "fnn.ckpt"
         save_checkpoint(params, schema, {"model": "fnn"}, path)
         ck = load_checkpoint(path)
-        assert ck.kind == "fnn"
+        assert ck.params.kind == "fnn"
         assert ck.metrics is None
         assert ck.schema == schema
         for (_, ta), (_, tb) in zip(params.named_parameters(), ck.params.named_parameters()):

@@ -58,7 +58,7 @@ class TestShapes:
             ModelParams.shapes(_hyper(mask=mask))
 
     def test_heads_must_divide_dim(self):
-        with pytest.raises(ConfigError, match="head count 4 does not divide token dim 10"):
+        with pytest.raises(ConfigError, match="heads 4 does not divide dim 10"):
             ModelParams.shapes(_hyper(dim=10, heads=4))
 
     @pytest.mark.parametrize("name, value", [

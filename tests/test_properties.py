@@ -320,9 +320,13 @@ synth_argv = st.fixed_dictionaries({
 @given(synth_argv)
 @example({"--n": "10", "--seed": None, "--difficulty": None, "--bayes-error": "1e-320", "--out": "file"})
 @example({"--n": "10", "--seed": None, "--difficulty": "noisy", "--bayes-error": "5e-324", "--out": "file"})
+@example({"--n": str(10**15), "--seed": None, "--difficulty": None, "--bayes-error": None, "--out": "file"})
+@example({"--n": str(10**20), "--seed": None, "--difficulty": None, "--bayes-error": None, "--out": "file"})
 def test_synth_argv_never_exits_1(flags):
     """Any mix of synth flags, each of them malformed, out of range or left
-    out, ends in exit 0, 2 (usage) or 6 (the output path), never in a traceback."""
+    out, ends in exit 0, 2 (usage) or 6 (the output path), never in a traceback.
+    An n too large for memory (10**15), or for a numpy dimension (10**20), is
+    refused by its bound."""
     with tempfile.TemporaryDirectory() as tmp:
         out = {"file": Path(tmp) / "x.csv", "directory": Path(tmp), "missing directory": Path(tmp) / "no" / "x.csv"}
         argv = ["synth"]
