@@ -67,14 +67,15 @@ class FlowTable:
         rows = np.arange(len(labels)) if rows is None else np.asarray(rows, dtype=np.int64)
         if kinds.keys() != cells.keys() or any(len(column) != len(labels) for column in [rows, *cells.values()]):
             raise ContractError("a FlowTable needs one kind per column and n cells, labels and rows")
+        indexes = {name: {} for name in cells if kinds[name] == NOMINAL}
         for name, column in cells.items():
             if kinds[name] == NOMINAL:
                 cells[name] = [None if cell is None else str(cell) for cell in column]
-        labels, columns, levels, reasons = _checked(labels, cells, kinds)
+        labels, columns, reasons = _checked(labels, cells, kinds, indexes)
         if reasons:
             i = min(reasons)
             raise DataError(f"record {rows[i]}, {reasons[i]}")
-        return cls(columns, levels, kinds, labels, rows)
+        return cls(columns, {name: list(index) for name, index in indexes.items()}, kinds, labels, rows)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -130,45 +131,51 @@ class LoadSummary:
         return "\n".join(lines)
 
 
-def _coded(cells) -> tuple[np.ndarray, dict]:
-    """A nominal column's int64 code per cell, and its distinct cells in first-appearance order -> their codes."""
-    index = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
-    return np.fromiter(map(index.__getitem__, cells), np.int64, count=len(cells)), index
+def _coded(cells, index: dict) -> np.ndarray:
+    """A nominal column's int64 code per cell by ``index``, its distinct cells in first-appearance order ->
+    their codes, which each cell not yet in it joins with the next code."""
+    for cell in dict.fromkeys(cells):
+        index.setdefault(cell, len(index))
+    return np.fromiter(map(index.__getitem__, cells), np.int64, count=len(cells))
 
 
-def _checked(label: list, cells: dict[str, list], kinds: dict) -> tuple[np.ndarray, dict, dict, dict[int, str]]:
-    """The one check of raw cells, load_csv's and FlowTable.from_cells's: the int64 labels, each column
-    as one array, each nominal column's levels, and each bad row's first reason, by row index.
+def _checked(label, cells: dict, kinds: dict, indexes: dict[str, dict]) -> tuple[np.ndarray, dict, dict[int, str]]:
+    """The one check of raw cells, load_csv's for each block and FlowTable.from_cells's: the int64 labels,
+    each column as one array, and each bad row's first reason, by row index.
 
     The label is a numeric cell that must be 0 or 1: ``label: <parse_column's reason>`` or ``label '2'
-    is not 0 or 1``. Then each column, in order: a nominal one is coded, and only a missing cell (None)
-    is bad there; any other goes through sentencing.parse_column. Its reasons read ``column 'name':
-    <reason>``, and a row already bad keeps its first reason."""
+    is not 0 or 1``. Then each column, in order: a nominal one is coded by ``indexes[name]``, which its
+    new cells join (see _coded), and only a missing cell (None) is bad there; any other goes through
+    sentencing.parse_column. Its reasons read ``column 'name': <reason>``, and a row already bad keeps
+    its first reason."""
     values, bad = parse_column(label, NUMERIC)
     reasons = {i: f"label: {reason}" for i, reason in bad.items()}
     for i in np.flatnonzero((values != 0.0) & (values != 1.0)).tolist():
         reasons.setdefault(i, f"label {str(label[i])!r} is not 0 or 1")
-    columns, levels = {}, {}
+    columns = {}
     for name, column in cells.items():
         if kinds[name] == NOMINAL:
-            columns[name], index = _coded(column)
-            levels[name] = list(index)
+            index = indexes[name]
+            columns[name] = _coded(column, index)
             missing = np.flatnonzero(columns[name] == index[None]).tolist() if None in index else []
             bad = dict.fromkeys(missing, MISSING_CELL)
         else:
             columns[name], bad = parse_column(column, kinds[name])
         for i, reason in bad.items():
             reasons.setdefault(i, f"column {name!r}: {reason}")
-    return (values == 1.0).astype(np.int64), columns, levels, reasons
+    return (values == 1.0).astype(np.int64), columns, reasons
 
 
-# Rows load_csv reads from csv.reader at a time. Each row costs one object
-# the cyclic garbage collector tracks (its list), and each block one more per
-# file column (its transposition). A block is dropped once its cells are in
-# the columns, so 256 rows stay under CPython's young-generation threshold of
-# 700 and reading starts no collection. Rows kept until the end of the file
-# would be walked by the collector again and again; a 1024-row block, over
-# the threshold, gained nothing on a 4,000-row file.
+# Rows load_csv reads from csv.reader, and write_csv formats and writes, at a
+# time: the one block size of both. Each row read costs one object the cyclic
+# garbage collector tracks (its list), and each block one more per file column
+# (its transposition). A block is dropped once its cells are checked into
+# arrays, which the collector does not track, so 256 rows stay under
+# CPython's young-generation threshold of 700 and reading starts no
+# collection. Rows kept until the end of the file would be walked by the
+# collector again and again; a 1024-row block, over the threshold, gained
+# nothing on a 4,000-row file. A written block's text, about 0.35 MB
+# (tracemalloc), is all write_csv holds besides the table.
 BLOCK_ROWS = 256
 
 
@@ -184,23 +191,27 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     ``column 'name': <reason>``, where a missing cell's reason is ``missing cell``, whatever its
     kind. Each column is read once: the table keeps the values and codes that found the rejects.
 
-    The file is read BLOCK_ROWS rows at a time. Each block is transposed once and each profile
-    column extends its list from its own file column, so no list per row outlives its block.
-    The cell text is dropped once the columns are arrays. On a 200,000-row noisy synth CSV, with
-    2 vCPUs, the loaded table holds 24 MB (tracemalloc) where a table that kept its cell text
-    held 190 MB."""
+    The file is read BLOCK_ROWS rows at a time. Each block is transposed once and checked as it
+    is read, so no cell's text outlives its block: each nominal column's codes are carried from
+    block to block, staying in first-appearance order over the whole file, and each block's
+    rejects are numbered by the rows read before it. Each column's block arrays are joined once,
+    at the end. On a 200,000-row noisy synth CSV, with 2 vCPUs, the load peaks at 25.5 MB
+    (tracemalloc) for a 24 MB table, where checking the cells once the whole file was read
+    peaked at 197 MB."""
     layout = profile_columns(profile)
-    names = [name for name, _ in layout["features"]] + [layout["label"]]
-    cells = [[] for _ in names]  # the cells of each profile column, label last
+    kinds, label = dict(layout["features"]), layout["label"]
+    indexes = {name: {} for name, kind in kinds.items() if kind == NOMINAL}  # carried from block to block
+    blocks = {name: [] for name in [*kinds, label]}  # each block's array of each profile column, label last
+    reasons, n = {}, 0  # each bad row's first reason, by its index among the n rows read
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
-            for name in names:
+            for name in blocks:
                 if name not in header:
                     raise SchemaError(f"{path}: missing required column {name!r}")
             at = {name: i for i, name in enumerate(header)}  # a repeated name: the last one wins
-            width, index = len(header), [at[name] for name in names]
+            width, index = len(header), [at[name] for name in blocks]
             while block := list(itertools.islice(reader, BLOCK_ROWS)):
                 rows = [row for row in block if row]
                 for row in rows:
@@ -208,24 +219,28 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
                         row.extend([None] * (width - len(row)))
                 if rows:  # transposed once: the block's cells by file column, as far as its shortest row
                     fields = list(zip(*rows))
-                    for column, i in zip(cells, index):
-                        column.extend(fields[i])
+                    cells = {name: fields[i] for name, i in zip(blocks, index)}
+                    labels, columns, bad = _checked(cells.pop(label), cells, kinds, indexes)
+                    for name, column in [*columns.items(), (label, labels)]:
+                        blocks[name].append(column)
+                    reasons.update((n + i, reason) for i, reason in bad.items())
+                    n += len(rows)
         except UnicodeDecodeError:  # raised for a whole decoded block, which can span many lines
             raise DataError(f"{path}: not UTF-8 text at line {_first_non_utf8_line(path)}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), which stays as it is
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    kinds, n = dict(layout["features"]), len(cells[-1])
-    labels, columns, levels, reasons = _checked(cells.pop(), dict(zip(kinds, cells)), kinds)
-    del cells  # the cell text: the table keeps only arrays
-    summary, rejected = LoadSummary(), sorted(reasons)
-    for i in rejected:
-        summary.note(i + 2, reasons[i])
-    table = FlowTable(columns, levels, kinds, labels, np.arange(2, n + 2))
-    if rejected:
-        table = table.take(np.delete(np.arange(n), rejected))
-    summary.rows_loaded = len(table)
-    if not len(table):
+    summary = LoadSummary(rows_loaded=n - len(reasons))
+    if not summary.rows_loaded:
         raise DataError(f"{path}: no valid rows")
+    for i in sorted(reasons):
+        summary.note(i + 2, reasons[i])
+    # popped as it is joined: each column's blocks are freed once its array is whole
+    labels = np.concatenate(blocks.pop(label))
+    columns = {name: np.concatenate(blocks.pop(name)) for name in kinds}
+    levels = {name: list(index) for name, index in indexes.items()}
+    table = FlowTable(columns, levels, kinds, labels, np.arange(2, n + 2))
+    if reasons:
+        table = table.take(np.delete(np.arange(n), sorted(reasons)))
     return Dataset(records=table, profile=profile), summary
 
 
@@ -246,18 +261,19 @@ def _first_non_utf8_line(path) -> int:
 def write_csv(dataset: Dataset, path) -> None:
     """Write the profile's columns, then the label: a nominal column's cells, any other column's values
     as repr(v).removesuffix(".0"), text that parses back to the same float64, bit for bit, for every kind."""
-    layout = profile_columns(dataset.profile)
-    table, columns = dataset.records, []
-    for name, kind in layout["features"]:
-        column = table.columns[name].tolist()
-        if kind == NOMINAL:
-            columns.append(map(table.levels[name].__getitem__, column))
-        else:
-            columns.append([repr(v).removesuffix(".0") for v in column])
+    layout, table = profile_columns(dataset.profile), dataset.records
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([name for name, _ in layout["features"]] + [layout["label"]])
-        writer.writerows(zip(*columns, table.labels.tolist()))
+        for start in range(0, len(table), BLOCK_ROWS):  # one block's text at a time
+            block, columns = slice(start, start + BLOCK_ROWS), []
+            for name, kind in layout["features"]:
+                column = table.columns[name][block].tolist()
+                if kind == NOMINAL:
+                    columns.append(map(table.levels[name].__getitem__, column))
+                else:
+                    columns.append([repr(v).removesuffix(".0") for v in column])
+            writer.writerows(zip(*columns, table.labels[block].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -333,8 +349,9 @@ def noisy_sload_dists(bayes_error: float) -> dict[str, tuple]:
     }
 
 
-# The most rows synth makes. synth and write_csv together peak at about 845 bytes
-# a row (tracemalloc, at 100,000 and 200,000 rows), 890 MB at this count; a
+# The most rows synth makes. synth and write_csv together peak at about 290 bytes
+# a row (tracemalloc: 293 at 100,000 rows, 289 at 200,000), 305 MB at this
+# count, most of it synth's draws, since write_csv holds one block's text; a
 # larger n is refused before anything is allocated.
 MAX_SYNTH_ROWS = 2**20
 
@@ -387,7 +404,8 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
         if name in numbers:
             columns[name] = numbers[name]
         elif kind == NOMINAL:
-            columns[name], index = _coded(categorical[name].tolist())
+            index = {}
+            columns[name] = _coded(categorical[name].tolist(), index)
             levels[name] = list(index)
         else:  # dstport and sttl draw from a pool of numerals
             columns[name] = categorical[name].astype(np.float64)
@@ -395,11 +413,24 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
     return Dataset(records=table, profile="synthetic")
 
 
+def checked_fractions(fractions) -> tuple[float, ...]:
+    """Split fractions as floats, each > 0 and summing to 1 within 1e-9; else ConfigError naming split_fractions.
+
+    The one statement of the rule: split applies it, and TrainConfig.resolved before any data is read."""
+    fractions = tuple(fractions)
+    refusal = ConfigError(f"split_fractions must be positive and sum to 1, got {fractions}")
+    try:
+        floats = tuple(float(f) for f in fractions)
+    except OverflowError:  # an int beyond the float range
+        raise refusal from None
+    if any(not f > 0 for f in floats) or abs(sum(floats) - 1.0) > 1e-9:
+        raise refusal
+    return floats
+
+
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
     """Stratified, seeded partition; disjoint and exhaustive by construction."""
-    fractions = tuple(float(f) for f in fractions)
-    if any(not f > 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must be positive and sum to 1, got {fractions}")
+    fractions = checked_fractions(fractions)
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[] for _ in fractions]
     bounds = np.cumsum(fractions)

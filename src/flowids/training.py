@@ -219,6 +219,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
         if len(cfg.split_fractions) != 3:
             raise ConfigError(f"split_fractions needs 3 entries, got {cfg.split_fractions}")
+        dataio.checked_fractions(cfg.split_fractions)
         if len(cfg.fnn_hidden) != 2:
             raise ConfigError(f"fnn_hidden needs 2 entries, got {cfg.fnn_hidden}")
         return cfg

@@ -30,7 +30,9 @@ Its oracles:
   marks a field that the format does not need. ``train_config`` and
   ``metrics`` are provenance records, exempt from this oracle only.
 
-**CSV family.** The unsw and ton fixtures and the synth CSV are each
+**CSV family.** The unsw and ton fixtures, the synth CSV and an 800-row
+synth CSV, which spans four of load_csv's blocks (BLOCK_ROWS, 256 rows), so
+that its later mutations land past the first block, are each
 mutated: one cell of one row at a time, in every column of the file, to
 each of BAD_CELLS (empty, NUL, quotes, numbers out of range, nan, full-width
 digits, 5,000-character cells and timestamp look-alikes); rows cut short
@@ -234,10 +236,12 @@ BAD_CELLS = [
     "\uff11\uff12\uff13", "\uff10", "9" * 5000, "x" * 5000, "2019-04-26T09:12:01", "2019-04-26 09:12:01+02:00",
     "26-Apr-19", "09:12:01", "26/04/2019", "24:00:00", "2019-02-30", " 1421927414 ", "1421927414.5e0", "\ufeff1",
 ]
-# (file, profile) for each CSV the family mutates; flows.csv is the header family's synth CSV
+# (file, profile) for each CSV the family mutates; flows.csv is the header family's synth CSV, and
+# blocks.csv spans four blocks, so a mutation past its row 256 meets the codes and row count carried
+# over from the blocks before it
 FIXTURES = ROOT / "tests" / "fixtures"
 CSV_SOURCES = [(FIXTURES / "unsw_tiny.csv", "unsw"), (FIXTURES / "ton_tiny.csv", "ton"),
-               (Path("flows.csv"), "synthetic")]
+               (Path("flows.csv"), "synthetic"), (Path("blocks.csv"), "synthetic")]
 TRAIN_EVERY = 8
 
 
@@ -351,6 +355,7 @@ def main() -> int:
         Path("fnn.json").write_text('{"fnn_hidden": [8, 8]}', encoding="utf-8")
         run = Cli()
         run("synth", "--n", "200", "--seed", "4", "--difficulty", "noisy", "--out", "flows.csv")
+        run("synth", "--n", "800", "--seed", "5", "--difficulty", "noisy", "--out", "blocks.csv")
         for kind in TRAIN:
             tally, found = census(kind, run)
             print(f"header, {kind}: {sum(tally.values())} variants; "

@@ -162,6 +162,17 @@ MUTANTS = [
     Mutant("repeated-header-takes-first-column", "src/flowids/dataio.py",
            "at = {name: i for i, name in enumerate(header)}", "at = {name: header.index(name) for name in header}",
            ("tests/test_dataio.py::TestLoadCsvReadsLikeDictReader",)),
+    # load_csv checks each block as it reads it, and write_csv writes block by block
+    Mutant("nominal-index-restarts-each-block", "src/flowids/dataio.py",
+           "_checked(cells.pop(label), cells, kinds, indexes)",
+           "_checked(cells.pop(label), cells, kinds, indexes := {name: {} for name in indexes})",
+           ("tests/test_dataio.py::TestLoadCsvBlocks",)),
+    Mutant("block-rejects-not-offset", "src/flowids/dataio.py",
+           "reasons.update((n + i, reason) for i, reason in bad.items())",
+           "reasons.update((i, reason) for i, reason in bad.items())", ("tests/test_dataio.py::TestLoadCsvBlocks",)),
+    Mutant("write-csv-first-block-only", "src/flowids/dataio.py",
+           "for start in range(0, len(table), BLOCK_ROWS):", "for start in range(0, min(len(table), 1), BLOCK_ROWS):",
+           ("tests/test_dataio.py::TestLoadCsvBlocks",)),
     Mutant("float-pass-finite-unchecked", "src/flowids/sentencing.py",
            "if np.isfinite(values).all():", "if True:", ("tests/test_sentencing.py",)),
     Mutant("unseen-value-index-one", "src/flowids/sentencing.py",

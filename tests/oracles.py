@@ -13,6 +13,7 @@ bytes while writing into nothing it did not allocate.
 """
 
 import csv
+import io
 import math
 import statistics
 
@@ -95,6 +96,23 @@ def dictreader_load(path, features, label, parse_cell):
                 if kind != "nominal":
                     values[name].append(parsed[name])
     return rows, cells, labels, values, rejects
+
+
+def whole_table_csv(table, features, label) -> bytes:
+    """A FlowTable as write_csv documents its file, built row by row and written in one csv.writer call.
+
+    ``features`` are (name, kind) pairs in profile order and ``label`` the label column: a header,
+    then each row's nominal cells, other values as repr(v).removesuffix(".0") and its label."""
+    rows = []
+    for i, label_value in enumerate(table.labels.tolist()):
+        rows.append([table.levels[name][table.columns[name][i]] if kind == "nominal"
+                     else repr(float(table.columns[name][i])).removesuffix(".0") for name, kind in features]
+                    + [label_value])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([name for name, _ in features] + [label])
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
 
 
 def np_softmax(s, axis=-1):

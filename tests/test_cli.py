@@ -186,7 +186,7 @@ class TestTrain:
             pytest.param({"batch_size": True}, "batch_size", id="batch-size-bool"),
             pytest.param({"fnn_hidden": 5}, "fnn_hidden", id="fnn-hidden-scalar"),
             pytest.param({"split_fractions": 0.5}, "split_fractions", id="split-fractions-scalar"),
-            pytest.param({"split_fractions": [NAN, 0.5, 0.5]}, "split fractions", id="split-fractions-nan"),
+            pytest.param({"split_fractions": [NAN, 0.5, 0.5]}, "split_fractions", id="split-fractions-nan"),
             pytest.param({"mlp_dim": 0}, "mlp_dim", id="mlp-dim-zero"),
             pytest.param({"model": "fnn", "lr": NAN}, "lr", id="lr-nan"),
             pytest.param({"model": "fnn", "weight_decay": NAN}, "weight_decay", id="weight-decay-nan"),
@@ -217,6 +217,12 @@ class TestTrain:
             # 6,291,461 parameters over one input, 31,457,285 over the synthetic profile's 13
             pytest.param(["--model", "fnn"], {"fnn_hidden": [2097152, 1]}, "31,457,285 parameters",
                          id="fnn-over-budget-at-width"),
+            pytest.param([], {"split_fractions": [0.5, 0.5, 0]}, "split_fractions must be positive",
+                         id="split-fraction-zero"),
+            pytest.param([], {"split_fractions": [0.5, 0.5, 0.5]}, "split_fractions must be positive",
+                         id="split-fractions-sum"),
+            pytest.param([], {"split_fractions": [10**400, 0.5, 0.5]}, "split_fractions must be positive",
+                         id="split-fraction-past-float-range"),
         ],
     )
     def test_config_error_exits_2_before_data_is_read(self, tmp_path, argv, config, said):
