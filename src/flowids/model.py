@@ -17,7 +17,11 @@ The MLP baseline (``fnn_forward``) is three dense layers with ReLU between
 them, run as one taped primitive, as ``training.cross_entropy`` is: one
 record per forward pass, whose hand-written backward repeats the generic
 ops' rules so its bytes are the op-by-op graph's. The encoder is built from
-the generic ops in ``tensor``.
+the generic ops in ``tensor``. Its attention has two paths, chosen by
+``tensor.is_grad_enabled()``: on the tape it runs head by head, nine ops a
+head; a scoring forward, under ``no_grad``, runs every head at once in a few
+batched numpy calls with the same bytes, so each chunk hands the GIL between
+the scoring threads far fewer times (see ``attention``).
 
 A model's shape has one statement, its hyper dict: the checkpoint's
 ``hyper`` header field, what ``TrainConfig.hyper`` gives, and what a built
@@ -160,9 +164,30 @@ class FnnParams(Params):
 
 def attention(z: Tensor, tensors: dict[str, Tensor], prefix: str, heads: int, mask: bool) -> Tensor:
     """Multi-head scaled dot-product attention on (..., tokens, dim), its weights named
-    prefix + "head{k}.w_q" (and w_k, w_v) for each head k, and prefix + "w_out"."""
+    prefix + "head{k}.w_q" (and w_k, w_v) for each head k, and prefix + "w_out".
+
+    Off the tape (inside ``no_grad``) every head runs at once. One product takes z
+    times every head's w_q, then every head's w_k, then every head's w_v, stacked on
+    a leading axis; one batched q k^T over (heads, ..., tokens, tokens) goes through
+    the same scale, mask and softmax ops as the loop below; one batched product
+    weights v; and one copy joins the heads in head order before w_out. numpy runs
+    each batched product as the loop's own BLAS calls, one per head and leading
+    index, on operands laid out as the loop's, so a (batch, tokens, dim) z gets the
+    loop's bytes whatever the head width. On the tape attention stays head by head:
+    fusing it there changes the taped graph, whose 103 records per training step
+    perfbench pins (ROADMAP item 5)."""
     head_dim = tensors[prefix + "head0.w_q"].data.shape[1]
     inv_scale = 1.0 / math.sqrt(head_dim)
+    if not T.is_grad_enabled():
+        *lead, t, d = z.data.shape
+        w = np.stack([tensors[f"{prefix}head{h}.{name}"].data for name in ("w_q", "w_k", "w_v") for h in range(heads)])
+        q, k, v = np.split(np.matmul(z.data, w.reshape(3 * heads, *[1] * len(lead), d, head_dim)), 3)
+        scores = T.scale(Tensor(np.matmul(q, np.swapaxes(k, -1, -2))), inv_scale)
+        if mask:
+            scores = T.causal_mask(scores)
+        joined = np.matmul(T.softmax(scores).data, v)  # (heads, ..., tokens, head_dim)
+        joined = np.ascontiguousarray(np.moveaxis(joined, 0, -2)).reshape(*lead, t, d)
+        return T.matmul(Tensor(joined), tensors[prefix + "w_out"])
     head_outputs = []
     for h in range(heads):
         q = T.matmul(z, tensors[f"{prefix}head{h}.w_q"])

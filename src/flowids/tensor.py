@@ -77,6 +77,11 @@ def clear_tape() -> None:
     _TAPE.clear()
 
 
+def is_grad_enabled() -> bool:
+    """Whether ops record onto the tape: False inside ``no_grad``."""
+    return _GRAD_ENABLED
+
+
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference / oracles)."""

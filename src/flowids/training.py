@@ -152,6 +152,15 @@ _INTEGER_FIELDS = ("epochs", "batch_size", "seed", "dim", "heads", "blocks", "ml
 _REAL_FIELDS = ("lr", "beta1", "beta2", "eps", "weight_decay", "split_fractions")
 
 
+def _as_float(x) -> float:
+    """float(x), or nan for an int past the float range, which a JSON config may hold: nan
+    fails every range check, as such an int must (it would overflow AdamW's float arithmetic)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
+
+
 @dataclass
 class TrainConfig:
     """Everything that determines a training run, seeds included.
@@ -207,11 +216,11 @@ class TrainConfig:
         if cfg.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
         for name, ok, wanted in (  # nan fails every comparison, so it fails here too
-            ("lr", 0 < cfg.lr < math.inf, "finite and > 0"),
-            ("beta1", 0 <= cfg.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= cfg.beta2 < 1, "in [0, 1)"),
-            ("eps", 0 < cfg.eps < math.inf, "finite and > 0"),
-            ("weight_decay", 0 <= cfg.weight_decay < math.inf, "finite and >= 0"),
+            ("lr", 0 < _as_float(cfg.lr) < math.inf, "finite and > 0"),
+            ("beta1", 0 <= _as_float(cfg.beta1) < 1, "in [0, 1)"),
+            ("beta2", 0 <= _as_float(cfg.beta2) < 1, "in [0, 1)"),
+            ("eps", 0 < _as_float(cfg.eps) < math.inf, "finite and > 0"),
+            ("weight_decay", 0 <= _as_float(cfg.weight_decay) < math.inf, "finite and >= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {wanted}, got {getattr(cfg, name)!r}")
@@ -293,9 +302,11 @@ class TrainResult:
 # the default encoder (13 tokens, MLP width 128) a 512-row chunk's float64
 # activations reach 6.8 MB, more than a core's 2 MiB L2, and temporaries
 # that large go back to the OS and are page-faulted in again on every chunk.
-# Each transformer chunk hands the GIL between the scoring threads many
-# times, so 128 rows make fewer handoffs per row than 64 did; softmax and
-# layer_norm reuse their temporaries, so a helper thread's heap stays near
+# Each numpy or BLAS call of a transformer chunk hands the GIL between the
+# scoring threads, so the handoffs per row fall as the chunk grows: 128 rows
+# made fewer than 64 did (measured when attention ran head by head; a scoring
+# forward now makes 35 tensor-op calls, not 103, see model.attention). softmax
+# and layer_norm reuse their temporaries, so a helper thread's heap stays near
 # one chunk's working set. 256 rows scored no faster and raised the
 # benchmark's peak RSS by 6.5 MB (9%) over 128.
 # A row's logits have the same bytes in any chunk (see tensor.product), so

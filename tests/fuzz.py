@@ -50,8 +50,10 @@ through ``train`` as well. Its oracles:
 **Config family.** BASE_CONFIG, a small train config (dim 8, 2 heads, one
 block, one epoch, FNN hidden widths 8 and 8) of each kind, has each
 ``TrainConfig`` field replaced in turn by each of SUBSTITUTES, and each
-variant trains through ``train --config`` on the synth CSV. Only an
-``epochs`` of 2**63 is skipped: a valid run that would not end. Its oracles:
+real-valued field (or a list field's first entry) by PAST_FLOAT, a 401-digit
+integer; each variant trains through ``train --config`` on the synth CSV.
+Only an ``epochs`` of 2**63 is skipped: a valid run that would not end. Its
+oracles:
 
 - **Exit code.** ``train`` ends in 0, 2, 3 or 5.
 - **Named.** An exit 2's message names the field that was replaced.
@@ -327,6 +329,16 @@ def csv_census(run: Cli) -> tuple[collections.Counter, list[str]]:
 
 # a small train config of either kind; each variant replaces one TrainConfig field by one of SUBSTITUTES
 BASE_CONFIG = {"dim": 8, "heads": 2, "blocks": 1, "epochs": 1, "fnn_hidden": [8, 8]}
+# a 401-digit int: JSON holds it exactly, float() overflows on it, and it compares with inf exactly.
+# Only the real-valued fields try it; an epochs this large, like 2**63, is a run that would not end.
+PAST_FLOAT = 10**400
+
+
+def past_float(field: dataclasses.Field) -> list:
+    """PAST_FLOAT in place of a real-valued field: the field itself, or a list field's first entry."""
+    if "float" not in field.type:
+        return []
+    return [[PAST_FLOAT, *field.default[1:]] if isinstance(field.default, tuple) else PAST_FLOAT]
 
 
 def config_census(run: Cli) -> tuple[collections.Counter, list[str]]:
@@ -334,7 +346,7 @@ def config_census(run: Cli) -> tuple[collections.Counter, list[str]]:
     tally, findings, variant = collections.Counter(), [], Path("variant.json")
     for kind in TRAIN:
         for field in dataclasses.fields(TrainConfig):
-            for value in SUBSTITUTES:
+            for value in SUBSTITUTES + past_float(field):
                 if field.name == "epochs" and value == 2**63:  # a valid run that would not end
                     continue
                 variant.write_text(json.dumps({**BASE_CONFIG, "model": kind, field.name: value}), encoding="utf-8")

@@ -115,6 +115,17 @@ MUTANTS = [
     Mutant("train-reads-data-before-config", "src/flowids/cli.py",
            "_build_train_config(args).resolved(), {}", "_build_train_config(args), {}",
            ("tests/test_cli.py::TestTrain",)),
+    Mutant("config-real-past-float-range-accepted", "src/flowids/training.py",
+           "        return math.nan\n", "        return 1.0\n",
+           ("tests/test_cli.py::TestTrain::test_config_error_exits_2_before_data_is_read",)),
+    # a scoring forward stacks every head and must give the taped head-by-head bytes
+    Mutant("stacked-heads-joined-in-reverse", "src/flowids/model.py",
+           "np.moveaxis(joined, 0, -2)", "np.moveaxis(joined[::-1], 0, -2)",
+           ("tests/test_model.py::TestAttention",)),
+    Mutant("stacked-w-k-before-w-q", "src/flowids/model.py",
+           "for name in (\"w_q\", \"w_k\", \"w_v\") for h in range(heads)",
+           "for name in (\"w_k\", \"w_q\", \"w_v\") for h in range(heads)",
+           ("tests/test_model.py::TestAttention",)),
     # the checks of load_checkpoint that no hyper dict makes: version, schema width, body length, feature range
     Mutant("checkpoint-version-only-not-newer", "src/flowids/dataio.py",
            "if version != CHECKPOINT_VERSION:", "if version > CHECKPOINT_VERSION:",

@@ -223,6 +223,13 @@ class TestTrain:
                          id="split-fractions-sum"),
             pytest.param([], {"split_fractions": [10**400, 0.5, 0.5]}, "split_fractions must be positive",
                          id="split-fraction-past-float-range"),
+            # ints compare with inf exactly, so these passed the range checks and overflowed in AdamW
+            pytest.param([], {"model": "fnn", "lr": 10**400}, "lr must be finite and > 0",
+                         id="lr-past-float-range"),
+            pytest.param([], {"model": "fnn", "eps": 10**400}, "eps must be finite and > 0",
+                         id="eps-past-float-range"),
+            pytest.param([], {"model": "fnn", "weight_decay": 10**400}, "weight_decay must be finite and >= 0",
+                         id="weight-decay-past-float-range"),
         ],
     )
     def test_config_error_exits_2_before_data_is_read(self, tmp_path, argv, config, said):

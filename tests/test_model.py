@@ -237,6 +237,26 @@ class TestAttention:
         out = attention(Tensor(poked), t, "block0.attn.", 2, mask=False).data
         assert np.any(out[0] != base[0])
 
+    @pytest.mark.parametrize("mask", [True, False])
+    @pytest.mark.parametrize("sizes", [{}, {"dim": 8, "heads": 2}, {"dim": 8, "heads": 1}],
+                             ids=["default", "dim8-two-heads", "one-head"])
+    def test_scoring_runs_the_heads_at_once_with_the_taped_bytes(self, sizes, mask):
+        """Under no_grad attention stacks every head; the attention output and
+        the logits must have the bytes of the taped head-by-head graph."""
+        p = new_transformer(13, seed=31, mask=mask, **sizes)
+        h = p.hyper()
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 13, 100, 128):
+            x = rng.uniform(size=(n, 13))
+            z = Tensor(rng.normal(size=(n, 13, h["dim"])))
+            with T.no_grad():
+                stacked = [attention(z, p.tensors, "block1.attn.", h["heads"], mask).data, p.logits(x).data]
+            assert T.active_tape() == []
+            taped = [attention(z, p.tensors, "block1.attn.", h["heads"], mask).data, p.logits(x).data]
+            assert T.active_tape() != []
+            T.clear_tape()
+            assert [a.tobytes() for a in stacked] == [a.tobytes() for a in taped], f"{n} rows"
+
 
 class TestBlockOracle:
     """Agreement with an independent numpy transcription of the block."""

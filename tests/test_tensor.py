@@ -325,8 +325,13 @@ class TestBackward:
 
     def test_no_grad_disables_recording(self):
         w = Tensor([1.0], requires_grad=True)
+        assert T.is_grad_enabled()
         with T.no_grad():
-            out = T.mul(w, w)
+            assert not T.is_grad_enabled()
+            with T.no_grad():
+                out = T.mul(w, w)
+            assert not T.is_grad_enabled()  # an inner block restores the state it found
+        assert T.is_grad_enabled()
         assert len(T.active_tape()) == 0
         assert not out.requires_grad
 

@@ -724,7 +724,7 @@ class TestParallelScoring:
                 predict_scores(params, x)
             assert str(caught.value) == f"chunk at row {starts[min(chunks)]}"
             assert running == [0]
-            assert T._GRAD_ENABLED and T.active_tape() == []
+            assert T.is_grad_enabled() and T.active_tape() == []
 
     @pytest.mark.parametrize("error", [ValueError, SystemExit])
     @pytest.mark.parametrize("where", ["caller", "worker"])
@@ -755,15 +755,15 @@ class TestParallelScoring:
             predict_scores(params, x)
         assert str(caught.value) == f"chunk at row {failed[0]}"
         assert running == [0]
-        assert T._GRAD_ENABLED and T.active_tape() == []
+        assert T.is_grad_enabled() and T.active_tape() == []
 
     def test_scoring_with_grad_enabled_leaves_the_tape_empty(self, monkeypatch):
         params = self._small_transformer()
         x = np.random.default_rng(6).uniform(size=(3 * training.CHUNK_ROWS, 5))
         monkeypatch.setattr(training, "usable_cores", lambda: 2)
-        assert T._GRAD_ENABLED
+        assert T.is_grad_enabled()
         predict_scores(params, x)
-        assert T._GRAD_ENABLED and T.active_tape() == []
+        assert T.is_grad_enabled() and T.active_tape() == []
 
     def test_fnn_chunks_run_on_the_calling_thread(self, monkeypatch):
         params = new_fnn(5, hidden=(8, 8), seed=1)
