@@ -149,15 +149,28 @@ def cmd_train(args) -> Run:
     return Run(result.config.to_dict(), result.config.seed, inputs=[args.data], outputs=outputs, loads=loads)
 
 
-def _scores_for(checkpoint: dataio.Checkpoint, data_path, loads: dict) -> tuple[np.ndarray, np.ndarray, dataio.Dataset]:
-    dataset = _load_dataset(data_path, checkpoint.schema.profile, loads)
-    x, y = encode_batch(dataset.records, checkpoint.schema)
-    return predict_scores(checkpoint.params, x), y, dataset
+def _scored(model_paths, data_path, loads: dict):
+    """Each checkpoint in order, with its scores, the labels and the table it scored: the one scoring path
+    of eval, predict and report. A checkpoint is loaded once the one before it has been consumed. The CSV
+    is read once per profile, by _load_dataset, and encoded once per schema."""
+    tables, encoded = {}, []  # profile -> its table; (schema, its (x, y)) in first-seen order
+    for model_path in model_paths:
+        checkpoint = dataio.load_checkpoint(model_path)
+        schema = checkpoint.schema
+        if schema.profile not in tables:
+            tables[schema.profile] = _load_dataset(data_path, schema.profile, loads).records
+        table = tables[schema.profile]
+        xy = next((xy for seen, xy in encoded if seen == schema), None)
+        if xy is None:
+            xy = encode_batch(table, schema)
+            encoded.append((schema, xy))
+        x, truths = xy
+        yield checkpoint, predict_scores(checkpoint.params, x), truths, table
 
 
 def cmd_eval(args) -> Run:
-    checkpoint, loads = dataio.load_checkpoint(args.model), {}
-    scores, truths, _ = _scores_for(checkpoint, args.data, loads)
+    loads = {}
+    [(checkpoint, scores, truths, _)] = _scored([args.model], args.data, loads)
     rep = metrics.report(scores, truths, threshold=args.threshold)
     label = args.label or str(args.model)
     print(rep.table(label))
@@ -177,11 +190,11 @@ def cmd_eval(args) -> Run:
 
 
 def cmd_predict(args) -> Run:
-    checkpoint, loads = dataio.load_checkpoint(args.model), {}
-    scores, _, dataset = _scores_for(checkpoint, args.data, loads)
+    loads = {}
+    [(checkpoint, scores, _, table)] = _scored([args.model], args.data, loads)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("row,score,predicted\n")
-        for row, score in zip(dataset.records.rows.tolist(), scores):
+        for row, score in zip(table.rows.tolist(), scores):
             handle.write(f"{row},{score:.9f},{int(score >= args.threshold)}\n")
     print(f"wrote {len(scores)} predictions to {args.out}")
     config = {"threshold": args.threshold, "model_kind": checkpoint.params.kind}
@@ -189,19 +202,10 @@ def cmd_predict(args) -> Run:
 
 
 def cmd_report(args) -> Run:
-    rows, datasets, encoded, loads = [], {}, [], {}  # the CSV is read once per profile and encoded once per schema
-    for model_path in args.models:
-        checkpoint = dataio.load_checkpoint(model_path)
-        schema = checkpoint.schema
-        if schema.profile not in datasets:
-            datasets[schema.profile] = _load_dataset(args.data, schema.profile, loads)
-        xy = next((xy for seen, xy in encoded if seen == schema), None)
-        if xy is None:
-            xy = encode_batch(datasets[schema.profile].records, schema)
-            encoded.append((schema, xy))
-        x, truths = xy
-        rep = metrics.report(predict_scores(checkpoint.params, x), truths, threshold=args.threshold)
-        rows.append((f"{checkpoint.params.kind}:{model_path}", rep))
+    loads = {}
+    scored = zip(args.models, _scored(args.models, args.data, loads))
+    rows = [(f"{checkpoint.params.kind}:{path}", metrics.report(scores, truths, threshold=args.threshold))
+            for path, (checkpoint, scores, truths, _) in scored]
     text = metrics.render_table(rows)
     print(text)
     if args.out:

@@ -18,7 +18,7 @@ import math
 import statistics
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,14 +113,12 @@ class Dataset:
 
 @dataclass
 class LoadSummary:
-    rows_loaded: int = 0
-    rows_rejected: int = 0
-    rejects: list[tuple[int, str]] = field(default_factory=list)
+    """What load_csv kept and rejected, built once the whole file is read: the rows kept, the rows
+    rejected, and the first 20 rejects as (source row, first reason) pairs, in row order."""
 
-    def note(self, row: int, reason: str) -> None:
-        self.rows_rejected += 1
-        if len(self.rejects) < 20:
-            self.rejects.append((row, reason))
+    rows_loaded: int
+    rows_rejected: int
+    rejects: list[tuple[int, str]]
 
     def describe(self) -> str:
         lines = [f"loaded {self.rows_loaded} rows, rejected {self.rows_rejected}"]
@@ -190,6 +188,8 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
     columns in profile order) in the summary: ``label: <reason>``, ``label '2' is not 0 or 1`` or
     ``column 'name': <reason>``, where a missing cell's reason is ``missing cell``, whatever its
     kind. Each column is read once: the table keeps the values and codes that found the rejects.
+    The summary is built once, when the whole file is read, from the rejects the load holds: the
+    rows kept, the rows rejected, and the first 20 rejects, (source row, reason), in row order.
 
     The file is read BLOCK_ROWS rows at a time. Each block is transposed once and checked as it
     is read, so no cell's text outlives its block: each nominal column's codes are carried from
@@ -229,18 +229,17 @@ def load_csv(path, profile: str) -> tuple[Dataset, LoadSummary]:
             raise DataError(f"{path}: not UTF-8 text at line {_first_non_utf8_line(path)}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), which stays as it is
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    summary = LoadSummary(rows_loaded=n - len(reasons))
-    if not summary.rows_loaded:
+    if len(reasons) == n:
         raise DataError(f"{path}: no valid rows")
-    for i in sorted(reasons):
-        summary.note(i + 2, reasons[i])
+    rejected = sorted(reasons)
+    summary = LoadSummary(n - len(reasons), len(reasons), [(i + 2, reasons[i]) for i in rejected[:20]])
     # popped as it is joined: each column's blocks are freed once its array is whole
     labels = np.concatenate(blocks.pop(label))
     columns = {name: np.concatenate(blocks.pop(name)) for name in kinds}
     levels = {name: list(index) for name, index in indexes.items()}
     table = FlowTable(columns, levels, kinds, labels, np.arange(2, n + 2))
     if reasons:
-        table = table.take(np.delete(np.arange(n), sorted(reasons)))
+        table = table.take(np.delete(np.arange(n), rejected))
     return Dataset(records=table, profile=profile), summary
 
 
@@ -413,23 +412,31 @@ def synth(n: int, seed: int, difficulty: str = "separable", bayes_error: float =
     return Dataset(records=table, profile="synthetic")
 
 
-def checked_fractions(fractions) -> tuple[float, ...]:
-    """Split fractions as floats, each > 0 and summing to 1 within 1e-9; else ConfigError naming split_fractions.
+def _as_float(x) -> float:
+    """float(x), or nan for an int past the float range, which a JSON config may hold: nan
+    fails every range check, as such an int must (it would overflow float arithmetic)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
+
+
+def checked_fractions(fractions) -> tuple[float, float, float]:
+    """Split fractions as floats: exactly three (train, validation, test), each > 0, summing to 1
+    within 1e-9; else ConfigError naming split_fractions. Each entry is read by _as_float.
 
     The one statement of the rule: split applies it, and TrainConfig.resolved before any data is read."""
     fractions = tuple(fractions)
-    refusal = ConfigError(f"split_fractions must be positive and sum to 1, got {fractions}")
-    try:
-        floats = tuple(float(f) for f in fractions)
-    except OverflowError:  # an int beyond the float range
-        raise refusal from None
-    if any(not f > 0 for f in floats) or abs(sum(floats) - 1.0) > 1e-9:
-        raise refusal
+    floats = tuple(map(_as_float, fractions))
+    if len(floats) != 3 or any(not f > 0 for f in floats) or abs(sum(floats) - 1.0) > 1e-9:
+        raise ConfigError(f"split_fractions must be positive and sum to 1 over 3 entries "
+                          f"(train, validation, test), got {fractions}")
     return floats
 
 
-def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
-    """Stratified, seeded partition; disjoint and exhaustive by construction."""
+def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Stratified, seeded partition into train, validation and test, by checked_fractions;
+    disjoint and exhaustive by construction. A part left without a class warns, by its name."""
     fractions = checked_fractions(fractions)
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[] for _ in fractions]
@@ -442,9 +449,7 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
         edges[-1] = len(members)
         for i in range(len(fractions)):
             parts[i].append(members[order[edges[i] : edges[i + 1]]])
-    names = ("train", "validation", "test") if len(fractions) == 3 else tuple(
-        f"part{i}" for i in range(len(fractions))
-    )
+    names = ("train", "validation", "test")
     out = []
     for i, part in enumerate(parts):
         table = dataset.records.take(np.concatenate(part))

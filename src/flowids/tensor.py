@@ -60,9 +60,6 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 _TAPE: list[tuple[int, list, object]] = []  # (output node, input keys, backward rule)
 _NODES = count()  # node numbers only grow, so a tape's nodes are >= its first record's

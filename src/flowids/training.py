@@ -19,6 +19,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import dataio
+from .dataio import _as_float
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, ContractError, DataError, NumericError
@@ -152,15 +153,6 @@ _INTEGER_FIELDS = ("epochs", "batch_size", "seed", "dim", "heads", "blocks", "ml
 _REAL_FIELDS = ("lr", "beta1", "beta2", "eps", "weight_decay", "split_fractions")
 
 
-def _as_float(x) -> float:
-    """float(x), or nan for an int past the float range, which a JSON config may hold: nan
-    fails every range check, as such an int must (it would overflow AdamW's float arithmetic)."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.nan
-
-
 @dataclass
 class TrainConfig:
     """Everything that determines a training run, seeds included.
@@ -226,8 +218,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be {wanted}, got {getattr(cfg, name)!r}")
         if cfg.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
-        if len(cfg.split_fractions) != 3:
-            raise ConfigError(f"split_fractions needs 3 entries, got {cfg.split_fractions}")
         dataio.checked_fractions(cfg.split_fractions)
         if len(cfg.fnn_hidden) != 2:
             raise ConfigError(f"fnn_hidden needs 2 entries, got {cfg.fnn_hidden}")

@@ -8,6 +8,11 @@ process through a ``sitecustomize`` module on ``PYTHONPATH``:
 - ``train --log``, ``eval --out --roc`` and ``predict`` for both model kinds
   on the synthetic, unsw and ton profiles (a 300-row synth CSV and the two
   fixtures), and ``report`` for each profile;
+- on the synth CSV, the inputs those runs do not make: ``train --config``
+  with list-valued ``split_fractions`` and ``fnn_hidden``, ``eval
+  --threshold 0.3``, ``eval`` of a copy with 25 bad-label rows and one
+  short row appended (more rejects than the load summary lists), and an
+  FNN ``predict`` of its first row alone;
 - the five demos;
 - ``perfbench/run.py --workload all --seconds 1`` at ``--trace 0`` and ``1``.
 
@@ -76,6 +81,18 @@ threading.settrace(_call)
 '''
 
 
+# Writes, next to the synth CSV, the inputs of the runs on it that the per-profile runs do not make.
+DERIVED = '''\
+import json, pathlib
+lines = pathlib.Path("synthetic.csv").read_text(encoding="utf-8").splitlines()
+bad = [",".join(line.split(",")[:-1] + ["2"]) for line in lines[1:26]]  # label 2: 25 rejects
+pathlib.Path("rejects.csv").write_text("\\n".join(lines + bad + ["1,2"]) + "\\n", encoding="utf-8")
+pathlib.Path("one_row.csv").write_text("\\n".join(lines[:2]) + "\\n", encoding="utf-8")
+config = {"model": "fnn", "epochs": 1, "fnn_hidden": [16, 16], "split_fractions": [0.5, 0.25, 0.25]}
+pathlib.Path("fnn.json").write_text(json.dumps(config), encoding="utf-8")
+'''
+
+
 def runs(work: Path) -> list[list[str]]:
     """The census's commands, in order; each runs with ``work`` as its directory."""
     cli = [sys.executable, "-m", "flowids"]
@@ -97,6 +114,13 @@ def runs(work: Path) -> list[list[str]]:
             ]
         commands.append(cli + ["report", "--models", f"{profile}.transformer.ckpt", f"{profile}.fnn.ckpt",
                                "--data", str(data), "--out", f"{profile}.report.txt"])
+    commands += [
+        [sys.executable, "-c", DERIVED],
+        cli + ["train", "--data", "synthetic.csv", "--config", "fnn.json", "--out", "config.fnn.ckpt"],
+        cli + ["eval", "--model", "synthetic.fnn.ckpt", "--data", "synthetic.csv", "--threshold", "0.3"],
+        cli + ["eval", "--model", "synthetic.transformer.ckpt", "--data", "rejects.csv"],
+        cli + ["predict", "--model", "synthetic.fnn.ckpt", "--data", "one_row.csv", "--out", "one_row.scores.csv"],
+    ]
     commands += [[sys.executable, str(demo)] for demo in sorted((ROOT / "demos").glob("*.py"))]
     commands += [[sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all", "--seed", "1",
                   "--seconds", "1", "--trace", trace] for trace in ("0", "1")]

@@ -115,9 +115,12 @@ MUTANTS = [
     Mutant("train-reads-data-before-config", "src/flowids/cli.py",
            "_build_train_config(args).resolved(), {}", "_build_train_config(args), {}",
            ("tests/test_cli.py::TestTrain",)),
-    Mutant("config-real-past-float-range-accepted", "src/flowids/training.py",
+    Mutant("config-real-past-float-range-accepted", "src/flowids/dataio.py",
            "        return math.nan\n", "        return 1.0\n",
            ("tests/test_cli.py::TestTrain::test_config_error_exits_2_before_data_is_read",)),
+    # the split rule is stated once, in checked_fractions, which split and TrainConfig.resolved apply
+    Mutant("split-fractions-count-unchecked", "src/flowids/dataio.py",
+           "len(floats) != 3 or ", "", ("tests/test_dataio.py::TestSplit",)),
     # a scoring forward stacks every head and must give the taped head-by-head bytes
     Mutant("stacked-heads-joined-in-reverse", "src/flowids/model.py",
            "np.moveaxis(joined, 0, -2)", "np.moveaxis(joined[::-1], 0, -2)",
@@ -161,6 +164,10 @@ MUTANTS = [
     Mutant("scoring-helper-catches-only-exception", "src/flowids/training.py",
            "except BaseException as exc:", "except Exception as exc:",
            ("tests/test_training.py::TestParallelScoring",)),
+    # eval, predict and report score through one path, which encodes the CSV once per schema
+    Mutant("report-encodes-per-checkpoint", "src/flowids/cli.py",
+           "xy = next((xy for seen, xy in encoded if seen == schema), None)", "xy = None",
+           ("tests/test_cli.py::TestReport",)),
     # the exit-code table
     Mutant("data-error-exits-2", "src/flowids/cli.py", "    DataError: 3,", "    DataError: 2,", ("tests/test_cli.py",)),
     # the ingest rules of load_csv, parse_column and encode_column
@@ -181,6 +188,8 @@ MUTANTS = [
     Mutant("block-rejects-not-offset", "src/flowids/dataio.py",
            "reasons.update((n + i, reason) for i, reason in bad.items())",
            "reasons.update((i, reason) for i, reason in bad.items())", ("tests/test_dataio.py::TestLoadCsvBlocks",)),
+    Mutant("load-summary-keeps-21-rejects", "src/flowids/dataio.py",
+           "rejected[:20]", "rejected[:21]", ("tests/test_dataio.py::TestLoadCsvBlocks",)),
     Mutant("write-csv-first-block-only", "src/flowids/dataio.py",
            "for start in range(0, len(table), BLOCK_ROWS):", "for start in range(0, min(len(table), 1), BLOCK_ROWS):",
            ("tests/test_dataio.py::TestLoadCsvBlocks",)),

@@ -223,6 +223,8 @@ class TestTrain:
                          id="split-fractions-sum"),
             pytest.param([], {"split_fractions": [10**400, 0.5, 0.5]}, "split_fractions must be positive",
                          id="split-fraction-past-float-range"),
+            pytest.param([], {"split_fractions": [0.5, 0.5]}, "split_fractions must be positive",
+                         id="split-fractions-two-entries"),
             # ints compare with inf exactly, so these passed the range checks and overflowed in AdamW
             pytest.param([], {"model": "fnn", "lr": 10**400}, "lr must be finite and > 0",
                          id="lr-past-float-range"),
@@ -501,16 +503,24 @@ class TestReport:
         config = {"threshold": 0.5, "models": [str(m) for m in models]}
         check_manifest(out, "report", config, None, models + [workdir / "flows.csv"], [out])
 
-    def test_reads_and_encodes_the_csv_once(self, workdir, monkeypatch, capsys):
-        """Three checkpoints of one schema share one load and one encoding of the CSV."""
+    @pytest.mark.parametrize("command", ["report", "eval", "predict"])
+    def test_reads_and_encodes_the_csv_once(self, workdir, tmp_path, monkeypatch, capsys, command):
+        """Three checkpoints of one schema share one load and one encoding of the CSV; eval and
+        predict, which score through the same path, make one of each too."""
         calls = []
         for owner, name in ((cli.dataio, "load_csv"), (cli, "encode_batch")):
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
         fnn = str(workdir / "fnn.ckpt")
-        assert cli.main(["report", "--models", fnn, fnn, fnn, "--data", str(workdir / "flows.csv")]) == 0
+        argv = {
+            "report": ["report", "--models", fnn, fnn, fnn],
+            "eval": ["eval", "--model", fnn],
+            "predict": ["predict", "--model", fnn, "--out", str(tmp_path / "scores.csv")],
+        }[command]
+        assert cli.main(argv + ["--data", str(workdir / "flows.csv")]) == 0
         assert calls == ["load_csv", "encode_batch"]
-        assert capsys.readouterr().out.count("fnn:") == 3
+        if command == "report":
+            assert capsys.readouterr().out.count("fnn:") == 3
 
     def test_single_class_data_is_data_error(self, workdir, tmp_path):
         import csv as csv_mod

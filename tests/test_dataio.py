@@ -741,6 +741,12 @@ class TestSplit:
         with pytest.raises(ConfigError):  # nan passes `f <= 0` and makes the sum nan
             split(ds, (float("nan"), 0.5, 0.5), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.4, 0.2, 0.2, 0.2)], ids=["two", "four"])
+    def test_other_fraction_counts_refused_by_name(self, fractions):
+        """Positive and summing to 1 is not enough: a split is train, validation and test."""
+        with pytest.raises(ConfigError, match=r"^split_fractions must be positive and sum to 1 over 3 entries"):
+            split(synth(60, seed=7), fractions, seed=0)
+
     def test_empty_class_warns(self):
         ds = synth(60, seed=7)
         ds.records = ds.records.take(np.flatnonzero(ds.records.labels == 0)[:12])

@@ -356,6 +356,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(model="fnn", **{field: value}).resolved()
 
+    @pytest.mark.parametrize("fractions", [[0.5, 0.5], [0.4, 0.2, 0.2, 0.2]], ids=["two", "four"])
+    def test_other_split_fraction_counts_rejected(self, fractions):
+        with pytest.raises(ConfigError, match=r"^split_fractions must be positive and sum to 1 over 3 entries"):
+            TrainConfig.from_dict({"model": "fnn", "split_fractions": fractions}).resolved()
+
     def test_optimizer_range_edges_accepted(self):
         cfg = TrainConfig(model="fnn", lr=1e308, beta1=0.0, beta2=0.0, eps=5e-324, weight_decay=0.0).resolved()
         assert (cfg.beta1, cfg.beta2, cfg.weight_decay) == (0.0, 0.0, 0.0)
